@@ -36,14 +36,12 @@ from .simulate import (
     IntegratorConfig,
     Method,
     commutator_check,
-    fidelity_curve,
     integrate_transfer,
     integrate_transfer_lossy,
 )
 from .optimize import (
     OptimizerConfig,
     OptimizerTrace,
-    Parametrization,
     functional_gradient,
     functional_value,
     optimize_profile,
@@ -68,8 +66,8 @@ __all__ = [
     "fidelity_lossy", "infidelity_budget", "budget_report",
     "validity_windows", "euler_lagrange_residual",
     "Method", "IntegratorConfig", "IntegrationError", "integrate_transfer",
-    "integrate_transfer_lossy", "commutator_check", "fidelity_curve",
-    "OptimizerConfig", "OptimizerTrace", "Parametrization",
+    "integrate_transfer_lossy", "commutator_check",
+    "OptimizerConfig", "OptimizerTrace",
     "functional_value", "functional_gradient", "optimize_profile",
     "verify_stationarity",
     "Topology", "CircuitSpec", "CircuitRates", "circuit_to_rates",

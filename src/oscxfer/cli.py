@@ -31,7 +31,6 @@ from .oracles import (
 )
 from .optimize import (
     OptimizerConfig,
-    Parametrization,
     optimize_profile,
     functional_value,
     verify_stationarity,
@@ -58,11 +57,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_CONVERGENCE = 4
 
-_PARAMETRIZATIONS = {
-    "direct": Parametrization.DIRECT_GAMMA1,
-    "gdot": Parametrization.G_DOT,
-}
-_SWEEPABLE = ("T", "gamma", "eta", "gamma_loss")
+# sweep name -> RunConfig field it sets
+_SWEEPABLE = {"T": "transfer_time", "gamma": "gamma", "eta": "eta",
+              "gamma_loss": "gamma_loss"}
 
 
 class ConfigError(ValueError):
@@ -87,7 +84,6 @@ class RunConfig:
     max_iters: int = 5000
     step_size: float = 1.0
     tolerance: float = 1e-10
-    parametrization: str = "direct"
     sweep: Optional[str] = None
     target_fidelity: Optional[float] = None
     margin: float = 10.0
@@ -156,8 +152,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     if cfg.method not in ("rk4", "heun"):
         raise ConfigError(f"unknown method: {cfg.method!r}")
-    if cfg.parametrization not in _PARAMETRIZATIONS:
-        raise ConfigError(f"unknown parametrization: {cfg.parametrization!r}")
     if cfg.format not in ("csv", "json", "both"):
         raise ConfigError(f"unknown format: {cfg.format!r}")
     if cfg.n_steps < 10:
@@ -306,8 +300,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
 
     initial = _build_profile(cfg, grid)
     ocfg = OptimizerConfig(max_iters=cfg.max_iters, step_size=cfg.step_size,
-                           tolerance=cfg.tolerance,
-                           parametrization=_PARAMETRIZATIONS[cfg.parametrization])
+                           tolerance=cfg.tolerance)
     profile, trace = optimize_profile(p, grid, ocfg, gamma1_max=cap,
                                       initial=initial)
 
@@ -334,7 +327,6 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         "message": trace.message,
         "gamma1_max": cap,
         "truncation": trunc,
-        "parametrization": cfg.parametrization,
         "stationarity": {
             "max_abs_residual": stat.max_abs_residual,
             "n_points": stat.n_points,
@@ -351,7 +343,8 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
         raise ConfigError("sweep must look like param:lo:hi:n")
     name, lo_s, hi_s, n_s = parts
     if name not in _SWEEPABLE:
-        raise ConfigError(f"cannot sweep {name!r}; choose one of {_SWEEPABLE}")
+        raise ConfigError(
+            f"cannot sweep {name!r}; choose one of {tuple(_SWEEPABLE)}")
     try:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
@@ -367,17 +360,12 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
 
 def _sweep_point(packed: tuple) -> tuple[int, float, float, float]:
     """One sweep evaluation; runs in a worker process."""
-    index, cfg_dict, name, value = packed
-    cfg = RunConfig(**cfg_dict)
-    setattr_map = {"T": "transfer_time", "gamma": "gamma", "eta": "eta",
-                   "gamma_loss": "gamma_loss"}
-    setattr(cfg, setattr_map[name], value)
-    p = SystemParams(gamma=cfg.gamma, transfer_time=cfg.transfer_time,
-                     gamma_loss=cfg.gamma_loss, eta=cfg.eta, omega0=cfg.omega0)
-    errors = [i for i in validate_params(p, margin=cfg.margin)
-              if i.severity == "error"]
-    if errors:
-        raise ConfigError(f"{name}={value:g}: {errors[0].message}")
+    index, cfg, name, value = packed
+    cfg = dataclasses.replace(cfg, **{_SWEEPABLE[name]: value})
+    try:
+        p = _build_params(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}={value:g}: {exc}") from None
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     profile = _build_profile(cfg, grid)
     state = _run_integration(cfg, profile, p)
@@ -390,7 +378,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("sweep subcommand needs --sweep param:lo:hi:n")
     name, lo, hi, n = _parse_sweep(cfg.sweep)
     points = np.linspace(lo, hi, n)
-    jobs = [(i, cfg.to_dict(), name, float(v)) for i, v in enumerate(points)]
+    jobs = [(i, cfg, name, float(v)) for i, v in enumerate(points)]
 
     rows: list[Optional[tuple]] = [None] * n
     if n == 1:
@@ -531,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--max-iters", dest="max_iters", type=int)
     p_opt.add_argument("--step-size", dest="step_size", type=float)
     p_opt.add_argument("--tolerance", type=float)
-    p_opt.add_argument("--parametrization", choices=tuple(_PARAMETRIZATIONS))
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="sweep one parameter, one row per point")

@@ -9,14 +9,14 @@ discretized with the same left-rectangle / piecewise-constant-cell convention
 the simulator uses, so a profile's functional value and its simulated
 transfer amplitude agree up to quadrature order.  The optimizer runs
 projected gradient ascent (box constraints: a tiny positive floor and the
-hold cap ``gamma1_max``) with an Armijo backtracking line search, either
-directly in the gamma1 variables or in their square roots, where
-nonnegativity of dG/dt is built in.
+hold cap ``gamma1_max``) with a Barzilai-Borwein trial step and an Armijo
+backtracking line search.  It ascends in the square roots u = sqrt(gamma1),
+where nonnegativity of dG/dt is built in and the sqrt singularity of the
+functional at gamma1 = 0 becomes a smooth dependence on u.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -27,7 +27,6 @@ from .oracles import euler_lagrange_residual
 from .types import CouplingProfile, SystemParams, TimeGrid, profile_values
 
 __all__ = [
-    "Parametrization",
     "OptimizerConfig",
     "OptimizerTrace",
     "StationarityReport",
@@ -42,17 +41,11 @@ _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
 
 
-class Parametrization(enum.Enum):
-    DIRECT_GAMMA1 = "direct_gamma1"
-    G_DOT = "g_dot"  # square-root variables: gamma1 = u^2, so dG/dt >= 0 intrinsically
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 5000
     step_size: float = 1.0
     tolerance: float = 1e-10
-    parametrization: Parametrization = Parametrization.DIRECT_GAMMA1
 
     def __post_init__(self) -> None:
         if self.max_iters < 0:
@@ -67,14 +60,13 @@ class OptimizerConfig:
 class OptimizerTrace:
     """Per-iteration record of an optimization run.
 
-    ``functional`` holds the accepted objective values (non-decreasing),
-    ``grad_norm`` the max-norm of the projected gradient, and ``snapshots``
-    thinned copies of the profile for later inspection.
+    ``functional`` holds the accepted objective values (non-decreasing) and
+    ``grad_norm`` the max-norm of the projected gradient in the square-root
+    variables at each accepted iterate.
     """
 
     functional: list[float] = field(default_factory=list)
     grad_norm: list[float] = field(default_factory=list)
-    snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
     message: str = ""
@@ -166,24 +158,6 @@ def _gradient_from_cells(cells: np.ndarray, p: SystemParams,
     return 2.0 * math.sqrt(p.gamma) * dt * (direct - dt * suffix)
 
 
-def _curvature_scale(cells: np.ndarray, p: SystemParams,
-                     grid: TimeGrid) -> np.ndarray:
-    """Approximate |diagonal Hessian| of the functional, for step scaling.
-
-    The direct parametrization's curvature spans many orders of magnitude
-    (the sqrt term contributes ~ g^(-3/2)); dividing the gradient by this
-    scale makes the ascent's conditioning comparable to the square-root
-    parametrization's.
-    """
-    dt = grid.dt
-    expo, z, _ = _weights(cells, p, grid)
-    w = expo * np.sqrt(cells) * _phi(z)
-    suffix = np.concatenate((np.cumsum(w[::-1])[-2::-1], [0.0]))
-    local = expo * _phi(z) / (4.0 * cells ** 1.5)
-    coupling = dt * suffix
-    return 2.0 * math.sqrt(p.gamma) * dt * (local + coupling) + 1e-300
-
-
 def _projected_gradient_norm(v: np.ndarray, grad: np.ndarray,
                              lo: float, hi: float) -> float:
     pg = grad.copy()
@@ -204,8 +178,7 @@ def optimize_profile(
     Parameters
     ----------
     p, grid : system parameters and the optimization grid.
-    cfg : ascent controls (iterations, initial step, stopping tolerance,
-        parametrization).
+    cfg : ascent controls (iterations, initial step, stopping tolerance).
     gamma1_max : upper box bound; defaults to ``1 / (2 dt)``, the stiffest
         coupling the grid can resolve.
     initial : starting profile (a :class:`CouplingProfile`, an array of node
@@ -234,63 +207,44 @@ def optimize_profile(
         cells = arr[:n].copy()
     cells = np.clip(cells, floor, cap)
 
-    sqrt_mode = cfg.parametrization is Parametrization.G_DOT
-    if sqrt_mode:
-        v = np.sqrt(cells)
-        lo, hi = math.sqrt(floor), math.sqrt(cap)
-    else:
-        v = cells.copy()
-        lo, hi = floor, cap
+    u = np.sqrt(cells)
+    lo, hi = math.sqrt(floor), math.sqrt(cap)
 
-    def to_cells(vv: np.ndarray) -> np.ndarray:
-        return vv * vv if sqrt_mode else vv
+    def value(uu: np.ndarray) -> float:
+        return _functional_from_cells(uu * uu, p, grid)
 
-    def fval(vv: np.ndarray) -> float:
-        return _functional_from_cells(to_cells(vv), p, grid)
-
-    def fgrad(vv: np.ndarray) -> np.ndarray:
-        g = _gradient_from_cells(to_cells(vv), p, grid)
-        return 2.0 * vv * g if sqrt_mode else g
-
-    def fdir(vv: np.ndarray, g: np.ndarray) -> np.ndarray:
-        if sqrt_mode:
-            return g
-        # Diagonal curvature rescaling: the direct parametrization is too
-        # ill-conditioned for a single global step size (curvature ~ g^-3/2
-        # spans orders of magnitude across the profile).
-        return g / _curvature_scale(vv, p, grid)
+    def gradient(uu: np.ndarray) -> np.ndarray:
+        # chain rule through gamma1 = u^2
+        return 2.0 * uu * _gradient_from_cells(uu * uu, p, grid)
 
     trace = OptimizerTrace()
-    f_cur = fval(v)
-    thin = max(1, cfg.max_iters // 20)
+    f_cur = value(u)
+    grad = gradient(u)
     alpha = cfg.step_size
-    v_prev: Optional[np.ndarray] = None
-    dir_prev: Optional[np.ndarray] = None
+    u_prev: Optional[np.ndarray] = None
+    grad_prev: Optional[np.ndarray] = None
 
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad = fgrad(v)
-        direction = fdir(v, grad)
-        if v_prev is not None:
+        if u_prev is not None:
             # Spectral (Barzilai-Borwein) trial step: fits the effective
             # curvature along the last move, which accelerates the slow
             # long-wavelength modes far beyond a doubling heuristic.
-            s = v - v_prev
-            y = direction - dir_prev
+            s = u - u_prev
+            y = grad - grad_prev
             sy = float(s @ y)
             if sy < 0.0:
                 alpha = min(float(s @ s) / (-sy), cfg.step_size * 1e12)
             else:
                 alpha = min(alpha * 2.0, cfg.step_size * 1e12)
-        v_prev, dir_prev = v, direction
+        u_prev, grad_prev = u, grad
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            v_new = np.clip(v + alpha * direction, lo, hi)
-            move = v_new - v
-            slope = float(grad @ move)
+            u_new = np.clip(u + alpha * grad, lo, hi)
+            slope = float(grad @ (u_new - u))
             if slope <= 0.0:
                 break  # projected stationary: nothing uphill within the box
-            f_new = fval(v_new)
+            f_new = value(u_new)
             if f_new >= f_cur + _ARMIJO * slope:
                 accepted = True
                 break
@@ -300,11 +254,12 @@ def optimize_profile(
             trace.message = "projected gradient vanished within the box"
             break
         improvement = f_new - f_cur
-        v, f_cur = v_new, f_new
+        u, f_cur = u_new, f_new
+        # the one gradient per iteration: recorded here, reused by the next
+        # iteration's spectral step and Armijo slope
+        grad = gradient(u)
         trace.functional.append(f_cur)
-        trace.grad_norm.append(_projected_gradient_norm(v, fgrad(v), lo, hi))
-        if it % thin == 0 or it == cfg.max_iters:
-            trace.snapshots.append((it, to_cells(v).copy()))
+        trace.grad_norm.append(_projected_gradient_norm(u, grad, lo, hi))
         if improvement < cfg.tolerance:
             trace.converged = True
             trace.message = (
@@ -315,7 +270,7 @@ def optimize_profile(
     if not trace.converged:
         trace.message = trace.message or "iteration budget exhausted before convergence"
 
-    cells_out = to_cells(v)
+    cells_out = u * u
     cells_out = np.where(cells_out <= floor, 0.0, cells_out)  # report floor as zero
     node_values = np.concatenate((cells_out, [cells_out[-1]]))
     profile = CouplingProfile.sampled(grid, node_values, gamma1_max=cap)

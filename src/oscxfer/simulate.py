@@ -56,7 +56,6 @@ __all__ = [
     "integrate_transfer",
     "integrate_transfer_lossy",
     "commutator_check",
-    "fidelity_curve",
 ]
 
 _MAX_HALVINGS = 26
@@ -75,7 +74,14 @@ class IntegrationError(RuntimeError):
 
     def __init__(self, message: str, step: int):
         super().__init__(f"{message} (at step {step})")
+        self.reason = message
         self.step = step
+
+    def __reduce__(self):
+        # the default rebuilds from ``args`` (the formatted text alone), which
+        # does not match __init__; sweep workers send this error across
+        # processes, so it has to unpickle intact
+        return (type(self), (self.reason, self.step))
 
 
 @dataclass(frozen=True)
@@ -371,8 +377,3 @@ def commutator_check(s: TransferState,
         d1[i] = 1.0 - (s.a11[i] ** 2 + row_norm(mats1, i))
         d2[i] = 1.0 - (s.a21[i] ** 2 + s.a22[i] ** 2 + row_norm(mats2, i))
     return d1, d2
-
-
-def fidelity_curve(s: TransferState) -> tuple[np.ndarray, np.ndarray]:
-    """(times, a21) — the transfer amplitude over the whole run."""
-    return s.fidelity_curve()

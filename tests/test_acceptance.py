@@ -30,7 +30,6 @@ import numpy as np
 
 from oscxfer.optimize import (
     OptimizerConfig,
-    Parametrization,
     functional_gradient,
     functional_value,
     optimize_profile,
@@ -190,8 +189,7 @@ def test_criterion_7_optimizer_convergence():
     el_window = ts_el <= window_end
     res_ansatz_max = np.max(np.abs(res_ansatz[el_window]))
 
-    cfg = OptimizerConfig(max_iters=5000, tolerance=1e-10,
-                          parametrization=Parametrization.G_DOT)
+    cfg = OptimizerConfig(max_iters=5000, tolerance=1e-10)
     cap = 2.0 / cut                      # box cap, decoupled from the grid
     gaps, pointwise, el_ratios = [], [], []
     for init_level in (1.0, 0.1):

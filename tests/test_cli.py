@@ -108,18 +108,6 @@ class TestOptimize:
         assert rep["iterations"] == 0
         assert (out / "profile.csv").exists()
 
-    def test_parametrizations_land_together(self, tmp_path):
-        vals = {}
-        for kind in ("direct", "gdot"):
-            out = tmp_path / kind
-            code = main(["optimize", "--gamma", "1", "--T", "2",
-                         "--steps", "200", "--parametrization", kind,
-                         "--tolerance", "1e-11", "--max-iters", "3000",
-                         "--out", str(out)])
-            assert code == 0
-            vals[kind] = _read_json(out / "optimize_report.json")["functional"]
-        assert abs(vals["direct"] - vals["gdot"]) < 1e-4
-
     def test_profile_csv_roundtrips_into_simulate(self, tmp_path):
         opt_out = tmp_path / "opt"
         code = main(["optimize", "--gamma", "1", "--T", "2",
@@ -168,6 +156,23 @@ class TestSweep:
                      "--steps", "500", "--out", str(out)])
         assert code == 0
         assert len(_read_csv(out / "sweep.csv")) == 1
+
+    def test_point_numerical_failure_exits_3(self, tmp_path, capsys):
+        # the gamma=1e9 point fails inside a pool worker; its error must
+        # cross the process boundary intact instead of breaking the pool
+        code = main(["sweep", "--sweep", "gamma:1:1e9:2",
+                     "--profile", "constant:1e9", "--T", "1", "--steps", "10",
+                     "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "(at step 0)" in capsys.readouterr().err
+
+    def test_point_config_error_exits_2(self, tmp_path, capsys):
+        # gamma_loss = 1 = gamma is invalid only at the middle point
+        code = main(["sweep", "--sweep", "gamma_loss:0:2:3", "--gamma", "1",
+                     "--T", "2", "--steps", "50",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: gamma_loss=1: gamma_loss < gamma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", [
         "eta:1.0:0.5:3",      # empty range
@@ -258,6 +263,14 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"gamma": 1.0, "typo_key": 3}))
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
+
+    def test_removed_parametrization_key_exits_2(self, tmp_path, capsys):
+        # config files from versions with two optimizer parametrizations
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 1.0, "parametrization": "gdot"}))
+        assert main(["optimize", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "unknown config keys: parametrization" in capsys.readouterr().err
 
     def test_malformed_config_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 """Integrator checks against closed forms and structural invariants."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from oscxfer.simulate import (
     IntegratorConfig,
     Method,
     commutator_check,
-    fidelity_curve,
     integrate_transfer,
     integrate_transfer_lossy,
 )
@@ -211,13 +211,13 @@ def test_stiff_profile_raises_with_step_info():
     assert exc.value.step == 0
 
 
-def test_fidelity_curve_helper_matches_state():
-    st = integrate_transfer(CouplingProfile.constant(1.0), P12,
-                            IntegratorConfig(n_steps=100))
-    ts, curve = fidelity_curve(st)
-    ts2, curve2 = st.fidelity_curve()
-    assert np.array_equal(ts, ts2)
-    assert np.array_equal(curve, curve2)
+def test_integration_error_survives_pickling():
+    # sweep workers raise it in a child process; the pool pickles it back
+    err = IntegrationError("profile too stiff to substep", 3)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is IntegrationError
+    assert back.step == 3
+    assert str(back) == str(err) == "profile too stiff to substep (at step 3)"
 
 
 def test_config_validation():
