@@ -499,7 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="integration grid steps")
     common.add_argument("--method", choices=("rk4", "heun"))
     common.add_argument("--kernels", action="store_const", const=True,
-                        default=None, help="track noise kernels")
+                        default=None,
+                        help="track noise kernels and check the commutator "
+                             "sum rules (O(n) memory, about 32 B per step)")
     common.add_argument("--format", choices=("csv", "json", "both"))
     common.add_argument("--target-fidelity", dest="target_fidelity", type=float)
     common.add_argument("--margin", type=float,
@@ -561,6 +563,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # reading an input turns its OSError into ConfigError, so what gets
+        # here comes from creating the output directory or writing into it
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -21,9 +21,12 @@ born on the diagonal with the white-noise source strength of its channel:
 
 Because every equation is linear with scalar coefficients, one integrator
 step is a lower-triangular 2x2 map; the map is built once per substep by
-propagating basis vectors through the Runge-Kutta stages and then applied to
-all live kernel columns at once.  This is bit-for-bit the same arithmetic as
-stepping each column separately.
+propagating basis vectors through the Runge-Kutta stages, and the substeps
+of a macro step fold into one map.  A column born at t_j reaches t_i through
+the maps of steps j..i-1, so with kernel tracking the integrator keeps only
+those maps and the k1 births (O(n) memory, 32 bytes per step): any kernel
+row is rebuilt on demand by :meth:`~oscxfer.types.TransferState.kernel_row`,
+and :func:`commutator_check` sums the rows' norms without forming them.
 
 Steps are halved adaptively whenever ``g1 * h`` exceeds
 :data:`~oscxfer.types.DAMPING_CAP_FACTOR`, which keeps the integrator
@@ -34,8 +37,9 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +51,7 @@ from .types import (
     TimeGrid,
     TransferState,
     profile_value,
+    profile_values,
 )
 
 __all__ = [
@@ -88,7 +93,7 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     method: Method = Method.RK4
     n_steps: int = 10_000
-    kernel_tracking: bool = False  # costs O(n_steps^2) memory when enabled
+    kernel_tracking: bool = False  # records step maps: O(n_steps) memory, 32 B/step
 
     def __post_init__(self) -> None:
         if self.n_steps < 10:
@@ -171,7 +176,7 @@ def _heun_map(g1_at: Callable[[float], float], beta: float, root: float,
 
 
 def _integrate(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
-               eta: float, gamma_loss: float, lossy: bool) -> TransferState:
+               eta: float, gamma_loss: float) -> TransferState:
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     if c.kind is ProfileKind.OPTIMAL_CLOSED_FORM and c.truncation is None:
         raise ValueError(
@@ -208,44 +213,11 @@ def _integrate(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
     a11[0], a21[0], a22[0] = 1.0, 0.0, 1.0
 
     track = cfg.kernel_tracking
-    if track:
-        k1m = np.zeros((n + 1, n + 1))
-        k2m = np.zeros((n + 1, n + 1))
-        x_cur = np.zeros(n + 1)   # live k1 columns
-        y_cur = np.zeros(n + 1)   # live k2 columns
-        if lossy:
-            kl1m = np.zeros((n + 1, n + 1))
-            kl12m = np.zeros((n + 1, n + 1))
-            kl2m = np.zeros((n + 1, n + 1))
-            kv2m = np.zeros((n + 1, n + 1))
-            xl_cur = np.zeros(n + 1)
-            yl_cur = np.zeros(n + 1)
-            z2_cur = np.zeros(n + 1)
-            zv_cur = np.zeros(n + 1)
-        birth_k2 = -math.sqrt(2.0 * g * eta)
-        birth_kl = math.sqrt(2.0 * gl)
-        birth_kv = math.sqrt(2.0 * g * (1.0 - eta))
-
-        def give_birth(i: int) -> None:
-            t_i = i * dt
-            x_cur[i] = math.sqrt(2.0 * g1_at(t_i))
-            y_cur[i] = birth_k2
-            k1m[i, i] = x_cur[i]
-            k2m[i, i] = y_cur[i]
-            if lossy:
-                xl_cur[i] = birth_kl
-                yl_cur[i] = 0.0
-                z2_cur[i] = birth_kl
-                zv_cur[i] = birth_kv
-                kl1m[i, i] = birth_kl
-                kl2m[i, i] = birth_kl
-                kv2m[i, i] = birth_kv
+    step_maps = np.empty((3, n)) if track else None
 
     A11, A21, A22 = 1.0, 0.0, 1.0
     for i in range(n):
         t0 = i * dt
-        if track:
-            give_birth(i)
 
         if cells_direct is not None:
             vals, ratio = cells_direct
@@ -283,32 +255,16 @@ def _integrate(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
         if not (math.isfinite(A11) and math.isfinite(A21) and math.isfinite(A22)):
             raise IntegrationError("non-finite transfer coefficient", i)
         a11[i + 1], a21[i + 1], a22[i + 1] = A11, A21, A22
-
         if track:
-            live = slice(0, i + 1)
-            y_cur[live] = myx * x_cur[live] + myy * y_cur[live]
-            x_cur[live] *= mxx
-            k1m[i + 1, live] = x_cur[live]
-            k2m[i + 1, live] = y_cur[live]
-            if lossy:
-                yl_cur[live] = myx * xl_cur[live] + myy * yl_cur[live]
-                xl_cur[live] *= mxx
-                z2_cur[live] *= myy
-                zv_cur[live] *= myy
-                kl1m[i + 1, live] = xl_cur[live]
-                kl12m[i + 1, live] = yl_cur[live]
-                kl2m[i + 1, live] = z2_cur[live]
-                kv2m[i + 1, live] = zv_cur[live]
-
-    if track:
-        give_birth(n)  # diagonal of the final row
+            step_maps[:, i] = mxx, myx, myy
 
     state = TransferState(params=p, grid=grid, a11=a11, a21=a21, a22=a22)
     if track:
-        state.k1, state.k2 = k1m, k2m
-        if lossy:
-            state.kl1, state.kl12 = kl1m, kl12m
-            state.kl2, state.kv2 = kl2m, kv2m
+        state.step_maps = step_maps
+        state.k1_births = np.sqrt(2.0 * profile_values(c, p, grid.nodes()))
+        state.channel_births = (-math.sqrt(2.0 * g * eta),
+                                math.sqrt(2.0 * gl),
+                                math.sqrt(2.0 * g * (1.0 - eta)))
     return state
 
 
@@ -318,9 +274,10 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
 
     Returns the transfer coefficients on the grid; ``a21(T)`` is the
     achieved transfer amplitude.  Enable ``cfg.kernel_tracking`` to also
-    evolve the noise kernels needed by :func:`commutator_check`.
+    record the noise kernels' generators needed by :func:`commutator_check`
+    and :meth:`~oscxfer.types.TransferState.kernel_row`.
     """
-    return _integrate(c, p, cfg, eta=1.0, gamma_loss=0.0, lossy=False)
+    return _integrate(c, p, cfg, eta=1.0, gamma_loss=0.0)
 
 
 def integrate_transfer_lossy(c: CouplingProfile, p: SystemParams,
@@ -329,13 +286,12 @@ def integrate_transfer_lossy(c: CouplingProfile, p: SystemParams,
 
     Uses ``p.eta`` and ``p.gamma_loss``; with ``eta = 1`` and
     ``gamma_loss = 0`` the arithmetic is identical to
-    :func:`integrate_transfer` (the loss channels are tracked but all zero).
+    :func:`integrate_transfer` (the loss channels' births are all zero).
     """
-    return _integrate(c, p, cfg, eta=p.eta, gamma_loss=p.gamma_loss, lossy=True)
+    return _integrate(c, p, cfg, eta=p.eta, gamma_loss=p.gamma_loss)
 
 
-def commutator_check(s: TransferState,
-                     grid: Optional[TimeGrid] = None) -> tuple[np.ndarray, np.ndarray]:
+def commutator_check(s: TransferState) -> tuple[np.ndarray, np.ndarray]:
     """Per-time deficits of the commutator sum rules.
 
     Returns ``(d1, d2)`` with
@@ -346,34 +302,38 @@ def commutator_check(s: TransferState,
     Kernel norms use trapezoid weights (half weight on the first node and on
     the diagonal), which keeps the bias at O(dt^2); the deficit magnitude is
     the end-to-end unitarity error of the run.  Requires kernel tracking.
+
+    Every channel is a column (x, y) moved by the same step maps, so the
+    weighted row norms only need the columns' summed second moments
+    (xx, xy, yy).  They are propagated step by step, with each node's births
+    added after the step; the column born at t_0 enters at half weight, and
+    the diagonal's half weight is taken off at the end.  Nothing here is a
+    ratio of accumulated maps, so the sums stay finite at any gamma*T.
     """
-    if s.k1 is None or s.k2 is None:
+    if s.step_maps is None:
         raise ValueError("commutator_check needs a state integrated with "
                          "kernel_tracking enabled")
-    if grid is None:
-        grid = s.grid
-    elif grid.n_steps != s.grid.n_steps or grid.t_end != s.grid.t_end:
-        raise ValueError("grid does not match the state's grid")
-    dt = grid.dt
-    n = grid.n_steps
+    # second moments of one node's births, summed over the channels; only
+    # the k1 birth varies in time
+    b1 = s.k1_births
+    b2, bl, bv = s.channel_births
+    bxx = b1 * b1 + bl * bl
+    bxy = b1 * b2
+    byy = b2 * b2 + bl * bl + bv * bv
 
-    mats1 = [m for m in (s.k1, s.kl1) if m is not None]
-    mats2 = [m for m in (s.k2, s.kl12, s.kl2, s.kv2) if m is not None]
+    sxx, sxy, syy = 0.5 * float(bxx[0]), 0.5 * float(bxy[0]), 0.5 * byy
+    norm_x, norm_y = array("d", [sxx]), array("d", [syy])
+    # memoryviews hand out one float at a time, so no per-step list is built
+    for a, b, c, pxx, pxy in zip(*map(memoryview, s.step_maps),
+                                 memoryview(bxx[1:]), memoryview(bxy[1:])):
+        sxx, sxy, syy = (a * a * sxx + pxx,
+                         a * (b * sxx + c * sxy) + pxy,
+                         b * b * sxx + 2.0 * b * c * sxy + c * c * syy + byy)
+        norm_x.append(sxx)
+        norm_y.append(syy)
 
-    def row_norm(mats: list[np.ndarray], i: int) -> float:
-        if i == 0:
-            return 0.0
-        total = 0.0
-        for m in mats:
-            row = m[i, :i + 1]
-            sq = float(row @ row)
-            sq -= 0.5 * (row[0] * row[0] + row[i] * row[i])
-            total += sq
-        return total * dt
-
-    d1 = np.empty(n + 1)
-    d2 = np.empty(n + 1)
-    for i in range(n + 1):
-        d1[i] = 1.0 - (s.a11[i] ** 2 + row_norm(mats1, i))
-        d2[i] = 1.0 - (s.a21[i] ** 2 + s.a22[i] ** 2 + row_norm(mats2, i))
+    dt = s.grid.dt
+    d1 = 1.0 - (s.a11 ** 2 + dt * (np.frombuffer(norm_x) - 0.5 * bxx))
+    d2 = 1.0 - (s.a21 ** 2 + s.a22 ** 2
+                + dt * (np.frombuffer(norm_y) - 0.5 * byy))
     return d1, d2

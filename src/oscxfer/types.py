@@ -284,15 +284,15 @@ class TransferState:
         a2(t) = a21(t) a1(0) + a22(t) a2(0) + noise-kernel terms
 
     so ``a21`` is the state-independent transfer amplitude; there is no
-    initial-state input anywhere by construction.  Kernels are stored as
-    lower-triangular arrays ``k[i, j] = k(t_i, t_j)`` when kernel tracking
-    is enabled (O(n^2) memory) and are ``None`` otherwise.
+    initial-state input anywhere by construction.
 
-    Lossy runs carry the additional vacuum-channel kernels needed for the
-    commutator sum rule to close: ``kl1`` (oscillator-1 loss port into a1),
-    ``kl12`` (oscillator-1 loss port forwarded into a2), ``kl2``
-    (oscillator-2 loss port into a2) and ``kv2`` (the line's beam-splitter
-    port carrying the discarded 1 - eta flux into a2).
+    With kernel tracking enabled the state also holds the O(n) generators
+    of the six noise kernels listed in :mod:`oscxfer.simulate` (``None``
+    otherwise): ``step_maps``, shape ``(3, n_steps)``, whose column i is
+    macro step i's map ``(mxx, myx, myy)``; ``k1_births``, ``sqrt(2 g1)`` on
+    the nodes; and ``channel_births``, the constant births of ``k2``, of the
+    loss ports and of the beam-splitter port.  :meth:`kernel_row` rebuilds
+    one row of all six.
     """
 
     params: SystemParams
@@ -300,12 +300,9 @@ class TransferState:
     a11: np.ndarray
     a21: np.ndarray
     a22: np.ndarray
-    k1: Optional[np.ndarray] = None
-    k2: Optional[np.ndarray] = None
-    kl1: Optional[np.ndarray] = None
-    kl12: Optional[np.ndarray] = None
-    kl2: Optional[np.ndarray] = None
-    kv2: Optional[np.ndarray] = None
+    step_maps: Optional[np.ndarray] = None
+    k1_births: Optional[np.ndarray] = None
+    channel_births: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     @property
     def fidelity(self) -> float:
@@ -315,6 +312,33 @@ class TransferState:
     def fidelity_curve(self) -> tuple[np.ndarray, np.ndarray]:
         """(times, a21) series over the whole grid."""
         return self.grid.nodes(), self.a21.copy()
+
+    def kernel_row(self, i: int) -> dict[str, np.ndarray]:
+        """Row ``i`` of every noise kernel: ``k(t_i, t_j)`` for ``j = 0..i``.
+
+        The product of step maps j..i-1 is built backward from row i, one map
+        at a time, so no ratio of accumulated maps appears and nothing
+        underflows that the kernel itself does not.
+        """
+        if self.step_maps is None:
+            raise ValueError("kernel_row needs a state integrated with "
+                             "kernel_tracking enabled")
+        if not 0 <= i <= self.grid.n_steps:
+            raise IndexError(f"row {i} is outside 0..{self.grid.n_steps}")
+        pxx, pyx, pyy = np.empty((3, i + 1))
+        xx, yx, yy = 1.0, 0.0, 1.0
+        pxx[i], pyx[i], pyy[i] = xx, yx, yy
+        backward = (memoryview(m[:i][::-1]) for m in self.step_maps)
+        for j, mxx, myx, myy in zip(range(i - 1, -1, -1), *backward):
+            yx = yx * mxx + yy * myx
+            xx *= mxx
+            yy *= myy
+            pxx[j], pyx[j], pyy[j] = xx, yx, yy
+        b1 = self.k1_births[:i + 1]
+        b2, bl, bv = self.channel_births
+        return {"k1": pxx * b1, "k2": pyx * b1 + pyy * b2,
+                "kl1": pxx * bl, "kl12": pyx * bl,
+                "kl2": pyy * bl, "kv2": pyy * bv}
 
 
 @dataclass(frozen=True)

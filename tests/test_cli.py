@@ -246,6 +246,16 @@ class TestConfigHandling:
         rb = _read_json(second / "report.json")
         assert ra == rb
 
+    @pytest.mark.parametrize("below", ["", "run"],
+                             ids=["names-a-file", "under-a-file"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, below):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = main(["simulate", "--steps", "100",
+                     "--out", str(afile / below)])
+        assert code == 2
+        assert "error: cannot write output:" in capsys.readouterr().err
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gamma": 1.0, "transfer_time": 1.0,

@@ -120,8 +120,9 @@ class TestKernels:
         tau = 2.0 - np.arange(n + 1) * (2.0 / n)
         k1_cf = math.sqrt(2.0) * np.exp(-tau)
         k2_cf = k1_cf * (2.0 * tau - 1.0)
-        assert np.max(np.abs(st.k1[n, :] - k1_cf)) < 1e-10
-        assert np.max(np.abs(st.k2[n, :] - k2_cf)) < 1e-9
+        row = st.kernel_row(n)
+        assert np.max(np.abs(row["k1"] - k1_cf)) < 1e-10
+        assert np.max(np.abs(row["k2"] - k2_cf)) < 1e-9
 
     def test_commutator_rules_constant(self):
         st = integrate_transfer(CouplingProfile.constant(1.0),
