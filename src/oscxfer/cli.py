@@ -18,16 +18,16 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .circuit import CircuitSpec, Topology, circuit_to_rates, rates_to_validity
 from .oracles import (
+    _constant_coupling_curve,
+    _optimal_curve,
     budget_report,
-    fidelity_constant_coupling,
     fidelity_lossy,
-    fidelity_optimal,
 )
 from .optimize import (
     OptimizerConfig,
@@ -97,19 +97,24 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-def _fmt(x: float) -> str:
-    """Full-precision scientific text so oracle comparisons keep all digits."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+_CSV_BLOCK = 4096  # rows formatted by one %-operation
 
 
 def _write_csv(path: Path, header: Sequence[str],
-               rows: Iterable[Sequence[float]]) -> None:
+               columns: Sequence[Sequence[float]]) -> None:
+    """Write equal-length columns as CSV rows.
+
+    Every value is written with 17 significant digits (``%.17g``), so
+    oracle comparisons keep all digits and profiles round-trip exactly;
+    NaN is written as ``nan``.
+    """
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            block = np.column_stack([col[lo:lo + _CSV_BLOCK] for col in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -221,14 +226,11 @@ def _oracle_curve(p: SystemParams, profile: CouplingProfile,
     """Closed-form reference curve for the chosen profile, NaN if none exists."""
     damp = math.sqrt(p.eta) * np.exp(-p.gamma_loss * times)
     if profile.kind is ProfileKind.CONSTANT:
-        base = np.array([fidelity_constant_coupling(p.gamma, t, profile.gamma1)
-                         for t in times])
-        return damp * base
+        return damp * _constant_coupling_curve(p.gamma, profile.gamma1, times)
     if profile.kind is ProfileKind.OPTIMAL_CLOSED_FORM:
         cut = p.transfer_time - (profile.truncation or 0.0)
-        base = np.array([fidelity_optimal(p.gamma, p.transfer_time, min(t, cut))
-                         for t in times])
-        return damp * base
+        return damp * _optimal_curve(p.gamma, p.transfer_time,
+                                     np.minimum(times, cut))
     return np.full(times.size, math.nan)
 
 
@@ -256,7 +258,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     if cfg.format in ("csv", "both"):
         _write_csv(out / "fidelity_curve.csv",
                    ["t", "F_sim", "F_oracle", "abs_err"],
-                   zip(times, curve, oracle, abs_err))
+                   (times, curve, oracle, abs_err))
 
     report = {
         "fidelity": float(state.fidelity),
@@ -285,7 +287,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         if cfg.format in ("csv", "both"):
             _write_csv(out / "commutator.csv",
                        ["t", "deficit_osc1", "deficit_osc2"],
-                       zip(times, d1, d2))
+                       (times, d1, d2))
 
     if cfg.format in ("json", "both"):
         _write_json(out / "report.json", report)
@@ -313,11 +315,11 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     if cfg.format in ("csv", "both"):
         _write_csv(out / "profile.csv",
                    ["t", "gamma1_opt", "gamma1_closed_form", "rel_err"],
-                   zip(times, opt_vals, closed, rel))
+                   (times, opt_vals, closed, rel))
         _write_csv(out / "trace.csv",
                    ["iteration", "functional", "grad_norm"],
-                   zip(range(1, len(trace.functional) + 1),
-                       trace.functional, trace.grad_norm))
+                   (range(1, len(trace.functional) + 1),
+                    trace.functional, trace.grad_norm))
 
     stat = verify_stationarity(profile, p, grid)
     report = {
@@ -393,7 +395,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
              for _, value, analytic, simulated in rows]  # type: ignore[misc]
     if cfg.format in ("csv", "both"):
         _write_csv(out / "sweep.csv",
-                   [name, "F_oracle", "F_sim", "abs_err"], table)
+                   [name, "F_oracle", "F_sim", "abs_err"], list(zip(*table)))
     if cfg.format in ("json", "both"):
         _write_json(out / "sweep_report.json", {
             "parameter": name,
@@ -568,6 +570,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # reading an input turns its OSError into ConfigError, so what gets
         # here comes from creating the output directory or writing into it
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    # last resorts, so that no input ends in a traceback
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -24,6 +24,7 @@ from .types import (
     SystemParams,
     TimeGrid,
     ValidityWindows,
+    _elementwise,
     _optimal_closed_form,
     profile_values,
 )
@@ -40,6 +41,31 @@ __all__ = [
 ]
 
 
+def _constant_coupling_curve(gamma: float, gamma1: float,
+                             t: np.ndarray) -> np.ndarray:
+    """:func:`fidelity_constant_coupling` with ``gamma1`` given, elementwise in ``t``."""
+    t = np.asarray(t, dtype=float)
+    if gamma1 == 0.0:
+        return np.zeros(t.shape)
+    # 2 sqrt(g g1) e^(-g t) * t * phi((g - g1) t),  phi(z) = (e^z - 1)/z
+    z = (gamma - gamma1) * t
+    small = np.abs(z) < 1e-8
+    big = z > 700.0  # e^z overflows past ~709
+    mid = ~(small | big)
+    phi = np.ones(t.shape)
+    zs, zm = z[small], z[mid]
+    phi[small] = 1.0 + zs / 2.0 + zs * zs / 6.0
+    phi[mid] = _elementwise(math.expm1, zm) / zm
+    scale = 2.0 * math.sqrt(gamma * gamma1)
+    out = scale * _elementwise(math.exp, -gamma * t) * t * phi
+    # there e^(-g t) (e^z - 1) = e^(-g1 t) (1 - e^(-z)), with no overflow
+    tb, zb = t[big], z[big]
+    out[big] = (scale * tb * _elementwise(math.exp, -gamma1 * tb)
+                * -_elementwise(math.expm1, -zb) / zb)
+    out[t == 0.0] = 0.0
+    return out
+
+
 def fidelity_constant_coupling(gamma: float, t: float,
                                gamma1: Optional[float] = None) -> float:
     """Transfer amplitude for a constant sender coupling.
@@ -48,7 +74,8 @@ def fidelity_constant_coupling(gamma: float, t: float,
     this is ``2*gamma*t*exp(-gamma*t)``, peaking at ``t = 1/gamma`` with
     value ``2/e``.  A mismatched constant coupling gives
     ``2*sqrt(gamma*gamma1) * (exp(-gamma1*t) - exp(-gamma*t)) / (gamma - gamma1)``,
-    evaluated here in a form that stays smooth through the matched point.
+    evaluated here in a form that stays smooth through the matched point
+    and finite where ``(gamma - gamma1)*t`` is large.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -56,12 +83,7 @@ def fidelity_constant_coupling(gamma: float, t: float,
         return 2.0 * gamma * t * math.exp(-gamma * t)
     if gamma1 < 0:
         raise ValueError("gamma1 must be nonnegative")
-    if gamma1 == 0.0 or t == 0.0:
-        return 0.0
-    # 2 sqrt(g g1) e^(-g t) * t * phi((g - g1) t),  phi(z) = (e^z - 1)/z
-    z = (gamma - gamma1) * t
-    phi = 1.0 + z / 2.0 + z * z / 6.0 if abs(z) < 1e-8 else math.expm1(z) / z
-    return 2.0 * math.sqrt(gamma * gamma1) * math.exp(-gamma * t) * t * phi
+    return float(_constant_coupling_curve(gamma, gamma1, np.array([t]))[0])
 
 
 def optimal_profile(gamma: float, transfer_time: float, t: float) -> float:
@@ -72,7 +94,17 @@ def optimal_profile(gamma: float, transfer_time: float, t: float) -> float:
     """
     if gamma <= 0 or transfer_time <= 0:
         raise ValueError("gamma and transfer_time must be positive")
-    return _optimal_closed_form(gamma, transfer_time - t)
+    return float(_optimal_closed_form(gamma, np.array([transfer_time - t]))[0])
+
+
+def _optimal_curve(gamma: float, transfer_time: float,
+                   t: np.ndarray) -> np.ndarray:
+    """:func:`fidelity_optimal` elementwise in ``t``, without the range check."""
+    t = np.asarray(t, dtype=float)
+    denom = -math.expm1(-2.0 * gamma * transfer_time)  # 1 - exp(-2 g T)
+    num = -_elementwise(math.expm1, -2.0 * gamma * t)   # 1 - exp(-2 g t)
+    return (_elementwise(math.exp, -gamma * (transfer_time - t)) * num
+            / math.sqrt(denom))
 
 
 def fidelity_optimal(gamma: float, transfer_time: float, t: float) -> float:
@@ -86,9 +118,7 @@ def fidelity_optimal(gamma: float, transfer_time: float, t: float) -> float:
         raise ValueError("gamma and transfer_time must be positive")
     if t < 0 or t > transfer_time:
         raise ValueError("t must lie in [0, transfer_time]")
-    denom = -math.expm1(-2.0 * gamma * transfer_time)  # 1 - exp(-2 g T)
-    num = -math.expm1(-2.0 * gamma * t)                # 1 - exp(-2 g t)
-    return math.exp(-gamma * (transfer_time - t)) * num / math.sqrt(denom)
+    return float(_optimal_curve(gamma, transfer_time, np.array([t]))[0])
 
 
 def fidelity_lossy(p: SystemParams, t: float) -> float:

@@ -20,17 +20,30 @@ born on the diagonal with the white-noise source strength of its channel:
     kl12(t, t) = 0                 oscillator-1 loss forwarded down the line
 
 Because every equation is linear with scalar coefficients, one integrator
-step is a lower-triangular 2x2 map; the map is built once per substep by
-propagating basis vectors through the Runge-Kutta stages, and the substeps
-of a macro step fold into one map.  A column born at t_j reaches t_i through
-the maps of steps j..i-1, so with kernel tracking the integrator keeps only
-those maps and the k1 births (O(n) memory, 32 bytes per step): any kernel
-row is rebuilt on demand by :meth:`~oscxfer.types.TransferState.kernel_row`,
-and :func:`commutator_check` sums the rows' norms without forming them.
+step is a lower-triangular 2x2 map (mxx, myx, myy); the map is built by
+propagating basis vectors through the Runge-Kutta stages.  The maps are
+built as arrays, one block of about 8k macro steps at a time, so
+temporaries stay O(block): the profile is evaluated at every stage time of
+the block at once, and the stage formulas run elementwise in the order a
+single step would use, so the arrays hold the bits of a step-by-step loop.
+Then A11 and A22 are running products (``np.cumprod``, which multiplies in
+step order), and A21, the first-order recurrence
+A21 <- myx*A11 + myy*A21, is folded in step order by one tight scalar loop;
+an associative scan would regroup the products and change the last bits.
 
-Steps are halved adaptively whenever ``g1 * h`` exceeds
+Steps are halved adaptively whenever ``(g1 + gl) * h`` exceeds
 :data:`~oscxfer.types.DAMPING_CAP_FACTOR`, which keeps the integrator
-accurate through the near-singular tail of truncated optimal profiles.
+accurate through the near-singular tail of truncated optimal profiles.  The
+few stiff steps get their 2**k substeps evaluated in bounded blocks and
+folded, in substep order, into one map each.  A failure is reported at the
+earliest failing step: a step that 26 halvings cannot make stable, or the
+first non-finite coefficient.
+
+A column born at t_j reaches t_i through the maps of steps j..i-1, so with
+kernel tracking the integrator keeps only those maps and the k1 births
+(O(n) memory, 32 bytes per step): any kernel row is rebuilt on demand by
+:meth:`~oscxfer.types.TransferState.kernel_row`, and
+:func:`commutator_check` sums the rows' norms without forming them.
 """
 
 from __future__ import annotations
@@ -39,7 +52,6 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -50,7 +62,6 @@ from .types import (
     SystemParams,
     TimeGrid,
     TransferState,
-    profile_value,
     profile_values,
 )
 
@@ -64,6 +75,7 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 26
+_BLOCK = 8192  # macro steps, or substeps, evaluated as one array
 
 
 class Method(enum.Enum):
@@ -102,26 +114,21 @@ class IntegratorConfig:
             raise ValueError(f"unknown method: {self.method!r}")
 
 
-def _rk4_map(g1_at: Callable[[float], float], beta: float, root: float,
-             gl: float, t: float, h: float) -> tuple[float, float, float]:
-    """One RK4 step of x' = -(g1+gl) x, y' = -beta y + root*sqrt(g1) x.
+def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h):
+    """RK4 steps of x' = -(g1+gl) x, y' = -beta y + root*sqrt(g1) x.
 
-    Returns the lower-triangular map (mxx, myx, myy) with
-    x_new = mxx*x, y_new = myx*x + myy*y.  ``root`` carries the constant
-    factor 2*sqrt(eta*g) so the cross term is root*sqrt(g1(t)).
+    ``a0``, ``am`` and ``a1`` hold g1 at each step's start, middle and end
+    stage; ``h`` is the step width, a scalar or one per step.  Returns the
+    lower-triangular maps (mxx, myx, myy) with x_new = mxx*x and
+    y_new = myx*x + myy*y.  ``root`` carries the constant factor
+    2*sqrt(eta*g), so the cross term is root*sqrt(g1(t)).
     """
-    a0 = g1_at(t)
-    am = g1_at(t + 0.5 * h)
-    # the end-of-step stage stays inside the cell being integrated: a step
-    # ending exactly on a sampled-profile cell boundary must not read the
-    # next cell's value
-    a1 = g1_at(t + h * (1.0 - 1e-8))
-    s0 = root * math.sqrt(a0)
-    sm = root * math.sqrt(am)
-    s1 = root * math.sqrt(a1)
-    a0 += gl
-    am += gl
-    a1 += gl
+    s0 = root * np.sqrt(a0)
+    sm = root * np.sqrt(am)
+    s1 = root * np.sqrt(a1)
+    a0 = a0 + gl
+    am = am + gl
+    a1 = a1 + gl
 
     # basis (x=1, y=0)
     kx1 = -a0
@@ -147,18 +154,18 @@ def _rk4_map(g1_at: Callable[[float], float], beta: float, root: float,
     ky3 = -beta * (1.0 + 0.5 * h * ky2)
     ky4 = -beta * (1.0 + h * ky3)
     myy = 1.0 + h / 6.0 * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4)
-    return mxx, myx, myy
+    return mxx, myx, np.broadcast_to(myy, np.shape(mxx))
 
 
-def _heun_map(g1_at: Callable[[float], float], beta: float, root: float,
-              gl: float, t: float, h: float) -> tuple[float, float, float]:
-    """One Heun (explicit trapezoid) step of the same pair; see _rk4_map."""
-    a0 = g1_at(t)
-    a1 = g1_at(t + h * (1.0 - 1e-8))  # stay inside the cell; see _rk4_map
-    s0 = root * math.sqrt(a0)
-    s1 = root * math.sqrt(a1)
-    a0 += gl
-    a1 += gl
+def _heun_maps(a0, am, a1, beta: float, root: float, gl: float, h):
+    """Heun (explicit trapezoid) steps of the same pair; see _rk4_maps.
+
+    The midpoint stage ``am`` is not used.
+    """
+    s0 = root * np.sqrt(a0)
+    s1 = root * np.sqrt(a1)
+    a0 = a0 + gl
+    a1 = a1 + gl
 
     kx1 = -a0
     ky1 = s0
@@ -172,7 +179,22 @@ def _heun_map(g1_at: Callable[[float], float], beta: float, root: float,
     ky1 = -beta
     ky2 = -beta * (1.0 + h * ky1)
     myy = 1.0 + 0.5 * h * (ky1 + ky2)
-    return mxx, myx, myy
+    return mxx, myx, np.broadcast_to(myy, np.shape(mxx))
+
+
+def _halvings(rate: np.ndarray, dt: float) -> np.ndarray:
+    """Per step, how often dt is halved so that ``rate * h <= cap``.
+
+    A count above ``_MAX_HALVINGS`` marks a step too stiff to substep.
+    """
+    k = np.zeros(rate.shape, dtype=np.intp)
+    h = np.full(rate.shape, dt)
+    todo = rate * h > DAMPING_CAP_FACTOR
+    while todo.any():
+        k[todo] += 1
+        h[todo] = dt / 2.0 ** k[todo]
+        todo &= (rate * h > DAMPING_CAP_FACTOR) & (k <= _MAX_HALVINGS)
+    return k
 
 
 def _integrate(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
@@ -189,23 +211,56 @@ def _integrate(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
     gl = gamma_loss
     beta = g + gl
     root = 2.0 * math.sqrt(eta * g)
-    step_map = _rk4_map if cfg.method is Method.RK4 else _heun_map
-
-    def g1_at(t: float) -> float:
-        return profile_value(c, p, t)
+    step_maps_of = _rk4_maps if cfg.method is Method.RK4 else _heun_maps
 
     # For a sampled profile whose grid the integrator grid refines exactly,
     # resolve each macro step's cell by index: time-based lookups cannot
     # distinguish "end of this cell" from "start of the next" at every
     # grid scale, and one wrong stage value per cell costs an order of
     # accuracy.
-    cells_direct = None
+    cells = None
     if c.kind is ProfileKind.SAMPLED_GRID and c.grid is not None:
         pg = c.grid
         if (pg.n_steps <= n and n % pg.n_steps == 0
                 and math.isclose(pg.t_end, grid.t_end, rel_tol=1e-12)):
-            cells_direct = (np.asarray(c.values, dtype=float),
-                            n // pg.n_steps)
+            cells, ratio = np.asarray(c.values, dtype=float), n // pg.n_steps
+
+    def stages(i: np.ndarray, t: np.ndarray, h):
+        """g1 at the start, middle and end stage of (sub)steps of macro
+        steps ``i`` that start at times ``t`` and are ``h`` wide."""
+        if cells is not None:
+            g_cell = cells[i // ratio]
+            return g_cell, g_cell, g_cell
+        # the end stage stays inside the cell being integrated: a step
+        # ending exactly on a sampled-profile cell boundary must not read
+        # the next cell's value
+        return (profile_values(c, p, t), profile_values(c, p, t + 0.5 * h),
+                profile_values(c, p, t + h * (1.0 - 1e-8)))
+
+    def substep_maps(steps: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Maps of macro ``steps``, halved ``k`` times each: the in-order
+        fold of each step's 2**k substeps, evaluated _BLOCK at a time."""
+        m = 2 ** k
+        ends = np.cumsum(m)
+        folded = np.empty((3, steps.size))
+        x, y, z = 1.0, 0.0, 1.0
+        for lo in range(0, int(ends[-1]), _BLOCK):
+            q = np.arange(lo, min(lo + _BLOCK, int(ends[-1])))
+            j = np.searchsorted(ends, q, side="right")
+            sub = q - (ends[j] - m[j])
+            h = dt / m[j]
+            maps = step_maps_of(*stages(steps[j], steps[j] * dt + sub * h, h),
+                                beta, root, gl, h)
+            cuts = np.flatnonzero(np.diff(j)) + 1
+            for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), q.size]):
+                if sub[a] == 0:
+                    x, y, z = 1.0, 0.0, 1.0
+                for pxx, pyx, pyy in zip(*(memoryview(mp[a:b]) for mp in maps)):
+                    y = pyx * x + pyy * y
+                    x = pxx * x
+                    z = pyy * z
+                folded[:, j[a]] = x, y, z
+        return folded
 
     a11 = np.empty(n + 1)
     a21 = np.empty(n + 1)
@@ -215,48 +270,48 @@ def _integrate(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
     track = cfg.kernel_tracking
     step_maps = np.empty((3, n)) if track else None
 
-    A11, A21, A22 = 1.0, 0.0, 1.0
-    for i in range(n):
-        t0 = i * dt
+    with np.errstate(all="ignore"):
+        for lo in range(0, n, _BLOCK):
+            i = np.arange(lo, min(lo + _BLOCK, n))
+            g0, gm, g1 = stages(i, i * dt, dt)
+            # the stiffest stage sets the substep, as max(g0, gm, g1) would
+            g_peak = np.where(gm > g0, gm, g0)
+            g_peak = np.where(g1 > g_peak, g1, g_peak)
+            k = _halvings(g_peak + gl, dt)
+            too_stiff = np.flatnonzero(k > _MAX_HALVINGS)
+            if too_stiff.size:
+                cut = too_stiff[0]
+                i, g0, gm, g1, k = (v[:cut] for v in (i, g0, gm, g1, k))
+            hi = lo + i.size
 
-        if cells_direct is not None:
-            vals, ratio = cells_direct
-            g_cell = float(vals[i // ratio])
-            g1_step = lambda tau, _v=g_cell: _v  # noqa: E731
-            g_peak = g_cell
-        else:
-            g1_step = g1_at
-            # right-endpoint query clamped inside the step (see _rk4_map)
-            g_peak = max(g1_at(t0), g1_at(t0 + 0.5 * dt),
-                         g1_at(t0 + dt * (1.0 - 1e-8)))
+            pxx, pyx, pyy = step_maps_of(g0, gm, g1, beta, root, gl, dt)
+            # one substep folded into the identity map
+            mxx, myx, myy = pxx * 1.0, pyx * 1.0 + pyy * 0.0, pyy * 1.0
+            stiff = np.flatnonzero(k)
+            if stiff.size:
+                mxx[stiff], myx[stiff], myy[stiff] = substep_maps(i[stiff],
+                                                                  k[stiff])
 
-        # choose substep so the stiffest stage satisfies g1*h <= cap
-        m = 1
-        h = dt
-        halvings = 0
-        while (g_peak + gl) * h > DAMPING_CAP_FACTOR:
-            m *= 2
-            h = dt / m
-            halvings += 1
-            if halvings > _MAX_HALVINGS:
-                raise IntegrationError("profile too stiff to substep", i)
+            # A11 and A22 are running products; A21 = myx*A11 + myy*A21 is
+            # folded in step order, as the products it builds on
+            np.cumprod(np.concatenate((a11[lo:lo + 1], mxx)), out=a11[lo:hi + 1])
+            np.cumprod(np.concatenate((a22[lo:lo + 1], myy)), out=a22[lo:hi + 1])
+            y = float(a21[lo])
+            fold = []
+            for b, a in zip(memoryview(myx * a11[lo:hi]), memoryview(myy)):
+                y = b + a * y
+                fold.append(y)
+            a21[lo + 1:hi + 1] = fold
+            if track:
+                step_maps[:, lo:hi] = mxx, myx, myy
 
-        # accumulate the step map across substeps
-        mxx, myx, myy = 1.0, 0.0, 1.0
-        for sub in range(m):
-            pxx, pyx, pyy = step_map(g1_step, beta, root, gl, t0 + sub * h, h)
-            myx = pyx * mxx + pyy * myx
-            mxx = pxx * mxx
-            myy = pyy * myy
-
-        A21 = myx * A11 + myy * A21
-        A11 = mxx * A11
-        A22 = myy * A22
-        if not (math.isfinite(A11) and math.isfinite(A21) and math.isfinite(A22)):
-            raise IntegrationError("non-finite transfer coefficient", i)
-        a11[i + 1], a21[i + 1], a22[i + 1] = A11, A21, A22
-        if track:
-            step_maps[:, i] = mxx, myx, myy
+            ok = (np.isfinite(a11[lo + 1:hi + 1]) & np.isfinite(a21[lo + 1:hi + 1])
+                  & np.isfinite(a22[lo + 1:hi + 1]))
+            if not ok.all():
+                raise IntegrationError("non-finite transfer coefficient",
+                                       lo + int(np.argmin(ok)))
+            if too_stiff.size:
+                raise IntegrationError("profile too stiff to substep", hi)
 
     state = TransferState(params=p, grid=grid, a11=a11, a21=a21, a22=a22)
     if track:

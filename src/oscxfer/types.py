@@ -232,47 +232,84 @@ class CouplingProfile:
                    truncation=truncation, gamma1_max=gamma1_max)
 
 
-def _optimal_closed_form(gamma: float, t_remaining: float) -> float:
-    """gamma / (exp(2*gamma*t_remaining) - 1), safe against overflow."""
-    x = 2.0 * gamma * t_remaining
-    if x <= 0.0:
+# Block length for elementwise Python-level evaluation, so that the lists of
+# Python floats it builds stay small.
+_BLOCK = 8192
+
+
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (a scalar ``math`` function) applied to each element of ``x``.
+
+    ``math.expm1`` and ``math.exp`` are used instead of their numpy
+    counterparts because the two libraries round differently in the last
+    place on some arguments, and the scalar results are the reference.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    out = np.empty(x.size)
+    for lo in range(0, x.size, _BLOCK):
+        out[lo:lo + _BLOCK] = list(map(fn, x[lo:lo + _BLOCK].tolist()))
+    return out
+
+
+def _optimal_closed_form(gamma: float, t_remaining: np.ndarray) -> np.ndarray:
+    """gamma / (exp(2*gamma*t_remaining) - 1) elementwise, safe against overflow."""
+    x = 2.0 * gamma * np.asarray(t_remaining, dtype=float)
+    if np.any(x <= 0.0):
         raise ProfileSingularityError(
             "closed-form coupling profile diverges at t = T; apply a truncation"
         )
-    if x > 700.0:  # expm1 would overflow; the value has long underflowed
-        return gamma * math.exp(-x)
-    return gamma / math.expm1(x)
+    # beyond x = 700 expm1 would overflow; the value has long underflowed
+    big = x > 700.0
+    out = np.empty(x.shape)
+    out[big] = gamma * _elementwise(math.exp, -x[big])
+    out[~big] = gamma / _elementwise(math.expm1, x[~big])
+    return out
 
 
 def profile_value(c: CouplingProfile, p: SystemParams, t: float) -> float:
     """Evaluate the coupling rate gamma1 at time ``t``.
 
-    Inside the truncation window ``[T - truncation, T]`` every profile kind
-    returns the hold value ``gamma1_max``.  Sampled profiles return the value
-    at the left node of the enclosing cell (exact on the nodes themselves).
+    The one-element case of :func:`profile_values`; see there.
     """
-    T = p.transfer_time
-    if c.truncation is not None and t >= T - c.truncation:
-        return float(c.gamma1_max)  # type: ignore[arg-type]
-
-    if c.kind is ProfileKind.CONSTANT:
-        return float(c.gamma1)  # type: ignore[arg-type]
-    if c.kind is ProfileKind.OPTIMAL_CLOSED_FORM:
-        return _optimal_closed_form(p.gamma, T - t)
-    # SAMPLED_GRID: left-endpoint lookup with node snapping
-    grid = c.grid
-    assert grid is not None and c.values is not None
-    s = t / grid.dt
-    j = math.floor(s)
-    if s - j > 1.0 - 1e-9:  # within float fuzz of the next node
-        j += 1
-    j = min(max(j, 0), grid.n_nodes - 1)
-    return float(c.values[j])
+    return float(profile_values(c, p, np.array([t], dtype=float))[0])
 
 
 def profile_values(c: CouplingProfile, p: SystemParams, ts: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`profile_value` over an array of times."""
-    return np.array([profile_value(c, p, float(t)) for t in np.asarray(ts)])
+    """Evaluate the coupling rate gamma1 at every time in ``ts``.
+
+    Inside the truncation window ``[T - truncation, T]`` every profile kind
+    returns the hold value ``gamma1_max``.  Elsewhere a constant profile
+    returns its rate, the closed-form optimum is evaluated elementwise with
+    ``math.expm1`` (and raises :class:`ProfileSingularityError` at
+    ``t >= T``), and a sampled profile returns the value at the left node of
+    the enclosing cell, snapping times within 1e-9 of a cell width below a
+    node onto that node.  The result has the shape of ``ts``; element by
+    element it is independent of the other times in the array.
+    """
+    t = np.asarray(ts, dtype=float)
+    T = p.transfer_time
+    out = np.empty(t.shape)
+    if c.truncation is None:
+        free = np.ones(t.shape, dtype=bool)
+    else:
+        free = ~(t >= T - c.truncation)  # NaN times are not held
+        out[~free] = c.gamma1_max
+    t = t[free]
+
+    if c.kind is ProfileKind.CONSTANT:
+        out[free] = c.gamma1
+    elif c.kind is ProfileKind.OPTIMAL_CLOSED_FORM:
+        out[free] = _optimal_closed_form(p.gamma, T - t)
+    else:
+        # SAMPLED_GRID: left-endpoint lookup with node snapping
+        grid = c.grid
+        assert grid is not None and c.values is not None
+        s = t / grid.dt
+        j = np.floor(s)
+        j[s - j > 1.0 - 1e-9] += 1.0  # within float fuzz of the next node
+        j = np.clip(j, 0, grid.n_nodes - 1).astype(np.intp)
+        out[free] = c.values[j]
+    return out
 
 
 @dataclass

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from oscxfer import cli
 from oscxfer.cli import main
 
 
@@ -309,6 +310,49 @@ class TestConfigHandling:
                 fh.write(f"{i * 0.1:.17g},1.0\n")
         assert main(["simulate", "--profile", f"file:{bad}", "--T", "1",
                      "--steps", "100", "--out", str(tmp_path / "x")]) == 2
+
+    def test_large_rate_gap_oracle_no_traceback(self, tmp_path):
+        # (gamma - gamma1)*t reaches 3e5: the constant-coupling oracle used
+        # to overflow in expm1 and end the run in a traceback
+        out = tmp_path / "run"
+        code = main(["simulate", "--profile", "constant:1", "--gamma", "3e5",
+                     "--omega0", "1e12", "--T", "1", "--steps", "10",
+                     "--out", str(out)])
+        assert code == 0
+        oracle = [float(r["F_oracle"])
+                  for r in _read_csv(out / "fidelity_curve.csv")]
+        assert all(math.isfinite(v) for v in oracle)
+        assert oracle[-1] == pytest.approx(0.0013433102668475141, rel=1e-14,
+                                         abs=0.0)
+
+    def test_numerical_failure_stderr_is_two_lines(self, tmp_path, capsys):
+        # no numpy RuntimeWarning may reach stderr on the way to exit 3
+        code = main(["simulate", "--profile", "constant:1", "--gamma", "1e9",
+                     "--T", "1", "--steps", "10", "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: weak damping violated: gamma*10 exceeds omega0 "
+            "(rotating-frame treatment marginal)",
+            "numerical failure: non-finite transfer coefficient (at step 5)",
+        ]
+
+    @pytest.mark.parametrize("error, code, line", [
+        (OverflowError("math range error"), 3,
+         "numerical failure: math range error"),
+        (ZeroDivisionError("float division by zero"), 3,
+         "numerical failure: float division by zero"),
+        (MemoryError("cannot allocate"), 2,
+         "error: not enough memory: cannot allocate"),
+    ])
+    def test_last_resort_exit_codes(self, tmp_path, capsys, monkeypatch,
+                                    error, code, line):
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "_run_integration", fail)
+        assert main(["simulate", "--steps", "10",
+                     "--out", str(tmp_path / "x")]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
 
     def test_stiff_profile_file_exits_3(self, tmp_path):
         bad = tmp_path / "p.csv"

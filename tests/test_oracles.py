@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscxfer.oracles import (
+    _constant_coupling_curve,
+    _optimal_curve,
     budget_report,
     euler_lagrange_residual,
     fidelity_constant_coupling,
@@ -76,6 +78,24 @@ class TestConstantCoupling:
     def test_never_exceeds_peak(self, gt):
         assert fidelity_constant_coupling(1.0, gt) <= TWO_OVER_E + 1e-15
 
+    @pytest.mark.parametrize("gamma, gamma1, t, expected", [
+        (3e5, 1.0, 0.1, 0.00330401011158721792),
+        (3e5, 1.0, 1.0, 0.0013433102668475141002),
+        (1.0, 0.5, 1401.0, 1.6914548913262670559e-304),
+    ])
+    def test_large_rate_gap_stays_finite(self, gamma, gamma1, t, expected):
+        # (gamma - gamma1)*t > 700, where expm1 of it overflows
+        got = fidelity_constant_coupling(gamma, t, gamma1)
+        assert math.isfinite(got)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_stable_form_is_continuous_at_its_threshold(self):
+        # z = (gamma - gamma1)*t on either side of 700, with e^(-gamma t)
+        # still a normal double
+        below = fidelity_constant_coupling(1.0, 699.999999 / 0.999, 1e-3)
+        above = fidelity_constant_coupling(1.0, 700.000001 / 0.999, 1e-3)
+        assert above == pytest.approx(below, rel=1e-8, abs=0.0)
+
 
 class TestOptimalProfile:
     @pytest.mark.parametrize("t, expected", [
@@ -131,6 +151,39 @@ class TestOptimalFidelity:
             fidelity_optimal(1.0, 2.0, 2.5)
         with pytest.raises(ValueError):
             fidelity_optimal(-1.0, 2.0, 1.0)
+
+
+def _scalar_constant(gamma, t, gamma1):
+    # the per-point formula the CLI's oracle column was computed with
+    if gamma1 == 0.0 or t == 0.0:
+        return 0.0
+    z = (gamma - gamma1) * t
+    phi = 1.0 + z / 2.0 + z * z / 6.0 if abs(z) < 1e-8 else math.expm1(z) / z
+    return 2.0 * math.sqrt(gamma * gamma1) * math.exp(-gamma * t) * t * phi
+
+
+def _scalar_optimal(gamma, T, t):
+    denom = -math.expm1(-2.0 * gamma * T)
+    num = -math.expm1(-2.0 * gamma * t)
+    return math.exp(-gamma * (T - t)) * num / math.sqrt(denom)
+
+
+class TestCurves:
+    """The array-shaped oracle curves reproduce the per-point formulas bitwise."""
+
+    @pytest.mark.parametrize("gamma, gamma1", [
+        (1.0, 0.7), (1.0, 1.0), (1.0, 1.0 + 1e-9), (2.0, 0.0), (0.3, 5.0),
+    ])
+    def test_constant_coupling(self, gamma, gamma1):
+        ts = TimeGrid(3.0, 5000).nodes()
+        want = [_scalar_constant(gamma, t, gamma1) for t in ts.tolist()]
+        assert np.array_equal(_constant_coupling_curve(gamma, gamma1, ts), want)
+
+    @pytest.mark.parametrize("gamma, T", [(1.0, 5.0), (0.3, 2.0), (4.0, 200.0)])
+    def test_optimal(self, gamma, T):
+        ts = np.minimum(TimeGrid(T, 5000).nodes(), T - 1e-3)
+        want = [_scalar_optimal(gamma, T, t) for t in ts.tolist()]
+        assert np.array_equal(_optimal_curve(gamma, T, ts), want)
 
 
 class TestLossyFidelity:
