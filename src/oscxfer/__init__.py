@@ -37,7 +37,6 @@ from .simulate import (
     Method,
     commutator_check,
     integrate_transfer,
-    integrate_transfer_lossy,
 )
 from .optimize import (
     OptimizerConfig,
@@ -66,7 +65,7 @@ __all__ = [
     "fidelity_lossy", "infidelity_budget", "budget_report",
     "validity_windows", "euler_lagrange_residual",
     "Method", "IntegratorConfig", "IntegrationError", "integrate_transfer",
-    "integrate_transfer_lossy", "commutator_check",
+    "commutator_check",
     "OptimizerConfig", "OptimizerTrace",
     "functional_value", "functional_gradient", "optimize_profile",
     "verify_stationarity",

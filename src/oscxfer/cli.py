@@ -41,7 +41,6 @@ from .simulate import (
     Method,
     commutator_check,
     integrate_transfer,
-    integrate_transfer_lossy,
 )
 from .types import (
     CouplingProfile,
@@ -234,23 +233,20 @@ def _oracle_curve(p: SystemParams, profile: CouplingProfile,
     return np.full(times.size, math.nan)
 
 
-def _integrator_config(cfg: RunConfig) -> IntegratorConfig:
-    return IntegratorConfig(method=Method(cfg.method), n_steps=cfg.n_steps,
-                            kernel_tracking=cfg.kernels)
-
-
-def _run_integration(cfg: RunConfig, profile: CouplingProfile, p: SystemParams):
-    icfg = _integrator_config(cfg)
-    if p.eta < 1.0 or p.gamma_loss > 0.0:
-        return integrate_transfer_lossy(profile, p, icfg)
-    return integrate_transfer(profile, p, icfg)
-
-
-def cmd_simulate(cfg: RunConfig, out: Path) -> int:
+def _simulate(cfg: RunConfig):
+    """Build the run's params, grid and profile and integrate; returns
+    ``(params, profile, state)``."""
     p = _build_params(cfg)
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     profile = _build_profile(cfg, grid)
-    state = _run_integration(cfg, profile, p)
+    state = integrate_transfer(profile, p, IntegratorConfig(
+        method=Method(cfg.method), n_steps=cfg.n_steps,
+        kernel_tracking=cfg.kernels))
+    return p, profile, state
+
+
+def cmd_simulate(cfg: RunConfig, out: Path) -> int:
+    p, profile, state = _simulate(cfg)
 
     times, curve = state.fidelity_curve()
     oracle = _oracle_curve(p, profile, times)
@@ -360,39 +356,27 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
     return name, lo, hi, n
 
 
-def _sweep_point(packed: tuple) -> tuple[int, float, float, float]:
-    """One sweep evaluation; runs in a worker process."""
-    index, cfg, name, value = packed
+def _sweep_point(job: tuple) -> tuple[float, float]:
+    """One sweep evaluation, ``(F_oracle, F_sim)``; runs in a worker process."""
+    cfg, name, value = job
     cfg = dataclasses.replace(cfg, **{_SWEEPABLE[name]: value})
     try:
-        p = _build_params(cfg)
+        p, _, state = _simulate(cfg)
     except ConfigError as exc:
         raise ConfigError(f"{name}={value:g}: {exc}") from None
-    grid = TimeGrid(p.transfer_time, cfg.n_steps)
-    profile = _build_profile(cfg, grid)
-    state = _run_integration(cfg, profile, p)
-    analytic = fidelity_lossy(p, p.transfer_time)
-    return index, value, analytic, float(state.fidelity)
+    return fidelity_lossy(p, p.transfer_time), float(state.fidelity)
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep subcommand needs --sweep param:lo:hi:n")
     name, lo, hi, n = _parse_sweep(cfg.sweep)
-    points = np.linspace(lo, hi, n)
-    jobs = [(i, cfg, name, float(v)) for i, v in enumerate(points)]
-
-    rows: list[Optional[tuple]] = [None] * n
-    if n == 1:
-        rows[0] = _sweep_point(jobs[0])
-    else:
-        workers = min(n, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_sweep_point, jobs):
-                rows[result[0]] = result
+    points = np.linspace(lo, hi, n).tolist()
+    with ProcessPoolExecutor(max_workers=min(n, os.cpu_count() or 1)) as pool:
+        rows = list(pool.map(_sweep_point, [(cfg, name, v) for v in points]))
 
     table = [(value, analytic, simulated, abs(simulated - analytic))
-             for _, value, analytic, simulated in rows]  # type: ignore[misc]
+             for value, (analytic, simulated) in zip(points, rows)]
     if cfg.format in ("csv", "both"):
         _write_csv(out / "sweep.csv",
                    [name, "F_oracle", "F_sim", "abs_err"], list(zip(*table)))

@@ -116,14 +116,14 @@ def _weights(cells: np.ndarray, p: SystemParams, grid: TimeGrid):
     big_g = np.concatenate(([0.0], np.cumsum(cells[:-1]) * dt))
     expo = np.exp(-p.gamma * (grid.t_end - ts) - big_g)
     z = (p.gamma - cells) * dt
-    return expo, z, big_g
+    return expo, z
 
 
 def _functional_from_cells(cells: np.ndarray, p: SystemParams,
                            grid: TimeGrid) -> float:
     if np.any(cells < 0):
         raise ValueError("profile must be nonnegative on the grid")
-    expo, z, _ = _weights(cells, p, grid)
+    expo, z = _weights(cells, p, grid)
     w = expo * np.sqrt(cells) * _phi(z)
     return 2.0 * math.sqrt(p.gamma) * grid.dt * float(np.sum(w))
 
@@ -147,14 +147,15 @@ def _gradient_from_cells(cells: np.ndarray, p: SystemParams,
     if np.any(cells <= 0):
         raise ValueError("gradient needs strictly positive profile values")
     dt = grid.dt
-    expo, z, _ = _weights(cells, p, grid)
+    expo, z = _weights(cells, p, grid)
     root = np.sqrt(cells)
-    w = expo * root * _phi(z)
+    phi = _phi(z)
+    w = expo * root * phi
     # suffix[j] = sum of w over cells strictly after j (reverse accumulation
     # of G's dependence on cell j)
     suffix = np.concatenate((np.cumsum(w[::-1])[-2::-1], [0.0]))
     # direct term: d/dg of sqrt(g)*phi((gamma-g)dt) at fixed G
-    direct = expo * (_phi(z) / (2.0 * root) - root * _phi_prime(z) * dt)
+    direct = expo * (phi / (2.0 * root) - root * _phi_prime(z) * dt)
     return 2.0 * math.sqrt(p.gamma) * dt * (direct - dt * suffix)
 
 

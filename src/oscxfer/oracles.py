@@ -50,7 +50,9 @@ def _constant_coupling_curve(gamma: float, gamma1: float,
     # 2 sqrt(g g1) e^(-g t) * t * phi((g - g1) t),  phi(z) = (e^z - 1)/z
     z = (gamma - gamma1) * t
     small = np.abs(z) < 1e-8
-    big = z > 700.0  # e^z overflows past ~709
+    # e^(-g t) underflows past g t ~ 709 even where the amplitude does not,
+    # and e^z overflows past z ~ 709 (z <= g t, since g1 >= 0)
+    big = (gamma * t > 700.0) & (z > 0.0) & ~small
     mid = ~(small | big)
     phi = np.ones(t.shape)
     zs, zm = z[small], z[mid]

@@ -8,7 +8,9 @@ ODEs for the transfer coefficients
     a22' = -(g + gl) a22
 
 with g the receiver coupling, g1(t) the sender's control profile, gl the
-parasitic damping and eta the line transmission (lossless: eta = 1, gl = 0).
+parasitic damping and eta the line transmission.  :func:`integrate_transfer`
+reads eta and gl from the system parameters; lossless transfer is not a
+separate path but the case eta = 1, gl = 0.
 Noise kernels obey the same pair of equations column by column, each column
 born on the diagonal with the white-noise source strength of its channel:
 
@@ -70,7 +72,6 @@ __all__ = [
     "IntegratorConfig",
     "IntegrationError",
     "integrate_transfer",
-    "integrate_transfer_lossy",
     "commutator_check",
 ]
 
@@ -197,8 +198,19 @@ def _halvings(rate: np.ndarray, dt: float) -> np.ndarray:
     return k
 
 
-def _integrate(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
-               eta: float, gamma_loss: float) -> TransferState:
+def integrate_transfer(c: CouplingProfile, p: SystemParams,
+                       cfg: IntegratorConfig) -> TransferState:
+    """Integrate the cascade with line transmission ``p.eta`` and parasitic
+    damping ``p.gamma_loss``.
+
+    There is one path for every run: the lossless cascade is the case
+    eta = 1, gamma_loss = 0, whose loss births are all zero.
+
+    Returns the transfer coefficients on the grid; ``a21(T)`` is the
+    achieved transfer amplitude.  Enable ``cfg.kernel_tracking`` to also
+    record the noise kernels' generators needed by :func:`commutator_check`
+    and :meth:`~oscxfer.types.TransferState.kernel_row`.
+    """
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     if c.kind is ProfileKind.OPTIMAL_CLOSED_FORM and c.truncation is None:
         raise ValueError(
@@ -207,8 +219,7 @@ def _integrate(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
         )
     n = cfg.n_steps
     dt = grid.dt
-    g = p.gamma
-    gl = gamma_loss
+    g, gl, eta = p.gamma, p.gamma_loss, p.eta
     beta = g + gl
     root = 2.0 * math.sqrt(eta * g)
     step_maps_of = _rk4_maps if cfg.method is Method.RK4 else _heun_maps
@@ -321,29 +332,6 @@ def _integrate(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
                                 math.sqrt(2.0 * gl),
                                 math.sqrt(2.0 * g * (1.0 - eta)))
     return state
-
-
-def integrate_transfer(c: CouplingProfile, p: SystemParams,
-                       cfg: IntegratorConfig) -> TransferState:
-    """Integrate the lossless cascade (eta = 1, no parasitic damping).
-
-    Returns the transfer coefficients on the grid; ``a21(T)`` is the
-    achieved transfer amplitude.  Enable ``cfg.kernel_tracking`` to also
-    record the noise kernels' generators needed by :func:`commutator_check`
-    and :meth:`~oscxfer.types.TransferState.kernel_row`.
-    """
-    return _integrate(c, p, cfg, eta=1.0, gamma_loss=0.0)
-
-
-def integrate_transfer_lossy(c: CouplingProfile, p: SystemParams,
-                             cfg: IntegratorConfig) -> TransferState:
-    """Integrate the cascade with line transmission and parasitic damping.
-
-    Uses ``p.eta`` and ``p.gamma_loss``; with ``eta = 1`` and
-    ``gamma_loss = 0`` the arithmetic is identical to
-    :func:`integrate_transfer` (the loss channels' births are all zero).
-    """
-    return _integrate(c, p, cfg, eta=p.eta, gamma_loss=p.gamma_loss)
 
 
 def commutator_check(s: TransferState) -> tuple[np.ndarray, np.ndarray]:

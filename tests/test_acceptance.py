@@ -44,7 +44,6 @@ from oscxfer.simulate import (
     IntegratorConfig,
     commutator_check,
     integrate_transfer,
-    integrate_transfer_lossy,
 )
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
 
@@ -130,7 +129,7 @@ def test_criterion_5_loss_factorization():
         for gl in (0.0, 0.01, 0.05):
             p = SystemParams(gamma=gamma, transfer_time=T, eta=eta,
                              gamma_loss=gl)
-            state = integrate_transfer_lossy(
+            state = integrate_transfer(
                 CouplingProfile.optimal(truncation=cut), p,
                 IntegratorConfig(n_steps=n))
             want = fidelity_lossy(p, T)

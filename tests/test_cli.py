@@ -158,6 +158,20 @@ class TestSweep:
         assert code == 0
         assert len(_read_csv(out / "sweep.csv")) == 1
 
+    @pytest.mark.parametrize("spec, flags", [
+        ("T:2:2:1", ["--T", "2"]),
+        ("eta:0.8:0.8:1", ["--T", "3", "--eta", "0.8", "--gamma-loss", "0.05"]),
+    ], ids=["lossless", "lossy"])
+    def test_point_is_the_simulate_run(self, tmp_path, spec, flags):
+        # a sweep point and simulate share one run path, bit for bit
+        common = ["--gamma", "1", "--steps", "700", *flags]
+        assert main(["sweep", "--sweep", spec, *common,
+                     "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["simulate", *common, "--out", str(tmp_path / "sim")]) == 0
+        (row,) = _read_csv(tmp_path / "sweep" / "sweep.csv")
+        rep = _read_json(tmp_path / "sim" / "report.json")
+        assert float(row["F_sim"]) == rep["fidelity"]
+
     def test_point_numerical_failure_exits_3(self, tmp_path, capsys):
         # the gamma=1e9 point fails inside a pool worker; its error must
         # cross the process boundary intact instead of breaking the pool
@@ -349,7 +363,7 @@ class TestConfigHandling:
         def fail(*args):
             raise error
 
-        monkeypatch.setattr(cli, "_run_integration", fail)
+        monkeypatch.setattr(cli, "integrate_transfer", fail)
         assert main(["simulate", "--steps", "10",
                      "--out", str(tmp_path / "x")]) == code
         assert capsys.readouterr().err.splitlines() == [line]

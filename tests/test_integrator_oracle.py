@@ -20,7 +20,7 @@ from oscxfer.simulate import (
     IntegrationError,
     IntegratorConfig,
     Method,
-    integrate_transfer_lossy,
+    integrate_transfer,
 )
 from oscxfer.types import (
     DAMPING_CAP_FACTOR,
@@ -213,7 +213,7 @@ CASES = {
 def test_array_integrator_is_the_scalar_loop(name, method):
     c, p, n = CASES[name]
     cfg = IntegratorConfig(method=method, n_steps=n, kernel_tracking=True)
-    got = integrate_transfer_lossy(c, p, cfg)
+    got = integrate_transfer(c, p, cfg)
     a11, a21, a22, maps, births = scalar_integrate(c, p, cfg)
     assert np.array_equal(got.a11, a11)
     assert np.array_equal(got.a21, a21)
@@ -268,7 +268,7 @@ def _failure(fn):
 def test_failures_match_the_scalar_loop(name, method):
     c, p, n = FAILURES[name]
     cfg = IntegratorConfig(method=method, n_steps=n)
-    got = _failure(lambda: integrate_transfer_lossy(c, p, cfg))
+    got = _failure(lambda: integrate_transfer(c, p, cfg))
     assert got == _failure(lambda: scalar_integrate(c, p, cfg))
     if method is Method.RK4 or name != "non-finite":
         assert got is not None
@@ -277,7 +277,7 @@ def test_failures_match_the_scalar_loop(name, method):
 def test_failure_steps_are_pinned():
     def step(name):
         c, p, n = FAILURES[name]
-        return _failure(lambda: integrate_transfer_lossy(
+        return _failure(lambda: integrate_transfer(
             c, p, IntegratorConfig(n_steps=n)))
 
     stiff, finite = "profile too stiff to substep", "non-finite transfer coefficient"

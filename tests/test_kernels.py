@@ -16,7 +16,6 @@ from oscxfer.simulate import (
     IntegratorConfig,
     commutator_check,
     integrate_transfer,
-    integrate_transfer_lossy,
 )
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid, profile_values
 
@@ -78,27 +77,27 @@ def dense_commutator(st, mats):
     return d1, d2
 
 
-def _run(integrate, c, p, n):
-    return c, integrate(c, p, IntegratorConfig(n_steps=n, kernel_tracking=True))
+def _run(c, p, n):
+    return c, integrate_transfer(c, p, IntegratorConfig(n_steps=n,
+                                                        kernel_tracking=True))
 
 
 def _lossless_constant():
     p = SystemParams(gamma=1.0, transfer_time=2.0)
-    return _run(integrate_transfer, CouplingProfile.constant(1.0), p, 400)
+    return _run(CouplingProfile.constant(1.0), p, 400)
 
 
 def _lossy_sampled_ramp():
     p = SystemParams(gamma=1.0, transfer_time=2.0, eta=0.9, gamma_loss=0.08)
     c = CouplingProfile.sampled(TimeGrid(2.0, 800), np.linspace(0.2, 2.0, 801))
-    return _run(integrate_transfer_lossy, c, p, 800)
+    return _run(c, p, 800)
 
 
 def _lossy_optimal_stiff():
     # no cap given: the hold value is 1/(2 cut) = 500, so with dt = 3e-3 the
     # last steps halve five times and their substeps fold into one map each
     p = SystemParams(gamma=1.0, transfer_time=3.0, eta=0.81, gamma_loss=0.05)
-    return _run(integrate_transfer_lossy, CouplingProfile.optimal(truncation=1e-3),
-                p, 1000)
+    return _run(CouplingProfile.optimal(truncation=1e-3), p, 1000)
 
 
 CASES = {"lossless-constant": _lossless_constant,
@@ -162,7 +161,7 @@ def test_lossy_deficits_stay_finite_at_large_gamma_t():
     # criterion 6's 1e-6, scaled by (dt / 3e-4)^2 to this grid
     T, n = 400.0, 100_000
     p = SystemParams(gamma=1.0, transfer_time=T, eta=0.81, gamma_loss=0.05)
-    st = integrate_transfer_lossy(CouplingProfile.constant(1.0), p,
+    st = integrate_transfer(CouplingProfile.constant(1.0), p,
                                   IntegratorConfig(n_steps=n,
                                                    kernel_tracking=True))
     d1, d2 = commutator_check(st)
@@ -180,7 +179,7 @@ def test_kernel_memory_is_linear():
                                 gamma1_max=1.0 / math.expm1(2.0 * cut))
     tracemalloc.start()
     try:
-        st = integrate_transfer_lossy(c, p, IntegratorConfig(
+        st = integrate_transfer(c, p, IntegratorConfig(
             n_steps=n, kernel_tracking=True))
         commutator_check(st)
         _, peak = tracemalloc.get_traced_memory()

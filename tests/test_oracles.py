@@ -82,18 +82,21 @@ class TestConstantCoupling:
         (3e5, 1.0, 0.1, 0.00330401011158721792),
         (3e5, 1.0, 1.0, 0.0013433102668475141002),
         (1.0, 0.5, 1401.0, 1.6914548913262670559e-304),
+        # (gamma - gamma1)*t = 699.5, but e^(-gamma t) underflows to 0
+        (1.0, 0.5, 1399.0, 4.5978510947503608659e-304),
     ])
     def test_large_rate_gap_stays_finite(self, gamma, gamma1, t, expected):
-        # (gamma - gamma1)*t > 700, where expm1 of it overflows
+        # (gamma - gamma1)*t > 700, where expm1 of it overflows, or
+        # gamma*t > 700, where e^(-gamma t) loses the product's digits
         got = fidelity_constant_coupling(gamma, t, gamma1)
         assert math.isfinite(got)
         assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_stable_form_is_continuous_at_its_threshold(self):
-        # z = (gamma - gamma1)*t on either side of 700, with e^(-gamma t)
-        # still a normal double
-        below = fidelity_constant_coupling(1.0, 699.999999 / 0.999, 1e-3)
-        above = fidelity_constant_coupling(1.0, 700.000001 / 0.999, 1e-3)
+        # gamma*t on either side of 700, with e^(-gamma t) still a normal
+        # double
+        below = fidelity_constant_coupling(1.0, 699.999999, 1e-3)
+        above = fidelity_constant_coupling(1.0, 700.000001, 1e-3)
         assert above == pytest.approx(below, rel=1e-8, abs=0.0)
 
 

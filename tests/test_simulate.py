@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscxfer.oracles import (
     fidelity_constant_coupling,
@@ -17,7 +19,6 @@ from oscxfer.simulate import (
     Method,
     commutator_check,
     integrate_transfer,
-    integrate_transfer_lossy,
 )
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
 
@@ -153,7 +154,7 @@ class TestKernels:
         grid = TimeGrid(2.0, 800)
         vals = np.linspace(0.2, 2.0, 801)
         c = CouplingProfile.sampled(grid, vals)
-        st = integrate_transfer_lossy(c, p, IntegratorConfig(
+        st = integrate_transfer(c, p, IntegratorConfig(
             n_steps=800, kernel_tracking=True))
         d1, d2 = commutator_check(st)
         assert np.max(np.abs(d1)) < 2e-3
@@ -167,21 +168,28 @@ class TestKernels:
 
 
 class TestLossyIntegration:
-    def test_reduction_is_bitwise(self):
-        p = SystemParams(gamma=1.0, transfer_time=2.0, eta=1.0, gamma_loss=0.0)
-        c = CouplingProfile.constant(1.0)
-        cfg = IntegratorConfig(n_steps=400)
-        lossless = integrate_transfer(c, p, cfg)
-        lossy = integrate_transfer_lossy(c, p, cfg)
-        assert np.array_equal(lossless.a21, lossy.a21)
-        assert np.array_equal(lossless.a11, lossy.a11)
+    @given(gamma=st.floats(0.1, 3.0), gamma1=st.floats(0.0, 3.0),
+           T=st.floats(0.5, 5.0), eta=st.floats(0.3, 1.0),
+           loss=st.floats(0.0, 0.9, exclude_max=True))
+    @settings(max_examples=100, deadline=None)
+    def test_constant_coupling_matches_lossy_closed_form(self, gamma, gamma1,
+                                                          T, eta, loss):
+        # the loss result factorizes: sqrt(eta) e^(-gamma' T) times the
+        # lossless amplitude, here the constant-coupling closed form
+        p = SystemParams(gamma=gamma, transfer_time=T, eta=eta,
+                         gamma_loss=loss * gamma)
+        state = integrate_transfer(CouplingProfile.constant(gamma1), p,
+                                   IntegratorConfig(n_steps=2000))
+        want = (math.sqrt(eta) * math.exp(-p.gamma_loss * T)
+                * fidelity_constant_coupling(gamma, T, gamma1))
+        assert abs(state.fidelity - want) < 1e-11
 
     def test_factorization_against_oracle(self):
         p = SystemParams(gamma=1.0, transfer_time=5.0, eta=0.81,
                          gamma_loss=0.05)
         n = 20_000
         c = CouplingProfile.optimal(truncation=0.05)
-        st = integrate_transfer_lossy(c, p, IntegratorConfig(n_steps=n))
+        st = integrate_transfer(c, p, IntegratorConfig(n_steps=n))
         cut_node = n - 200
         want = (math.sqrt(0.81) * math.exp(-0.05 * 4.95)
                 * fidelity_optimal(1.0, 5.0, 4.95))
