@@ -39,8 +39,7 @@ from .simulate import (
     integrate_transfer,
 )
 from .optimize import (
-    OptimizerConfig,
-    OptimizerTrace,
+    OptimizerResult,
     functional_gradient,
     functional_value,
     optimize_profile,
@@ -66,7 +65,7 @@ __all__ = [
     "validity_windows", "euler_lagrange_residual",
     "Method", "IntegratorConfig", "IntegrationError", "integrate_transfer",
     "commutator_check",
-    "OptimizerConfig", "OptimizerTrace",
+    "OptimizerResult",
     "functional_value", "functional_gradient", "optimize_profile",
     "verify_stationarity",
     "Topology", "CircuitSpec", "CircuitRates", "circuit_to_rates",

@@ -4,7 +4,7 @@ Each subcommand reads its configuration from flags and/or a JSON config file
 (flags override file values override defaults), echoes the effective
 configuration into the output directory for reproducibility, and writes
 plot-ready CSV plus JSON reports.  Exit codes: 0 success, 2 invalid
-configuration, 3 numerical failure, 4 optimizer non-convergence.
+configuration, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -29,12 +29,7 @@ from .oracles import (
     budget_report,
     fidelity_lossy,
 )
-from .optimize import (
-    OptimizerConfig,
-    optimize_profile,
-    functional_value,
-    verify_stationarity,
-)
+from .optimize import functional_value, optimize_profile, verify_stationarity
 from .simulate import (
     IntegrationError,
     IntegratorConfig,
@@ -54,7 +49,6 @@ from .types import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-EXIT_NO_CONVERGENCE = 4
 
 # sweep name -> RunConfig field it sets
 _SWEEPABLE = {"T": "transfer_time", "gamma": "gamma", "eta": "eta",
@@ -80,9 +74,6 @@ class RunConfig:
     n_steps: int = 10_000
     method: str = "rk4"
     kernels: bool = False
-    max_iters: int = 5000
-    step_size: float = 1.0
-    tolerance: float = 1e-10
     sweep: Optional[str] = None
     target_fidelity: Optional[float] = None
     margin: float = 10.0
@@ -294,13 +285,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     p = _build_params(cfg)
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     trunc = _resolved_dt_cut(cfg, grid)
-    cap = cfg.gamma1_max if cfg.gamma1_max is not None else 1.0 / (2.0 * grid.dt)
-
-    initial = _build_profile(cfg, grid)
-    ocfg = OptimizerConfig(max_iters=cfg.max_iters, step_size=cfg.step_size,
-                           tolerance=cfg.tolerance)
-    profile, trace = optimize_profile(p, grid, ocfg, gamma1_max=cap,
-                                      initial=initial)
+    profile, result = optimize_profile(p, grid, gamma1_max=cfg.gamma1_max)
 
     times = grid.nodes()
     reference = CouplingProfile.optimal(truncation=trunc)
@@ -312,18 +297,13 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         _write_csv(out / "profile.csv",
                    ["t", "gamma1_opt", "gamma1_closed_form", "rel_err"],
                    (times, opt_vals, closed, rel))
-        _write_csv(out / "trace.csv",
-                   ["iteration", "functional", "grad_norm"],
-                   (range(1, len(trace.functional) + 1),
-                    trace.functional, trace.grad_norm))
 
     stat = verify_stationarity(profile, p, grid)
     report = {
         "functional": functional_value(profile, p, grid),
-        "converged": trace.converged,
-        "iterations": trace.iterations,
-        "message": trace.message,
-        "gamma1_max": cap,
+        "iterations": result.iterations,
+        "kkt_residual": result.kkt_residual,
+        "gamma1_max": profile.gamma1_max,
         "truncation": trunc,
         "stationarity": {
             "max_abs_residual": stat.max_abs_residual,
@@ -332,7 +312,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     }
     if cfg.format in ("json", "both"):
         _write_json(out / "optimize_report.json", report)
-    return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
@@ -502,11 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("simulate", parents=[common],
                    help="integrate the transfer and compare to closed forms")
 
-    p_opt = sub.add_parser("optimize", parents=[common],
-                           help="variationally optimize the coupling profile")
-    p_opt.add_argument("--max-iters", dest="max_iters", type=int)
-    p_opt.add_argument("--step-size", dest="step_size", type=float)
-    p_opt.add_argument("--tolerance", type=float)
+    sub.add_parser("optimize", parents=[common],
+                   help="optimal coupling profile on the grid (ignores "
+                        "--profile)")
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="sweep one parameter, one row per point")

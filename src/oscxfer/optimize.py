@@ -7,19 +7,23 @@ The end-of-protocol transfer amplitude is the functional
 
 discretized with the same left-rectangle / piecewise-constant-cell convention
 the simulator uses, so a profile's functional value and its simulated
-transfer amplitude agree up to quadrature order.  The optimizer runs
-projected gradient ascent (box constraints: a tiny positive floor and the
-hold cap ``gamma1_max``) with a Barzilai-Borwein trial step and an Armijo
-backtracking line search.  It ascends in the square roots u = sqrt(gamma1),
-where nonnegativity of dG/dt is built in and the sqrt singularity of the
-functional at gamma1 = 0 becomes a smooth dependence on u.
+transfer amplitude agree up to quadrature order.  On the grid,
+
+    F = 2 sqrt(gamma) dt * sum_j E_j exp(-G_j) sqrt(g_j) phi((gamma - g_j) dt),
+
+with E_j = exp(-gamma (T - t_j)) and G_j = dt * sum_{k<j} g_k.  The factor
+exp(-G_j) multiplies every later term, so the best value of the tail from
+cell j on is linear in it, and the discrete optimum over the box
+0 <= g_j <= gamma1_max follows exactly from Bellman's backward recursion:
+one sweep from the last cell to the first, one box-bounded 1-D maximization
+per cell, in u = sqrt(g).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,8 +31,7 @@ from .oracles import euler_lagrange_residual
 from .types import CouplingProfile, SystemParams, TimeGrid, profile_values
 
 __all__ = [
-    "OptimizerConfig",
-    "OptimizerTrace",
+    "OptimizerResult",
     "StationarityReport",
     "functional_value",
     "functional_gradient",
@@ -36,40 +39,24 @@ __all__ = [
     "verify_stationarity",
 ]
 
-FLOOR_FRACTION = 1e-12  # floor = FLOOR_FRACTION * gamma; reported as zero coupling
-_ARMIJO = 1e-4
-_MAX_BACKTRACKS = 60
+# A cell's root solve stops once the Newton step is below this fraction of u;
+# the stage value is flat to second order there, so the last step's error
+# costs nothing.
+_ROOT_RTOL = 1e-12
+_MAX_ROOT_EVALS = 200  # bisection alone narrows [0, sqrt(cap)] to round-off
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    max_iters: int = 5000
-    step_size: float = 1.0
-    tolerance: float = 1e-10
+class OptimizerResult:
+    """What the backward sweep did and how stationary its optimum is.
 
-    def __post_init__(self) -> None:
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-
-
-@dataclass
-class OptimizerTrace:
-    """Per-iteration record of an optimization run.
-
-    ``functional`` holds the accepted objective values (non-decreasing) and
-    ``grad_norm`` the max-norm of the projected gradient in the square-root
-    variables at each accepted iterate.
+    ``iterations`` counts the stage-derivative evaluations of all cells'
+    root solves.  ``kkt_residual`` is the max-norm of the projected gradient
+    in u = sqrt(gamma1), divided by ``2 sqrt(gamma) dt``.
     """
 
-    functional: list[float] = field(default_factory=list)
-    grad_norm: list[float] = field(default_factory=list)
-    iterations: int = 0
-    converged: bool = False
-    message: str = ""
+    iterations: int
+    kkt_residual: float
 
 
 def _cell_values(c: CouplingProfile, p: SystemParams, grid: TimeGrid) -> np.ndarray:
@@ -88,12 +75,39 @@ def _phi(z: np.ndarray) -> np.ndarray:
 
 
 def _phi_prime(z: np.ndarray) -> np.ndarray:
-    """d/dz of (exp(z) - 1)/z, series-stabilized near z = 0."""
+    """d/dz of (exp(z) - 1)/z, series-stabilized near z = 0.
+
+    (exp(z)(z - 1) + 1) / z^2 is written 1/z + expm1(z) (z - 1) / z^2, whose
+    cancellation costs ~eps/|z| rather than ~eps/z^2 and which stays finite
+    wherever expm1(z) is.
+    """
     small = np.abs(z) < 1e-4
     zs = np.where(small, 1.0, z)
     out = np.where(small, 0.5 + z / 3.0 + z * z / 8.0,
-                   (np.exp(zs) * (zs - 1.0) + 1.0) / (zs * zs))
+                   1.0 / zs + np.expm1(zs) * ((zs - 1.0) / (zs * zs)))
     return out
+
+
+def _phi_scalars(z: float) -> tuple[float, float, float]:
+    """phi, phi' and phi'' at one float, from a single ``math.expm1``.
+
+    phi and phi' switch to their series where :func:`_phi` and
+    :func:`_phi_prime` do.  phi'' only steers Newton steps; its closed form
+    cancels like eps/z^2, so its series takes over at |z| < 1e-2, where both
+    are good to ~1e-10.  Nothing overflows below expm1's own limit.
+    """
+    az = abs(z)
+    m = math.expm1(z)
+    f = 1.0 + z / 2.0 + z * z / 6.0 if az < 1e-5 else m / z
+    if az < 1e-4:
+        d1 = 0.5 + z / 3.0 + z * z / 8.0
+    else:
+        d1 = 1.0 / z + m * ((z - 1.0) / (z * z))
+    if az < 1e-2:
+        d2 = 1.0 / 3.0 + z * (0.25 + z * (0.1 + z / 36.0))
+    else:
+        d2 = (z - 2.0) / (z * z) + m * (((z - 2.0) * z + 2.0) / (z * z * z))
+    return f, d1, d2
 
 
 def functional_value(c: CouplingProfile, p: SystemParams, grid: TimeGrid) -> float:
@@ -134,29 +148,33 @@ def functional_gradient(c: CouplingProfile, p: SystemParams,
 
     Computed by reverse accumulation over the quadrature sum; requires
     strictly positive cell values (the derivative of sqrt is singular at
-    zero — the optimizer floors its iterates before calling).  The entry for
-    the final node is zero: it lies outside every quadrature cell.
+    zero).  The entry for the final node is zero: it lies outside every
+    quadrature cell.
     """
     cells = _cell_values(c, p, grid)
-    grad_cells = _gradient_from_cells(cells, p, grid)
-    return np.concatenate((grad_cells, [0.0]))
-
-
-def _gradient_from_cells(cells: np.ndarray, p: SystemParams,
-                         grid: TimeGrid) -> np.ndarray:
     if np.any(cells <= 0):
         raise ValueError("gradient needs strictly positive profile values")
-    dt = grid.dt
-    expo, z = _weights(cells, p, grid)
     root = np.sqrt(cells)
+    # chain rule through gamma1 = u^2
+    return np.concatenate((_u_gradient(root, p, grid) / (2.0 * root), [0.0]))
+
+
+def _u_gradient(u: np.ndarray, p: SystemParams, grid: TimeGrid) -> np.ndarray:
+    """Gradient of the functional in the square roots u = sqrt(cells).
+
+    Finite everywhere on the box, u = 0 included.
+    """
+    dt = grid.dt
+    cells = u * u
+    expo, z = _weights(cells, p, grid)
     phi = _phi(z)
-    w = expo * root * phi
+    w = expo * u * phi
     # suffix[j] = sum of w over cells strictly after j (reverse accumulation
     # of G's dependence on cell j)
     suffix = np.concatenate((np.cumsum(w[::-1])[-2::-1], [0.0]))
-    # direct term: d/dg of sqrt(g)*phi((gamma-g)dt) at fixed G
-    direct = expo * (phi / (2.0 * root) - root * _phi_prime(z) * dt)
-    return 2.0 * math.sqrt(p.gamma) * dt * (direct - dt * suffix)
+    # direct term: d/du of u*phi((gamma-u^2)dt) at fixed G
+    direct = expo * (phi - 2.0 * cells * _phi_prime(z) * dt)
+    return 2.0 * math.sqrt(p.gamma) * dt * (direct - 2.0 * dt * u * suffix)
 
 
 def _projected_gradient_norm(v: np.ndarray, grad: np.ndarray,
@@ -167,115 +185,107 @@ def _projected_gradient_norm(v: np.ndarray, grad: np.ndarray,
     return float(np.max(np.abs(pg))) if pg.size else 0.0
 
 
+def _stage_slopes(u: float, s: float, c: float, a: float,
+                  b: float) -> tuple[float, float]:
+    """First and second u-derivatives of the stage value
+    ``s*u*phi(a - b*u^2) + c*exp(-b*u^2)``."""
+    q = b * u * u
+    f, d1, d2 = _phi_scalars(a - q)
+    e = c * math.exp(-q)
+    return (s * (f - 2.0 * q * d1) - 2.0 * b * u * e,
+            s * b * u * (4.0 * q * d2 - 6.0 * d1) + 2.0 * b * e * (2.0 * q - 1.0))
+
+
+def _stage_argmax(s: float, c: float, a: float, b: float, top: float,
+                  guess: float) -> tuple[float, int]:
+    """Maximizer over [0, top] of the stage value, and the evaluations spent.
+
+    The slope at u = 0 is ``s*phi(a) > 0``, so the maximizer is the box end
+    ``top`` when the slope there is still positive, and otherwise the root
+    of the slope in between, found by Newton steps from ``guess`` inside a
+    shrinking sign bracket, with bisection whenever a step leaves it.  Where
+    s has underflowed to 0 the slope is negative on all of (0, top].
+    """
+    if s == 0.0:
+        return 0.0, 0
+    d1, d2 = _stage_slopes(top, s, c, a, b)
+    if d1 > 0.0:
+        return top, 1
+    lo, hi, u = 0.0, top, top
+    evals = 1
+    if guess < top:
+        u = guess
+        d1, d2 = _stage_slopes(u, s, c, a, b)
+        evals += 1
+    while evals < _MAX_ROOT_EVALS:
+        if d1 > 0.0:
+            lo = u
+        else:
+            hi = u
+        step = -d1 / d2 if d2 < 0.0 else math.inf
+        # converged steps may land on a bracket end: test them first
+        if abs(step) <= _ROOT_RTOL * u:
+            return min(max(u + step, 0.0), top), evals
+        u += step
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+        d1, d2 = _stage_slopes(u, s, c, a, b)
+        evals += 1
+    return math.nan, evals
+
+
 def optimize_profile(
     p: SystemParams,
     grid: TimeGrid,
-    cfg: OptimizerConfig,
     gamma1_max: Optional[float] = None,
-    initial: Union[CouplingProfile, np.ndarray, None] = None,
-) -> tuple[CouplingProfile, OptimizerTrace]:
-    """Maximize the transfer functional over box-constrained grid profiles.
+) -> tuple[CouplingProfile, OptimizerResult]:
+    """Exact maximizer of the discrete transfer functional over the box
+    ``0 <= gamma1 <= gamma1_max`` on the grid's cells.
 
-    Parameters
-    ----------
-    p, grid : system parameters and the optimization grid.
-    cfg : ascent controls (iterations, initial step, stopping tolerance).
-    gamma1_max : upper box bound; defaults to ``1 / (2 dt)``, the stiffest
-        coupling the grid can resolve.
-    initial : starting profile (a :class:`CouplingProfile`, an array of node
-        values, or None for the constant profile ``gamma1 = gamma``).
+    ``gamma1_max`` defaults to ``1 / (2 dt)``, the stiffest coupling the
+    grid can resolve.  With V_j the best value of the cells from j on,
+    ``V_j = max_g E_j r(g) + exp(-g dt) V_{j+1}`` and ``V_n = 0``.  Dividing
+    stage j by V_{j+1} leaves ``sigma_j u phi((gamma - u^2) dt) +
+    exp(-u^2 dt)`` to maximize, with ``sigma_j = E_j / V_{j+1}``; its maximum
+    W_j gives ``sigma_{j-1} = exp(-gamma dt) sigma_j / W_j``.  The last cell
+    maximizes ``u phi`` alone.  sigma only shrinks going backward, so this
+    form stays finite at any gamma*T, where V_{j+1} / E_j would overflow.
 
-    Returns the optimized sampled profile and the iteration trace.  If the
-    improvement never falls below ``cfg.tolerance`` within ``cfg.max_iters``
-    iterations the trace is flagged ``converged=False`` — the profile is
-    still the best iterate found.
+    Returns the optimal sampled profile and an :class:`OptimizerResult`.
+    Raises ``FloatingPointError`` naming the cell whose stage value is not
+    finite.
     """
     n = grid.n_steps
     dt = grid.dt
     cap = 1.0 / (2.0 * dt) if gamma1_max is None else float(gamma1_max)
-    floor = FLOOR_FRACTION * p.gamma
-    if cap <= floor:
-        raise ValueError("gamma1_max must exceed the positivity floor")
+    if not cap > 0.0:
+        raise ValueError("gamma1_max must be positive")
+    top = math.sqrt(cap)
+    a = p.gamma * dt
+    decay = math.exp(-a)
 
-    if initial is None:
-        cells = np.full(n, p.gamma)
-    elif isinstance(initial, CouplingProfile):
-        cells = _cell_values(initial, p, grid)
-    else:
-        arr = np.asarray(initial, dtype=float)
-        if arr.shape not in ((n,), (n + 1,)):
-            raise ValueError(f"initial profile must have {n} or {n + 1} values")
-        cells = arr[:n].copy()
-    cells = np.clip(cells, floor, cap)
+    u = np.empty(n)
+    s, c, guess, iterations = 1.0, 0.0, top, 0
+    for j in range(n - 1, -1, -1):
+        try:
+            uj, evals = _stage_argmax(s, c, a, dt, top, guess)
+            q = dt * uj * uj
+            best = s * uj * _phi_scalars(a - q)[0] + c * math.exp(-q)
+        except OverflowError:
+            best = math.inf
+        if not (math.isfinite(best) and best > 0.0):
+            raise FloatingPointError(
+                f"stage value {best!r} is not finite and positive in cell {j}")
+        u[j] = guess = uj
+        iterations += evals
+        s, c = decay * s / best, 1.0
 
-    u = np.sqrt(cells)
-    lo, hi = math.sqrt(floor), math.sqrt(cap)
-
-    def value(uu: np.ndarray) -> float:
-        return _functional_from_cells(uu * uu, p, grid)
-
-    def gradient(uu: np.ndarray) -> np.ndarray:
-        # chain rule through gamma1 = u^2
-        return 2.0 * uu * _gradient_from_cells(uu * uu, p, grid)
-
-    trace = OptimizerTrace()
-    f_cur = value(u)
-    grad = gradient(u)
-    alpha = cfg.step_size
-    u_prev: Optional[np.ndarray] = None
-    grad_prev: Optional[np.ndarray] = None
-
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        if u_prev is not None:
-            # Spectral (Barzilai-Borwein) trial step: fits the effective
-            # curvature along the last move, which accelerates the slow
-            # long-wavelength modes far beyond a doubling heuristic.
-            s = u - u_prev
-            y = grad - grad_prev
-            sy = float(s @ y)
-            if sy < 0.0:
-                alpha = min(float(s @ s) / (-sy), cfg.step_size * 1e12)
-            else:
-                alpha = min(alpha * 2.0, cfg.step_size * 1e12)
-        u_prev, grad_prev = u, grad
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            u_new = np.clip(u + alpha * grad, lo, hi)
-            slope = float(grad @ (u_new - u))
-            if slope <= 0.0:
-                break  # projected stationary: nothing uphill within the box
-            f_new = value(u_new)
-            if f_new >= f_cur + _ARMIJO * slope:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            trace.converged = True
-            trace.message = "projected gradient vanished within the box"
-            break
-        improvement = f_new - f_cur
-        u, f_cur = u_new, f_new
-        # the one gradient per iteration: recorded here, reused by the next
-        # iteration's spectral step and Armijo slope
-        grad = gradient(u)
-        trace.functional.append(f_cur)
-        trace.grad_norm.append(_projected_gradient_norm(u, grad, lo, hi))
-        if improvement < cfg.tolerance:
-            trace.converged = True
-            trace.message = (
-                f"improvement {improvement:.3e} below tolerance {cfg.tolerance:.3e}"
-            )
-            break
-    trace.iterations = it if cfg.max_iters > 0 else 0
-    if not trace.converged:
-        trace.message = trace.message or "iteration budget exhausted before convergence"
-
-    cells_out = u * u
-    cells_out = np.where(cells_out <= floor, 0.0, cells_out)  # report floor as zero
-    node_values = np.concatenate((cells_out, [cells_out[-1]]))
+    kkt = _projected_gradient_norm(u, _u_gradient(u, p, grid), 0.0, top)
+    cells = u * u
+    node_values = np.concatenate((cells, [cells[-1]]))
     profile = CouplingProfile.sampled(grid, node_values, gamma1_max=cap)
-    return profile, trace
+    return profile, OptimizerResult(
+        iterations, kkt / (2.0 * math.sqrt(p.gamma) * dt))
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,8 @@ first non-finite coefficient.
 
 A column born at t_j reaches t_i through the maps of steps j..i-1, so with
 kernel tracking the integrator keeps only those maps and the k1 births
-(O(n) memory, 32 bytes per step): any kernel row is rebuilt on demand by
-:meth:`~oscxfer.types.TransferState.kernel_row`, and
-:func:`commutator_check` sums the rows' norms without forming them.
+(O(n) memory, 32 bytes per step): any kernel row can be rebuilt from them,
+and :func:`commutator_check` sums the rows' norms without forming them.
 """
 
 from __future__ import annotations
@@ -208,8 +207,7 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
 
     Returns the transfer coefficients on the grid; ``a21(T)`` is the
     achieved transfer amplitude.  Enable ``cfg.kernel_tracking`` to also
-    record the noise kernels' generators needed by :func:`commutator_check`
-    and :meth:`~oscxfer.types.TransferState.kernel_row`.
+    record the noise kernels' generators needed by :func:`commutator_check`.
     """
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     if c.kind is ProfileKind.OPTIMAL_CLOSED_FORM and c.truncation is None:

@@ -328,8 +328,8 @@ class TransferState:
     otherwise): ``step_maps``, shape ``(3, n_steps)``, whose column i is
     macro step i's map ``(mxx, myx, myy)``; ``k1_births``, ``sqrt(2 g1)`` on
     the nodes; and ``channel_births``, the constant births of ``k2``, of the
-    loss ports and of the beam-splitter port.  :meth:`kernel_row` rebuilds
-    one row of all six.
+    loss ports and of the beam-splitter port.  Row i of a kernel is the
+    births of nodes j <= i carried through the maps of steps j..i-1.
     """
 
     params: SystemParams
@@ -349,33 +349,6 @@ class TransferState:
     def fidelity_curve(self) -> tuple[np.ndarray, np.ndarray]:
         """(times, a21) series over the whole grid."""
         return self.grid.nodes(), self.a21.copy()
-
-    def kernel_row(self, i: int) -> dict[str, np.ndarray]:
-        """Row ``i`` of every noise kernel: ``k(t_i, t_j)`` for ``j = 0..i``.
-
-        The product of step maps j..i-1 is built backward from row i, one map
-        at a time, so no ratio of accumulated maps appears and nothing
-        underflows that the kernel itself does not.
-        """
-        if self.step_maps is None:
-            raise ValueError("kernel_row needs a state integrated with "
-                             "kernel_tracking enabled")
-        if not 0 <= i <= self.grid.n_steps:
-            raise IndexError(f"row {i} is outside 0..{self.grid.n_steps}")
-        pxx, pyx, pyy = np.empty((3, i + 1))
-        xx, yx, yy = 1.0, 0.0, 1.0
-        pxx[i], pyx[i], pyy[i] = xx, yx, yy
-        backward = (memoryview(m[:i][::-1]) for m in self.step_maps)
-        for j, mxx, myx, myy in zip(range(i - 1, -1, -1), *backward):
-            yx = yx * mxx + yy * myx
-            xx *= mxx
-            yy *= myy
-            pxx[j], pyx[j], pyy[j] = xx, yx, yy
-        b1 = self.k1_births[:i + 1]
-        b2, bl, bv = self.channel_births
-        return {"k1": pxx * b1, "k2": pyx * b1 + pyy * b2,
-                "kl1": pxx * bl, "kl12": pyx * bl,
-                "kl2": pyy * bl, "kv2": pyy * bv}
 
 
 @dataclass(frozen=True)

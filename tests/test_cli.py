@@ -94,20 +94,16 @@ class TestOptimize:
                      "--steps", "300", "--out", str(out)])
         assert code == 0
         rep = _read_json(out / "optimize_report.json")
-        assert rep["converged"] is True
+        assert rep["kkt_residual"] <= 1e-9
         assert rep["functional"] < math.sqrt(-math.expm1(-4.0)) + 1e-12
         assert (out / "profile.csv").exists()
-        assert (out / "trace.csv").exists()
+        assert not (out / "trace.csv").exists()
 
-    def test_zero_iterations_exits_4_with_artifacts(self, tmp_path):
-        out = tmp_path / "run"
-        code = main(["optimize", "--gamma", "1", "--T", "2",
-                     "--steps", "100", "--max-iters", "0", "--out", str(out)])
-        assert code == 4
-        rep = _read_json(out / "optimize_report.json")
-        assert rep["converged"] is False
-        assert rep["iterations"] == 0
-        assert (out / "profile.csv").exists()
+    def test_removed_iteration_flag_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--max-iters", "5",
+                  "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
 
     def test_profile_csv_roundtrips_into_simulate(self, tmp_path):
         opt_out = tmp_path / "opt"
@@ -296,6 +292,19 @@ class TestConfigHandling:
         assert main(["optimize", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
         assert "unknown config keys: parametrization" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_iters", 5000),
+        ("step_size", 1.0),
+        ("tolerance", 1e-10),
+    ])
+    def test_removed_ascent_key_exits_2(self, tmp_path, capsys, key, value):
+        # config files from versions with the iterative ascent's knobs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 1.0, key: value}))
+        assert main(["optimize", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
 
     def test_malformed_config_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ The integrator keeps only each macro step's map and the births; the dense
 oracle below rebuilds all six (n+1)^2 kernel matrices the direct way, by
 stepping every live column through each map, and sums the commutator rows
 one by one.  It is meant for n <= 2000 (six matrices of 32 MB each there).
+``kernel_row`` rebuilds one row of all six from the generators alone.
 """
 
 import math
@@ -20,6 +21,34 @@ from oscxfer.simulate import (
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid, profile_values
 
 NAMES = ("k1", "k2", "kl1", "kl12", "kl2", "kv2")
+
+
+def kernel_row(st, i):
+    """Row ``i`` of every noise kernel: ``k(t_i, t_j)`` for ``j = 0..i``.
+
+    The product of step maps j..i-1 is built backward from row i, one map
+    at a time, so no ratio of accumulated maps appears and nothing
+    underflows that the kernel itself does not.
+    """
+    if st.step_maps is None:
+        raise ValueError("kernel_row needs a state integrated with "
+                         "kernel_tracking enabled")
+    if not 0 <= i <= st.grid.n_steps:
+        raise IndexError(f"row {i} is outside 0..{st.grid.n_steps}")
+    pxx, pyx, pyy = np.empty((3, i + 1))
+    xx, yx, yy = 1.0, 0.0, 1.0
+    pxx[i], pyx[i], pyy[i] = xx, yx, yy
+    backward = (memoryview(m[:i][::-1]) for m in st.step_maps)
+    for j, mxx, myx, myy in zip(range(i - 1, -1, -1), *backward):
+        yx = yx * mxx + yy * myx
+        xx *= mxx
+        yy *= myy
+        pxx[j], pyx[j], pyy[j] = xx, yx, yy
+    b1 = st.k1_births[:i + 1]
+    b2, bl, bv = st.channel_births
+    return {"k1": pxx * b1, "k2": pyx * b1 + pyy * b2,
+            "kl1": pxx * bl, "kl12": pyx * bl,
+            "kl2": pyy * bl, "kv2": pyy * bv}
 
 
 def dense_kernels(st):
@@ -127,7 +156,7 @@ def test_kernel_rows_match_dense(case):
     _, st, mats = case
     n = st.grid.n_steps
     for i in (0, 1, 2, n // 3, n // 2, n - 1, n):
-        row = st.kernel_row(i)
+        row = kernel_row(st, i)
         for name in NAMES:
             assert row[name].shape == (i + 1,)
             assert np.max(np.abs(row[name] - mats[name][i, :i + 1])) <= 1e-12, (
@@ -145,14 +174,14 @@ def test_commutator_matches_dense(case):
 def test_kernel_row_bounds_and_tracking():
     _, st = _lossless_constant()
     with pytest.raises(IndexError):
-        st.kernel_row(st.grid.n_steps + 1)
+        kernel_row(st, st.grid.n_steps + 1)
     with pytest.raises(IndexError):
-        st.kernel_row(-1)
+        kernel_row(st, -1)
     untracked = integrate_transfer(CouplingProfile.constant(1.0),
                                    SystemParams(gamma=1.0, transfer_time=2.0),
                                    IntegratorConfig(n_steps=100))
     with pytest.raises(ValueError):
-        untracked.kernel_row(0)
+        kernel_row(untracked, 0)
 
 
 def test_lossy_deficits_stay_finite_at_large_gamma_t():

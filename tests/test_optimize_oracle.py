@@ -1,0 +1,200 @@
+"""The backward-sweep optimum against brute force and the former ascent.
+
+The oracle below is the projected Barzilai-Borwein/Armijo gradient ascent
+in u = sqrt(gamma1) that the backward sweep replaced: from a starting
+profile clipped into [floor, cap] (floor = 1e-12 gamma) it takes a spectral
+trial step, halves it until the Armijo condition holds, and stops when an
+accepted step improves the functional by less than the tolerance or when no
+uphill step is left in the box.  It only ever approaches the discrete
+optimum, so the sweep must never end below it.
+"""
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oscxfer.optimize import (
+    _functional_from_cells,
+    _phi,
+    _u_gradient,
+    functional_value,
+    optimize_profile,
+)
+from oscxfer.types import CouplingProfile, SystemParams, TimeGrid, profile_values
+
+FLOOR_FRACTION = 1e-12
+ARMIJO = 1e-4
+MAX_BACKTRACKS = 60
+
+
+@dataclass
+class AscentTrace:
+    """What the ascent did: the functional after each accepted step, the
+    iterations begun, and why it stopped ("tolerance", "no uphill step" or
+    "budget"; only the last is unconverged)."""
+
+    functional: list = field(default_factory=list)
+    iterations: int = 0
+    stop: str = "budget"
+
+    @property
+    def converged(self):
+        return self.stop != "budget"
+
+
+def ascent_oracle(p, grid, gamma1_max=None, initial=None, max_iters=5000,
+                  tolerance=1e-10):
+    """Cell values of the ascent's final iterate (floored cells reported as
+    zero), started from ``initial`` (a profile) or gamma1 = gamma, and its
+    :class:`AscentTrace`."""
+    n, dt = grid.n_steps, grid.dt
+    cap = 1.0 / (2.0 * dt) if gamma1_max is None else float(gamma1_max)
+    floor = FLOOR_FRACTION * p.gamma
+    if initial is None:
+        cells = np.full(n, p.gamma)
+    else:
+        cells = profile_values(initial, p, grid.nodes()[:-1])
+    u = np.sqrt(np.clip(cells, floor, cap))
+    lo, hi = math.sqrt(floor), math.sqrt(cap)
+
+    def value(uu):
+        return _functional_from_cells(uu * uu, p, grid)
+
+    trace = AscentTrace()
+    f_cur = value(u)
+    grad = _u_gradient(u, p, grid)
+    alpha = 1.0
+    u_prev = grad_prev = None
+    for trace.iterations in range(1, max_iters + 1):
+        if u_prev is not None:
+            s, y = u - u_prev, grad - grad_prev
+            sy = float(s @ y)
+            alpha = min(float(s @ s) / (-sy) if sy < 0.0 else 2.0 * alpha, 1e12)
+        u_prev, grad_prev = u, grad
+        accepted = False
+        for _ in range(MAX_BACKTRACKS):
+            u_new = np.clip(u + alpha * grad, lo, hi)
+            slope = float(grad @ (u_new - u))
+            if slope <= 0.0:
+                break  # nothing uphill within the box
+            f_new = value(u_new)
+            if f_new >= f_cur + ARMIJO * slope:
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            trace.stop = "no uphill step"
+            break
+        improvement = f_new - f_cur
+        u, f_cur = u_new, f_new
+        # the one gradient per iteration: reused by the next spectral step
+        # and Armijo slope
+        grad = _u_gradient(u, p, grid)
+        trace.functional.append(f_cur)
+        if improvement < tolerance:
+            trace.stop = "tolerance"
+            break
+    cells = u * u
+    return np.where(cells <= floor, 0.0, cells), trace
+
+
+def _dp(p, grid, cap=None):
+    prof, result = optimize_profile(p, grid, gamma1_max=cap)
+    return functional_value(prof, p, grid), result
+
+
+def _batch_functional(u, p, grid):
+    """The cell functional of each row of ``u`` (square roots of cells)."""
+    cells = u * u
+    dt = grid.dt
+    ts = grid.nodes()[:-1]
+    big_g = np.concatenate((np.zeros((u.shape[0], 1)),
+                            np.cumsum(cells[:, :-1], axis=1) * dt), axis=1)
+    expo = np.exp(-p.gamma * (grid.t_end - ts) - big_g)
+    w = expo * u * _phi((p.gamma - cells) * dt)
+    return 2.0 * math.sqrt(p.gamma) * dt * np.sum(w, axis=1)
+
+
+def _brute_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n, points in ((2, 401), (3, 61), (4, 25)):
+        for k in range(10):
+            gamma = float(rng.uniform(0.2, 3.0))
+            T = float(rng.uniform(0.5, 6.0)) / gamma
+            cap = None if k % 3 == 0 else gamma * float(rng.uniform(0.5, 50.0))
+            cases.append(pytest.param(n, points, gamma, T, cap,
+                                      id=f"n{n}-{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("n, points, gamma, T, cap", _brute_cases())
+def test_brute_force_grid_never_beats_dp(n, points, gamma, T, cap):
+    p = SystemParams(gamma=gamma, transfer_time=T)
+    grid = TimeGrid(T, n)
+    f_dp, _ = _dp(p, grid, cap)
+    top = math.sqrt(1.0 / (2.0 * grid.dt) if cap is None else cap)
+    axes = np.meshgrid(*[np.linspace(0.0, top, points)] * n, indexing="ij")
+    u = np.stack([a.ravel() for a in axes], axis=1)
+    assert np.max(_batch_functional(u, p, grid)) <= f_dp + 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(gamma=st.floats(0.2, 3.0), gamma_t=st.floats(0.5, 6.0),
+       n=st.integers(10, 400),
+       cap_factor=st.one_of(st.none(), st.floats(0.5, 50.0)))
+def test_dp_never_below_ascent(gamma, gamma_t, n, cap_factor):
+    T = gamma_t / gamma
+    p = SystemParams(gamma=gamma, transfer_time=T)
+    grid = TimeGrid(T, n)
+    cap = None if cap_factor is None else cap_factor * gamma
+    f_dp, result = _dp(p, grid, cap)
+    cells, _ = ascent_oracle(p, grid, cap)
+    f_asc = _functional_from_cells(cells, p, grid)
+    assert f_dp >= f_asc - 1e-13
+    assert result.kkt_residual <= 1e-9
+    assert result.iterations >= n
+
+
+@pytest.mark.parametrize("gamma_t", [720.0, 2000.0])
+def test_long_horizon_stays_finite(gamma_t):
+    # sigma_j = E_j / V_{j+1} only shrinks going backward, where the forward
+    # ratio V_{j+1} / E_j overflows beyond gamma*T ~ 709.  The ascent from
+    # gamma1 = gamma stalls at F = 0 here (exp(-G) underflows), so the oracle
+    # starts from the truncated closed form.
+    p = SystemParams(gamma=1.0, transfer_time=gamma_t)
+    grid = TimeGrid(gamma_t, 20_000)
+    f_dp, result = _dp(p, grid)
+    start = CouplingProfile.optimal(truncation=grid.dt)
+    cells, _ = ascent_oracle(p, grid, initial=start)
+    f_asc = _functional_from_cells(cells, p, grid)
+    assert math.isfinite(f_dp)
+    assert f_dp >= f_asc - 1e-13
+    assert result.kkt_residual <= 1e-9
+
+
+def test_stage_overflow_names_the_cell():
+    # gamma*dt = 1000: phi((gamma - g) dt) overflows in every cell
+    p = SystemParams(gamma=1000.0, transfer_time=10.0)
+    with pytest.raises(FloatingPointError, match="in cell 9"):
+        optimize_profile(p, TimeGrid(10.0, 10))
+
+
+def test_underflowed_stages_take_zero_coupling():
+    # gamma*dt = 705: the last cell's stage value is ~1e303, so sigma
+    # underflows to 0 in every earlier cell, whose best coupling is then 0
+    p = SystemParams(gamma=1.0, transfer_time=7050.0)
+    grid = TimeGrid(7050.0, 10)
+    prof, result = optimize_profile(p, grid)
+    assert np.all(prof.values[:9] == 0.0)
+    assert prof.values[9] == prof.gamma1_max
+    f_dp = functional_value(prof, p, grid)
+    cells, _ = ascent_oracle(p, grid)
+    f_asc = _functional_from_cells(cells, p, grid)
+    assert math.isfinite(f_dp)
+    assert f_dp >= f_asc - 1e-13
+    assert result.kkt_residual <= 1e-9

@@ -21,6 +21,7 @@ from oscxfer.simulate import (
     integrate_transfer,
 )
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
+from test_kernels import kernel_row
 
 
 P12 = SystemParams(gamma=1.0, transfer_time=2.0)
@@ -121,7 +122,7 @@ class TestKernels:
         tau = 2.0 - np.arange(n + 1) * (2.0 / n)
         k1_cf = math.sqrt(2.0) * np.exp(-tau)
         k2_cf = k1_cf * (2.0 * tau - 1.0)
-        row = st.kernel_row(n)
+        row = kernel_row(st, n)
         assert np.max(np.abs(row["k1"] - k1_cf)) < 1e-10
         assert np.max(np.abs(row["k2"] - k2_cf)) < 1e-9
 
