@@ -27,8 +27,7 @@ from .oracles import (
     fidelity_constant_coupling,
     fidelity_lossy,
     fidelity_optimal,
-    infidelity_budget,
-    optimal_profile,
+    reference_curve,
     validity_windows,
 )
 from .simulate import (
@@ -49,8 +48,8 @@ from .circuit import (
     CircuitRates,
     CircuitSpec,
     Topology,
+    carrier_frequency,
     circuit_to_rates,
-    rates_to_validity,
 )
 
 __version__ = "0.1.0"
@@ -60,8 +59,8 @@ __all__ = [
     "TransferState", "ValidityWindows", "FidelityReport", "ParamIssue",
     "ProfileSingularityError", "validate_params", "profile_value",
     "profile_values",
-    "fidelity_constant_coupling", "optimal_profile", "fidelity_optimal",
-    "fidelity_lossy", "infidelity_budget", "budget_report",
+    "fidelity_constant_coupling", "fidelity_optimal", "fidelity_lossy",
+    "reference_curve", "budget_report",
     "validity_windows", "euler_lagrange_residual",
     "Method", "IntegratorConfig", "IntegrationError", "integrate_transfer",
     "commutator_check",
@@ -69,6 +68,6 @@ __all__ = [
     "functional_value", "functional_gradient", "optimize_profile",
     "verify_stationarity",
     "Topology", "CircuitSpec", "CircuitRates", "circuit_to_rates",
-    "rates_to_validity",
+    "carrier_frequency",
     "__version__",
 ]

@@ -4,7 +4,11 @@ A series RLC damps the charge coordinate at gamma = R / (2L); a parallel RLC
 damps the voltage coordinate at gamma = 1 / (2RC).  Both share
 omega0 = 1 / sqrt(LC).  The ground-state spread of the damped coordinate
 (charge for series, voltage for parallel) sets the scale on which quantum
-effects live and is reported alongside the rates.
+effects live and is reported alongside the rates.  Two circuits form one
+cascade only if they resonate at the same frequency
+(:func:`carrier_frequency`); the receiver's damping rate is then the
+model's ``gamma``, and ``oscxfer.oracles.validity_windows`` checks the
+scale separations.
 """
 
 from __future__ import annotations
@@ -13,15 +17,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .oracles import validity_windows
-from .types import SystemParams, ValidityWindows
-
 __all__ = [
     "Topology",
     "CircuitSpec",
     "CircuitRates",
     "circuit_to_rates",
-    "rates_to_validity",
+    "carrier_frequency",
     "HBAR_SI",
 ]
 
@@ -85,28 +86,18 @@ def circuit_to_rates(spec: CircuitSpec, hbar: float = HBAR_SI) -> CircuitRates:
     )
 
 
-def rates_to_validity(gamma1_max: float, sender: CircuitSpec,
-                      receiver: CircuitSpec, target_fidelity: float,
-                      margin: float = 10.0,
-                      hbar: float = HBAR_SI) -> ValidityWindows:
-    """Scale-separation check for a transfer between two physical circuits.
+def carrier_frequency(sender: CircuitRates, receiver: CircuitRates) -> float:
+    """The common resonance frequency of a sender and a receiver circuit.
 
     The model assumes identical oscillators: resonance frequencies that
-    disagree by more than one part per million are refused rather than
-    extrapolated.  The receiver's damping sets the drain rate; the sender's
-    coupling is assumed tunable up to ``gamma1_max``.
+    disagree by more than one part per million are refused with a
+    :class:`ValueError` rather than extrapolated.  Otherwise their mean is
+    returned.
     """
-    r_send = circuit_to_rates(sender, hbar=hbar)
-    r_recv = circuit_to_rates(receiver, hbar=hbar)
-    w_ref = 0.5 * (r_send.omega0 + r_recv.omega0)
-    if abs(r_send.omega0 - r_recv.omega0) > 1e-6 * w_ref:
+    w_ref = 0.5 * (sender.omega0 + receiver.omega0)
+    if abs(sender.omega0 - receiver.omega0) > 1e-6 * w_ref:
         raise ValueError(
             "non-identical oscillators: resonance frequencies differ by more "
-            f"than 1 ppm ({r_send.omega0:.9e} vs {r_recv.omega0:.9e})"
+            f"than 1 ppm ({sender.omega0:.9e} vs {receiver.omega0:.9e})"
         )
-    p = SystemParams(
-        gamma=r_recv.gamma,
-        transfer_time=1.0,  # not consulted by the windows
-        omega0=w_ref,
-    )
-    return validity_windows(p, gamma1_max, target_fidelity, margin=margin)
+    return w_ref

@@ -3,7 +3,9 @@
 Each subcommand reads its configuration from flags and/or a JSON config file
 (flags override file values override defaults), echoes the effective
 configuration into the output directory for reproducibility, and writes
-plot-ready CSV plus JSON reports.  Exit codes: 0 success, 2 invalid
+plot-ready CSV plus JSON reports.  ``simulate`` and every ``sweep`` point
+run the same code and compare against the same closed form,
+:func:`oscxfer.oracles.reference_curve`.  Exit codes: 0 success, 2 invalid
 configuration, 3 numerical failure.
 """
 
@@ -22,13 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import CircuitSpec, Topology, circuit_to_rates, rates_to_validity
-from .oracles import (
-    _constant_coupling_curve,
-    _optimal_curve,
-    budget_report,
-    fidelity_lossy,
-)
+from .circuit import CircuitSpec, Topology, carrier_frequency, circuit_to_rates
+from .oracles import budget_report, reference_curve
 from .optimize import functional_value, optimize_profile, verify_stationarity
 from .simulate import (
     IntegrationError,
@@ -211,19 +208,6 @@ def _profile_from_file(path: str, grid: TimeGrid, cfg: RunConfig) -> CouplingPro
     return CouplingProfile.sampled(grid, data[:, 1], gamma1_max=cfg.gamma1_max)
 
 
-def _oracle_curve(p: SystemParams, profile: CouplingProfile,
-                  times: np.ndarray) -> np.ndarray:
-    """Closed-form reference curve for the chosen profile, NaN if none exists."""
-    damp = math.sqrt(p.eta) * np.exp(-p.gamma_loss * times)
-    if profile.kind is ProfileKind.CONSTANT:
-        return damp * _constant_coupling_curve(p.gamma, profile.gamma1, times)
-    if profile.kind is ProfileKind.OPTIMAL_CLOSED_FORM:
-        cut = p.transfer_time - (profile.truncation or 0.0)
-        return damp * _optimal_curve(p.gamma, p.transfer_time,
-                                     np.minimum(times, cut))
-    return np.full(times.size, math.nan)
-
-
 def _simulate(cfg: RunConfig):
     """Build the run's params, grid and profile and integrate; returns
     ``(params, profile, state)``."""
@@ -240,7 +224,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     p, profile, state = _simulate(cfg)
 
     times, curve = state.fidelity_curve()
-    oracle = _oracle_curve(p, profile, times)
+    oracle = reference_curve(p, profile, times)
     abs_err = np.abs(curve - oracle)
     if cfg.format in ("csv", "both"):
         _write_csv(out / "fidelity_curve.csv",
@@ -341,10 +325,11 @@ def _sweep_point(job: tuple) -> tuple[float, float]:
     cfg, name, value = job
     cfg = dataclasses.replace(cfg, **{_SWEEPABLE[name]: value})
     try:
-        p, _, state = _simulate(cfg)
+        p, profile, state = _simulate(cfg)
     except ConfigError as exc:
         raise ConfigError(f"{name}={value:g}: {exc}") from None
-    return fidelity_lossy(p, p.transfer_time), float(state.fidelity)
+    t_end = state.grid.nodes()[-1]  # where simulate's curve ends
+    return reference_curve(p, profile, t_end), float(state.fidelity)
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
@@ -399,12 +384,15 @@ def cmd_budget(cfg: RunConfig, out: Path) -> int:
     if cfg.sender_rlc is not None:
         sender = _parse_rlc(cfg.sender_rlc, cfg.topology)
         receiver = _parse_rlc(cfg.receiver_rlc, cfg.topology)
-        r_send = circuit_to_rates(sender)
-        r_recv = circuit_to_rates(receiver)
-        circuits = (sender, receiver, r_send, r_recv)
-        cfg = dataclasses.replace(
-            cfg, gamma=r_recv.gamma,
-            omega0=0.5 * (r_send.omega0 + r_recv.omega0))
+        circuits = {"sender": circuit_to_rates(sender),
+                    "receiver": circuit_to_rates(receiver)}
+        try:
+            omega0 = carrier_frequency(circuits["sender"],
+                                       circuits["receiver"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        cfg = dataclasses.replace(cfg, gamma=circuits["receiver"].gamma,
+                                  omega0=omega0)
 
     p = _build_params(cfg)
     gamma1_max = cfg.gamma1_max
@@ -415,30 +403,11 @@ def cmd_budget(cfg: RunConfig, out: Path) -> int:
     payload = rep.to_dict()
 
     if circuits is not None:
-        sender, receiver, r_send, r_recv = circuits
         if gamma1_max is None:
             raise ConfigError(
                 "circuit validity needs --gamma1-max or a positive --dt-cut")
-        try:
-            windows = rates_to_validity(
-                gamma1_max, sender, receiver,
-                target_fidelity=(cfg.target_fidelity
-                                 if cfg.target_fidelity is not None
-                                 else rep.fidelity),
-                margin=cfg.margin)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        payload["circuit_validity"] = windows.to_dict()
-        payload["circuits"] = {
-            "sender": {"gamma": r_send.gamma, "omega0": r_send.omega0,
-                       "q_factor": r_send.q_factor,
-                       "ground_state_scale": r_send.ground_state_scale,
-                       "scale_coordinate": r_send.scale_coordinate},
-            "receiver": {"gamma": r_recv.gamma, "omega0": r_recv.omega0,
-                         "q_factor": r_recv.q_factor,
-                         "ground_state_scale": r_recv.ground_state_scale,
-                         "scale_coordinate": r_recv.scale_coordinate},
-        }
+        payload["circuits"] = {role: dataclasses.asdict(rates)
+                               for role, rates in circuits.items()}
 
     _write_json(out / "budget.json", payload)
     return EXIT_OK

@@ -1,9 +1,17 @@
 """Closed-form reference expressions for the cascaded-oscillator transfer.
 
 These are the analytic results the numerical machinery is tested against:
-the constant-coupling transfer curve, the variationally optimal coupling
-profile with its fidelity, the lossy generalization, the infidelity budget
-of a truncated protocol, and the scale-separation (validity) windows.
+the constant-coupling transfer curve, the fidelity of the variationally
+optimal coupling profile, the lossy generalization, the reference curve of
+a run, the infidelity budget of a truncated protocol, and the
+scale-separation (validity) windows.
+
+Each closed form has one entry point, which takes a float or an array of
+times: a float in gives a float out, an array gives an array of its shape.
+:func:`reference_curve` picks the closed form that belongs to a coupling
+profile, so ``simulate`` and ``sweep`` compare against the same numbers.
+The optimal profile itself is :func:`~oscxfer.types.profile_values` of
+``CouplingProfile.optimal(None)``.
 
 All expressions are evaluated in numerically stable forms (``expm1`` /
 ``exp`` of negative arguments) so they hold to round-off over many decades
@@ -13,7 +21,7 @@ of ``gamma*T``.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -25,105 +33,90 @@ from .types import (
     TimeGrid,
     ValidityWindows,
     _elementwise,
-    _optimal_closed_form,
     profile_values,
 )
 
 __all__ = [
     "fidelity_constant_coupling",
-    "optimal_profile",
     "fidelity_optimal",
     "fidelity_lossy",
-    "infidelity_budget",
+    "reference_curve",
     "budget_report",
     "validity_windows",
     "euler_lagrange_residual",
 ]
 
-
-def _constant_coupling_curve(gamma: float, gamma1: float,
-                             t: np.ndarray) -> np.ndarray:
-    """:func:`fidelity_constant_coupling` with ``gamma1`` given, elementwise in ``t``."""
-    t = np.asarray(t, dtype=float)
-    if gamma1 == 0.0:
-        return np.zeros(t.shape)
-    # 2 sqrt(g g1) e^(-g t) * t * phi((g - g1) t),  phi(z) = (e^z - 1)/z
-    z = (gamma - gamma1) * t
-    small = np.abs(z) < 1e-8
-    # e^(-g t) underflows past g t ~ 709 even where the amplitude does not,
-    # and e^z overflows past z ~ 709 (z <= g t, since g1 >= 0)
-    big = (gamma * t > 700.0) & (z > 0.0) & ~small
-    mid = ~(small | big)
-    phi = np.ones(t.shape)
-    zs, zm = z[small], z[mid]
-    phi[small] = 1.0 + zs / 2.0 + zs * zs / 6.0
-    phi[mid] = _elementwise(math.expm1, zm) / zm
-    scale = 2.0 * math.sqrt(gamma * gamma1)
-    out = scale * _elementwise(math.exp, -gamma * t) * t * phi
-    # there e^(-g t) (e^z - 1) = e^(-g1 t) (1 - e^(-z)), with no overflow
-    tb, zb = t[big], z[big]
-    out[big] = (scale * tb * _elementwise(math.exp, -gamma1 * tb)
-                * -_elementwise(math.expm1, -zb) / zb)
-    out[t == 0.0] = 0.0
-    return out
+Times = Union[float, np.ndarray]
 
 
-def fidelity_constant_coupling(gamma: float, t: float,
-                               gamma1: Optional[float] = None) -> float:
-    """Transfer amplitude for a constant sender coupling.
+def _shaped(t: Times, out: np.ndarray) -> Times:
+    """``out``, computed elementwise over ``t``, as a float or in ``t``'s shape."""
+    if np.ndim(t) == 0:
+        return float(np.reshape(out, ()))
+    return np.reshape(out, np.shape(t))
 
-    With the couplings matched (``gamma1`` omitted or equal to ``gamma``)
-    this is ``2*gamma*t*exp(-gamma*t)``, peaking at ``t = 1/gamma`` with
-    value ``2/e``.  A mismatched constant coupling gives
+
+def fidelity_constant_coupling(gamma: float, t: Times,
+                               gamma1: Optional[float] = None) -> Times:
+    """Transfer amplitude for a constant sender coupling ``gamma1``.
+
     ``2*sqrt(gamma*gamma1) * (exp(-gamma1*t) - exp(-gamma*t)) / (gamma - gamma1)``,
-    evaluated here in a form that stays smooth through the matched point
-    and finite where ``(gamma - gamma1)*t`` is large.
+    evaluated in a form that stays smooth through the matched point and
+    finite where ``(gamma - gamma1)*t`` is large.  With the couplings
+    matched (``gamma1`` omitted means ``gamma1 = gamma``) it is
+    ``2*gamma*t*exp(-gamma*t)``, peaking at ``t = 1/gamma`` with value
+    ``2/e``.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if gamma1 is None:
-        return 2.0 * gamma * t * math.exp(-gamma * t)
+        gamma1 = gamma
     if gamma1 < 0:
         raise ValueError("gamma1 must be nonnegative")
-    return float(_constant_coupling_curve(gamma, gamma1, np.array([t]))[0])
+    ts = np.ravel(np.asarray(t, dtype=float))
+    if gamma1 == 0.0:
+        return _shaped(t, np.zeros(ts.shape))
+    # 2 sqrt(g g1) e^(-g t) * t * phi((g - g1) t),  phi(z) = (e^z - 1)/z
+    z = (gamma - gamma1) * ts
+    small = np.abs(z) < 1e-8
+    # e^(-g t) underflows past g t ~ 709 even where the amplitude does not,
+    # and e^z overflows past z ~ 709 (z <= g t, since g1 >= 0)
+    big = (gamma * ts > 700.0) & (z > 0.0) & ~small
+    mid = ~(small | big)
+    phi = np.ones(ts.shape)
+    zs, zm = z[small], z[mid]
+    phi[small] = 1.0 + zs / 2.0 + zs * zs / 6.0
+    phi[mid] = _elementwise(math.expm1, zm) / zm
+    scale = 2.0 * math.sqrt(gamma * gamma1)
+    out = scale * _elementwise(math.exp, -gamma * ts) * ts * phi
+    # there e^(-g t) (e^z - 1) = e^(-g1 t) (1 - e^(-z)), with no overflow
+    tb, zb = ts[big], z[big]
+    out[big] = (scale * tb * _elementwise(math.exp, -gamma1 * tb)
+                * -_elementwise(math.expm1, -zb) / zb)
+    out[ts == 0.0] = 0.0
+    return _shaped(t, out)
 
 
-def optimal_profile(gamma: float, transfer_time: float, t: float) -> float:
-    """The optimal coupling rate gamma / (exp(2*gamma*(T - t)) - 1).
-
-    Diverges as ``1 / (2*(T - t))`` for ``t -> T``; evaluation at ``t >= T``
-    raises :class:`~oscxfer.types.ProfileSingularityError`.
-    """
-    if gamma <= 0 or transfer_time <= 0:
-        raise ValueError("gamma and transfer_time must be positive")
-    return float(_optimal_closed_form(gamma, np.array([transfer_time - t]))[0])
-
-
-def _optimal_curve(gamma: float, transfer_time: float,
-                   t: np.ndarray) -> np.ndarray:
-    """:func:`fidelity_optimal` elementwise in ``t``, without the range check."""
-    t = np.asarray(t, dtype=float)
-    denom = -math.expm1(-2.0 * gamma * transfer_time)  # 1 - exp(-2 g T)
-    num = -_elementwise(math.expm1, -2.0 * gamma * t)   # 1 - exp(-2 g t)
-    return (_elementwise(math.exp, -gamma * (transfer_time - t)) * num
-            / math.sqrt(denom))
-
-
-def fidelity_optimal(gamma: float, transfer_time: float, t: float) -> float:
+def fidelity_optimal(gamma: float, transfer_time: float, t: Times) -> Times:
     """Transfer amplitude under the optimal profile: 2*sinh(gamma*t)/sqrt(exp(2*gamma*T)-1).
 
     Computed as ``exp(-gamma*(T-t)) * (1 - exp(-2*gamma*t)) / sqrt(1 - exp(-2*gamma*T))``,
     which is the same expression arranged to stay accurate for large
     ``gamma*T``.  At ``t = T`` it reduces to ``sqrt(1 - exp(-2*gamma*T))``.
+    Every time must lie in ``[0, T]``.
     """
     if gamma <= 0 or transfer_time <= 0:
         raise ValueError("gamma and transfer_time must be positive")
-    if t < 0 or t > transfer_time:
+    ts = np.ravel(np.asarray(t, dtype=float))
+    if np.any((ts < 0) | (ts > transfer_time)):
         raise ValueError("t must lie in [0, transfer_time]")
-    return float(_optimal_curve(gamma, transfer_time, np.array([t]))[0])
+    denom = -math.expm1(-2.0 * gamma * transfer_time)  # 1 - exp(-2 g T)
+    num = -_elementwise(math.expm1, -2.0 * gamma * ts)  # 1 - exp(-2 g t)
+    return _shaped(t, _elementwise(math.exp, -gamma * (transfer_time - ts))
+                   * num / math.sqrt(denom))
 
 
-def fidelity_lossy(p: SystemParams, t: float) -> float:
+def fidelity_lossy(p: SystemParams, t: Times) -> Times:
     """Transfer amplitude with line transmission eta and parasitic damping.
 
     Equals ``sqrt(eta) * exp(-gamma_loss*t)`` times the lossless optimal
@@ -134,63 +127,73 @@ def fidelity_lossy(p: SystemParams, t: float) -> float:
         raise ValueError("gamma_loss must be smaller than gamma")
     if p.gamma_loss < 0 or not (0.0 < p.eta <= 1.0):
         raise ValueError("need gamma_loss >= 0 and eta in (0, 1]")
-    lossless = fidelity_optimal(p.gamma, p.transfer_time, t)
-    return math.sqrt(p.eta) * math.exp(-p.gamma_loss * t) * lossless
+    ts = np.asarray(t, dtype=float)
+    lossless = fidelity_optimal(p.gamma, p.transfer_time, ts)
+    return _shaped(t, math.sqrt(p.eta) * np.exp(-p.gamma_loss * ts) * lossless)
 
 
-def infidelity_budget(gamma: float, transfer_time: float,
-                      dt_cut: float) -> FidelityReport:
-    """First-order infidelity budget of the truncated optimal protocol.
+def reference_curve(p: SystemParams, profile: CouplingProfile,
+                    t: Times) -> Times:
+    """The closed-form amplitude a run with ``profile`` is compared against.
 
-    ``1 - F = exp(-2*gamma*T)/2 + gamma*dt_cut`` to first order in the
-    truncation.  Warnings flag regimes where the expansion degrades
-    (``gamma*dt_cut > 0.1``) or where the protocol is too short for the
-    budget to mean much (``gamma*T < 2``).
+    For the closed-form optimum it is :func:`fidelity_lossy`; for a
+    constant profile, the same loss factor ``sqrt(eta)*exp(-gamma_loss*t)``
+    times :func:`fidelity_constant_coupling`.  A truncation is ignored:
+    past ``T - truncation`` the curve follows the untruncated closed form up
+    to ``F(T)``, so there the difference from a simulated run is the
+    truncation cost plus the integration error.  Times are clamped to
+    ``T``, because the last grid node ``n*(T/n)`` can land one ulp past it.
+    A sampled profile has no closed form, and its curve is NaN.
     """
-    if gamma <= 0 or transfer_time <= 0 or dt_cut < 0:
-        raise ValueError("gamma, transfer_time must be positive; dt_cut >= 0")
-    exp_term = 0.5 * math.exp(-2.0 * gamma * transfer_time)
-    cut_term = gamma * dt_cut
-    warnings = []
-    if cut_term > 0.1:
-        warnings.append("gamma*dt_cut > 0.1: first-order truncation budget inaccurate")
-    if gamma * transfer_time < 2.0:
-        warnings.append("gamma*T < 2: protocol too short for the budget expansion")
-    return FidelityReport(
-        fidelity=1.0 - exp_term - cut_term,
-        exponential=exp_term,
-        truncation=cut_term,
-        warnings=tuple(warnings),
-    )
+    ts = np.minimum(np.asarray(t, dtype=float), p.transfer_time)
+    if profile.kind is ProfileKind.OPTIMAL_CLOSED_FORM:
+        out = fidelity_lossy(p, ts)
+    elif profile.kind is ProfileKind.CONSTANT:
+        lossless = fidelity_constant_coupling(p.gamma, ts, profile.gamma1)
+        out = math.sqrt(p.eta) * np.exp(-p.gamma_loss * ts) * lossless
+    else:
+        out = np.full(np.shape(ts), math.nan)
+    return _shaped(t, out)
 
 
 def budget_report(p: SystemParams, dt_cut: float,
                   gamma1_max: Optional[float] = None,
                   target_fidelity: Optional[float] = None,
                   margin: float = 10.0) -> FidelityReport:
-    """Full infidelity budget including loss terms and validity flags.
+    """Infidelity budget of the truncated optimal protocol, with validity flags.
 
-    Extends :func:`infidelity_budget` with the line term ``1 - sqrt(eta)``
-    and the oscillator term ``1 - exp(-gamma_loss*T)``; when ``gamma1_max``
-    is given, the scale-separation windows are evaluated against
-    ``target_fidelity`` (default: the budget's own prediction).
+    ``1 - F = exp(-2*gamma*T)/2 + gamma*dt_cut + (1 - sqrt(eta))
+    + (1 - exp(-gamma_loss*T))`` to first order in the truncation.
+    Warnings flag regimes where the expansion degrades
+    (``gamma*dt_cut > 0.1``) or where the protocol is too short for the
+    budget to mean much (``gamma*T < 2``).  When ``gamma1_max`` is given,
+    the scale-separation windows are evaluated against ``target_fidelity``
+    (default: the budget's own prediction).
     """
-    base = infidelity_budget(p.gamma, p.transfer_time, dt_cut)
+    if p.gamma <= 0 or p.transfer_time <= 0 or dt_cut < 0:
+        raise ValueError("gamma, transfer_time must be positive; dt_cut >= 0")
+    exp_term = 0.5 * math.exp(-2.0 * p.gamma * p.transfer_time)
+    cut_term = p.gamma * dt_cut
+    warnings = []
+    if cut_term > 0.1:
+        warnings.append("gamma*dt_cut > 0.1: first-order truncation budget inaccurate")
+    if p.gamma * p.transfer_time < 2.0:
+        warnings.append("gamma*T < 2: protocol too short for the budget expansion")
     loss_line = 1.0 - math.sqrt(p.eta)
     loss_osc = -math.expm1(-p.gamma_loss * p.transfer_time)
-    fidelity = 1.0 - base.exponential - base.truncation - loss_line - loss_osc
+    fidelity = 1.0 - exp_term - cut_term - loss_line - loss_osc
     validity = None
     if gamma1_max is not None:
         target = fidelity if target_fidelity is None else target_fidelity
         validity = validity_windows(p, gamma1_max, target, margin=margin)
     return FidelityReport(
         fidelity=fidelity,
-        exponential=base.exponential,
-        truncation=base.truncation,
+        exponential=exp_term,
+        truncation=cut_term,
         loss_line=loss_line,
         loss_oscillator=loss_osc,
         validity=validity,
-        warnings=base.warnings,
+        warnings=tuple(warnings),
     )
 
 

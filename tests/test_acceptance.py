@@ -179,8 +179,8 @@ def test_criterion_7_optimizer_convergence():
     window_end = T - 10.0 * cut
     mids = (np.arange(n) + 0.5) * dt
     in_window = mids <= window_end
-    # the untruncated closed form gamma / (exp(2 gamma (T - t)) - 1), of
-    # which oracles.optimal_profile is the one-point case
+    # the untruncated closed form gamma / (exp(2 gamma (T - t)) - 1) at the
+    # cell midpoints
     closed_mid = profile_values(CouplingProfile.optimal(truncation=None), p,
                                 mids[in_window])
 

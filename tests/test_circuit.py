@@ -8,9 +8,11 @@ from oscxfer.circuit import (
     HBAR_SI,
     CircuitSpec,
     Topology,
+    carrier_frequency,
     circuit_to_rates,
-    rates_to_validity,
 )
+from oscxfer.oracles import validity_windows
+from oscxfer.types import SystemParams
 
 # 1 nH / 1 pF tank: omega0 = 1/sqrt(LC) = 3.1622776601683793e10 rad/s
 L = 1e-9
@@ -93,27 +95,35 @@ def test_nonpositive_elements_rejected(field):
         CircuitSpec(Topology.SERIES_LC, **kwargs)
 
 
+def _windows(sender, receiver):
+    # the budget command's circuit path: the receiver's damping is the drain
+    # rate, the sender's coupling is tunable up to 1e8
+    r_send, r_recv = circuit_to_rates(sender), circuit_to_rates(receiver)
+    p = SystemParams(gamma=r_recv.gamma, transfer_time=1.0,
+                     omega0=carrier_frequency(r_send, r_recv))
+    return validity_windows(p, 1e8, target_fidelity=0.99)
+
+
 class TestRatesToValidity:
     def test_identical_pair_accepted(self):
-        w = rates_to_validity(1e8, _series(0.001), _series(50.0),
-                              target_fidelity=0.99)
+        w = _windows(_series(0.001), _series(50.0))
         assert w.q2 > 0
         assert isinstance(w.all_ok, bool)
 
     def test_within_one_ppm_accepted(self):
         # delta(omega)/omega = delta(L)/(2L); 1e-6 relative L shift passes
         other = CircuitSpec(Topology.SERIES_LC, 0.001, L * (1.0 + 1e-6), C)
-        rates_to_validity(1e8, other, _series(50.0), target_fidelity=0.99)
+        carrier_frequency(circuit_to_rates(other),
+                          circuit_to_rates(_series(50.0)))
 
     def test_beyond_one_ppm_refused(self):
         other = CircuitSpec(Topology.SERIES_LC, 0.001, L * (1.0 + 3e-6), C)
         with pytest.raises(ValueError, match="1 ppm"):
-            rates_to_validity(1e8, other, _series(50.0), target_fidelity=0.99)
+            carrier_frequency(circuit_to_rates(other),
+                              circuit_to_rates(_series(50.0)))
 
     def test_receiver_sets_drain_rate(self):
         # doubling the receiver's R doubles gamma and halves Q2
-        w1 = rates_to_validity(1e8, _series(0.001), _series(50.0),
-                               target_fidelity=0.99)
-        w2 = rates_to_validity(1e8, _series(0.001), _series(100.0),
-                               target_fidelity=0.99)
+        w1 = _windows(_series(0.001), _series(50.0))
+        w2 = _windows(_series(0.001), _series(100.0))
         assert w2.q2 == pytest.approx(w1.q2 / 2.0, rel=1e-12)

@@ -1,6 +1,8 @@
 """End-to-end command-line workflows: exit codes, artifacts, reproducibility."""
 
+import ast
 import csv
+import inspect
 import json
 import math
 
@@ -9,6 +11,8 @@ import pytest
 
 from oscxfer import cli
 from oscxfer.cli import main
+from oscxfer.oracles import fidelity_lossy
+from oscxfer.types import SystemParams
 
 
 def _read_json(path):
@@ -157,16 +161,36 @@ class TestSweep:
     @pytest.mark.parametrize("spec, flags", [
         ("T:2:2:1", ["--T", "2"]),
         ("eta:0.8:0.8:1", ["--T", "3", "--eta", "0.8", "--gamma-loss", "0.05"]),
-    ], ids=["lossless", "lossy"])
+        ("eta:0.8:0.8:1", ["--T", "3", "--eta", "0.8", "--gamma-loss", "0.05",
+                           "--profile", "constant:1"]),
+    ], ids=["lossless", "lossy", "constant-lossy"])
     def test_point_is_the_simulate_run(self, tmp_path, spec, flags):
-        # a sweep point and simulate share one run path, bit for bit
+        # a sweep point and simulate share one run path and one reference
+        # curve, bit for bit
         common = ["--gamma", "1", "--steps", "700", *flags]
         assert main(["sweep", "--sweep", spec, *common,
                      "--out", str(tmp_path / "sweep")]) == 0
         assert main(["simulate", *common, "--out", str(tmp_path / "sim")]) == 0
         (row,) = _read_csv(tmp_path / "sweep" / "sweep.csv")
         rep = _read_json(tmp_path / "sim" / "report.json")
+        last = _read_csv(tmp_path / "sim" / "fidelity_curve.csv")[-1]
         assert float(row["F_sim"]) == rep["fidelity"]
+        assert float(row["F_oracle"]) == float(last["F_oracle"])
+
+    def test_grid_overrunning_T_by_one_ulp(self, tmp_path):
+        # 100 * (T / 100) lands one ulp past T: the reference curve must
+        # take the last node as T rather than refuse it
+        T = 7.523304400995947
+        assert 100 * (T / 100) > T
+        flags = ["--T", repr(T), "--steps", "100"]
+        assert main(["simulate", *flags, "--out", str(tmp_path / "sim")]) == 0
+        assert main(["sweep", "--sweep", f"T:{T!r}:{T!r}:1", *flags,
+                     "--out", str(tmp_path / "sweep")]) == 0
+        want = fidelity_lossy(SystemParams(gamma=1.0, transfer_time=T), T)
+        last = _read_csv(tmp_path / "sim" / "fidelity_curve.csv")[-1]
+        (row,) = _read_csv(tmp_path / "sweep" / "sweep.csv")
+        assert float(last["F_oracle"]) == want
+        assert float(row["F_oracle"]) == want
 
     def test_point_numerical_failure_exits_3(self, tmp_path, capsys):
         # the gamma=1e9 point fails inside a pool worker; its error must
@@ -225,7 +249,8 @@ class TestBudget:
         assert code == 0
         b = _read_json(out / "budget.json")
         assert b["circuits"]["receiver"]["gamma"] == pytest.approx(2.5e10)
-        assert "circuit_validity" in b
+        assert "validity" in b
+        assert "circuit_validity" not in b
 
     def test_circuit_frequency_mismatch_exits_2(self, tmp_path):
         code = main(["budget", "--sender-rlc", "10:1e-9:1e-12",
@@ -398,6 +423,18 @@ def test_determinism_across_runs(tmp_path):
         assert code == 0
         outs.append((out / "fidelity_curve.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_imports_only_public_names():
+    # cli uses other modules through their public API only, so what the
+    # bench tracer wraps (the names cli imports) are public entry points
+    tree = ast.parse(inspect.getsource(cli))
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("oscxfer"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_help_exits_cleanly():

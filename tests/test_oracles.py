@@ -13,18 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscxfer.oracles import (
-    _constant_coupling_curve,
-    _optimal_curve,
     budget_report,
     euler_lagrange_residual,
     fidelity_constant_coupling,
     fidelity_lossy,
     fidelity_optimal,
-    infidelity_budget,
-    optimal_profile,
+    reference_curve,
     validity_windows,
 )
-from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
+from oscxfer.types import CouplingProfile, SystemParams, TimeGrid, profile_values
 
 
 TWO_OVER_E = 0.7357588823428846
@@ -37,8 +34,9 @@ class TestConstantCoupling:
             TWO_OVER_E, abs=1e-15)
 
     def test_known_point(self):
-        assert fidelity_constant_coupling(1.0, 2.0) == pytest.approx(
-            0.5413411329464508, abs=1e-15)
+        got = fidelity_constant_coupling(1.0, 2.0)
+        assert type(got) is float   # a float in gives a float out
+        assert got == pytest.approx(0.5413411329464508, abs=1e-15)
 
     def test_gamma_scaling(self):
         # F depends on gamma*t only
@@ -100,17 +98,23 @@ class TestConstantCoupling:
         assert above == pytest.approx(below, rel=1e-8, abs=0.0)
 
 
+def _optimal_rate(gamma, T, t):
+    # the untruncated closed-form profile gamma / (exp(2 gamma (T - t)) - 1)
+    p = SystemParams(gamma=gamma, transfer_time=T)
+    return profile_values(CouplingProfile.optimal(None), p, np.array([t]))[0]
+
+
 class TestOptimalProfile:
     @pytest.mark.parametrize("t, expected", [
         (1.0, 0.15651764274966565),
         (1.9, 4.5166555661269948),
     ])
     def test_values(self, t, expected):
-        assert optimal_profile(1.0, 2.0, t) == pytest.approx(expected, rel=1e-14)
+        assert _optimal_rate(1.0, 2.0, t) == pytest.approx(expected, rel=1e-14)
 
     def test_divergence_scale(self):
         # near the endpoint the rate goes like 1/(2*(T - t))
-        got = optimal_profile(1.0, 2.0, 2.0 - 1e-6)
+        got = _optimal_rate(1.0, 2.0, 2.0 - 1e-6)
         assert got == pytest.approx(0.5e6, rel=1e-5)
 
     def test_el_residual_vanishes_for_closed_form(self):
@@ -136,7 +140,9 @@ class TestOptimalFidelity:
         (1.0, 2.0, 0.75, 0.22464368921038611),  # 2 sinh(.75)/sqrt(e^4 - 1)
     ])
     def test_frozen_points(self, gamma, T, t, expected):
-        assert fidelity_optimal(gamma, T, t) == pytest.approx(expected, abs=1e-15)
+        got = fidelity_optimal(gamma, T, t)
+        assert type(got) is float
+        assert got == pytest.approx(expected, abs=1e-15)
 
     def test_endpoint_identity_to_roundoff(self):
         # F(T) == sqrt(1 - exp(-2 gamma T)) across the whole regime
@@ -150,8 +156,10 @@ class TestOptimalFidelity:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            fidelity_optimal(1.0, 2.0, 2.5)
+        # any time outside [0, T], alone or as one element of an array
+        for t in (2.5, np.array([0.0, 1.0, 2.5]), np.array([[1.0], [-1e-9]])):
+            with pytest.raises(ValueError):
+                fidelity_optimal(1.0, 2.0, t)
         with pytest.raises(ValueError):
             fidelity_optimal(-1.0, 2.0, 1.0)
 
@@ -172,7 +180,8 @@ def _scalar_optimal(gamma, T, t):
 
 
 class TestCurves:
-    """The array-shaped oracle curves reproduce the per-point formulas bitwise."""
+    """Given an array of times, the closed forms reproduce the per-point
+    formulas bitwise, and each element equals the float-in result."""
 
     @pytest.mark.parametrize("gamma, gamma1", [
         (1.0, 0.7), (1.0, 1.0), (1.0, 1.0 + 1e-9), (2.0, 0.0), (0.3, 5.0),
@@ -180,13 +189,44 @@ class TestCurves:
     def test_constant_coupling(self, gamma, gamma1):
         ts = TimeGrid(3.0, 5000).nodes()
         want = [_scalar_constant(gamma, t, gamma1) for t in ts.tolist()]
-        assert np.array_equal(_constant_coupling_curve(gamma, gamma1, ts), want)
+        got = fidelity_constant_coupling(gamma, ts, gamma1)
+        assert np.array_equal(got, want)
+        assert [fidelity_constant_coupling(gamma, t, gamma1)
+                for t in ts[::997].tolist()] == got[::997].tolist()
 
     @pytest.mark.parametrize("gamma, T", [(1.0, 5.0), (0.3, 2.0), (4.0, 200.0)])
     def test_optimal(self, gamma, T):
         ts = np.minimum(TimeGrid(T, 5000).nodes(), T - 1e-3)
         want = [_scalar_optimal(gamma, T, t) for t in ts.tolist()]
-        assert np.array_equal(_optimal_curve(gamma, T, ts), want)
+        got = fidelity_optimal(gamma, T, ts)
+        assert np.array_equal(got, want)
+        assert [fidelity_optimal(gamma, T, t)
+                for t in ts[::997].tolist()] == got[::997].tolist()
+
+    @pytest.mark.parametrize("kind", ["constant", "optimal", "sampled"])
+    def test_reference_curve(self, kind):
+        # the untruncated closed form of the run's profile times the loss
+        # factor; NaN where the profile has no closed form
+        T = 3.0
+        p = SystemParams(gamma=1.0, transfer_time=T, eta=0.81, gamma_loss=0.05)
+        grid = TimeGrid(T, 5000)
+        ts = grid.nodes()
+        profile = {"constant": CouplingProfile.constant(0.7),
+                   "optimal": CouplingProfile.optimal(truncation=0.1),
+                   "sampled": CouplingProfile.sampled(
+                       grid, np.ones(grid.n_nodes))}[kind]
+        got = reference_curve(p, profile, ts)
+        if kind == "sampled":
+            assert np.isnan(got).all() and math.isnan(
+                reference_curve(p, profile, T))
+            return
+        damp = 0.9 * np.exp(-0.05 * ts)
+        want = damp * (fidelity_constant_coupling(1.0, ts, 0.7)
+                       if kind == "constant" else fidelity_optimal(1.0, T, ts))
+        assert np.array_equal(got, want)
+        assert type(reference_curve(p, profile, T)) is float
+        assert [reference_curve(p, profile, t)
+                for t in ts[::997].tolist()] == got[::997].tolist()
 
 
 class TestLossyFidelity:
@@ -197,12 +237,17 @@ class TestLossyFidelity:
     def test_frozen_points(self, eta, gamma_loss, expected):
         p = SystemParams(gamma=1.0, transfer_time=5.0, eta=eta,
                          gamma_loss=gamma_loss)
-        assert fidelity_lossy(p, 5.0) == pytest.approx(expected, abs=1e-15)
+        got = fidelity_lossy(p, 5.0)
+        assert type(got) is float
+        assert got == pytest.approx(expected, abs=1e-15)
 
     def test_lossless_reduction_is_bitwise(self):
         p = SystemParams(gamma=1.3, transfer_time=4.0)
         for t in (0.0, 1.7, 4.0):
             assert fidelity_lossy(p, t) == fidelity_optimal(1.3, 4.0, t)
+        ts = np.array([0.0, 1.7, 4.0])
+        assert np.array_equal(fidelity_lossy(p, ts),
+                              fidelity_optimal(1.3, 4.0, ts))
 
     @given(eta=st.floats(min_value=0.05, max_value=1.0),
            gl=st.floats(min_value=0.0, max_value=0.4))
@@ -221,21 +266,21 @@ class TestLossyFidelity:
 
 class TestBudget:
     def test_exponential_term(self):
-        rep = infidelity_budget(1.0, 5.0, 0.0)
+        rep = budget_report(SystemParams(1.0, 5.0), 0.0)
         assert rep.exponential == pytest.approx(2.2699964881242426e-05, abs=1e-19)
         assert rep.truncation == 0.0
 
     def test_total_with_cut(self):
-        rep = infidelity_budget(1.0, 5.0, 1e-3)
+        rep = budget_report(SystemParams(1.0, 5.0), 1e-3)
         assert rep.infidelity_total == pytest.approx(1.0226999648812424e-03,
                                                      abs=1e-17)
 
     def test_warning_on_coarse_cut(self):
-        rep = infidelity_budget(1.0, 5.0, 0.2)
+        rep = budget_report(SystemParams(1.0, 5.0), 0.2)
         assert any("truncation" in w for w in rep.warnings)
 
     def test_warning_on_short_protocol(self):
-        rep = infidelity_budget(1.0, 1.0, 1e-4)
+        rep = budget_report(SystemParams(1.0, 1.0), 1e-4)
         assert any("short" in w for w in rep.warnings)
 
     def test_budget_report_loss_terms(self):
