@@ -84,24 +84,168 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-_CSV_BLOCK = 4096  # rows formatted by one %-operation
+_CSV_BLOCK = 1024  # rows formatted as one array; temporaries stay below 1 MB
+
+# Tables of the %.17g kernel.  _DIGITS4[g] holds the four ASCII digits of
+# g < 10**4, built by broadcasting the ten digits over four places.
+_D = np.arange(10, dtype=np.uint8)
+_D1, _D2, _D3, _D4 = np.ix_(_D, _D, _D, _D)
+_DIGITS4 = (np.stack(np.broadcast_arrays(_D1, _D2, _D3, _D4), axis=-1)
+            .reshape(10_000, 4) + np.uint8(ord("0")))
+_DIGITS4_WORD = _DIGITS4.view(np.uint32).ravel()  # one word per group
+# digits of g up to its last nonzero one (0 for g = 0)
+_SIG4 = np.select([_D4 > 0, _D3 > 0, _D2 > 0, _D1 > 0], [4, 3, 2, 1]).ravel()
+# _KEEP_WORDS[w, d] keeps, of digit group w (digits 4w+1..4w+4 of the 17),
+# the digits whose index is below d
+_KEEP_WORDS = (np.uint8(255) * (np.arange(1, 17).reshape(4, 1, 4)
+                                < np.arange(18)[:, None]).astype(np.uint8)
+               ).view(np.uint32).reshape(4, 18)
+# 10**p = 10**a * 10**b for p = 1..44, with a <= 22 and b <= 22 so that
+# both factors are exact doubles
+_POW_A = np.array([float(10 ** min(p, 22)) for p in range(1, 45)])
+_POW_B = np.array([float(10 ** max(p - 22, 0)) for p in range(1, 45)])
+
+
+def _split(a):
+    """Dekker's split of ``a`` into two halves of at most 26 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW_A_HI, _POW_A_LO = _split(_POW_A)
+_POW_B_HI, _POW_B_LO = _split(_POW_B)
+
+
+def _two_product(a, b, b_hi, b_lo):
+    """``(p, e)`` with p = fl(a*b) and p + e = a*b exactly (Dekker)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _template(x: int) -> list[int]:
+    """Byte positions, in a row of ``_format_rows``'s scratch array, that
+    spell a fast-path field with decimal exponent ``x``, then its separator.
+
+    Scratch bytes: 0 NUL, 1 sign, 2 point, 3..19 the 17 digits, 20 '0',
+    21 'e', 22 '-', 24..25 the exponent's digits, 26 the separator.
+    """
+    digits = list(range(3, 20))
+    if x >= 0:                 # ddd.ddd
+        field = [1, *digits[:x + 1], 2, *digits[x + 1:]]
+    elif x >= -4:              # 0.000ddd
+        field = [1, 20, 2, *[20] * (-x - 1), *digits]
+    else:                      # d.ddde-XX, one layout for every x < -4
+        field = [1, 3, 2, *digits[1:], 21, 22, 24, 25]
+    return field + [0] * (24 - len(field)) + [26]
+
+
+_TEMPLATES = np.array([_template(x) for x in range(-5, 17)], dtype=np.intp)
+# a scratch row before the value's bytes go in
+_BLANK = np.frombuffer(b"\0" * 20 + b"0e-\0\0\0,\0", dtype=np.uint8)
+# |x| as two digits in one 16-bit word, for x = -28..-5
+_EXPONENTS = np.frombuffer(b"".join(b"%02d" % -x for x in range(-28, -4)),
+                           dtype=np.uint16)
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(fast, n, k)``: where the fast path decides ``x``, its 17 digits as
+    the integer 10**16 <= n < 10**17 and its decimal exponent k; see
+    :func:`_write_csv`.  Its float temporaries die on return."""
+    ax = np.abs(x)
+    fast = (ax >= 1e-28) & (ax < 1e16)  # False for NaN
+    safe = np.where(fast, ax, 1.0)
+    k = np.floor(np.log10(safe))
+    k = np.minimum(np.maximum(k, -28), 15).astype(np.intp)
+    j = 15 - k  # index of p = 16 - k
+    p1, e1 = _two_product(safe, _POW_A[j], _POW_A_HI[j], _POW_A_LO[j])
+    p2, e2 = _two_product(p1, _POW_B[j], _POW_B_HI[j], _POW_B_LO[j])
+    s = e2 + e1 * _POW_B[j]
+    hi = p2 + s            # fast two-sum: hi + lo = p2 + s exactly
+    lo = s - (hi - p2)
+    floor_lo = np.floor(lo)
+    frac = lo - floor_lo
+    # 17 digits after rounding (log10 can miss by one near powers of ten),
+    # and a fraction that the error bound cannot carry across 1/2
+    fast &= (((hi > 1e16) | ((hi == 1e16) & (lo >= 0)))
+             & ((hi < 1e17) | ((hi == 1e17) & (lo < -0.5)))
+             & (np.abs(frac - 0.5) > 1e-6))
+    n = (np.where(fast, hi, 1e16).astype(np.int64)
+         + np.where(fast, floor_lo + (frac > 0.5), 0.0).astype(np.int64))
+    return fast, n, k
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of a (rows, cols) float array, as ``%.17g`` writes them;
+    see :func:`_write_csv`."""
+    cols = block.shape[1]
+    x = block.ravel()
+    m = x.size
+    fast, n, k = _decimal(x)
+
+    scratch = np.empty((m, 28), dtype=np.uint8)
+    scratch[:] = _BLANK
+    words = scratch.view(np.uint32)
+    lead, rest = np.divmod(n, 10 ** 16)
+    scratch[:, 3] = lead + ord("0")
+    n_sig = np.ones(m, dtype=np.intp)  # digits up to the last nonzero one
+    for w in range(4):
+        g = rest // 10 ** (12 - 4 * w) % 10_000
+        words[:, w + 1] = _DIGITS4_WORD[g]
+        sig = _SIG4[g]
+        n_sig = np.where(sig > 0, 4 * w + 1 + sig, n_sig)
+    # trailing zeros go only after the point: digits 0..k stay in ddd.ddd
+    frac_start = np.where(k >= 0, k + 1, np.where(k >= -4, 0, 1))
+    keep = np.maximum(n_sig, frac_start)
+    for w in range(4):
+        words[:, w + 1] &= _KEEP_WORDS[w, keep]
+    scratch[:, 1] = np.where(x < 0, ord("-"), 0)
+    scratch[:, 2] = np.where(n_sig > frac_start, ord("."), 0)
+    scratch.view(np.uint16)[:, 12] = _EXPONENTS[np.minimum(k, -5) + 28]
+    scratch[cols - 1::cols, 26] = ord("\n")
+
+    # one fixed gather per layout; -1 marks the fallback values
+    key = np.where(fast, np.maximum(k, -5) + 5, -1)
+    out = np.empty((m, 25), dtype=np.uint8)
+    for g in (np.flatnonzero(np.bincount(key + 1)) - 1).tolist():
+        rows = np.flatnonzero(key == g)
+        if g < 0:
+            out[rows, :24] = np.frombuffer(b"".join(
+                (b"%.17g" % v).ljust(24, b"\0") for v in x[rows].tolist()),
+                dtype=np.uint8).reshape(-1, 24)
+            out[rows, 24] = scratch[rows, 26]
+        else:
+            out[rows] = scratch[rows][:, _TEMPLATES[g]]
+    return out.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, header: Sequence[str],
                columns: Sequence[Sequence[float]]) -> None:
     """Write equal-length columns as CSV rows.
 
-    Every value is written with 17 significant digits (``%.17g``), so
-    oracle comparisons keep all digits and profiles round-trip exactly;
-    NaN is written as ``nan``.
+    Every value is written as ``"%.17g" % v`` would write it (17
+    significant digits, correctly rounded), so oracle comparisons keep all
+    digits and profiles round-trip exactly; NaN is written as ``nan``.
+    The rows are formatted by a numpy kernel, one block of rows at a time,
+    and each block is written as soon as it is done.
+
+    The kernel takes finite values with 1e-28 <= |v| < 1e16.  With
+    k = floor(log10|v|) it forms |v|*10**(16 - k) as an unevaluated sum
+    hi + lo of doubles, from Dekker's error-free products by two exact
+    powers of ten; hi + lo is within about 4e-15 of the exact product.  It
+    keeps a value only if 10**16 <= hi + lo < 10**17 - 1/2 (tested before
+    rounding) and the fraction of lo is more than 1e-6 from 1/2, so the
+    error cannot move the rounding; then hi + round(lo) are the 17 digits.
+    Every other value (0, -0, NaN, +-inf, subnormals, |v| >= 1e16, a k that
+    log10 got wrong, near-ties) is formatted by ``%.17g`` itself.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            block = np.column_stack([col[lo:lo + _CSV_BLOCK] for col in columns])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(np.column_stack(
+                [col[lo:lo + _CSV_BLOCK] for col in columns])))
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -33,6 +33,12 @@ step order), and A21, the first-order recurrence
 A21 <- myx*A11 + myy*A21, is folded in step order by one tight scalar loop;
 an associative scan would regroup the products and change the last bits.
 
+The receiver's rate is constant, so halving steps on it would only be a
+larger grid done badly: a grid whose (g + gl) * dt exceeds the method's
+real-axis stability edge (RK4 2.785, Heun 2; Hairer & Wanner, *Solving
+ODEs II*, IV.2) is refused at step 0, before any work, with the smallest
+step count that resolves it.
+
 Steps are halved adaptively whenever ``(g1 + gl) * h`` exceeds
 :data:`~oscxfer.types.DAMPING_CAP_FACTOR`, which keeps the integrator
 accurate through the near-singular tail of truncated optimal profiles.  The
@@ -70,6 +76,7 @@ __all__ = [
     "Method",
     "IntegratorConfig",
     "IntegrationError",
+    "STABILITY_EDGE",
     "integrate_transfer",
     "commutator_check",
 ]
@@ -99,6 +106,11 @@ class IntegrationError(RuntimeError):
         # does not match __init__; sweep workers send this error across
         # processes, so it has to unpickle intact
         return (type(self), (self.reason, self.step))
+
+
+# largest (g + gl) * dt for which a method's decay map y' = -(g + gl) y is
+# stable on the real axis
+STABILITY_EDGE = {Method.RK4: 2.785, Method.HEUN: 2.0}
 
 
 @dataclass(frozen=True)
@@ -221,6 +233,19 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
     beta = g + gl
     root = 2.0 * math.sqrt(eta * g)
     step_maps_of = _rk4_maps if cfg.method is Method.RK4 else _heun_maps
+    edge = STABILITY_EDGE[cfg.method]
+    if beta * dt > edge:
+        need = beta * grid.t_end / edge
+        if math.isfinite(need):
+            n_min = math.ceil(need)
+            n_min += beta * (grid.t_end / n_min) > edge  # rounding of dt
+            hint = f"the grid needs at least {n_min} steps"
+        else:
+            hint = "the grid would need more than 1e308 steps"
+        raise IntegrationError(
+            f"receiver too stiff for the grid: (gamma + gamma_loss)*dt = "
+            f"{beta * dt:.6g} exceeds the {cfg.method.value} stability edge "
+            f"{edge:g}; {hint}", 0)
 
     # For a sampled profile whose grid the integrator grid refines exactly,
     # resolve each macro step's cell by index: time-based lookups cannot

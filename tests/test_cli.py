@@ -11,8 +11,9 @@ import pytest
 
 from oscxfer import cli
 from oscxfer.cli import main
-from oscxfer.oracles import fidelity_lossy
-from oscxfer.types import SystemParams
+from oscxfer.oracles import fidelity_lossy, reference_curve
+from oscxfer.simulate import STABILITY_EDGE, Method
+from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
 
 
 def _read_json(path):
@@ -359,29 +360,59 @@ class TestConfigHandling:
         assert main(["simulate", "--profile", f"file:{bad}", "--T", "1",
                      "--steps", "100", "--out", str(tmp_path / "x")]) == 2
 
-    def test_large_rate_gap_oracle_no_traceback(self, tmp_path):
+    def test_large_rate_gap_oracle_no_traceback(self):
         # (gamma - gamma1)*t reaches 3e5: the constant-coupling oracle used
-        # to overflow in expm1 and end the run in a traceback
+        # to overflow in expm1 and end the run in a traceback.  No grid of
+        # 10 steps resolves gamma = 3e5 (see the next test), so the oracle
+        # is checked on that grid's nodes directly.
+        p = SystemParams(gamma=3e5, transfer_time=1.0, omega0=1e12)
+        oracle = reference_curve(p, CouplingProfile.constant(1.0),
+                                 TimeGrid(1.0, 10).nodes())
+        assert np.all(np.isfinite(oracle))
+        assert oracle[-1] == pytest.approx(0.0013433102668475141, rel=1e-14,
+                                           abs=0.0)
+
+    @pytest.mark.parametrize("method, steps", [("rk4", 107720),
+                                               ("heun", 150000)])
+    def test_unresolved_receiver_rate_exits_3(self, tmp_path, capsys,
+                                              method, steps):
+        # (gamma + gamma_loss)*dt = 3e4 is far past the stability edge: the
+        # run used to exit 0 with fidelity -1.1e304
         out = tmp_path / "run"
         code = main(["simulate", "--profile", "constant:1", "--gamma", "3e5",
                      "--omega0", "1e12", "--T", "1", "--steps", "10",
-                     "--out", str(out)])
-        assert code == 0
-        oracle = [float(r["F_oracle"])
-                  for r in _read_csv(out / "fidelity_curve.csv")]
-        assert all(math.isfinite(v) for v in oracle)
-        assert oracle[-1] == pytest.approx(0.0013433102668475141, rel=1e-14,
-                                         abs=0.0)
+                     "--method", method, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: receiver too stiff for the grid: "
+            "(gamma + gamma_loss)*dt = 30000 exceeds the "
+            f"{method} stability edge {STABILITY_EDGE[Method(method)]:g}; "
+            f"the grid needs at least {steps} steps (at step 0)"]
+        assert not (out / "report.json").exists()
+
+    def test_coarsest_default_run_exits_0(self, tmp_path):
+        # the default T = 5 at the fewest steps: gamma*dt = 0.5
+        assert main(["simulate", "--steps", "10",
+                     "--out", str(tmp_path / "x")]) == 0
 
     def test_numerical_failure_stderr_is_two_lines(self, tmp_path, capsys):
-        # no numpy RuntimeWarning may reach stderr on the way to exit 3
-        code = main(["simulate", "--profile", "constant:1", "--gamma", "1e9",
-                     "--T", "1", "--steps", "10", "--out", str(tmp_path / "x")])
+        # no numpy RuntimeWarning may reach stderr on the way to exit 3.
+        # The profile's cell of 1.7e308 overflows the stage sums of step 6
+        # (a grid this fine resolves it); omega0 = 5 adds the warning line
+        T, n = 1e-306, 10
+        profile = tmp_path / "p.csv"
+        with open(profile, "w") as fh:
+            fh.write("t,gamma1\n")
+            for i in range(n + 1):
+                fh.write(f"{i * (T / n):.17g},{1.7e308 if i == 6 else 1.0}\n")
+        code = main(["simulate", "--profile", f"file:{profile}",
+                     "--omega0", "5", "--T", repr(T), "--steps", str(n),
+                     "--out", str(tmp_path / "x")])
         assert code == 3
         assert capsys.readouterr().err.splitlines() == [
             "warning: weak damping violated: gamma*10 exceeds omega0 "
             "(rotating-frame treatment marginal)",
-            "numerical failure: non-finite transfer coefficient (at step 5)",
+            "numerical failure: non-finite transfer coefficient (at step 6)",
         ]
 
     @pytest.mark.parametrize("error, code, line", [

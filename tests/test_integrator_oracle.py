@@ -222,35 +222,47 @@ def test_array_integrator_is_the_scalar_loop(name, method):
     assert np.array_equal(got.k1_births, births)
 
 
-def _spiked(cells, at, gamma1=1.0):
+def _spiked(cells, spikes, gamma1=1.0):
+    """Node values ``gamma1`` with the ``{node: value}`` spikes."""
     values = np.full(cells + 1, gamma1)
-    for j in at:
-        values[j] = 1e300
+    for j, v in spikes.items():
+        values[j] = v
     return values
 
 
+# A cell whose rate no substep can resolve
+STIFF = 1e300
+# With the receiver resolved, a coefficient still overflows inside a step
+# when the stage sums of the sender's decay, about 6*gamma1 for RK4 and
+# 2*gamma1 for Heun, pass the largest double: gamma1 = 5e307 overflows RK4
+# only, 1.7e308 both.  Halving resolves such a cell only on a grid with
+# dt near 1e-307.  There the largest double is resolved too, but with a
+# loss rate added it overflows the rate itself, which no halving resolves
+# (gamma above gamma_loss keeps those parameters valid).
+TINY_T = 1e-306
+MAX = float(np.finfo(float).max)
+LOSSY = SystemParams(gamma=2e300, gamma_loss=1e300, transfer_time=TINY_T,
+                     omega0=1e308)
+
 FAILURES = {
     # one cell whose rate no substep can resolve; by index and by time
-    "too-stiff-refining": (_sampled(1.0, 100, _spiked(100, [37])),
+    "too-stiff-refining": (_sampled(1.0, 100, _spiked(100, {37: STIFF})),
                            SystemParams(gamma=1.0, transfer_time=1.0), 100),
-    "too-stiff-non-refining": (_sampled(1.0, 30, _spiked(30, [11])),
+    "too-stiff-non-refining": (_sampled(1.0, 30, _spiked(30, {11: STIFF})),
                                SystemParams(gamma=1.0, transfer_time=1.0), 100),
-    "too-stiff-second-block": (_sampled(1.0, 10_000, _spiked(10_000, [9000])),
-                               SystemParams(gamma=1.0, transfer_time=1.0),
-                               10_000),
-    # gamma*dt = 1e8: RK4's decay map of the receiver overflows by step 5
-    # (Heun's, 5e15 per step, only later); at gamma*dt = 1e39 both do
-    "non-finite": (CouplingProfile.constant(1.0),
-                   SystemParams(gamma=1e9, transfer_time=1.0, omega0=1e12), 10),
+    "too-stiff-second-block": (
+        _sampled(1.0, 10_000, _spiked(10_000, {9000: STIFF})),
+        SystemParams(gamma=1.0, transfer_time=1.0), 10_000),
+    # an overflowing cell: RK4's map of step 5 is non-finite, Heun's is not
+    "non-finite": (_sampled(TINY_T, 10, _spiked(10, {5: 5e307})),
+                   SystemParams(gamma=1.0, transfer_time=TINY_T), 10),
     "non-finite-both-methods": (
-        CouplingProfile.constant(1.0),
-        SystemParams(gamma=1e40, transfer_time=1.0, omega0=1e42), 10),
+        _sampled(TINY_T, 10, _spiked(10, {5: 1.7e308})),
+        SystemParams(gamma=1.0, transfer_time=TINY_T), 10),
     "non-finite-before-too-stiff": (
-        _sampled(1.0, 10, _spiked(10, [7])),
-        SystemParams(gamma=1e9, transfer_time=1.0, omega0=1e12), 10),
+        _sampled(TINY_T, 10, _spiked(10, {5: 1.7e308, 7: MAX})), LOSSY, 10),
     "too-stiff-before-non-finite": (
-        _sampled(1.0, 10, _spiked(10, [3])),
-        SystemParams(gamma=1e9, transfer_time=1.0, omega0=1e12), 10),
+        _sampled(TINY_T, 10, _spiked(10, {3: MAX, 5: 1.7e308})), LOSSY, 10),
 }
 
 
@@ -284,6 +296,7 @@ def test_failure_steps_are_pinned():
     assert step("too-stiff-refining") == (stiff, 37)
     assert step("too-stiff-second-block") == (stiff, 9000)
     assert step("non-finite") == (finite, 5)
+    assert step("non-finite-both-methods") == (finite, 5)
     assert step("non-finite-before-too-stiff") == (finite, 5)
     assert step("too-stiff-before-non-finite") == (stiff, 3)
 

@@ -15,6 +15,7 @@ from oscxfer.oracles import (
 from oscxfer.optimize import functional_value
 from oscxfer.simulate import (
     IntegrationError,
+    STABILITY_EDGE,
     IntegratorConfig,
     Method,
     commutator_check,
@@ -219,6 +220,47 @@ def test_stiff_profile_raises_with_step_info():
     with pytest.raises(IntegrationError) as exc:
         integrate_transfer(c, p, IntegratorConfig(n_steps=50))
     assert exc.value.step == 0
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_receiver_rate_past_stability_edge_refused(method):
+    # gamma*dt just past the edge is refused before any work, and the step
+    # count the message names runs; at the edge itself the run goes ahead
+    edge, T, n = STABILITY_EDGE[method], 1.0, 40
+    c = CouplingProfile.constant(1.0)
+    at_edge = SystemParams(gamma=edge * n / T, transfer_time=T)
+    assert at_edge.gamma * (T / n) <= edge
+    integrate_transfer(c, at_edge, IntegratorConfig(method=method, n_steps=n))
+
+    past = SystemParams(gamma=math.nextafter(at_edge.gamma, math.inf),
+                        transfer_time=T)
+    assert past.gamma * (T / n) > edge
+    with pytest.raises(IntegrationError) as exc:
+        integrate_transfer(c, past, IntegratorConfig(method=method, n_steps=n))
+    assert exc.value.step == 0
+    n_min = int(exc.value.reason.rsplit("at least ", 1)[1].split()[0])
+    assert n_min == n + 1
+    run = integrate_transfer(c, past, IntegratorConfig(method=method,
+                                                       n_steps=n_min))
+    assert np.all(np.abs(run.a22) <= 1.0)
+
+
+def test_receiver_stability_counts_the_loss_rate():
+    # beta = gamma + gamma_loss = 3 per unit time, dt = 1
+    p = SystemParams(gamma=2.0, gamma_loss=1.0, transfer_time=10.0)
+    with pytest.raises(IntegrationError, match="at least 15 steps"):
+        integrate_transfer(CouplingProfile.constant(1.0), p,
+                           IntegratorConfig(method=Method.HEUN, n_steps=10))
+    integrate_transfer(CouplingProfile.constant(1.0), p,
+                       IntegratorConfig(method=Method.RK4, n_steps=11))
+
+
+def test_receiver_rate_beyond_any_grid():
+    p = SystemParams(gamma=1e308, transfer_time=1e10)
+    with pytest.raises(IntegrationError,
+                       match="would need more than 1e308 steps .at step 0.$"):
+        integrate_transfer(CouplingProfile.constant(1.0), p,
+                           IntegratorConfig(n_steps=10))
 
 
 def test_integration_error_survives_pickling():
