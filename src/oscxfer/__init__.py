@@ -17,7 +17,6 @@ from .types import (
     TimeGrid,
     TransferState,
     ValidityWindows,
-    profile_value,
     profile_values,
     validate_params,
 )
@@ -33,7 +32,6 @@ from .oracles import (
 from .simulate import (
     IntegrationError,
     IntegratorConfig,
-    Method,
     commutator_check,
     integrate_transfer,
 )
@@ -57,12 +55,11 @@ __version__ = "0.1.0"
 __all__ = [
     "SystemParams", "TimeGrid", "ProfileKind", "CouplingProfile",
     "TransferState", "ValidityWindows", "FidelityReport", "ParamIssue",
-    "ProfileSingularityError", "validate_params", "profile_value",
-    "profile_values",
+    "ProfileSingularityError", "validate_params", "profile_values",
     "fidelity_constant_coupling", "fidelity_optimal", "fidelity_lossy",
     "reference_curve", "budget_report",
     "validity_windows", "euler_lagrange_residual",
-    "Method", "IntegratorConfig", "IntegrationError", "integrate_transfer",
+    "IntegratorConfig", "IntegrationError", "integrate_transfer",
     "commutator_check",
     "OptimizerResult",
     "functional_value", "functional_gradient", "optimize_profile",

@@ -30,7 +30,6 @@ from .optimize import functional_value, optimize_profile, verify_stationarity
 from .simulate import (
     IntegrationError,
     IntegratorConfig,
-    Method,
     commutator_check,
     integrate_transfer,
 )
@@ -69,7 +68,6 @@ class RunConfig:
     gamma1_max: Optional[float] = None
     profile: str = "optimal"
     n_steps: int = 10_000
-    method: str = "rk4"
     kernels: bool = False
     sweep: Optional[str] = None
     target_fidelity: Optional[float] = None
@@ -286,8 +284,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg = RunConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.method not in ("rk4", "heun"):
-        raise ConfigError(f"unknown method: {cfg.method!r}")
     if cfg.format not in ("csv", "json", "both"):
         raise ConfigError(f"unknown format: {cfg.format!r}")
     if cfg.n_steps < 10:
@@ -359,15 +355,14 @@ def _simulate(cfg: RunConfig):
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     profile = _build_profile(cfg, grid)
     state = integrate_transfer(profile, p, IntegratorConfig(
-        method=Method(cfg.method), n_steps=cfg.n_steps,
-        kernel_tracking=cfg.kernels))
+        n_steps=cfg.n_steps, kernel_tracking=cfg.kernels))
     return p, profile, state
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     p, profile, state = _simulate(cfg)
 
-    times, curve = state.fidelity_curve()
+    times, curve = state.grid.nodes(), state.a21
     oracle = reference_curve(p, profile, times)
     abs_err = np.abs(curve - oracle)
     if cfg.format in ("csv", "both"):
@@ -386,7 +381,6 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             "eta": p.eta,
         },
         "n_steps": cfg.n_steps,
-        "method": cfg.method,
     }
     if profile.kind is ProfileKind.OPTIMAL_CLOSED_FORM:
         rep = budget_report(p, dt_cut=profile.truncation or 0.0,
@@ -465,9 +459,13 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
 
 
 def _sweep_point(job: tuple) -> tuple[float, float]:
-    """One sweep evaluation, ``(F_oracle, F_sim)``; runs in a worker process."""
+    """One sweep evaluation, ``(F_oracle, F_sim)``; runs in a worker process.
+
+    Kernel tracking is off: it only records, so ``F_sim`` is the same
+    without it, and a sweep row has no use for the kernels.
+    """
     cfg, name, value = job
-    cfg = dataclasses.replace(cfg, **{_SWEEPABLE[name]: value})
+    cfg = dataclasses.replace(cfg, kernels=False, **{_SWEEPABLE[name]: value})
     try:
         p, profile, state = _simulate(cfg)
     except ConfigError as exc:
@@ -576,11 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="constant:<v> | optimal | file:<path>")
     common.add_argument("--steps", dest="n_steps", type=int,
                         help="integration grid steps")
-    common.add_argument("--method", choices=("rk4", "heun"))
     common.add_argument("--kernels", action="store_const", const=True,
                         default=None,
                         help="track noise kernels and check the commutator "
-                             "sum rules (O(n) memory, about 32 B per step)")
+                             "sum rules (O(n) memory, about 32 B per step); "
+                             "sweep ignores it")
     common.add_argument("--format", choices=("csv", "json", "both"))
     common.add_argument("--target-fidelity", dest="target_fidelity", type=float)
     common.add_argument("--margin", type=float,

@@ -21,7 +21,7 @@ of ``gamma*T``.
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -30,9 +30,11 @@ from .types import (
     FidelityReport,
     ProfileKind,
     SystemParams,
+    Times,
     TimeGrid,
     ValidityWindows,
     _elementwise,
+    _shaped,
     profile_values,
 )
 
@@ -45,15 +47,6 @@ __all__ = [
     "validity_windows",
     "euler_lagrange_residual",
 ]
-
-Times = Union[float, np.ndarray]
-
-
-def _shaped(t: Times, out: np.ndarray) -> Times:
-    """``out``, computed elementwise over ``t``, as a float or in ``t``'s shape."""
-    if np.ndim(t) == 0:
-        return float(np.reshape(out, ()))
-    return np.reshape(out, np.shape(t))
 
 
 def fidelity_constant_coupling(gamma: float, t: Times,

@@ -23,21 +23,21 @@ born on the diagonal with the white-noise source strength of its channel:
 
 Because every equation is linear with scalar coefficients, one integrator
 step is a lower-triangular 2x2 map (mxx, myx, myy); the map is built by
-propagating basis vectors through the Runge-Kutta stages.  The maps are
-built as arrays, one block of about 8k macro steps at a time, so
-temporaries stay O(block): the profile is evaluated at every stage time of
-the block at once, and the stage formulas run elementwise in the order a
-single step would use, so the arrays hold the bits of a step-by-step loop.
-Then A11 and A22 are running products (``np.cumprod``, which multiplies in
-step order), and A21, the first-order recurrence
-A21 <- myx*A11 + myy*A21, is folded in step order by one tight scalar loop;
-an associative scan would regroup the products and change the last bits.
+propagating basis vectors through the four stages of classical RK4, the
+one step map.  The maps are built as arrays, one block of about 8k macro
+steps at a time, so temporaries stay O(block): the profile is evaluated at
+every stage time of the block at once, and the stage formulas run
+elementwise in the order a single step would use, so the arrays hold the
+bits of a step-by-step loop.  Then A11 and A22 are running products
+(``np.cumprod``, which multiplies in step order), and A21, the first-order
+recurrence A21 <- myx*A11 + myy*A21, is folded in step order by one tight
+scalar loop; an associative scan would regroup the products and change the
+last bits.
 
 The receiver's rate is constant, so halving steps on it would only be a
-larger grid done badly: a grid whose (g + gl) * dt exceeds the method's
-real-axis stability edge (RK4 2.785, Heun 2; Hairer & Wanner, *Solving
-ODEs II*, IV.2) is refused at step 0, before any work, with the smallest
-step count that resolves it.
+larger grid done badly: a grid whose (g + gl) * dt exceeds RK4's real-axis
+stability edge 2.785 (Hairer & Wanner, *Solving ODEs II*, IV.2) is refused
+at step 0, before any work, with the smallest step count that resolves it.
 
 Steps are halved adaptively whenever ``(g1 + gl) * h`` exceeds
 :data:`~oscxfer.types.DAMPING_CAP_FACTOR`, which keeps the integrator
@@ -55,7 +55,6 @@ and :func:`commutator_check` sums the rows' norms without forming them.
 
 from __future__ import annotations
 
-import enum
 import math
 from array import array
 from dataclasses import dataclass
@@ -73,7 +72,6 @@ from .types import (
 )
 
 __all__ = [
-    "Method",
     "IntegratorConfig",
     "IntegrationError",
     "STABILITY_EDGE",
@@ -83,11 +81,6 @@ __all__ = [
 
 _MAX_HALVINGS = 26
 _BLOCK = 8192  # macro steps, or substeps, evaluated as one array
-
-
-class Method(enum.Enum):
-    RK4 = "rk4"
-    HEUN = "heun"
 
 
 class IntegrationError(RuntimeError):
@@ -108,22 +101,19 @@ class IntegrationError(RuntimeError):
         return (type(self), (self.reason, self.step))
 
 
-# largest (g + gl) * dt for which a method's decay map y' = -(g + gl) y is
-# stable on the real axis
-STABILITY_EDGE = {Method.RK4: 2.785, Method.HEUN: 2.0}
+# largest (g + gl) * dt for which RK4's decay map y' = -(g + gl) y is stable
+# on the real axis
+STABILITY_EDGE = 2.785
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: Method = Method.RK4
     n_steps: int = 10_000
     kernel_tracking: bool = False  # records step maps: O(n_steps) memory, 32 B/step
 
     def __post_init__(self) -> None:
         if self.n_steps < 10:
             raise ValueError("n_steps must be at least 10")
-        if not isinstance(self.method, Method):
-            raise ValueError(f"unknown method: {self.method!r}")
 
 
 def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h):
@@ -169,31 +159,6 @@ def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h):
     return mxx, myx, np.broadcast_to(myy, np.shape(mxx))
 
 
-def _heun_maps(a0, am, a1, beta: float, root: float, gl: float, h):
-    """Heun (explicit trapezoid) steps of the same pair; see _rk4_maps.
-
-    The midpoint stage ``am`` is not used.
-    """
-    s0 = root * np.sqrt(a0)
-    s1 = root * np.sqrt(a1)
-    a0 = a0 + gl
-    a1 = a1 + gl
-
-    kx1 = -a0
-    ky1 = s0
-    xp = 1.0 + h * kx1
-    yp = h * ky1
-    kx2 = -a1 * xp
-    ky2 = -beta * yp + s1 * xp
-    mxx = 1.0 + 0.5 * h * (kx1 + kx2)
-    myx = 0.5 * h * (ky1 + ky2)
-
-    ky1 = -beta
-    ky2 = -beta * (1.0 + h * ky1)
-    myy = 1.0 + 0.5 * h * (ky1 + ky2)
-    return mxx, myx, np.broadcast_to(myy, np.shape(mxx))
-
-
 def _halvings(rate: np.ndarray, dt: float) -> np.ndarray:
     """Per step, how often dt is halved so that ``rate * h <= cap``.
 
@@ -232,20 +197,19 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
     g, gl, eta = p.gamma, p.gamma_loss, p.eta
     beta = g + gl
     root = 2.0 * math.sqrt(eta * g)
-    step_maps_of = _rk4_maps if cfg.method is Method.RK4 else _heun_maps
-    edge = STABILITY_EDGE[cfg.method]
-    if beta * dt > edge:
-        need = beta * grid.t_end / edge
+    if beta * dt > STABILITY_EDGE:
+        need = beta * grid.t_end / STABILITY_EDGE
         if math.isfinite(need):
             n_min = math.ceil(need)
-            n_min += beta * (grid.t_end / n_min) > edge  # rounding of dt
+            # dt = T / n_min can round up past the edge
+            n_min += beta * (grid.t_end / n_min) > STABILITY_EDGE
             hint = f"the grid needs at least {n_min} steps"
         else:
             hint = "the grid would need more than 1e308 steps"
         raise IntegrationError(
             f"receiver too stiff for the grid: (gamma + gamma_loss)*dt = "
-            f"{beta * dt:.6g} exceeds the {cfg.method.value} stability edge "
-            f"{edge:g}; {hint}", 0)
+            f"{beta * dt:.6g} exceeds the rk4 stability edge "
+            f"{STABILITY_EDGE:g}; {hint}", 0)
 
     # For a sampled profile whose grid the integrator grid refines exactly,
     # resolve each macro step's cell by index: time-based lookups cannot
@@ -283,8 +247,8 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
             j = np.searchsorted(ends, q, side="right")
             sub = q - (ends[j] - m[j])
             h = dt / m[j]
-            maps = step_maps_of(*stages(steps[j], steps[j] * dt + sub * h, h),
-                                beta, root, gl, h)
+            maps = _rk4_maps(*stages(steps[j], steps[j] * dt + sub * h, h),
+                             beta, root, gl, h)
             cuts = np.flatnonzero(np.diff(j)) + 1
             for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), q.size]):
                 if sub[a] == 0:
@@ -318,7 +282,7 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                 i, g0, gm, g1, k = (v[:cut] for v in (i, g0, gm, g1, k))
             hi = lo + i.size
 
-            pxx, pyx, pyy = step_maps_of(g0, gm, g1, beta, root, gl, dt)
+            pxx, pyx, pyy = _rk4_maps(g0, gm, g1, beta, root, gl, dt)
             # one substep folded into the identity map
             mxx, myx, myy = pxx * 1.0, pyx * 1.0 + pyy * 0.0, pyy * 1.0
             stiff = np.flatnonzero(k)

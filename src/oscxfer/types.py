@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "ParamIssue",
     "ProfileSingularityError",
     "validate_params",
-    "profile_value",
     "profile_values",
     "DAMPING_CAP_FACTOR",
 ]
@@ -232,6 +231,16 @@ class CouplingProfile:
                    truncation=truncation, gamma1_max=gamma1_max)
 
 
+Times = Union[float, np.ndarray]
+
+
+def _shaped(t: Times, out: np.ndarray) -> Times:
+    """``out``, computed elementwise over ``t``, as a float or in ``t``'s shape."""
+    if np.ndim(t) == 0:
+        return float(np.reshape(out, ()))
+    return np.reshape(out, np.shape(t))
+
+
 # Block length for elementwise Python-level evaluation, so that the lists of
 # Python floats it builds stay small.
 _BLOCK = 8192
@@ -266,16 +275,8 @@ def _optimal_closed_form(gamma: float, t_remaining: np.ndarray) -> np.ndarray:
     return out
 
 
-def profile_value(c: CouplingProfile, p: SystemParams, t: float) -> float:
-    """Evaluate the coupling rate gamma1 at time ``t``.
-
-    The one-element case of :func:`profile_values`; see there.
-    """
-    return float(profile_values(c, p, np.array([t], dtype=float))[0])
-
-
-def profile_values(c: CouplingProfile, p: SystemParams, ts: np.ndarray) -> np.ndarray:
-    """Evaluate the coupling rate gamma1 at every time in ``ts``.
+def profile_values(c: CouplingProfile, p: SystemParams, ts: Times) -> Times:
+    """Evaluate the coupling rate gamma1 at a time or at every time in ``ts``.
 
     Inside the truncation window ``[T - truncation, T]`` every profile kind
     returns the hold value ``gamma1_max``.  Elsewhere a constant profile
@@ -283,10 +284,11 @@ def profile_values(c: CouplingProfile, p: SystemParams, ts: np.ndarray) -> np.nd
     ``math.expm1`` (and raises :class:`ProfileSingularityError` at
     ``t >= T``), and a sampled profile returns the value at the left node of
     the enclosing cell, snapping times within 1e-9 of a cell width below a
-    node onto that node.  The result has the shape of ``ts``; element by
-    element it is independent of the other times in the array.
+    node onto that node.  A float in gives a float out, an array gives an
+    array of its shape; element by element the result is independent of the
+    other times in the array.
     """
-    t = np.asarray(ts, dtype=float)
+    t = np.asarray(ts, dtype=float).reshape(-1)
     T = p.transfer_time
     out = np.empty(t.shape)
     if c.truncation is None:
@@ -309,7 +311,7 @@ def profile_values(c: CouplingProfile, p: SystemParams, ts: np.ndarray) -> np.nd
         j[s - j > 1.0 - 1e-9] += 1.0  # within float fuzz of the next node
         j = np.clip(j, 0, grid.n_nodes - 1).astype(np.intp)
         out[free] = c.values[j]
-    return out
+    return _shaped(ts, out)
 
 
 @dataclass
@@ -345,10 +347,6 @@ class TransferState:
     def fidelity(self) -> float:
         """Transfer amplitude at the end of the protocol, a21(T)."""
         return float(self.a21[-1])
-
-    def fidelity_curve(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times, a21) series over the whole grid."""
-        return self.grid.nodes(), self.a21.copy()
 
 
 @dataclass(frozen=True)

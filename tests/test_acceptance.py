@@ -57,7 +57,7 @@ def test_criterion_1_constant_coupling_peak():
     p = SystemParams(gamma=1.0, transfer_time=3.0)
     state = integrate_transfer(CouplingProfile.constant(1.0), p,
                                IntegratorConfig(n_steps=10_000))
-    ts, curve = state.fidelity_curve()
+    ts, curve = state.grid.nodes(), state.a21
     i_peak = int(np.argmax(curve))
     err = abs(curve[i_peak] - 2.0 / math.e)
     t_err = abs(ts[i_peak] - 1.0)

@@ -1,7 +1,9 @@
 """End-to-end command-line workflows: exit codes, artifacts, reproducibility."""
 
+import argparse
 import ast
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -12,7 +14,7 @@ import pytest
 from oscxfer import cli
 from oscxfer.cli import main
 from oscxfer.oracles import fidelity_lossy, reference_curve
-from oscxfer.simulate import STABILITY_EDGE, Method
+from oscxfer.simulate import STABILITY_EDGE
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
 
 
@@ -178,6 +180,27 @@ class TestSweep:
         assert float(row["F_sim"]) == rep["fidelity"]
         assert float(row["F_oracle"]) == float(last["F_oracle"])
 
+    def test_point_skips_kernel_tracking(self, tmp_path, monkeypatch):
+        # tracking only records, and a sweep row reads none of it
+        real, seen = cli.integrate_transfer, []
+
+        def spy(c, p, cfg):
+            seen.append(cfg.kernel_tracking)
+            return real(c, p, cfg)
+
+        monkeypatch.setattr(cli, "integrate_transfer", spy)
+        cli._sweep_point((cli.RunConfig(kernels=True, n_steps=200), "T", 2.0))
+        assert seen == [False]
+
+        monkeypatch.undo()
+        tables = []
+        for name, flags in (("plain", []), ("kernels", ["--kernels"])):
+            out = tmp_path / name
+            assert main(["sweep", "--sweep", "T:1:3:2", "--steps", "200",
+                         *flags, "--out", str(out)]) == 0
+            tables.append((out / "sweep.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_grid_overrunning_T_by_one_ulp(self, tmp_path):
         # 100 * (T / 100) lands one ulp past T: the reference curve must
         # take the last node as T rather than refuse it
@@ -319,6 +342,32 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "x")]) == 2
         assert "unknown config keys: parametrization" in capsys.readouterr().err
 
+    def test_removed_method_key_exits_2(self, tmp_path, capsys):
+        # config files from versions with a choice of two step maps
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 1.0, "method": "rk4"}))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "unknown config keys: method" in capsys.readouterr().err
+
+    def test_removed_method_flag_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--method", "rk4",
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+
+    def test_every_flag_is_a_config_field(self):
+        # resolve_config reads only RunConfig fields, so a flag without a
+        # field would be accepted and ignored, and a field without a flag
+        # could be set from a file only
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for p in [parser, *sub.choices.values()]
+                 for a in p._actions if a.dest != "help"}
+        fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        assert dests - {"config", "command"} == fields
+
     @pytest.mark.parametrize("key, value", [
         ("max_iters", 5000),
         ("step_size", 1.0),
@@ -341,7 +390,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--profile", "wedge:1"],
         ["simulate", "--gamma", "-1"],
-        ["simulate", "--method", "rk4", "--steps", "5"],
+        ["simulate", "--steps", "5"],
         ["simulate", "--eta", "1.5"],
     ])
     def test_invalid_values_exit_2(self, tmp_path, argv):
@@ -372,22 +421,19 @@ class TestConfigHandling:
         assert oracle[-1] == pytest.approx(0.0013433102668475141, rel=1e-14,
                                            abs=0.0)
 
-    @pytest.mark.parametrize("method, steps", [("rk4", 107720),
-                                               ("heun", 150000)])
-    def test_unresolved_receiver_rate_exits_3(self, tmp_path, capsys,
-                                              method, steps):
+    def test_unresolved_receiver_rate_exits_3(self, tmp_path, capsys):
         # (gamma + gamma_loss)*dt = 3e4 is far past the stability edge: the
         # run used to exit 0 with fidelity -1.1e304
         out = tmp_path / "run"
         code = main(["simulate", "--profile", "constant:1", "--gamma", "3e5",
                      "--omega0", "1e12", "--T", "1", "--steps", "10",
-                     "--method", method, "--out", str(out)])
+                     "--out", str(out)])
         assert code == 3
         assert capsys.readouterr().err.splitlines() == [
             "numerical failure: receiver too stiff for the grid: "
             "(gamma + gamma_loss)*dt = 30000 exceeds the "
-            f"{method} stability edge {STABILITY_EDGE[Method(method)]:g}; "
-            f"the grid needs at least {steps} steps (at step 0)"]
+            f"rk4 stability edge {STABILITY_EDGE:g}; "
+            "the grid needs at least 107720 steps (at step 0)"]
         assert not (out / "report.json").exists()
 
     def test_coarsest_default_run_exits_0(self, tmp_path):
