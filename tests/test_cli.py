@@ -421,7 +421,9 @@ class TestConfigHandling:
         assert oracle[-1] == pytest.approx(0.0013433102668475141, rel=1e-14,
                                            abs=0.0)
 
-    def test_unresolved_receiver_rate_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edge_name, steps", [("rk4", 107720)])
+    def test_unresolved_receiver_rate_exits_3(self, tmp_path, capsys,
+                                              edge_name, steps):
         # (gamma + gamma_loss)*dt = 3e4 is far past the stability edge: the
         # run used to exit 0 with fidelity -1.1e304
         out = tmp_path / "run"
@@ -432,8 +434,8 @@ class TestConfigHandling:
         assert capsys.readouterr().err.splitlines() == [
             "numerical failure: receiver too stiff for the grid: "
             "(gamma + gamma_loss)*dt = 30000 exceeds the "
-            f"rk4 stability edge {STABILITY_EDGE:g}; "
-            "the grid needs at least 107720 steps (at step 0)"]
+            f"{edge_name} stability edge {STABILITY_EDGE:g}; "
+            f"the grid needs at least {steps} steps (at step 0)"]
         assert not (out / "report.json").exists()
 
     def test_coarsest_default_run_exits_0(self, tmp_path):

@@ -182,7 +182,13 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+# The ids keep the names these cases ran under while the step map was a
+# parameter of the integrator
+def _rk4_id(name):
+    return f"{name}-Method.RK4"
+
+
+@pytest.mark.parametrize("name", sorted(CASES), ids=_rk4_id)
 def test_array_integrator_is_the_scalar_loop(name):
     c, p, n = CASES[name]
     cfg = IntegratorConfig(n_steps=n, kernel_tracking=True)
@@ -229,6 +235,11 @@ FAILURES = {
     # an overflowing cell: the map of step 5 is non-finite
     "non-finite": (_sampled(TINY_T, 10, _spiked(10, {5: 5e307})),
                    SystemParams(gamma=1.0, transfer_time=TINY_T), 10),
+    # a cell of 1.7e308, itself within a factor of 1.06 of the largest
+    # double: the same step fails
+    "non-finite-both-methods": (
+        _sampled(TINY_T, 10, _spiked(10, {5: 1.7e308})),
+        SystemParams(gamma=1.0, transfer_time=TINY_T), 10),
     "non-finite-before-too-stiff": (
         _sampled(TINY_T, 10, _spiked(10, {5: 1.7e308, 7: MAX})), LOSSY, 10),
     "too-stiff-before-non-finite": (
@@ -245,7 +256,7 @@ def _failure(fn):
     return None
 
 
-@pytest.mark.parametrize("name", sorted(FAILURES))
+@pytest.mark.parametrize("name", sorted(FAILURES), ids=_rk4_id)
 def test_failures_match_the_scalar_loop(name):
     c, p, n = FAILURES[name]
     cfg = IntegratorConfig(n_steps=n)
@@ -264,6 +275,7 @@ def test_failure_steps_are_pinned():
     assert step("too-stiff-refining") == (stiff, 37)
     assert step("too-stiff-second-block") == (stiff, 9000)
     assert step("non-finite") == (finite, 5)
+    assert step("non-finite-both-methods") == (finite, 5)
     assert step("non-finite-before-too-stiff") == (finite, 5)
     assert step("too-stiff-before-non-finite") == (stiff, 3)
 

@@ -61,8 +61,11 @@ def test_decay_coefficients():
     assert st.a22[-1] == pytest.approx(math.exp(-2.0), abs=1e-10)
 
 
-def test_refinement_order():
+@pytest.mark.parametrize("lo, hi", [
     # 4th order: halving dt cuts the error about 16x
+    pytest.param(8.0, 40.0, id="Method.RK4-8.0-40.0"),
+])
+def test_refinement_order(lo, hi):
     want = 4.0 * math.exp(-2.0)
 
     def err(n):
@@ -71,7 +74,7 @@ def test_refinement_order():
         return abs(st.fidelity - want)
 
     ratio = err(250) / err(500)
-    assert 8.0 < ratio < 40.0
+    assert lo < ratio < hi
 
 
 class TestDualRoute:
@@ -212,11 +215,14 @@ def test_stiff_profile_raises_with_step_info():
     assert exc.value.step == 0
 
 
-def test_receiver_rate_past_stability_edge_refused():
+@pytest.mark.parametrize("edge", [
+    pytest.param(STABILITY_EDGE, id="Method.RK4"),
+])
+def test_receiver_rate_past_stability_edge_refused(edge):
     # gamma*dt just past the edge is refused before any work, and the step
     # count the message names runs; at the edge itself the run goes ahead
-    assert STABILITY_EDGE == 2.785
-    edge, T, n = STABILITY_EDGE, 1.0, 40
+    assert edge == 2.785
+    T, n = 1.0, 40
     c = CouplingProfile.constant(1.0)
     at_edge = SystemParams(gamma=edge * n / T, transfer_time=T)
     assert at_edge.gamma * (T / n) <= edge
