@@ -241,11 +241,6 @@ def _shaped(t: Times, out: np.ndarray) -> Times:
     return np.reshape(out, np.shape(t))
 
 
-# Block length for elementwise Python-level evaluation, so that the lists of
-# Python floats it builds stay small.
-_BLOCK = 8192
-
-
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     """``fn`` (a scalar ``math`` function) applied to each element of ``x``.
 
@@ -253,11 +248,8 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     counterparts because the two libraries round differently in the last
     place on some arguments, and the scalar results are the reference.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    out = np.empty(x.size)
-    for lo in range(0, x.size, _BLOCK):
-        out[lo:lo + _BLOCK] = list(map(fn, x[lo:lo + _BLOCK].tolist()))
-    return out
+    x = np.ascontiguousarray(x, dtype=float).ravel()
+    return np.fromiter(map(fn, memoryview(x)), float, x.size)
 
 
 def _optimal_closed_form(gamma: float, t_remaining: np.ndarray) -> np.ndarray:

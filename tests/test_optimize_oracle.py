@@ -7,6 +7,10 @@ trial step, halves it until the Armijo condition holds, and stops when an
 accepted step improves the functional by less than the tolerance or when no
 uphill step is left in the box.  It only ever approaches the discrete
 optimum, so the sweep must never end below it.
+
+``probe_first_argmax`` is the sweep's former per-cell root solve, which
+evaluated the slope at the box end before the warm start; the sweep must
+reach the same optimum, bit for bit, with no more evaluations.
 """
 
 import math
@@ -14,12 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oscxfer import optimize
 from oscxfer.optimize import (
+    _MAX_ROOT_EVALS,
+    _ROOT_RTOL,
     _functional_from_cells,
     _phi,
+    _stage_slopes,
     _u_gradient,
     functional_value,
     optimize_profile,
@@ -102,6 +110,37 @@ def ascent_oracle(p, grid, gamma1_max=None, initial=None, max_iters=5000,
     return np.where(cells <= floor, 0.0, cells), trace
 
 
+def probe_first_argmax(s, c, a, b, top, guess):
+    """The root solve as it was before the box-end probe became lazy: the
+    slope at ``top`` first, then Newton steps from ``guess`` (each slope
+    evaluation counted, the probe included)."""
+    if s == 0.0:
+        return 0.0, 0
+    d1, d2 = _stage_slopes(top, s, c, a, b)
+    if d1 > 0.0:
+        return top, 1
+    lo, hi, u = 0.0, top, top
+    evals = 1
+    if guess < top:
+        u = guess
+        d1, d2 = _stage_slopes(u, s, c, a, b)
+        evals += 1
+    while evals < _MAX_ROOT_EVALS:
+        if d1 > 0.0:
+            lo = u
+        else:
+            hi = u
+        step = -d1 / d2 if d2 < 0.0 else math.inf
+        if abs(step) <= _ROOT_RTOL * u:
+            return min(max(u + step, 0.0), top), evals
+        u += step
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+        d1, d2 = _stage_slopes(u, s, c, a, b)
+        evals += 1
+    return math.nan, evals
+
+
 def _dp(p, grid, cap=None):
     prof, result = optimize_profile(p, grid, gamma1_max=cap)
     return functional_value(prof, p, grid), result
@@ -158,6 +197,44 @@ def test_dp_never_below_ascent(gamma, gamma_t, n, cap_factor):
     assert f_dp >= f_asc - 1e-13
     assert result.kkt_residual <= 1e-9
     assert result.iterations >= n
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma=st.floats(0.2, 3.0), gamma_t=st.floats(0.5, 6.0),
+       n=st.integers(10, 400),
+       cap_factor=st.one_of(st.none(), st.floats(0.5, 50.0)))
+@example(gamma=1.0, gamma_t=720.0, n=20_000, cap_factor=None)
+@example(gamma=1.0, gamma_t=7050.0, n=10, cap_factor=None)  # sigma underflows
+def test_dp_is_the_probe_first_dp(gamma, gamma_t, n, cap_factor):
+    T = gamma_t / gamma
+    p = SystemParams(gamma=gamma, transfer_time=T)
+    grid = TimeGrid(T, n)
+    cap = None if cap_factor is None else cap_factor * gamma
+    prof, result = optimize_profile(p, grid, gamma1_max=cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_stage_argmax", probe_first_argmax)
+        ref_prof, ref = optimize_profile(p, grid, gamma1_max=cap)
+    assert prof.values.tobytes() == ref_prof.values.tobytes()
+    assert result.kkt_residual == ref.kkt_residual
+    assert result.iterations <= ref.iterations
+
+
+def test_box_end_probed_when_guess_slopes_up():
+    # the slope is positive on all of [0, 1]: from a guess below the box
+    # end, only the probe at the end can return it exactly
+    s, c, a, b, top = 1.0, 1.0, 1e-3, 1e-3, 1.0
+    assert _stage_slopes(top, s, c, a, b)[0] > 0.0
+    assert optimize._stage_argmax(s, c, a, b, top, 0.5) == (top, 2)
+    assert optimize._stage_argmax(s, c, a, b, top, top) == (top, 1)
+    assert probe_first_argmax(s, c, a, b, top, 0.5) == (top, 1)
+
+
+def test_sweep_evaluations_per_cell():
+    # a count, not a timing: a per-cell probe of the box end would add
+    # about one evaluation per cell (3.63 n here instead of 2.63 n)
+    n = 10_000
+    _, result = optimize_profile(SystemParams(1.0, 3.0), TimeGrid(3.0, n))
+    assert result.iterations <= 2.7 * n
 
 
 @pytest.mark.parametrize("gamma_t", [720.0, 2000.0])

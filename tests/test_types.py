@@ -12,6 +12,7 @@ from oscxfer.types import (
     SystemParams,
     TimeGrid,
     TransferState,
+    _elementwise,
     profile_values,
     validate_params,
 )
@@ -150,3 +151,40 @@ class TestTransferState:
                           a22=np.array([1.0, 0.9, 0.8]))
         assert s.fidelity == 0.6
         assert type(s.fidelity) is float
+
+
+def _list_map(fn, x):
+    """The reference: ``fn`` over a list of the elements as Python floats."""
+    xs = np.asarray(x, dtype=float).ravel().tolist()
+    return np.array(list(map(fn, xs)), dtype=float)
+
+
+class TestElementwise:
+    EDGES = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                      -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300,
+                      709.0, -745.2, 1e-5, -1e-5])
+
+    @pytest.mark.parametrize("fn", [math.exp, math.expm1])
+    @pytest.mark.parametrize("case", ["random", "edges", "empty", "strided",
+                                      "2-d", "scalar"])
+    def test_equals_list_map(self, fn, case):
+        rng = np.random.default_rng(7)
+        big = rng.uniform(-700.0, 700.0, 20_000) * 10.0 ** -rng.integers(
+            0, 12, 20_000)
+        x = {"random": big,
+             "edges": self.EDGES,
+             "empty": np.empty(0),
+             "strided": big[::3],
+             "2-d": big[:600].reshape(20, 30).T,
+             "scalar": np.float64(-0.25)}[case]
+        out = _elementwise(fn, x)
+        want = _list_map(fn, x)
+        assert out.dtype == np.float64
+        assert out.shape == want.shape == (np.size(x),)
+        assert out.tobytes() == want.tobytes()
+
+    def test_overflow_propagates(self):
+        with pytest.raises(OverflowError):
+            _elementwise(math.exp, np.array([0.0, 1000.0]))
+        with pytest.raises(OverflowError):
+            _elementwise(math.expm1, np.array([1000.0]))
