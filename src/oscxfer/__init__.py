@@ -32,7 +32,6 @@ from .oracles import (
 from .simulate import (
     IntegrationError,
     IntegratorConfig,
-    commutator_check,
     integrate_transfer,
 )
 from .optimize import (
@@ -60,7 +59,6 @@ __all__ = [
     "reference_curve", "budget_report",
     "validity_windows", "euler_lagrange_residual",
     "IntegratorConfig", "IntegrationError", "integrate_transfer",
-    "commutator_check",
     "OptimizerResult",
     "functional_value", "functional_gradient", "optimize_profile",
     "verify_stationarity",

@@ -27,12 +27,7 @@ import numpy as np
 from .circuit import CircuitSpec, Topology, carrier_frequency, circuit_to_rates
 from .oracles import budget_report, reference_curve
 from .optimize import functional_value, optimize_profile, verify_stationarity
-from .simulate import (
-    IntegrationError,
-    IntegratorConfig,
-    commutator_check,
-    integrate_transfer,
-)
+from .simulate import IntegrationError, IntegratorConfig, integrate_transfer
 from .types import (
     CouplingProfile,
     ProfileKind,
@@ -247,9 +242,10 @@ def _write_csv(path: Path, header: Sequence[str],
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Standard JSON only: a NaN or infinity raises before the file opens."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_config(path: str) -> dict:
@@ -288,6 +284,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown format: {cfg.format!r}")
     if cfg.n_steps < 10:
         raise ConfigError("steps must be at least 10")
+    if not 0.0 < cfg.margin < math.inf:
+        raise ConfigError("margin must be finite and positive")
     return cfg
 
 
@@ -390,7 +388,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         report["budget"] = rep.to_dict()
 
     if cfg.kernels:
-        d1, d2 = commutator_check(state)
+        d1, d2 = state.deficits
         report["commutator_max"] = [float(np.max(np.abs(d1))),
                                     float(np.max(np.abs(d2)))]
         if cfg.format in ("csv", "both"):
@@ -408,27 +406,34 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     trunc = _resolved_dt_cut(cfg, grid)
     profile, result = optimize_profile(p, grid, gamma1_max=cfg.gamma1_max)
+    functional = functional_value(profile, p, grid)
+    stat = verify_stationarity(profile, p, grid)
+    # with every node at the cap there is no residual to report
+    residual = stat.max_abs_residual if stat.n_points else None
+    for name, value in (("functional", functional),
+                        ("kkt_residual", result.kkt_residual),
+                        ("stationarity residual", residual)):
+        if value is not None and not math.isfinite(value):
+            raise FloatingPointError(f"optimizer {name} is {value!r}")
 
     times = grid.nodes()
     reference = CouplingProfile.optimal(truncation=trunc)
     closed = profile_values(reference, p, times)
     opt_vals = np.asarray(profile.values, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(closed > 0, np.abs(opt_vals - closed) / closed, math.nan)
+    rel = np.where(closed > 0, np.abs(opt_vals - closed) / closed, math.nan)
     if cfg.format in ("csv", "both"):
         _write_csv(out / "profile.csv",
                    ["t", "gamma1_opt", "gamma1_closed_form", "rel_err"],
                    (times, opt_vals, closed, rel))
 
-    stat = verify_stationarity(profile, p, grid)
     report = {
-        "functional": functional_value(profile, p, grid),
+        "functional": functional,
         "iterations": result.iterations,
         "kkt_residual": result.kkt_residual,
         "gamma1_max": profile.gamma1_max,
         "truncation": trunc,
         "stationarity": {
-            "max_abs_residual": stat.max_abs_residual,
+            "max_abs_residual": residual,
             "n_points": stat.n_points,
         },
     }
@@ -577,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--kernels", action="store_const", const=True,
                         default=None,
                         help="track noise kernels and check the commutator "
-                             "sum rules (O(n) memory, about 32 B per step); "
+                             "sum rules (O(n) memory, about 16 B per step); "
                              "sweep ignores it")
     common.add_argument("--format", choices=("csv", "json", "both"))
     common.add_argument("--target-fidelity", dest="target_fidelity", type=float)
@@ -629,7 +634,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "config.json", cfg.to_dict())
-        return _COMMANDS[args.command](cfg, out)
+        # non-finite results are refused or written as nan, so numpy's
+        # floating-point warnings would only repeat them on stderr
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

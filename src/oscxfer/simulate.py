@@ -47,10 +47,17 @@ folded, in substep order, into one map each.  A failure is reported at the
 earliest failing step: a step that 26 halvings cannot make stable, or the
 first non-finite coefficient.
 
-A column born at t_j reaches t_i through the maps of steps j..i-1, so with
-kernel tracking the integrator keeps only those maps and the k1 births
-(O(n) memory, 32 bytes per step): any kernel row can be rebuilt from them,
-and :func:`commutator_check` sums the rows' norms without forming them.
+A column born at t_j reaches t_i through the maps of steps j..i-1, and
+every channel's column moves by the same maps, so the commutator sum rules
+
+    d1(t) = 1 - [a11^2 + sum_j k1(t,t_j)^2 dt (+ loss channels)]
+    d2(t) = 1 - [a21^2 + a22^2 + sum_j k2(t,t_j)^2 dt (+ loss channels)]
+
+need only the columns' summed second moments (xx, xy, yy).  With kernel
+tracking the integrator carries them through each block, step by step,
+and keeps only d1 and d2 (16 bytes per step).  Trapezoid weights (half on
+the first node and on the diagonal) keep the bias at O(dt^2); no ratio of
+accumulated maps appears, so the sums stay finite at any gamma*T.
 """
 
 from __future__ import annotations
@@ -76,7 +83,6 @@ __all__ = [
     "IntegrationError",
     "STABILITY_EDGE",
     "integrate_transfer",
-    "commutator_check",
 ]
 
 _MAX_HALVINGS = 26
@@ -109,7 +115,7 @@ STABILITY_EDGE = 2.785
 @dataclass(frozen=True)
 class IntegratorConfig:
     n_steps: int = 10_000
-    kernel_tracking: bool = False  # records step maps: O(n_steps) memory, 32 B/step
+    kernel_tracking: bool = False  # commutator deficits: 16 B per step
 
     def __post_init__(self) -> None:
         if self.n_steps < 10:
@@ -159,6 +165,23 @@ def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h):
     return mxx, myx, np.broadcast_to(myy, np.shape(mxx))
 
 
+def _moment_sums(maps, bxx, bxy, byy: float, s: tuple[float, float, float]):
+    """Summed second moments (xx, xy, yy) of the kernel columns, from ``s``
+    on: each step moves them by its map and adds its end node's births
+    (``bxx`` and ``bxy`` per step, ``byy`` constant).  Returns the xx and yy
+    sums after each step and the last (xx, xy, yy)."""
+    sxx, sxy, syy = s
+    norm_x, norm_y = array("d"), array("d")
+    # memoryviews hand out one float at a time, so no per-step list is built
+    for a, b, c, pxx, pxy in zip(*map(memoryview, (*maps, bxx, bxy))):
+        sxx, sxy, syy = (a * a * sxx + pxx,
+                         a * (b * sxx + c * sxy) + pxy,
+                         b * b * sxx + 2.0 * b * c * sxy + c * c * syy + byy)
+        norm_x.append(sxx)
+        norm_y.append(syy)
+    return np.frombuffer(norm_x), np.frombuffer(norm_y), (sxx, sxy, syy)
+
+
 def _halvings(rate: np.ndarray, dt: float) -> np.ndarray:
     """Per step, how often dt is halved so that ``rate * h <= cap``.
 
@@ -184,7 +207,8 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
 
     Returns the transfer coefficients on the grid; ``a21(T)`` is the
     achieved transfer amplitude.  Enable ``cfg.kernel_tracking`` to also
-    record the noise kernels' generators needed by :func:`commutator_check`.
+    get the commutator sum rules' deficits on the grid, as
+    ``state.deficits``.
     """
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     if c.kind is ProfileKind.OPTIMAL_CLOSED_FORM and c.truncation is None:
@@ -226,16 +250,20 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
     def stages(i: np.ndarray, t: np.ndarray, h):
         """g1 at the start, middle and end stage of (sub)steps of macro
         steps ``i`` that start at times ``t`` and are ``h`` wide."""
-        if cells is not None:
-            g_cell = cells[i // ratio]
-            return g_cell, g_cell, g_cell
         # the end stage stays inside the cell being integrated: a step
         # ending exactly on a sampled-profile cell boundary must not read
         # the next cell's value
-        return (profile_values(c, p, t), profile_values(c, p, t + 0.5 * h),
-                profile_values(c, p, t + h * (1.0 - 1e-8)))
+        times = (t, t + 0.5 * h, t + h * (1.0 - 1e-8))
+        if cells is None:
+            return tuple(profile_values(c, p, s) for s in times)
+        g_cell = cells[i // ratio]
+        if c.truncation is None:
+            return g_cell, g_cell, g_cell
+        # the hold window, at the stage times the time lookup would use
+        held = p.transfer_time - c.truncation
+        return tuple(np.where(s >= held, c.gamma1_max, g_cell) for s in times)
 
-    def substep_maps(steps: np.ndarray, k: np.ndarray) -> np.ndarray:
+    def halved_maps(steps: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Maps of macro ``steps``, halved ``k`` times each: the in-order
         fold of each step's 2**k substeps, evaluated _BLOCK at a time."""
         m = 2 ** k
@@ -266,7 +294,28 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
     a11[0], a21[0], a22[0] = 1.0, 0.0, 1.0
 
     track = cfg.kernel_tracking
-    step_maps = np.empty((3, n)) if track else None
+    if track:
+        # constant births of k2, of the loss ports and of the beam-splitter
+        # port; only the k1 birth sqrt(2 g1) varies in time
+        b2, bl = -math.sqrt(2.0 * g * eta), math.sqrt(2.0 * gl)
+        bv = math.sqrt(2.0 * g * (1.0 - eta))
+        byy = b2 * b2 + bl * bl + bv * bv
+        d1, d2 = np.empty(n + 1), np.empty(n + 1)
+
+        def births(nodes: np.ndarray):  # their (xx, xy), summed over channels
+            b1 = np.sqrt(2.0 * profile_values(c, p, nodes * dt))
+            return b1 * b1 + bl * bl, b1 * b2
+
+        def deficits(at: slice, norm_x, norm_y, bxx) -> None:
+            # the diagonal's half weight is taken off
+            d1[at] = 1.0 - (a11[at] ** 2 + dt * (norm_x - 0.5 * bxx))
+            d2[at] = 1.0 - (a21[at] ** 2 + a22[at] ** 2
+                            + dt * (norm_y - 0.5 * byy))
+
+        # the column born at t_0 enters at half weight
+        bxx, bxy = births(np.arange(1))
+        sums = 0.5 * float(bxx[0]), 0.5 * float(bxy[0]), 0.5 * byy
+        deficits(slice(0, 1), np.array([sums[0]]), np.array([sums[2]]), bxx)
 
     with np.errstate(all="ignore"):
         for lo in range(0, n, _BLOCK):
@@ -287,7 +336,7 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
             mxx, myx, myy = pxx * 1.0, pyx * 1.0 + pyy * 0.0, pyy * 1.0
             stiff = np.flatnonzero(k)
             if stiff.size:
-                mxx[stiff], myx[stiff], myy[stiff] = substep_maps(i[stiff],
+                mxx[stiff], myx[stiff], myy[stiff] = halved_maps(i[stiff],
                                                                   k[stiff])
 
             # A11 and A22 are running products; A21 = myx*A11 + myy*A21 is
@@ -300,8 +349,6 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                 y = b + a * y
                 fold.append(y)
             a21[lo + 1:hi + 1] = fold
-            if track:
-                step_maps[:, lo:hi] = mxx, myx, myy
 
             ok = (np.isfinite(a11[lo + 1:hi + 1]) & np.isfinite(a21[lo + 1:hi + 1])
                   & np.isfinite(a22[lo + 1:hi + 1]))
@@ -311,59 +358,12 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
             if too_stiff.size:
                 raise IntegrationError("profile too stiff to substep", hi)
 
-    state = TransferState(params=p, grid=grid, a11=a11, a21=a21, a22=a22)
-    if track:
-        state.step_maps = step_maps
-        state.k1_births = np.sqrt(2.0 * profile_values(c, p, grid.nodes()))
-        state.channel_births = (-math.sqrt(2.0 * g * eta),
-                                math.sqrt(2.0 * gl),
-                                math.sqrt(2.0 * g * (1.0 - eta)))
-    return state
+            if track:
+                bxx, bxy = births(i + 1)
+                norm_x, norm_y, sums = _moment_sums((mxx, myx, myy), bxx, bxy,
+                                                    byy, sums)
+                deficits(slice(lo + 1, hi + 1), norm_x, norm_y, bxx)
 
+    return TransferState(params=p, grid=grid, a11=a11, a21=a21, a22=a22,
+                         deficits=(d1, d2) if track else None)
 
-def commutator_check(s: TransferState) -> tuple[np.ndarray, np.ndarray]:
-    """Per-time deficits of the commutator sum rules.
-
-    Returns ``(d1, d2)`` with
-
-        d1(t) = 1 - [a11^2 + sum_j k1(t,t_j)^2 dt (+ loss channels)]
-        d2(t) = 1 - [a21^2 + a22^2 + sum_j k2(t,t_j)^2 dt (+ loss channels)]
-
-    Kernel norms use trapezoid weights (half weight on the first node and on
-    the diagonal), which keeps the bias at O(dt^2); the deficit magnitude is
-    the end-to-end unitarity error of the run.  Requires kernel tracking.
-
-    Every channel is a column (x, y) moved by the same step maps, so the
-    weighted row norms only need the columns' summed second moments
-    (xx, xy, yy).  They are propagated step by step, with each node's births
-    added after the step; the column born at t_0 enters at half weight, and
-    the diagonal's half weight is taken off at the end.  Nothing here is a
-    ratio of accumulated maps, so the sums stay finite at any gamma*T.
-    """
-    if s.step_maps is None:
-        raise ValueError("commutator_check needs a state integrated with "
-                         "kernel_tracking enabled")
-    # second moments of one node's births, summed over the channels; only
-    # the k1 birth varies in time
-    b1 = s.k1_births
-    b2, bl, bv = s.channel_births
-    bxx = b1 * b1 + bl * bl
-    bxy = b1 * b2
-    byy = b2 * b2 + bl * bl + bv * bv
-
-    sxx, sxy, syy = 0.5 * float(bxx[0]), 0.5 * float(bxy[0]), 0.5 * byy
-    norm_x, norm_y = array("d", [sxx]), array("d", [syy])
-    # memoryviews hand out one float at a time, so no per-step list is built
-    for a, b, c, pxx, pxy in zip(*map(memoryview, s.step_maps),
-                                 memoryview(bxx[1:]), memoryview(bxy[1:])):
-        sxx, sxy, syy = (a * a * sxx + pxx,
-                         a * (b * sxx + c * sxy) + pxy,
-                         b * b * sxx + 2.0 * b * c * sxy + c * c * syy + byy)
-        norm_x.append(sxx)
-        norm_y.append(syy)
-
-    dt = s.grid.dt
-    d1 = 1.0 - (s.a11 ** 2 + dt * (np.frombuffer(norm_x) - 0.5 * bxx))
-    d2 = 1.0 - (s.a21 ** 2 + s.a22 ** 2
-                + dt * (np.frombuffer(norm_y) - 0.5 * byy))
-    return d1, d2

@@ -38,11 +38,7 @@ from oscxfer.oracles import (
     fidelity_lossy,
     fidelity_optimal,
 )
-from oscxfer.simulate import (
-    IntegratorConfig,
-    commutator_check,
-    integrate_transfer,
-)
+from oscxfer.simulate import IntegratorConfig, integrate_transfer
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid, profile_values
 
 
@@ -145,7 +141,7 @@ def test_criterion_6_commutator_preservation():
     state = integrate_transfer(CouplingProfile.constant(1.0), p,
                                IntegratorConfig(n_steps=n,
                                                 kernel_tracking=True))
-    d1, d2 = commutator_check(state)
+    d1, d2 = state.deficits
     deficit_const = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
     del state, d1, d2
     gc.collect()
@@ -155,7 +151,7 @@ def test_criterion_6_commutator_preservation():
     state = integrate_transfer(
         CouplingProfile.optimal(truncation=cut, gamma1_max=cap), p,
         IntegratorConfig(n_steps=n, kernel_tracking=True))
-    d1, d2 = commutator_check(state)
+    d1, d2 = state.deficits
     deficit_opt = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
     del state, d1, d2
     gc.collect()

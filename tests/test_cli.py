@@ -7,20 +7,33 @@ import dataclasses
 import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oscxfer import cli
-from oscxfer.cli import main
 from oscxfer.oracles import fidelity_lossy, reference_curve
 from oscxfer.simulate import STABILITY_EDGE
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
 
 
+def _reject(token):
+    raise ValueError(f"{token} is not standard JSON")
+
+
 def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """A JSON artifact, refusing the NaN and Infinity tokens."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject)
+
+
+def main(argv):
+    """``cli.main``, then every JSON artifact of the run read strictly."""
+    code = cli.main(argv)
+    if "--out" in argv:
+        for path in Path(argv[argv.index("--out") + 1]).glob("*.json"):
+            _read_json(path)
+    return code
 
 
 def _read_csv(path):
@@ -105,6 +118,27 @@ class TestOptimize:
         assert rep["functional"] < math.sqrt(-math.expm1(-4.0)) + 1e-12
         assert (out / "profile.csv").exists()
         assert not (out / "trace.csv").exists()
+
+    def test_diverging_cap_exits_3(self, tmp_path, capsys):
+        # g1^2 overflows in the residual and the gradient: the run used to
+        # exit 0 with NaN in the report and RuntimeWarnings on stderr
+        out = tmp_path / "run"
+        code = main(["optimize", "--gamma1-max", "1e308", "--steps", "100",
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: optimizer kkt_residual is nan"]
+        assert not (out / "optimize_report.json").exists()
+        assert not (out / "profile.csv").exists()
+
+    def test_all_capped_residual_is_null(self, tmp_path, capsys):
+        # every node sits at the cap: no point is left for the residual
+        out = tmp_path / "run"
+        assert main(["optimize", "--gamma1-max", "1e-3", "--steps", "100",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        stat = _read_json(out / "optimize_report.json")["stationarity"]
+        assert stat == {"max_abs_residual": None, "n_points": 0}
 
     def test_removed_iteration_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -275,6 +309,31 @@ class TestBudget:
         assert b["circuits"]["receiver"]["gamma"] == pytest.approx(2.5e10)
         assert "validity" in b
         assert "circuit_validity" not in b
+        # q_separation and q_floor restated the two rate windows
+        assert "q_separation" not in b["validity"]
+        assert "q_floor" not in b["validity"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--profile", "optimal", "--dt-cut", "1", "--T", "5"],
+        ["budget", "--dt-cut", "1", "--T", "5"],
+        ["budget", "--dt-cut", "2", "--T", "800"],
+    ], ids=["simulate-T5", "budget-T5", "budget-T800"])
+    def test_prediction_at_or_below_zero_exits_0(self, tmp_path, argv):
+        # the first-order prediction F <= 0 was taken as the default
+        # target, which the validity windows refused
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 0
+        name = "report.json" if argv[0] == "simulate" else "budget.json"
+        rep = _read_json(out / name)
+        budget = rep["budget"] if argv[0] == "simulate" else rep
+        assert "validity" not in budget
+        assert any("--target-fidelity" in w for w in budget["warnings"])
+        assert any("gamma*dt_cut > 0.1" in w for w in budget["warnings"])
+
+    def test_explicit_target_out_of_range_exits_2(self, tmp_path):
+        assert main(["budget", "--dt-cut", "1", "--T", "5",
+                     "--target-fidelity", "1.5",
+                     "--out", str(tmp_path / "x")]) == 2
 
     def test_circuit_frequency_mismatch_exits_2(self, tmp_path):
         code = main(["budget", "--sender-rlc", "10:1e-9:1e-12",
@@ -380,6 +439,23 @@ class TestConfigHandling:
         assert main(["optimize", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
         assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["budget", "simulate"])
+    @pytest.mark.parametrize("margin", ["nan", "inf", "0", "-1"])
+    def test_margin_must_be_finite_and_positive(self, tmp_path, capsys,
+                                                command, margin):
+        out = tmp_path / "x"
+        assert main([command, "--margin", margin, "--dt-cut", "1e-3",
+                     "--steps", "100", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: margin must be finite and positive"]
+        assert not out.exists()
+
+    def test_json_writer_refuses_nan(self, tmp_path):
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            cli._write_json(path, {"ok": 1.0, "bad": [math.nan]})
+        assert not path.exists()
 
     def test_malformed_config_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

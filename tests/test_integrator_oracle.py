@@ -4,18 +4,23 @@ The oracle below is the step-by-step integrator the array version replaced:
 per macro step it evaluates the profile at each stage time with a scalar
 lookup, halves the step while ``(g_peak + gl) * h`` exceeds the cap, runs
 one scalar RK4 map per substep and folds the substeps into the
-coefficients.  The array version must reproduce it bit for bit: the
-coefficients, the recorded step maps, the k1 births and the failures, with
-the same reason and step.
+coefficients.  It also returns each step's map and the births, the
+generators of the noise kernels, and :func:`commutator_oracle` sums the
+commutator rows over them the way a separate second pass did.  The array
+version must reproduce it bit for bit: the coefficients, the commutator
+deficits and the failures, with the same reason and step.
 """
 
 import math
+from array import array
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscxfer.optimize import functional_value
 from oscxfer.simulate import (
     IntegrationError,
     IntegratorConfig,
@@ -93,8 +98,27 @@ def rk4_map(g1_at, beta, root, gl, t, h):
     return mxx, myx, myy
 
 
+class Generators(NamedTuple):
+    """The scalar loop's coefficients and the noise kernels' generators.
+
+    ``step_maps``, shape ``(3, n_steps)``, holds macro step i's map
+    ``(mxx, myx, myy)`` in column i; ``k1_births`` is ``sqrt(2 g1)`` on the
+    nodes; ``channel_births`` are the constant births of ``k2``, of the
+    loss ports and of the beam-splitter port.  Row i of a kernel is the
+    births of nodes j <= i carried through the maps of steps j..i-1.
+    """
+
+    grid: TimeGrid
+    a11: np.ndarray
+    a21: np.ndarray
+    a22: np.ndarray
+    step_maps: np.ndarray
+    k1_births: np.ndarray
+    channel_births: tuple[float, float, float]
+
+
 def scalar_integrate(c, p, cfg):
-    """The scalar loop; returns (a11, a21, a22, step_maps, k1_births)."""
+    """The scalar loop; returns its :class:`Generators`."""
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     n, dt = cfg.n_steps, grid.dt
     g, gl, eta = p.gamma, p.gamma_loss, p.eta
@@ -119,12 +143,17 @@ def scalar_integrate(c, p, cfg):
         t0 = i * dt
         if cells is not None:
             g_cell = float(cells[0][i // cells[1]])
-            g1_step = lambda tau, _v=g_cell: _v  # noqa: E731
-            g_peak = g_cell
+
+            def g1_step(tau, _v=g_cell):
+                # the cell's value, or the hold inside the truncation window
+                if (c.truncation is not None
+                        and tau >= p.transfer_time - c.truncation):
+                    return float(c.gamma1_max)
+                return _v
         else:
             g1_step = g1_at
-            g_peak = max(g1_at(t0), g1_at(t0 + 0.5 * dt),
-                         g1_at(t0 + dt * (1.0 - 1e-8)))
+        g_peak = max(g1_step(t0), g1_step(t0 + 0.5 * dt),
+                     g1_step(t0 + dt * (1.0 - 1e-8)))
         m, h, halvings = 1, dt, 0
         while (g_peak + gl) * h > DAMPING_CAP_FACTOR:
             m *= 2
@@ -147,7 +176,44 @@ def scalar_integrate(c, p, cfg):
         a11[i + 1], a21[i + 1], a22[i + 1] = A11, A21, A22
         step_maps[:, i] = mxx, myx, myy
     births = np.sqrt(2.0 * np.array([g1_at(t) for t in grid.nodes()]))
-    return a11, a21, a22, step_maps, births
+    channels = (-math.sqrt(2.0 * g * eta), math.sqrt(2.0 * gl),
+                math.sqrt(2.0 * g * (1.0 - eta)))
+    return Generators(grid, a11, a21, a22, step_maps, births, channels)
+
+
+def commutator_oracle(gen):
+    """Per-node deficits ``(d1, d2)`` of the commutator sum rules, summed in
+    a second pass over the generators.
+
+    Every channel is a column (x, y) moved by the same step maps, so the
+    weighted row norms only need the columns' summed second moments
+    (xx, xy, yy).  They are propagated step by step, with each node's births
+    added after the step; the column born at t_0 enters at half weight, and
+    the diagonal's half weight is taken off at the end.
+    """
+    # second moments of one node's births, summed over the channels; only
+    # the k1 birth varies in time
+    b1 = gen.k1_births
+    b2, bl, bv = gen.channel_births
+    bxx = b1 * b1 + bl * bl
+    bxy = b1 * b2
+    byy = b2 * b2 + bl * bl + bv * bv
+
+    sxx, sxy, syy = 0.5 * float(bxx[0]), 0.5 * float(bxy[0]), 0.5 * byy
+    norm_x, norm_y = array("d", [sxx]), array("d", [syy])
+    for a, b, c, pxx, pxy in zip(*map(memoryview, gen.step_maps),
+                                 memoryview(bxx[1:]), memoryview(bxy[1:])):
+        sxx, sxy, syy = (a * a * sxx + pxx,
+                         a * (b * sxx + c * sxy) + pxy,
+                         b * b * sxx + 2.0 * b * c * sxy + c * c * syy + byy)
+        norm_x.append(sxx)
+        norm_y.append(syy)
+
+    dt = gen.grid.dt
+    d1 = 1.0 - (gen.a11 ** 2 + dt * (np.frombuffer(norm_x) - 0.5 * bxx))
+    d2 = 1.0 - (gen.a21 ** 2 + gen.a22 ** 2
+                + dt * (np.frombuffer(norm_y) - 0.5 * byy))
+    return d1, d2
 
 
 def _sampled(T, cells, values):
@@ -157,6 +223,10 @@ def _sampled(T, cells, values):
 def _ramp(T, cells):
     t = np.arange(cells + 1) * (T / cells)
     return _sampled(T, cells, 0.3 + 2.0 * np.sin(1.7 * t) ** 2)
+
+
+HELD = CouplingProfile.sampled(TimeGrid(2.0, 100), 0.5 + np.linspace(0, 1, 101),
+                               truncation=0.3, gamma1_max=5.0)
 
 
 CASES = {
@@ -176,6 +246,9 @@ CASES = {
                          SystemParams(gamma=1.0, transfer_time=2.0), 400),
     "sampled-non-refining": (_ramp(2.0, 150),
                              SystemParams(gamma=1.0, transfer_time=2.0), 400),
+    # a hold window on a refining grid: the cells give way to the hold
+    "sampled-refining-held": (HELD,
+                              SystemParams(gamma=1.0, transfer_time=2.0), 400),
     "lossy-optimal": (CouplingProfile.optimal(truncation=1e-3),
                       SystemParams(gamma=1.0, transfer_time=3.0, eta=0.81,
                                    gamma_loss=0.05), 1000),
@@ -193,12 +266,21 @@ def test_array_integrator_is_the_scalar_loop(name):
     c, p, n = CASES[name]
     cfg = IntegratorConfig(n_steps=n, kernel_tracking=True)
     got = integrate_transfer(c, p, cfg)
-    a11, a21, a22, maps, births = scalar_integrate(c, p, cfg)
-    assert np.array_equal(got.a11, a11)
-    assert np.array_equal(got.a21, a21)
-    assert np.array_equal(got.a22, a22)
-    assert np.array_equal(got.step_maps, maps)
-    assert np.array_equal(got.k1_births, births)
+    gen = scalar_integrate(c, p, cfg)
+    assert np.array_equal(got.a11, gen.a11)
+    assert np.array_equal(got.a21, gen.a21)
+    assert np.array_equal(got.a22, gen.a22)
+    d1, d2 = commutator_oracle(gen)
+    assert np.array_equal(got.deficits[0], d1)
+    assert np.array_equal(got.deficits[1], d2)
+
+
+def test_hold_applies_on_a_refining_grid():
+    # the cells path used to read the cell values through the hold window;
+    # the hold there is what the functional and the time lookup use
+    p = SystemParams(gamma=1.0, transfer_time=2.0)
+    got = integrate_transfer(HELD, p, IntegratorConfig(n_steps=400))
+    assert abs(got.fidelity - functional_value(HELD, p, HELD.grid)) < 1e-8
 
 
 def _spiked(cells, spikes, gamma1=1.0):

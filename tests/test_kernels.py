@@ -1,10 +1,12 @@
-"""Noise-kernel generators against the dense live-column construction.
+"""Commutator deficits against the dense live-column construction.
 
-The integrator keeps only each macro step's map and the births; the dense
-oracle below rebuilds all six (n+1)^2 kernel matrices the direct way, by
-stepping every live column through each map, and sums the commutator rows
-one by one.  It is meant for n <= 2000 (six matrices of 32 MB each there).
-``kernel_row`` rebuilds one row of all six from the generators alone.
+The integrator carries only the kernels' summed second moments.  The dense
+oracle below takes each macro step's map and the births from the scalar
+loop of ``test_integrator_oracle``, rebuilds all six (n+1)^2 kernel
+matrices the direct way, by stepping every live column through each map,
+and sums the commutator rows one by one.  It is meant for n <= 2000 (six
+matrices of 32 MB each there).  ``kernel_row`` rebuilds one row of all six
+from the generators alone.
 """
 
 import math
@@ -13,26 +15,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oscxfer.simulate import (
-    IntegratorConfig,
-    commutator_check,
-    integrate_transfer,
-)
+from oscxfer.simulate import IntegratorConfig, integrate_transfer
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid, profile_values
+from test_integrator_oracle import scalar_integrate
 
 NAMES = ("k1", "k2", "kl1", "kl12", "kl2", "kv2")
 
 
 def kernel_row(st, i):
-    """Row ``i`` of every noise kernel: ``k(t_i, t_j)`` for ``j = 0..i``.
+    """Row ``i`` of every noise kernel: ``k(t_i, t_j)`` for ``j = 0..i``,
+    from the scalar loop's generators ``st``.
 
     The product of step maps j..i-1 is built backward from row i, one map
     at a time, so no ratio of accumulated maps appears and nothing
     underflows that the kernel itself does not.
     """
-    if st.step_maps is None:
-        raise ValueError("kernel_row needs a state integrated with "
-                         "kernel_tracking enabled")
     if not 0 <= i <= st.grid.n_steps:
         raise IndexError(f"row {i} is outside 0..{st.grid.n_steps}")
     pxx, pyx, pyy = np.empty((3, i + 1))
@@ -86,7 +83,8 @@ def dense_kernels(st):
 
 
 def dense_commutator(st, mats):
-    """Row-by-row trapezoid sums of the dense kernels; see commutator_check."""
+    """Row-by-row trapezoid sums of the dense kernels; see
+    :mod:`oscxfer.simulate` for the deficits' definition."""
     n, dt = st.grid.n_steps, st.grid.dt
 
     def row_norm(names, i):
@@ -107,8 +105,8 @@ def dense_commutator(st, mats):
 
 
 def _run(c, p, n):
-    return c, integrate_transfer(c, p, IntegratorConfig(n_steps=n,
-                                                        kernel_tracking=True))
+    cfg = IntegratorConfig(n_steps=n, kernel_tracking=True)
+    return c, integrate_transfer(c, p, cfg), scalar_integrate(c, p, cfg)
 
 
 def _lossless_constant():
@@ -136,27 +134,27 @@ CASES = {"lossless-constant": _lossless_constant,
 
 @pytest.fixture(scope="module", params=sorted(CASES))
 def case(request):
-    c, st = CASES[request.param]()
-    return c, st, dense_kernels(st)
+    c, st, gen = CASES[request.param]()
+    return c, st, gen, dense_kernels(gen)
 
 
 def test_generators_reproduce_the_coefficients(case):
-    # the recorded maps are exactly the ones applied to a11, a21 and a22,
-    # and the k1 births are sqrt(2 g1) on the nodes
-    c, st, _ = case
-    mxx, myx, myy = st.step_maps
+    # the scalar loop's maps are exactly the ones the integrator applied to
+    # a11, a21 and a22, and the k1 births are sqrt(2 g1) on the nodes
+    c, st, gen, _ = case
+    mxx, myx, myy = gen.step_maps
     assert np.array_equal(st.a11[1:], mxx * st.a11[:-1])
     assert np.array_equal(st.a21[1:], myx * st.a11[:-1] + myy * st.a21[:-1])
     assert np.array_equal(st.a22[1:], myy * st.a22[:-1])
     g1 = profile_values(c, st.params, st.grid.nodes())
-    assert np.array_equal(st.k1_births, np.sqrt(2.0 * g1))
+    assert np.array_equal(gen.k1_births, np.sqrt(2.0 * g1))
 
 
 def test_kernel_rows_match_dense(case):
-    _, st, mats = case
-    n = st.grid.n_steps
+    _, _, gen, mats = case
+    n = gen.grid.n_steps
     for i in (0, 1, 2, n // 3, n // 2, n - 1, n):
-        row = kernel_row(st, i)
+        row = kernel_row(gen, i)
         for name in NAMES:
             assert row[name].shape == (i + 1,)
             assert np.max(np.abs(row[name] - mats[name][i, :i + 1])) <= 1e-12, (
@@ -164,24 +162,23 @@ def test_kernel_rows_match_dense(case):
 
 
 def test_commutator_matches_dense(case):
-    _, st, mats = case
-    d1, d2 = commutator_check(st)
-    r1, r2 = dense_commutator(st, mats)
+    _, st, gen, mats = case
+    d1, d2 = st.deficits
+    r1, r2 = dense_commutator(gen, mats)
     assert np.max(np.abs(d1 - r1)) <= 1e-12
     assert np.max(np.abs(d2 - r2)) <= 1e-12
 
 
 def test_kernel_row_bounds_and_tracking():
-    _, st = _lossless_constant()
+    _, _, gen = _lossless_constant()
     with pytest.raises(IndexError):
-        kernel_row(st, st.grid.n_steps + 1)
+        kernel_row(gen, gen.grid.n_steps + 1)
     with pytest.raises(IndexError):
-        kernel_row(st, -1)
+        kernel_row(gen, -1)
     untracked = integrate_transfer(CouplingProfile.constant(1.0),
                                    SystemParams(gamma=1.0, transfer_time=2.0),
                                    IntegratorConfig(n_steps=100))
-    with pytest.raises(ValueError):
-        kernel_row(untracked, 0)
+    assert untracked.deficits is None
 
 
 def test_lossy_deficits_stay_finite_at_large_gamma_t():
@@ -191,9 +188,8 @@ def test_lossy_deficits_stay_finite_at_large_gamma_t():
     T, n = 400.0, 100_000
     p = SystemParams(gamma=1.0, transfer_time=T, eta=0.81, gamma_loss=0.05)
     st = integrate_transfer(CouplingProfile.constant(1.0), p,
-                                  IntegratorConfig(n_steps=n,
-                                                   kernel_tracking=True))
-    d1, d2 = commutator_check(st)
+                            IntegratorConfig(n_steps=n, kernel_tracking=True))
+    d1, d2 = st.deficits
     tol = 1e-6 * (T / n / 3e-4) ** 2
     assert np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
     assert max(np.max(np.abs(d1)), np.max(np.abs(d2))) <= tol
@@ -210,7 +206,7 @@ def test_kernel_memory_is_linear():
     try:
         st = integrate_transfer(c, p, IntegratorConfig(
             n_steps=n, kernel_tracking=True))
-        commutator_check(st)
+        assert st.deficits is not None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -291,6 +291,24 @@ class TestBudget:
         assert rep.loss_oscillator == pytest.approx(-math.expm1(-0.05), abs=1e-15)
         assert rep.validity is None
 
+    @pytest.mark.parametrize("T, cut", [(5.0, 1.0), (800.0, 2.0)])
+    def test_prediction_outside_unit_interval_skips_validity(self, T, cut):
+        # the first-order prediction F <= 0 is no target to judge the
+        # windows against; without a given target they are left out
+        p = SystemParams(gamma=1.0, transfer_time=T)
+        rep = budget_report(p, dt_cut=cut, gamma1_max=1.0 / (2.0 * cut))
+        assert rep.fidelity <= 0.0
+        assert rep.validity is None
+        assert "validity" not in rep.to_dict()
+        assert any("--target-fidelity" in w for w in rep.warnings)
+        assert any("gamma*dt_cut > 0.1" in w for w in rep.warnings)
+        given = budget_report(p, dt_cut=cut, gamma1_max=1.0 / (2.0 * cut),
+                              target_fidelity=0.9)
+        assert given.validity is not None
+        with pytest.raises(ValueError):
+            budget_report(p, dt_cut=cut, gamma1_max=1.0 / (2.0 * cut),
+                          target_fidelity=1.5)
+
     def test_budget_report_attaches_validity(self):
         p = SystemParams(gamma=1.0, transfer_time=5.0, omega0=1e8)
         rep = budget_report(p, dt_cut=0.0, gamma1_max=1e4)
@@ -306,8 +324,14 @@ class TestValidityWindows:
         # carrier 1e8 >= 10 * 1e4 and 1e4 >= 10 * 1 / 1e-3 = 1e4
         assert w.carrier_above_coupling
         assert w.coupling_above_drain
-        assert w.all_ok == (w.carrier_above_coupling and w.coupling_above_drain
-                            and w.q_separation and w.q_floor)
+        assert w.all_ok == (w.carrier_above_coupling and w.coupling_above_drain)
+        # the same windows in quality-factor form, from the reported Qs
+        assert (w.q1_min >= w.margin) == w.carrier_above_coupling
+        assert ((1.0 - 0.999) * w.q2 >= w.margin * w.q1_min) == (
+            w.coupling_above_drain)
+        assert set(w.to_dict()) == {"margin", "q2", "q1_min",
+                                    "carrier_above_coupling",
+                                    "coupling_above_drain", "all_ok"}
 
     def test_drain_window_fails_when_cap_small(self):
         p = SystemParams(gamma=1.0, transfer_time=5.0, omega0=1e8)
