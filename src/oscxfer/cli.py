@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+# the JSON values a config file may give a RunConfig field of each type
+_JSON_TYPES = {"float": (int, float), "int": int, "bool": bool, "str": str}
+
 # sweep name -> RunConfig field it sets
 _SWEEPABLE = {"T": "transfer_time", "gamma": "gamma", "eta": "eta",
               "gamma_loss": "gamma_loss"}
@@ -79,24 +82,16 @@ class RunConfig:
 
 _CSV_BLOCK = 1024  # rows formatted as one array; temporaries stay below 1 MB
 
-# Tables of the %.17g kernel.  _DIGITS4[g] holds the four ASCII digits of
-# g < 10**4, built by broadcasting the ten digits over four places.
-_D = np.arange(10, dtype=np.uint8)
-_D1, _D2, _D3, _D4 = np.ix_(_D, _D, _D, _D)
-_DIGITS4 = (np.stack(np.broadcast_arrays(_D1, _D2, _D3, _D4), axis=-1)
-            .reshape(10_000, 4) + np.uint8(ord("0")))
-_DIGITS4_WORD = _DIGITS4.view(np.uint32).ravel()  # one word per group
-# digits of g up to its last nonzero one (0 for g = 0)
-_SIG4 = np.select([_D4 > 0, _D3 > 0, _D2 > 0, _D1 > 0], [4, 3, 2, 1]).ravel()
-# _KEEP_WORDS[w, d] keeps, of digit group w (digits 4w+1..4w+4 of the 17),
-# the digits whose index is below d
-_KEEP_WORDS = (np.uint8(255) * (np.arange(1, 17).reshape(4, 1, 4)
-                                < np.arange(18)[:, None]).astype(np.uint8)
-               ).view(np.uint32).reshape(4, 18)
-# 10**p = 10**a * 10**b for p = 1..44, with a <= 22 and b <= 22 so that
-# both factors are exact doubles
-_POW_A = np.array([float(10 ** min(p, 22)) for p in range(1, 45)])
-_POW_B = np.array([float(10 ** max(p - 22, 0)) for p in range(1, 45)])
+# Tables of the %.17g kernel.  Those with a row per decimal exponent k cover
+# k = -29..16, one past the fast path's range on each side because log10 can
+# miss by one; a negative k indexes from the end, so k itself is the index.
+_K = range(-29, 17)
+
+
+def _by_k(rows) -> np.ndarray:
+    """Rows in the order of ``_K`` as a table indexed by k (by 18k + n_sig
+    for 18 rows per k, one for each count n_sig of significant digits)."""
+    return np.roll(np.asarray(rows), -29 * len(rows) // 46, axis=0)
 
 
 def _split(a):
@@ -106,40 +101,52 @@ def _split(a):
     return hi, a - hi
 
 
-_POW_A_HI, _POW_A_LO = _split(_POW_A)
-_POW_B_HI, _POW_B_LO = _split(_POW_B)
+# 10**(16 - k) = _POW + _POW_TAIL to 2**-106 (the tail is 0 up to 10**22)
+_POW = _by_k([float(10 ** (16 - k)) for k in _K])
+_POW_TAIL = _by_k([float(10 ** (16 - k) - int(float(10 ** (16 - k))))
+                   for k in _K])
+_POW_HI, _POW_LO = _split(_POW)
+# _GROUP[g]: the four digits of g < 10**4, one per byte, first digit lowest
+_D = np.ix_(*[np.arange(10, dtype=np.uint64)] * 4)
+_GROUP = (_D[0] | _D[1] << 8 | _D[2] << 16 | _D[3] << 24).ravel()
+# _SIG[w][g]: with g as digit group w (digits 4w+1..4w+4 of the 17), the
+# number of digits up to its last nonzero one, 0 if g = 0 (1 for w = 0)
+_SIG4 = np.maximum(np.maximum(_D[0] > 0, 2 * (_D[1] > 0)), np.maximum(
+    3 * (_D[2] > 0), 4 * (_D[3] > 0))).ravel().astype(np.int8)
+_SIG = [np.where(_SIG4 > 0, _SIG4 + (4 * w + 1), w == 0) for w in range(4)]
 
 
-def _two_product(a, b, b_hi, b_lo):
-    """``(p, e)`` with p = fl(a*b) and p + e = a*b exactly (Dekker)."""
-    p = a * b
-    a_hi, a_lo = _split(a)
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+def _layout(k: int) -> tuple[int, int]:
+    """``(q, t)`` for exponent k: digits 0..q-1 stay at bytes 1..q of the
+    field, and the rest move t bytes up, past the point or '0.000'."""
+    return (k + 1, 1) if k >= 0 else (0, 1 - k) if k >= -4 else (1, 1)
 
 
-def _template(x: int) -> list[int]:
-    """Byte positions, in a row of ``_format_rows``'s scratch array, that
-    spell a fast-path field with decimal exponent ``x``, then its separator.
-
-    Scratch bytes: 0 NUL, 1 sign, 2 point, 3..19 the 17 digits, 20 '0',
-    21 'e', 22 '-', 24..25 the exponent's digits, 26 the separator.
-    """
-    digits = list(range(3, 20))
-    if x >= 0:                 # ddd.ddd
-        field = [1, *digits[:x + 1], 2, *digits[x + 1:]]
-    elif x >= -4:              # 0.000ddd
-        field = [1, 20, 2, *[20] * (-x - 1), *digits]
-    else:                      # d.ddde-XX, one layout for every x < -4
-        field = [1, 3, 2, *digits[1:], 21, 22, 24, 25]
-    return field + [0] * (24 - len(field)) + [26]
+def _patterns(k: int) -> list[bytes]:
+    """The 24 bytes xor-ed into the moved digits of a field with exponent
+    k, for n_sig = 0..17: '0' over each digit kept, the point or '0.000',
+    'e-XX' and ','.  Trailing zeros are kept only before the point."""
+    q, t = _layout(k)
+    if t > 1:                  # 0.000ddd
+        body, ends = b"0." + b"0" * (15 + t), [n + t for n in range(18)]
+    else:                      # ddd.ddd or d.ddde-XX
+        body = b"0" * q + b"." + b"0" * (17 - q)
+        ends = [n + 1 if n > q else q for n in range(18)]
+    tail = b"e-%02d," % -k if k < -4 else b","
+    return [b"\0" + body[:end].ljust(23 - len(tail), b"\0") + tail
+            for end in ends]
 
 
-_TEMPLATES = np.array([_template(x) for x in range(-5, 17)], dtype=np.intp)
-# a scratch row before the value's bytes go in
-_BLANK = np.frombuffer(b"\0" * 20 + b"0e-\0\0\0,\0", dtype=np.uint8)
-# |x| as two digits in one 16-bit word, for x = -28..-5
-_EXPONENTS = np.frombuffer(b"".join(b"%02d" % -x for x in range(-28, -4)),
-                           dtype=np.uint16)
+def _words(fields) -> list[np.ndarray]:
+    """Fields of 24 bytes as their three little-endian words, word by word."""
+    words = np.frombuffer(b"".join(fields), "<u8").astype(np.uint64)
+    return list(_by_k(words.reshape(-1, 3)).T.copy())
+
+
+_HEAD = _words(b"\0" + b"\xff" * q + bytes(23 - q)
+               for q, _ in map(_layout, _K))
+_SHIFT = _by_k([np.uint64(8 * t) for _, t in map(_layout, _K)])
+_PATTERN = _words(f for k in _K for f in _patterns(k))
 
 
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,69 +155,70 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     :func:`_write_csv`.  Its float temporaries die on return."""
     ax = np.abs(x)
     fast = (ax >= 1e-28) & (ax < 1e16)  # False for NaN
-    safe = np.where(fast, ax, 1.0)
-    k = np.floor(np.log10(safe))
-    k = np.minimum(np.maximum(k, -28), 15).astype(np.intp)
-    j = 15 - k  # index of p = 16 - k
-    p1, e1 = _two_product(safe, _POW_A[j], _POW_A_HI[j], _POW_A_LO[j])
-    p2, e2 = _two_product(p1, _POW_B[j], _POW_B_HI[j], _POW_B_LO[j])
-    s = e2 + e1 * _POW_B[j]
-    hi = p2 + s            # fast two-sum: hi + lo = p2 + s exactly
-    lo = s - (hi - p2)
+    a = np.where(fast, ax, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    p = a * _POW[k]            # Dekker: p + e = a * _POW[k] exactly
+    a_hi, a_lo = _split(a)
+    e = (((a_hi * _POW_HI[k] - p) + a_hi * _POW_LO[k] + a_lo * _POW_HI[k])
+         + a_lo * _POW_LO[k])
+    e += a * _POW_TAIL[k]
+    hi = p + e                 # fast two-sum: hi + lo = p + e exactly
+    lo = e - (hi - p)
     floor_lo = np.floor(lo)
-    frac = lo - floor_lo
-    # 17 digits after rounding (log10 can miss by one near powers of ten),
-    # and a fraction that the error bound cannot carry across 1/2
-    fast &= (((hi > 1e16) | ((hi == 1e16) & (lo >= 0)))
-             & ((hi < 1e17) | ((hi == 1e17) & (lo < -0.5)))
-             & (np.abs(frac - 0.5) > 1e-6))
-    n = (np.where(fast, hi, 1e16).astype(np.int64)
-         + np.where(fast, floor_lo + (frac > 0.5), 0.0).astype(np.int64))
+    half = lo - floor_lo - 0.5
+    n = hi.astype(np.int64) + floor_lo.astype(np.int64)  # floor(hi + lo)
+    # 17 digits after rounding (k can miss by one near powers of ten), and
+    # a fraction that the error bound cannot carry across 1/2
+    fast &= (n >= 10 ** 16) & (np.abs(half) > 1e-6)
+    n += half > 0
+    fast &= n < 10 ** 17
     return fast, n, k
 
 
-def _format_rows(block: np.ndarray) -> bytes:
+def _digits(n: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The 17 digits of each n, one per byte at bytes 1..17 of three words,
+    and the number of digits up to the last nonzero one."""
+    lead = n // 10 ** 16
+    n -= lead * 10 ** 16
+    groups = []
+    for e in (12, 8, 4):
+        groups.append(n // 10 ** e)
+        n -= groups[-1] * 10 ** e
+    groups.append(n)
+    n_sig = np.maximum.reduce([_SIG[w][g] for w, g in enumerate(groups)])
+    h1 = _GROUP[groups[0]] | _GROUP[groups[1]] << 32
+    h2 = _GROUP[groups[2]] | _GROUP[groups[3]] << 32
+    return [lead.view(np.uint64) << 8 | h1 << 16, h1 >> 48 | h2 << 16,
+            h2 >> 48], n_sig
+
+
+def _format_rows(block: np.ndarray) -> bytearray:
     """The CSV rows of a (rows, cols) float array, as ``%.17g`` writes them;
     see :func:`_write_csv`."""
     cols = block.shape[1]
     x = block.ravel()
-    m = x.size
     fast, n, k = _decimal(x)
-
-    scratch = np.empty((m, 28), dtype=np.uint8)
-    scratch[:] = _BLANK
-    words = scratch.view(np.uint32)
-    lead, rest = np.divmod(n, 10 ** 16)
-    scratch[:, 3] = lead + ord("0")
-    n_sig = np.ones(m, dtype=np.intp)  # digits up to the last nonzero one
-    for w in range(4):
-        g = rest // 10 ** (12 - 4 * w) % 10_000
-        words[:, w + 1] = _DIGITS4_WORD[g]
-        sig = _SIG4[g]
-        n_sig = np.where(sig > 0, 4 * w + 1 + sig, n_sig)
-    # trailing zeros go only after the point: digits 0..k stay in ddd.ddd
-    frac_start = np.where(k >= 0, k + 1, np.where(k >= -4, 0, 1))
-    keep = np.maximum(n_sig, frac_start)
-    for w in range(4):
-        words[:, w + 1] &= _KEEP_WORDS[w, keep]
-    scratch[:, 1] = np.where(x < 0, ord("-"), 0)
-    scratch[:, 2] = np.where(n_sig > frac_start, ord("."), 0)
-    scratch.view(np.uint16)[:, 12] = _EXPONENTS[np.minimum(k, -5) + 28]
-    scratch[cols - 1::cols, 26] = ord("\n")
-
-    # one fixed gather per layout; -1 marks the fallback values
-    key = np.where(fast, np.maximum(k, -5) + 5, -1)
-    out = np.empty((m, 25), dtype=np.uint8)
-    for g in (np.flatnonzero(np.bincount(key + 1)) - 1).tolist():
-        rows = np.flatnonzero(key == g)
-        if g < 0:
-            out[rows, :24] = np.frombuffer(b"".join(
-                (b"%.17g" % v).ljust(24, b"\0") for v in x[rows].tolist()),
-                dtype=np.uint8).reshape(-1, 24)
-            out[rows, 24] = scratch[rows, 26]
-        else:
-            out[rows] = scratch[rows][:, _TEMPLATES[g]]
-    return out.tobytes().translate(None, b"\0")
+    words, n_sig = _digits(n)
+    row = k * 18 + n_sig
+    shift = _SHIFT[k]
+    buf = bytearray(24 * x.size)
+    out = np.frombuffer(buf, "<u8").reshape(-1, 3)  # stored little-endian
+    carry = 0
+    for w, word in enumerate(words):
+        head = word & _HEAD[w][k]
+        tail = word ^ head
+        head |= tail << shift | carry
+        carry = tail >> (64 - shift)
+        np.bitwise_xor(head, _PATTERN[w][row], out=out[:, w])
+    out[:, 0] |= (x.view(np.uint64) >> 63) * ord("-")
+    out[cols - 1::cols, 2] ^= (ord(",") ^ ord("\n")) << 56
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # %.17g formats these, in place of a marker byte
+        out[slow, :2] = 1, 0
+        out[slow, 2] &= 0xFF << 56
+        return buf.translate(None, b"\0").replace(b"\1", b"%.17g") % tuple(
+            x[slow].tolist())
+    return buf.translate(None, b"\0")
 
 
 def _write_csv(path: Path, header: Sequence[str],
@@ -224,14 +232,25 @@ def _write_csv(path: Path, header: Sequence[str],
     and each block is written as soon as it is done.
 
     The kernel takes finite values with 1e-28 <= |v| < 1e16.  With
-    k = floor(log10|v|) it forms |v|*10**(16 - k) as an unevaluated sum
-    hi + lo of doubles, from Dekker's error-free products by two exact
-    powers of ten; hi + lo is within about 4e-15 of the exact product.  It
-    keeps a value only if 10**16 <= hi + lo < 10**17 - 1/2 (tested before
-    rounding) and the fraction of lo is more than 1e-6 from 1/2, so the
+    k = floor(log10|v|) and p = 16 - k it forms |v|*10**p as an unevaluated
+    sum hi + lo of doubles, from one Dekker product by the double-double
+    10**p = P + P' (P' = 0 for p <= 22, |10**p - P - P'| <= 2**-106 P):
+    |v|*P is exact, and |v|*P' (at most 2**-53 |v|P <= 11.2) and its sum
+    with the product's error (at most 8) round once each.  Below 1e17 the
+    error is at most 1.3e-15 + 1.3e-15 + 2.2e-15 < 5e-15, 2e8 times inside
+    the 1e-6 window below.  A value is kept only if 10**16 <= hi + lo <
+    10**17 - 1/2 and the fraction of lo is more than 1e-6 from 1/2, so the
     error cannot move the rounding; then hi + round(lo) are the 17 digits.
     Every other value (0, -0, NaN, +-inf, subnormals, |v| >= 1e16, a k that
     log10 got wrong, near-ties) is formatted by ``%.17g`` itself.
+
+    A field is 24 bytes, three little-endian uint64 words: the sign, the
+    value in bytes 1..22 and the separator.  The digits, one per byte, move
+    past the point or '0.000' by a shift of the words; a table by (k,
+    significant digits) xors in '0' over the digits kept, the point, the
+    prefix, 'e-XX' and ',', so trailing zeros stay NUL bytes, which
+    ``translate`` drops.  The words are stored through a '<u8' array, so a
+    big-endian host byte-swaps them in that one store.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
     with open(path, "wb") as fh:
@@ -262,6 +281,15 @@ def load_config(path: str) -> dict:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for f in dataclasses.fields(RunConfig):
+        value = raw.get(f.name)
+        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        # JSON true/false are Python bools, which are ints to isinstance
+        if f.name in raw and not (value is None and kind != f.type or (
+                isinstance(value, _JSON_TYPES[kind])
+                and isinstance(value, bool) == (kind == "bool"))):
+            raise ConfigError(
+                f"config key {f.name!r} must be {f.type}, not {value!r}")
     return raw
 
 
@@ -274,8 +302,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_val = getattr(args, f.name, None)
         if flag_val is not None:
             values[f.name] = flag_val
-    if values.get("kernels") is None:
-        values.pop("kernels", None)
     try:
         cfg = RunConfig(**values)
     except TypeError as exc:

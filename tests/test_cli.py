@@ -463,6 +463,23 @@ class TestConfigHandling:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("command, values, steps", [
+        ("simulate", {"gamma": "2"}, ["--steps", "100"]),
+        ("simulate", {"margin": "x"}, ["--steps", "100"]),
+        ("budget", {"margin": "x"}, ["--steps", "100"]),
+        ("simulate", {"n_steps": 100.5}, []),
+        ("simulate", {"kernels": "no"}, ["--steps", "100"]),
+        ("simulate", {"gamma": True}, ["--steps", "100"]),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys,
+                                                command, values, steps):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main([command, "--config", str(cfg), *steps,
+                     "--out", str(tmp_path / "x")]) == 2
+        (key,) = values
+        assert f"config key {key!r} must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--profile", "wedge:1"],
         ["simulate", "--gamma", "-1"],

@@ -87,6 +87,52 @@ def test_every_exponent_and_digit_count(tmp_path):
     assert_same_bytes(tmp_path, [values, values[::-1]])
 
 
+def _significant(v):
+    """(significant digits, decimal exponent) of v as %.17g writes it."""
+    mantissa, exponent = ("%.16e" % v).split("e")
+    return len(mantissa.replace(".", "").rstrip("0")), int(exponent)
+
+
+def _fast_values():
+    """For each decimal exponent -28..15 and digit count 1..17, the first
+    double printed with them, if one of the first 300 candidates is (a few
+    pairs, such as one digit at 1e-5, have none)."""
+    found = (next((v for m in range(10 ** (d - 1), 10 ** (d - 1) + 300)
+                   for v in [float(f"{m}e{e - d + 1}")]
+                   if _significant(v) == (d, e)), None)
+             for e in range(-28, 16) for d in range(1, 18))
+    return [v for v in found if v is not None]
+
+
+# one of each kind the fast path hands to %.17g; the first is the longest
+# field %.17g writes, 24 bytes
+FALLBACKS = [-2.2250738585072014e-308, 0.0, -0.0, np.nan, np.inf, -np.inf,
+             5e-324, 1e16, 1e15 + 0.25]
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 3, 4])
+def test_fallback_values_beside_fast_values(tmp_path, n_cols):
+    fast = _fast_values()
+    assert len(fast) > 700
+    values = np.array(fast + [-v for v in fast])
+    values = np.resize(values, (-(-values.size // n_cols), n_cols))
+    # every fallback value in every column, two rows apart, among fast ones
+    for i, (v, col) in enumerate((v, c) for v in FALLBACKS
+                                 for c in range(n_cols)):
+        values[2 * i, col] = v
+    assert_same_bytes(tmp_path, list(values.T))
+
+
+def test_several_files_in_one_process(tmp_path):
+    # nothing the kernel keeps between calls may depend on the last shape
+    rng = np.random.default_rng(7)
+    for n_cols in (3, 4, 3):
+        values = rng.choice([-1.0, 1.0], (n_cols, _CSV_BLOCK + 1)) * (
+            10.0 ** rng.uniform(-30, 18, (n_cols, _CSV_BLOCK + 1)))
+        values[:, ::97] = 0.0
+        assert_same_bytes(tmp_path, list(values))
+
+
 def _from_bits(bits):
     return float(np.array(bits, dtype=np.uint64).view(np.float64))
 
