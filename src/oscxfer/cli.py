@@ -294,7 +294,10 @@ def load_config(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config-file values, then explicit flags."""
+    """Defaults, then config-file values, then explicit flags.
+
+    Every float must be finite; ``margin`` must also be positive.
+    """
     values = {}
     if getattr(args, "config", None):
         values.update(load_config(args.config))
@@ -312,6 +315,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("steps must be at least 10")
     if not 0.0 < cfg.margin < math.inf:
         raise ConfigError("margin must be finite and positive")
+    # refused here, before the output directory is made, not by the JSON
+    # writer of config.json inside it
+    for key, value in cfg.to_dict().items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, not {value!r}")
     return cfg
 
 

@@ -16,12 +16,20 @@ exp(-G_j) multiplies every later term, so the best value of the tail from
 cell j on is linear in it, and the discrete optimum over the box
 0 <= g_j <= gamma1_max follows exactly from Bellman's backward recursion:
 one sweep from the last cell to the first, one box-bounded 1-D maximization
-per cell, in u = sqrt(g).
+per cell, in u = sqrt(g).  Each cell searches u in [0, sqrt(min(gamma1_max,
+gamma + 700/dt))]: past that bound the stage slope is negative, so a larger
+cap changes nothing but the search (see :func:`optimize_profile`).
+
+The sweep is one flat loop with the stage slopes written out inline.
+``tests/test_optimize_oracle.py`` keeps it as per-cell and per-evaluation
+functions (``oracle_sweep``, ``stage_argmax``, ``stage_slopes``) and pins
+the loop to them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -164,80 +172,6 @@ def _projected_gradient_norm(v: np.ndarray, grad: np.ndarray,
     return float(np.max(np.abs(pg))) if pg.size else 0.0
 
 
-def _stage_slopes(u: float, s: float, c: float, a: float,
-                  b: float) -> tuple[float, float]:
-    """First and second u-derivatives of the stage value
-    ``s*u*phi(a - b*u^2) + c*exp(-b*u^2)``, from a single ``math.expm1``.
-
-    phi and phi' switch to their series where :func:`_phi` and
-    :func:`_phi_prime` do.  phi'' only steers Newton steps; its closed form
-    cancels like eps/z^2, so its series takes over at |z| < 1e-2, where both
-    are good to ~1e-10.  Nothing overflows below expm1's own limit.
-    """
-    q = b * u * u
-    z = a - q
-    az = abs(z)
-    m = math.expm1(z)
-    f = 1.0 + z / 2.0 + z * z / 6.0 if az < 1e-5 else m / z
-    if az < 1e-4:
-        d1 = 0.5 + z / 3.0 + z * z / 8.0
-    else:
-        d1 = 1.0 / z + m * ((z - 1.0) / (z * z))
-    if az < 1e-2:
-        d2 = 1.0 / 3.0 + z * (0.25 + z * (0.1 + z / 36.0))
-    else:
-        d2 = (z - 2.0) / (z * z) + m * (((z - 2.0) * z + 2.0) / (z * z * z))
-    e = c * math.exp(-q)
-    return (s * (f - 2.0 * q * d1) - 2.0 * b * u * e,
-            s * b * u * (4.0 * q * d2 - 6.0 * d1) + 2.0 * b * e * (2.0 * q - 1.0))
-
-
-def _stage_argmax(s: float, c: float, a: float, b: float, top: float,
-                  guess: float) -> tuple[float, int]:
-    """Maximizer over [0, top] of the stage value, and the evaluations spent.
-
-    The slope at u = 0 is ``s*phi(a) > 0`` and the stage value is taken to
-    be unimodal, so the maximizer is the box end ``top`` when the slope
-    there is still positive, and otherwise the root of the slope in between,
-    found by Newton steps from ``guess`` inside a shrinking sign bracket,
-    with bisection whenever a step leaves it.  The slope at ``top`` is
-    evaluated only when the slope at ``guess`` is positive (or ``guess`` is
-    ``top``): where it is negative the root lies below ``guess``, so the
-    slope at ``top`` is negative too and would neither return ``top`` nor
-    change the bracket ``[0, top]`` the steps start from.  The sweep's
-    guess is the next cell's maximizer, which lies right of this one's,
-    so the probe is rarely made.  Where s has underflowed to 0 the slope is
-    negative on all of (0, top].
-    """
-    if s == 0.0:
-        return 0.0, 0
-    u = guess
-    d1, d2 = _stage_slopes(u, s, c, a, b)
-    evals = 1
-    if d1 > 0.0:
-        if u == top:
-            return top, evals
-        evals += 1
-        if _stage_slopes(top, s, c, a, b)[0] > 0.0:
-            return top, evals
-    lo, hi = 0.0, top
-    while evals < _MAX_ROOT_EVALS:
-        if d1 > 0.0:
-            lo = u
-        else:
-            hi = u
-        step = -d1 / d2 if d2 < 0.0 else math.inf
-        # converged steps may land on a bracket end: test them first
-        if abs(step) <= _ROOT_RTOL * u:
-            return min(max(u + step, 0.0), top), evals
-        u += step
-        if not lo < u < hi:
-            u = 0.5 * (lo + hi)
-        d1, d2 = _stage_slopes(u, s, c, a, b)
-        evals += 1
-    return math.nan, evals
-
-
 def optimize_profile(
     p: SystemParams,
     grid: TimeGrid,
@@ -249,11 +183,40 @@ def optimize_profile(
     ``gamma1_max`` defaults to ``1 / (2 dt)``, the stiffest coupling the
     grid can resolve.  With V_j the best value of the cells from j on,
     ``V_j = max_g E_j r(g) + exp(-g dt) V_{j+1}`` and ``V_n = 0``.  Dividing
-    stage j by V_{j+1} leaves ``sigma_j u phi((gamma - u^2) dt) +
-    exp(-u^2 dt)`` to maximize, with ``sigma_j = E_j / V_{j+1}``; its maximum
-    W_j gives ``sigma_{j-1} = exp(-gamma dt) sigma_j / W_j``.  The last cell
-    maximizes ``u phi`` alone.  sigma only shrinks going backward, so this
-    form stays finite at any gamma*T, where V_{j+1} / E_j would overflow.
+    stage j by V_{j+1} leaves the stage value ``s u phi(a - dt u^2) + c
+    exp(-dt u^2)`` to maximize in u = sqrt(g), with a = gamma dt, c = 1 and
+    ``s = sigma_j = E_j / V_{j+1}``; its maximum W_j gives ``sigma_{j-1} =
+    exp(-gamma dt) sigma_j / W_j``.  The last cell has s = 1, c = 0.  sigma
+    only shrinks going backward, so this form stays finite at any gamma*T,
+    where V_{j+1} / E_j would overflow.
+
+    The stage slope is ``s (phi - 2 q phi') - 2 dt u c exp(-q)`` with q =
+    dt u^2, and it is positive at u = 0.  The search box is ``[0, top]``
+    with ``top = sqrt(min(gamma1_max, gamma + 700 / dt))``: past that bound
+    z = (gamma - g) dt < -700, where ``phi - 2 q phi'`` is (z - 2 gamma
+    dt) / z^2 < 0 up to exp(z) terms below 1e-298, so the slope is negative
+    and the maximizer lies inside.  Searching a huge cap's whole box would
+    read the slope there from a closed form of phi' that cancels to
+    round-off at z ~ -gamma1_max dt.  The default cap is always below the
+    bound.
+
+    The stage value is taken to be unimodal, so each cell's maximizer is
+    the box end when the slope there is still positive, and otherwise the
+    root of the slope, found by Newton steps inside a shrinking sign
+    bracket, with bisection whenever a step leaves it.  The warm start is
+    the next cell's maximizer, which lies right of this one's.  The slope
+    at the box end is evaluated only when the slope at the warm start is
+    positive: where it is negative, the root lies below the warm start,
+    the slope at the box end is negative too, and the bracket starts as
+    [0, top] either way.  Where s has underflowed to 0 the slope is
+    negative on all of (0, top], so the maximizer is 0.  phi and phi'
+    switch to their series where :func:`_phi` and :func:`_phi_prime` do;
+    the second slope only steers Newton steps, and its closed form cancels
+    like eps/z^2, so its series takes over at |z| < 1e-2.
+
+    The sweep is interpreter-bound, so it is one loop with no call per cell
+    or per evaluation; ``oracle_sweep`` in the tests is the same sweep as
+    functions, and this loop must match it bit for bit.
 
     Returns the optimal sampled profile and an :class:`OptimizerResult`.
     Raises ``FloatingPointError`` naming the cell whose stage value is not
@@ -264,31 +227,97 @@ def optimize_profile(
     cap = 1.0 / (2.0 * dt) if gamma1_max is None else float(gamma1_max)
     if not cap > 0.0:
         raise ValueError("gamma1_max must be positive")
-    top = math.sqrt(cap)
+    top = math.sqrt(min(cap, p.gamma + 700.0 / dt))
     a = p.gamma * dt
     decay = math.exp(-a)
+    dt2 = 2.0 * dt
+    expm1, exp = math.expm1, math.exp
 
-    u = np.empty(n)
+    u = array("d", [0.0]) * n  # 8 B per cell
     s, c, guess, iterations = 1.0, 0.0, top, 0
     for j in range(n - 1, -1, -1):
+        evals = 0
         try:
-            uj, evals = _stage_argmax(s, c, a, dt, top, guess)
+            uj = 0.0
+            if s != 0.0:
+                sdt = s * dt
+                x, lo, hi = guess, 0.0, top
+                while True:
+                    # the two slopes at x
+                    q = dt * x * x
+                    z = a - q
+                    az = abs(z)
+                    zz = z * z
+                    m = expm1(z)
+                    f = 1.0 + z / 2.0 + zz / 6.0 if az < 1e-5 else m / z
+                    if az < 1e-4:
+                        f1 = 0.5 + z / 3.0 + zz / 8.0
+                    else:
+                        f1 = 1.0 / z + m * ((z - 1.0) / zz)
+                    if az < 1e-2:
+                        f2 = 1.0 / 3.0 + z * (0.25 + z * (0.1 + z / 36.0))
+                    else:
+                        f2 = ((z - 2.0) / zz
+                              + m * (((z - 2.0) * z + 2.0) / (zz * z)))
+                    e = c * exp(-q)
+                    q2 = 2.0 * q
+                    d1 = s * (f - q2 * f1) - dt2 * x * e
+                    d2 = (sdt * x * (4.0 * q * f2 - 6.0 * f1)
+                          + dt2 * e * (q2 - 1.0))
+                    evals += 1
+                    if d1 > 0.0:
+                        if evals == 1:
+                            if x == top:
+                                uj = top
+                                break
+                            # the first slope at the box end, for its sign
+                            q = dt * top * top
+                            z = a - q
+                            az = abs(z)
+                            zz = z * z
+                            m = expm1(z)
+                            f = 1.0 + z / 2.0 + zz / 6.0 if az < 1e-5 else m / z
+                            if az < 1e-4:
+                                f1 = 0.5 + z / 3.0 + zz / 8.0
+                            else:
+                                f1 = 1.0 / z + m * ((z - 1.0) / zz)
+                            evals += 1
+                            e = c * exp(-q)
+                            if s * (f - 2.0 * q * f1) - dt2 * top * e > 0.0:
+                                uj = top
+                                break
+                        lo = x
+                    else:
+                        hi = x
+                    if evals >= _MAX_ROOT_EVALS:
+                        uj = math.nan
+                        break
+                    step = -d1 / d2 if d2 < 0.0 else math.inf
+                    # converged steps may land on a bracket end: test them first
+                    if abs(step) <= _ROOT_RTOL * x:
+                        uj = x + step  # clipped into [0, top]
+                        uj = 0.0 if uj < 0.0 else top if top < uj else uj
+                        break
+                    x += step
+                    if not lo < x < hi:
+                        x = 0.5 * (lo + hi)
             q = dt * uj * uj
-            z = a - q  # phi(z), as in _stage_slopes
-            f = (1.0 + z / 2.0 + z * z / 6.0 if abs(z) < 1e-5
-                 else math.expm1(z) / z)
-            best = s * uj * f + c * math.exp(-q)
+            z = a - q
+            f = 1.0 + z / 2.0 + z * z / 6.0 if abs(z) < 1e-5 else expm1(z) / z
+            best = s * uj * f + c * exp(-q)
         except OverflowError:
             best = math.inf
-        if not (math.isfinite(best) and best > 0.0):
+        if not 0.0 < best < math.inf:
             raise FloatingPointError(
                 f"stage value {best!r} is not finite and positive in cell {j}")
         u[j] = guess = uj
         iterations += evals
         s, c = decay * s / best, 1.0
 
-    kkt = _projected_gradient_norm(u, _u_gradient(u, p, grid), 0.0, top)
-    cells = u * u
+    root = np.frombuffer(u)
+    kkt = _projected_gradient_norm(root, _u_gradient(root, p, grid), 0.0,
+                                   math.sqrt(cap))
+    cells = root * root
     node_values = np.concatenate((cells, [cells[-1]]))
     profile = CouplingProfile.sampled(grid, node_values, gamma1_max=cap)
     return profile, OptimizerResult(

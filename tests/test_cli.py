@@ -7,10 +7,13 @@ import dataclasses
 import inspect
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oscxfer import cli
 from oscxfer.oracles import fidelity_lossy, reference_curve
@@ -39,6 +42,10 @@ def main(argv):
 def _read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+# numeric flag values at and past the edges of what a run can take
+_EDGE_FLOATS = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e308"]
 
 
 class TestSimulate:
@@ -119,17 +126,62 @@ class TestOptimize:
         assert (out / "profile.csv").exists()
         assert not (out / "trace.csv").exists()
 
-    def test_diverging_cap_exits_3(self, tmp_path, capsys):
-        # g1^2 overflows in the residual and the gradient: the run used to
-        # exit 0 with NaN in the report and RuntimeWarnings on stderr
+    def test_huge_cap_gives_the_optimum(self, tmp_path, capsys):
+        # the search stops at gamma + 700/dt, past which the stage slope is
+        # negative: huge caps used to give a near-zero profile with exit 0
+        # (1e50 to 1e300) or a NaN residual with exit 3 (1e308)
+        functionals = []
+        for cap in ("1e3", "1e50", "1e100", "1e300", "1e308"):
+            out = tmp_path / cap
+            assert main(["optimize", "--gamma1-max", cap, "--steps", "100",
+                         "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            rep = _read_json(out / "optimize_report.json")
+            assert rep["gamma1_max"] == float(cap)
+            functionals.append(rep["functional"])
+        assert functionals[0] == pytest.approx(0.98958756481145, abs=1e-12)
+        assert functionals[1:] == pytest.approx([functionals[0]] * 4,
+                                                abs=1e-12)
+
+    def test_nonfinite_diagnostic_exits_3(self, tmp_path, capsys,
+                                          monkeypatch):
+        real = cli.optimize_profile
+
+        def nan_residual(*args, **kwargs):
+            profile, result = real(*args, **kwargs)
+            return profile, dataclasses.replace(result, kkt_residual=math.nan)
+
+        monkeypatch.setattr(cli, "optimize_profile", nan_residual)
         out = tmp_path / "run"
-        code = main(["optimize", "--gamma1-max", "1e308", "--steps", "100",
-                     "--out", str(out)])
-        assert code == 3
+        assert main(["optimize", "--steps", "100", "--out", str(out)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             "numerical failure: optimizer kkt_residual is nan"]
         assert not (out / "optimize_report.json").exists()
         assert not (out / "profile.csv").exists()
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(gamma=st.sampled_from(_EDGE_FLOATS + ["1", "2.5"]),
+           T=st.sampled_from(_EDGE_FLOATS + ["1", "5"]),
+           cap=st.sampled_from(_EDGE_FLOATS + ["0.5", "1e3"]),
+           steps=st.integers(10, 200))
+    def test_numeric_flags_exit_cleanly(self, capsys, gamma, T, cap, steps):
+        # every draw exits 0, 2 or 3 with a clean stderr and strict JSON,
+        # and a run that succeeds stays below the closed-form optimum
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            code = main(["optimize", f"--gamma={gamma}", f"--T={T}",
+                         f"--gamma1-max={cap}", "--steps", str(steps),
+                         "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err and "RuntimeWarning" not in err
+            if code == 0:
+                functional = _read_json(out / "optimize_report.json")[
+                    "functional"]
+                bound = math.sqrt(-math.expm1(-2.0 * float(gamma) * float(T)))
+                assert math.isfinite(functional)
+                assert functional <= bound * (1.0 + 1e-12)
 
     def test_all_capped_residual_is_null(self, tmp_path, capsys):
         # every node sits at the cap: no point is left for the residual
@@ -449,6 +501,37 @@ class TestConfigHandling:
                      "--steps", "100", "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: margin must be finite and positive"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "sweep",
+                                         "budget"])
+    @pytest.mark.parametrize("flag, key", [
+        ("--gamma", "gamma"), ("--T", "transfer_time"), ("--eta", "eta"),
+        ("--gamma-loss", "gamma_loss"), ("--omega0", "omega0"),
+        ("--dt-cut", "dt_cut"), ("--gamma1-max", "gamma1_max"),
+        ("--target-fidelity", "target_fidelity"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_flag_exits_2(self, tmp_path, capsys, command, flag,
+                                    key, value):
+        # refused before the output directory is made, naming the key
+        out = tmp_path / "x"
+        sweep = ["--sweep", "T:1:2:2"] if command == "sweep" else []
+        assert main([command, f"{flag}={value}", *sweep, "--steps", "100",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key} must be finite, not {float(value)!r}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_nonfinite_config_value_exits_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"gamma": %s}' % value)
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--steps", "100",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: gamma must be finite, not {json.loads(value)!r}"]
         assert not out.exists()
 
     def test_json_writer_refuses_nan(self, tmp_path):

@@ -1,6 +1,14 @@
-"""The backward-sweep optimum against brute force and the former ascent.
+"""The backward-sweep optimum against brute force, the former sweep and the
+former ascent.
 
-The oracle below is the projected Barzilai-Borwein/Armijo gradient ascent
+:func:`oracle_sweep` is the backward sweep as it was before it became one
+flat loop: a per-cell root solve (:func:`stage_argmax`) that calls a
+per-evaluation slope function (:func:`stage_slopes`).  Every floating-point
+operation of the flat loop is the same operation on the same operands in
+the same order, so the two must agree bit for bit wherever the cap lies
+below the flat loop's search bound gamma + 700/dt.
+
+The ascent oracle below is the projected Barzilai-Borwein/Armijo gradient ascent
 in u = sqrt(gamma1) that the backward sweep replaced: from a starting
 profile clipped into [floor, cap] (floor = 1e-12 gamma) it takes a spectral
 trial step, halves it until the Armijo condition holds, and stops when an
@@ -8,9 +16,9 @@ accepted step improves the functional by less than the tolerance or when no
 uphill step is left in the box.  It only ever approaches the discrete
 optimum, so the sweep must never end below it.
 
-``probe_first_argmax`` is the sweep's former per-cell root solve, which
-evaluated the slope at the box end before the warm start; the sweep must
-reach the same optimum, bit for bit, with no more evaluations.
+``probe_first_argmax`` is an earlier per-cell root solve, which evaluated
+the slope at the box end before the warm start; the sweep must reach the
+same optimum, bit for bit, with no more evaluations.
 """
 
 import math
@@ -21,13 +29,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscxfer import optimize
 from oscxfer.optimize import (
     _MAX_ROOT_EVALS,
     _ROOT_RTOL,
+    OptimizerResult,
     _functional_from_cells,
     _phi,
-    _stage_slopes,
+    _projected_gradient_norm,
     _u_gradient,
     functional_value,
     optimize_profile,
@@ -110,20 +118,109 @@ def ascent_oracle(p, grid, gamma1_max=None, initial=None, max_iters=5000,
     return np.where(cells <= floor, 0.0, cells), trace
 
 
+def stage_slopes(u, s, c, a, b):
+    """First and second u-derivatives of the stage value
+    ``s*u*phi(a - b*u^2) + c*exp(-b*u^2)``, from a single ``math.expm1``.
+
+    phi and phi' switch to their series where ``_phi`` and ``_phi_prime``
+    do; phi'' takes its series at |z| < 1e-2.
+    """
+    q = b * u * u
+    z = a - q
+    az = abs(z)
+    m = math.expm1(z)
+    f = 1.0 + z / 2.0 + z * z / 6.0 if az < 1e-5 else m / z
+    if az < 1e-4:
+        d1 = 0.5 + z / 3.0 + z * z / 8.0
+    else:
+        d1 = 1.0 / z + m * ((z - 1.0) / (z * z))
+    if az < 1e-2:
+        d2 = 1.0 / 3.0 + z * (0.25 + z * (0.1 + z / 36.0))
+    else:
+        d2 = (z - 2.0) / (z * z) + m * (((z - 2.0) * z + 2.0) / (z * z * z))
+    e = c * math.exp(-q)
+    return (s * (f - 2.0 * q * d1) - 2.0 * b * u * e,
+            s * b * u * (4.0 * q * d2 - 6.0 * d1) + 2.0 * b * e * (2.0 * q - 1.0))
+
+
+def stage_argmax(s, c, a, b, top, guess):
+    """Maximizer over [0, top] of the stage value, and the evaluations spent:
+    the box end if the slope there is positive, else the slope's root by
+    safeguarded Newton steps from ``guess``.  The box end is probed only
+    when the slope at ``guess`` is positive."""
+    if s == 0.0:
+        return 0.0, 0
+    u = guess
+    d1, d2 = stage_slopes(u, s, c, a, b)
+    evals = 1
+    if d1 > 0.0:
+        if u == top:
+            return top, evals
+        evals += 1
+        if stage_slopes(top, s, c, a, b)[0] > 0.0:
+            return top, evals
+    lo, hi = 0.0, top
+    while evals < _MAX_ROOT_EVALS:
+        if d1 > 0.0:
+            lo = u
+        else:
+            hi = u
+        step = -d1 / d2 if d2 < 0.0 else math.inf
+        if abs(step) <= _ROOT_RTOL * u:
+            return min(max(u + step, 0.0), top), evals
+        u += step
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+        d1, d2 = stage_slopes(u, s, c, a, b)
+        evals += 1
+    return math.nan, evals
+
+
+def oracle_sweep(p, grid, cap=None, argmax=stage_argmax):
+    """The backward sweep over the box [0, sqrt(cap)], one ``argmax`` call
+    per cell; returns the cells and an :class:`OptimizerResult`."""
+    n, dt = grid.n_steps, grid.dt
+    cap = 1.0 / (2.0 * dt) if cap is None else float(cap)
+    top = math.sqrt(cap)
+    a = p.gamma * dt
+    decay = math.exp(-a)
+    u = np.empty(n)
+    s, c, guess, iterations = 1.0, 0.0, top, 0
+    for j in range(n - 1, -1, -1):
+        try:
+            uj, evals = argmax(s, c, a, dt, top, guess)
+            q = dt * uj * uj
+            z = a - q
+            f = (1.0 + z / 2.0 + z * z / 6.0 if abs(z) < 1e-5
+                 else math.expm1(z) / z)
+            best = s * uj * f + c * math.exp(-q)
+        except OverflowError:
+            best = math.inf
+        if not (math.isfinite(best) and best > 0.0):
+            raise FloatingPointError(
+                f"stage value {best!r} is not finite and positive in cell {j}")
+        u[j] = guess = uj
+        iterations += evals
+        s, c = decay * s / best, 1.0
+    kkt = _projected_gradient_norm(u, _u_gradient(u, p, grid), 0.0, top)
+    return u * u, OptimizerResult(
+        iterations, kkt / (2.0 * math.sqrt(p.gamma) * dt))
+
+
 def probe_first_argmax(s, c, a, b, top, guess):
     """The root solve as it was before the box-end probe became lazy: the
     slope at ``top`` first, then Newton steps from ``guess`` (each slope
     evaluation counted, the probe included)."""
     if s == 0.0:
         return 0.0, 0
-    d1, d2 = _stage_slopes(top, s, c, a, b)
+    d1, d2 = stage_slopes(top, s, c, a, b)
     if d1 > 0.0:
         return top, 1
     lo, hi, u = 0.0, top, top
     evals = 1
     if guess < top:
         u = guess
-        d1, d2 = _stage_slopes(u, s, c, a, b)
+        d1, d2 = stage_slopes(u, s, c, a, b)
         evals += 1
     while evals < _MAX_ROOT_EVALS:
         if d1 > 0.0:
@@ -136,7 +233,7 @@ def probe_first_argmax(s, c, a, b, top, guess):
         u += step
         if not lo < u < hi:
             u = 0.5 * (lo + hi)
-        d1, d2 = _stage_slopes(u, s, c, a, b)
+        d1, d2 = stage_slopes(u, s, c, a, b)
         evals += 1
     return math.nan, evals
 
@@ -199,6 +296,12 @@ def test_dp_never_below_ascent(gamma, gamma_t, n, cap_factor):
     assert result.iterations >= n
 
 
+def _flat(p, grid, cap):
+    """The flat loop's cells and result."""
+    prof, result = optimize_profile(p, grid, gamma1_max=cap)
+    return prof.values[:-1], result
+
+
 @settings(max_examples=40, deadline=None)
 @given(gamma=st.floats(0.2, 3.0), gamma_t=st.floats(0.5, 6.0),
        n=st.integers(10, 400),
@@ -210,22 +313,45 @@ def test_dp_is_the_probe_first_dp(gamma, gamma_t, n, cap_factor):
     p = SystemParams(gamma=gamma, transfer_time=T)
     grid = TimeGrid(T, n)
     cap = None if cap_factor is None else cap_factor * gamma
-    prof, result = optimize_profile(p, grid, gamma1_max=cap)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize, "_stage_argmax", probe_first_argmax)
-        ref_prof, ref = optimize_profile(p, grid, gamma1_max=cap)
-    assert prof.values.tobytes() == ref_prof.values.tobytes()
+    cells, result = _flat(p, grid, cap)
+    ref_cells, ref = oracle_sweep(p, grid, cap, argmax=probe_first_argmax)
+    assert cells.tobytes() == ref_cells.tobytes()
     assert result.kkt_residual == ref.kkt_residual
     assert result.iterations <= ref.iterations
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gamma=st.floats(0.05, 50.0), gamma_t=st.floats(0.1, 700.0),
+       n=st.integers(10, 3000),
+       log_cap=st.one_of(st.none(), st.floats(-8.0, 0.0)))
+@example(gamma=1.0, gamma_t=3.0, n=3000, log_cap=None)
+@example(gamma=1.0, gamma_t=700.0, n=10, log_cap=None)     # gamma dt = 70
+@example(gamma=50.0, gamma_t=700.0, n=10, log_cap=0.0)     # cap at the bound
+@example(gamma=1.0, gamma_t=5.0, n=100, log_cap=-8.0)      # every cell capped
+def test_flat_loop_is_the_oracle_sweep(gamma, gamma_t, n, log_cap):
+    # the cap is 10**log_cap times the flat loop's search bound
+    # gamma + 700/dt (None: the default 1/(2 dt)), so capped, uncapped and
+    # huge-but-below-the-bound caps alike leave the searched box [0, sqrt(cap)]
+    T = gamma_t / gamma
+    p = SystemParams(gamma=gamma, transfer_time=T)
+    grid = TimeGrid(T, n)
+    cap = None
+    if log_cap is not None:
+        cap = (gamma + 700.0 / grid.dt) * 10.0 ** log_cap
+    cells, result = _flat(p, grid, cap)
+    ref_cells, ref = oracle_sweep(p, grid, cap)
+    assert cells.tobytes() == ref_cells.tobytes()
+    assert result.iterations == ref.iterations
+    assert result.kkt_residual == ref.kkt_residual
 
 
 def test_box_end_probed_when_guess_slopes_up():
     # the slope is positive on all of [0, 1]: from a guess below the box
     # end, only the probe at the end can return it exactly
     s, c, a, b, top = 1.0, 1.0, 1e-3, 1e-3, 1.0
-    assert _stage_slopes(top, s, c, a, b)[0] > 0.0
-    assert optimize._stage_argmax(s, c, a, b, top, 0.5) == (top, 2)
-    assert optimize._stage_argmax(s, c, a, b, top, top) == (top, 1)
+    assert stage_slopes(top, s, c, a, b)[0] > 0.0
+    assert stage_argmax(s, c, a, b, top, 0.5) == (top, 2)
+    assert stage_argmax(s, c, a, b, top, top) == (top, 1)
     assert probe_first_argmax(s, c, a, b, top, 0.5) == (top, 1)
 
 
