@@ -39,7 +39,6 @@ from .optimize import (
     functional_gradient,
     functional_value,
     optimize_profile,
-    verify_stationarity,
 )
 from .circuit import (
     CircuitRates,
@@ -61,7 +60,6 @@ __all__ = [
     "IntegratorConfig", "IntegrationError", "integrate_transfer",
     "OptimizerResult",
     "functional_value", "functional_gradient", "optimize_profile",
-    "verify_stationarity",
     "Topology", "CircuitSpec", "CircuitRates", "circuit_to_rates",
     "carrier_frequency",
     "__version__",

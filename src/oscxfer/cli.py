@@ -26,7 +26,7 @@ import numpy as np
 
 from .circuit import CircuitSpec, Topology, carrier_frequency, circuit_to_rates
 from .oracles import budget_report, reference_curve
-from .optimize import functional_value, optimize_profile, verify_stationarity
+from .optimize import functional_value, optimize_profile
 from .simulate import IntegrationError, IntegratorConfig, integrate_transfer
 from .types import (
     CouplingProfile,
@@ -341,26 +341,31 @@ def _resolved_dt_cut(cfg: RunConfig, grid: TimeGrid) -> float:
 
 
 def _build_profile(cfg: RunConfig, grid: TimeGrid) -> CouplingProfile:
+    """The run's profile; only the optimal one has a hold window, so only
+    it takes ``--dt-cut`` and ``--gamma1-max``."""
     spec = cfg.profile
+    if spec != "optimal" and not spec.startswith(("constant:", "file:")):
+        raise ConfigError(f"unknown profile {spec!r} (expected constant:<v>, "
+                          "optimal, or file:<path>)")
+    for flag, value in (("--dt-cut", cfg.dt_cut),
+                        ("--gamma1-max", cfg.gamma1_max)):
+        if value is not None and spec != "optimal":
+            raise ConfigError(f"{flag} applies only to --profile optimal, "
+                              f"not {spec!r}")
     try:
         if spec == "optimal":
             return CouplingProfile.optimal(truncation=_resolved_dt_cut(cfg, grid),
                                            gamma1_max=cfg.gamma1_max)
         if spec.startswith("constant:"):
-            value = float(spec.split(":", 1)[1])
-            return CouplingProfile.constant(value, gamma1_max=cfg.gamma1_max)
-        if spec.startswith("file:"):
-            return _profile_from_file(spec[5:], grid, cfg)
+            return CouplingProfile.constant(float(spec.split(":", 1)[1]))
+        return _profile_from_file(spec[5:], grid)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"bad profile {spec!r}: {exc}") from exc
-    raise ConfigError(
-        f"unknown profile {spec!r} (expected constant:<v>, optimal, or file:<path>)"
-    )
 
 
-def _profile_from_file(path: str, grid: TimeGrid, cfg: RunConfig) -> CouplingProfile:
+def _profile_from_file(path: str, grid: TimeGrid) -> CouplingProfile:
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
@@ -377,7 +382,7 @@ def _profile_from_file(path: str, grid: TimeGrid, cfg: RunConfig) -> CouplingPro
     nodes = grid.nodes()
     if not np.allclose(data[:, 0], nodes, rtol=0, atol=1e-9 * max(1.0, grid.t_end)):
         raise ConfigError("profile file times do not match the run grid")
-    return CouplingProfile.sampled(grid, data[:, 1], gamma1_max=cfg.gamma1_max)
+    return CouplingProfile.sampled(grid, data[:, 1])
 
 
 def _simulate(cfg: RunConfig):
@@ -441,13 +446,9 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     trunc = _resolved_dt_cut(cfg, grid)
     profile, result = optimize_profile(p, grid, gamma1_max=cfg.gamma1_max)
     functional = functional_value(profile, p, grid)
-    stat = verify_stationarity(profile, p, grid)
-    # with every node at the cap there is no residual to report
-    residual = stat.max_abs_residual if stat.n_points else None
     for name, value in (("functional", functional),
-                        ("kkt_residual", result.kkt_residual),
-                        ("stationarity residual", residual)):
-        if value is not None and not math.isfinite(value):
+                        ("kkt_residual", result.kkt_residual)):
+        if not math.isfinite(value):
             raise FloatingPointError(f"optimizer {name} is {value!r}")
 
     times = grid.nodes()
@@ -466,10 +467,6 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         "kkt_residual": result.kkt_residual,
         "gamma1_max": profile.gamma1_max,
         "truncation": trunc,
-        "stationarity": {
-            "max_abs_residual": residual,
-            "n_points": stat.n_points,
-        },
     }
     if cfg.format in ("json", "both"):
         _write_json(out / "optimize_report.json", report)

@@ -18,7 +18,15 @@ cell j on is linear in it, and the discrete optimum over the box
 one sweep from the last cell to the first, one box-bounded 1-D maximization
 per cell, in u = sqrt(g).  Each cell searches u in [0, sqrt(min(gamma1_max,
 gamma + 700/dt))]: past that bound the stage slope is negative, so a larger
-cap changes nothing but the search (see :func:`optimize_profile`).
+cap changes nothing but the search (see :func:`optimize_profile`).  The
+optimum's certificate is its KKT residual, the first-order condition of
+this discrete problem (:class:`OptimizerResult`).
+
+Line transmission eta and parasitic damping gamma_loss scale the amplitude
+of every profile by sqrt(eta) exp(-gamma_loss T) (substitute a ->
+exp(-gamma_loss t) a), so they leave the optimum where it is: the sweep
+maximizes the lossless functional, and :func:`functional_value` and
+:func:`functional_gradient` carry the factor.
 
 The sweep is one flat loop with the stage slopes written out inline.
 ``tests/test_optimize_oracle.py`` keeps it as per-cell and per-evaluation
@@ -35,16 +43,13 @@ from typing import Optional
 
 import numpy as np
 
-from .oracles import euler_lagrange_residual
 from .types import CouplingProfile, SystemParams, TimeGrid, profile_values
 
 __all__ = [
     "OptimizerResult",
-    "StationarityReport",
     "functional_value",
     "functional_gradient",
     "optimize_profile",
-    "verify_stationarity",
 ]
 
 # A cell's root solve stops once the Newton step is below this fraction of u;
@@ -105,10 +110,16 @@ def functional_value(c: CouplingProfile, p: SystemParams, grid: TimeGrid) -> flo
     closed form ``left-sample * phi((gamma - g_j) dt)``.  Under the package's
     piecewise-constant profile convention this quadrature is exact, so a
     sampled profile's functional value matches its ODE-integrated transfer
-    amplitude to integrator precision rather than quadrature order.
+    amplitude a21(T) to integrator precision rather than quadrature order,
+    lossy runs included: the value carries the loss factor
+    ``sqrt(eta) exp(-gamma_loss T)``, which is exactly 1.0 when lossless.
     """
     cells = _cell_values(c, p, grid)
-    return _functional_from_cells(cells, p, grid)
+    return _loss_factor(p, grid) * _functional_from_cells(cells, p, grid)
+
+
+def _loss_factor(p: SystemParams, grid: TimeGrid) -> float:
+    return math.sqrt(p.eta) * math.exp(-p.gamma_loss * grid.t_end)
 
 
 def _weights(cells: np.ndarray, p: SystemParams, grid: TimeGrid):
@@ -143,7 +154,8 @@ def functional_gradient(c: CouplingProfile, p: SystemParams,
         raise ValueError("gradient needs strictly positive profile values")
     root = np.sqrt(cells)
     # chain rule through gamma1 = u^2
-    return np.concatenate((_u_gradient(root, p, grid) / (2.0 * root), [0.0]))
+    return _loss_factor(p, grid) * np.concatenate(
+        (_u_gradient(root, p, grid) / (2.0 * root), [0.0]))
 
 
 def _u_gradient(u: np.ndarray, p: SystemParams, grid: TimeGrid) -> np.ndarray:
@@ -323,39 +335,3 @@ def optimize_profile(
     return profile, OptimizerResult(
         iterations, kkt / (2.0 * math.sqrt(p.gamma) * dt))
 
-
-@dataclass(frozen=True)
-class StationarityReport:
-    """Max Euler-Lagrange residual of a profile away from its capped tail."""
-
-    max_abs_residual: float
-    n_points: int
-    times: np.ndarray
-    residuals: np.ndarray
-
-
-def verify_stationarity(c: CouplingProfile, p: SystemParams, grid: TimeGrid,
-                        cap_fraction: float = 0.99) -> StationarityReport:
-    """Euler-Lagrange residual of a profile on its unconstrained interior.
-
-    Nodes at or near the cap (above ``cap_fraction * gamma1_max``) sit on an
-    active box constraint where stationarity does not apply, so they are
-    excluded along with their finite-difference neighbours.
-    """
-    ts, res = euler_lagrange_residual(c, p, grid)
-    g1 = profile_values(c, p, ts)
-    keep = np.ones(ts.size, dtype=bool)
-    if c.gamma1_max is not None:
-        capped = g1 >= cap_fraction * c.gamma1_max
-        # drop capped nodes and both neighbours (central-difference contamination)
-        keep &= ~capped
-        keep[:-1] &= ~capped[1:]
-        keep[1:] &= ~capped[:-1]
-    if not np.any(keep):
-        return StationarityReport(math.nan, 0, ts[:0], res[:0])
-    return StationarityReport(
-        max_abs_residual=float(np.max(np.abs(res[keep]))),
-        n_points=int(np.sum(keep)),
-        times=ts[keep],
-        residuals=res[keep],
-    )

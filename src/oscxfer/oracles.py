@@ -114,10 +114,9 @@ def fidelity_lossy(p: SystemParams, t: Times) -> Times:
 
     Equals ``sqrt(eta) * exp(-gamma_loss*t)`` times the lossless optimal
     amplitude; the factorization is exact because the parasitic damping
-    commutes with the transfer dynamics.  Requires ``gamma_loss < gamma``.
+    commutes with the transfer dynamics (substitute a -> exp(-gamma_loss t)
+    a), for any ``gamma_loss >= 0``.
     """
-    if p.gamma_loss >= p.gamma:
-        raise ValueError("gamma_loss must be smaller than gamma")
     if p.gamma_loss < 0 or not (0.0 < p.eta <= 1.0):
         raise ValueError("need gamma_loss >= 0 and eta in (0, 1]")
     ts = np.asarray(t, dtype=float)

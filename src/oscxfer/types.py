@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -95,8 +96,6 @@ def validate_params(p: SystemParams, margin: float = 10.0) -> list[ParamIssue]:
         err("transfer_time must be positive and finite")
     if not math.isfinite(p.gamma_loss) or p.gamma_loss < 0:
         err("gamma_loss must be >= 0")
-    elif p.gamma_loss > 0 and p.gamma_loss >= p.gamma:
-        err("gamma_loss < gamma required for lossy oracle")
     if not (0.0 < p.eta <= 1.0):
         err("eta must lie in (0, 1]")
     if not math.isfinite(p.omega0) or p.omega0 <= 0:
@@ -124,6 +123,11 @@ class TimeGrid:
             raise ValueError("t_end must be positive and finite")
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
+        # a subnormal step loses digits, and 1/dt overflows the default cap
+        if self.t_end / self.n_steps < sys.float_info.min:
+            raise ValueError(
+                f"grid step T/n_steps = {self.t_end!r}/{self.n_steps} is "
+                f"below the smallest normal double {sys.float_info.min!r}")
 
     @property
     def dt(self) -> float:

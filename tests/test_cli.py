@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oscxfer import cli
@@ -46,6 +46,9 @@ def _read_csv(path):
 
 # numeric flag values at and past the edges of what a run can take
 _EDGE_FLOATS = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e308"]
+# the same for the hold flags of a simulated run, without 1e308: a cap far
+# above 1/dt asks for up to 2**26 substeps in one step, which takes seconds
+_HOLD_EDGES = _EDGE_FLOATS[:-1]
 
 
 class TestSimulate:
@@ -98,6 +101,43 @@ class TestSimulate:
         rep = _read_json(out / "report.json")
         assert max(rep["commutator_max"]) < 1e-4
         assert (out / "commutator.csv").exists()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # gamma' > gamma, and a cap for a profile with no hold window
+    @example(rates=("1", "3", "0.8", "2.5"), profile="optimal",
+             hold=(None, None), steps=200)
+    @example(rates=("1", "1", None, None), profile="constant:1",
+             hold=("0.001", None), steps=100)
+    @given(rates=st.tuples(*[
+               st.one_of(st.none(), st.sampled_from(_EDGE_FLOATS),
+                         st.sampled_from(ordinary))
+               for ordinary in (["1", "2.5"], ["1", "5"], ["0.5", "0.81"],
+                                ["0.05", "1", "2.5"])]),
+           profile=st.sampled_from(["optimal", "constant:0", "constant:1",
+                                    "constant:2.5"]),
+           hold=st.tuples(*[
+               st.one_of(st.none(), st.sampled_from(_HOLD_EDGES),
+                         st.sampled_from(ordinary))
+               for ordinary in (["5", "50"], ["0.1", "0.01"])]),
+           steps=st.integers(10, 200))
+    def test_numeric_flags_exit_cleanly(self, capsys, rates, profile, hold,
+                                        steps):
+        # every draw exits 0, 2 or 3 with a clean stderr and strict JSON
+        # (gamma' >= gamma included)
+        flags = [f"{flag}={value}" for flag, value in zip(
+            ["--gamma", "--T", "--eta", "--gamma-loss", "--gamma1-max",
+             "--dt-cut"], rates + hold) if value is not None]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            code = main(["simulate", *flags, "--profile", profile,
+                         "--steps", str(steps), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err and "RuntimeWarning" not in err
+            if code == 0:
+                rep = _read_json(out / "report.json")
+                assert math.isfinite(rep["fidelity"])
 
     def test_format_json_suppresses_csv(self, tmp_path):
         out = tmp_path / "run"
@@ -183,14 +223,27 @@ class TestOptimize:
                 assert math.isfinite(functional)
                 assert functional <= bound * (1.0 + 1e-12)
 
-    def test_all_capped_residual_is_null(self, tmp_path, capsys):
-        # every node sits at the cap: no point is left for the residual
+    def test_all_capped_run_exits_0(self, tmp_path, capsys):
+        # every node sits at the cap; the KKT residual certifies the optimum
+        # there too, and the report has no Euler-Lagrange block
         out = tmp_path / "run"
         assert main(["optimize", "--gamma1-max", "1e-3", "--steps", "100",
                      "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
-        stat = _read_json(out / "optimize_report.json")["stationarity"]
-        assert stat == {"max_abs_residual": None, "n_points": 0}
+        rep = _read_json(out / "optimize_report.json")
+        assert math.isfinite(rep["kkt_residual"])
+        assert "stationarity" not in rep
+
+    def test_huge_cells_on_a_tiny_horizon_exit_0(self, tmp_path, capsys):
+        # cells up to 1.3e301: the Euler-Lagrange differences of the former
+        # stationarity block overflowed to NaN and turned this into exit 3
+        out = tmp_path / "run"
+        assert main(["optimize", "--gamma", "1", "--T", "1e-300",
+                     "--gamma1-max", "1e308", "--steps", "10",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rep = _read_json(out / "optimize_report.json")
+        assert 0.0 < rep["functional"] <= math.sqrt(-math.expm1(-2e-300))
 
     def test_removed_iteration_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -199,21 +252,25 @@ class TestOptimize:
         assert exc.value.code == 2
 
     def test_profile_csv_roundtrips_into_simulate(self, tmp_path):
-        opt_out = tmp_path / "opt"
-        code = main(["optimize", "--gamma", "1", "--T", "2",
-                     "--steps", "250", "--out", str(opt_out)])
-        assert code == 0
-        functional = _read_json(opt_out / "optimize_report.json")["functional"]
-        sim_out = tmp_path / "sim"
-        code = main(["simulate", "--gamma", "1", "--T", "2", "--steps", "250",
-                     "--profile", f"file:{opt_out / 'profile.csv'}",
-                     "--out", str(sim_out)])
-        assert code == 0
-        fid = _read_json(sim_out / "report.json")["fidelity"]
-        # quadrature functional vs ODE route: the profile rides the box cap
-        # 1/(2 dt), so the integrator's substepped error floor (~3e-9 at
-        # gamma1*h = 0.03 per stage) sets the achievable agreement
-        assert fid == pytest.approx(functional, abs=1e-8)
+        # a lossy functional carries the factor sqrt(eta) exp(-gamma' T)
+        # of the simulated amplitude
+        for name, loss in (("lossless", []),
+                           ("lossy", ["--eta", "0.81", "--gamma-loss", "0.05"])):
+            flags = ["--gamma", "1", "--T", "2", "--steps", "250", *loss]
+            opt_out = tmp_path / name / "opt"
+            assert main(["optimize", *flags, "--out", str(opt_out)]) == 0
+            functional = _read_json(opt_out / "optimize_report.json")[
+                "functional"]
+            sim_out = tmp_path / name / "sim"
+            assert main(["simulate", *flags,
+                         "--profile", f"file:{opt_out / 'profile.csv'}",
+                         "--out", str(sim_out)]) == 0
+            fid = _read_json(sim_out / "report.json")["fidelity"]
+            # quadrature functional vs ODE route: the profile rides the box
+            # cap 1/(2 dt), so the integrator's substepped error floor
+            # (~3e-9 at gamma1*h = 0.03 per stage) sets the achievable
+            # agreement
+            assert fid == pytest.approx(functional, abs=1e-8)
 
 
 class TestSweep:
@@ -312,12 +369,13 @@ class TestSweep:
         assert "(at step 0)" in capsys.readouterr().err
 
     def test_point_config_error_exits_2(self, tmp_path, capsys):
-        # gamma_loss = 1 = gamma is invalid only at the middle point
-        code = main(["sweep", "--sweep", "gamma_loss:0:2:3", "--gamma", "1",
+        # eta = 1.5 is invalid only at the last point
+        code = main(["sweep", "--sweep", "eta:0.5:1.5:3", "--gamma", "1",
                      "--T", "2", "--steps", "50",
                      "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "error: gamma_loss=1: gamma_loss < gamma" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: eta=1.5: eta must lie in (0, 1]"]
 
     @pytest.mark.parametrize("spec", [
         "eta:1.0:0.5:3",      # empty range
@@ -571,6 +629,44 @@ class TestConfigHandling:
     ])
     def test_invalid_values_exit_2(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("command, T", [
+        ("optimize", "5e-324"), ("optimize", "1e-310"), ("simulate", "5e-324"),
+    ])
+    def test_subnormal_grid_step_exits_2(self, tmp_path, capsys, command, T):
+        # the step T/10 underflowed to 0 or to a subnormal, and the run
+        # ended in a division by zero, a NaN stage value or a misleading
+        # "truncation = 0"
+        assert main([command, "--gamma", "1", "--T", T, "--steps", "10",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: grid step T/n_steps = {T}/10 is below the smallest "
+            "normal double 2.2250738585072014e-308"]
+
+    @pytest.mark.parametrize("profile, flags, flag", [
+        ("constant:1", ["--gamma1-max", "0.001"], "--gamma1-max"),
+        ("file", ["--gamma1-max", "0.5", "--dt-cut", "0.5"], "--dt-cut"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_hold_flags_need_the_optimal_profile(self, tmp_path, capsys,
+                                                 command, profile, flags,
+                                                 flag):
+        # only the optimal profile has a hold window; a constant or file
+        # profile ran with the same bits as without the flags
+        if profile == "file":
+            path = tmp_path / "p.csv"
+            path.write_text("t,gamma1\n" + "".join(
+                f"{i / 100!r},1\n" for i in range(101)))
+            profile = f"file:{path}"
+        sweep = ["--sweep", "gamma:1:1:1"] if command == "sweep" else []
+        out = tmp_path / "x"
+        assert main([command, *sweep, "--profile", profile, "--T", "1",
+                     "--steps", "100", *flags, "--out", str(out)]) == 2
+        point = "gamma=1: " if command == "sweep" else ""
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {point}{flag} applies only to --profile optimal, "
+            f"not {profile!r}"]
+        assert not (out / "report.json").exists()
 
     def test_missing_profile_file_exits_2(self, tmp_path):
         assert main(["simulate", "--profile", "file:/no/such/file.csv",

@@ -298,8 +298,8 @@ STIFF = 1e300
 # largest double, as they do for gamma1 = 5e307.  Halving resolves such a
 # cell only on a grid with dt near 1e-307.  There the largest double is
 # resolved too, but with a loss rate added it overflows the rate itself,
-# which no halving resolves (gamma above gamma_loss keeps those parameters
-# valid).
+# which no halving resolves.  The step 1e-307 is still a normal double,
+# which ``TimeGrid`` requires.
 TINY_T = 1e-306
 MAX = float(np.finfo(float).max)
 LOSSY = SystemParams(gamma=2e300, gamma_loss=1e300, transfer_time=TINY_T,

@@ -17,7 +17,6 @@ from oscxfer.optimize import (
     functional_gradient,
     functional_value,
     optimize_profile,
-    verify_stationarity,
 )
 from oscxfer.oracles import fidelity_optimal
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
@@ -173,26 +172,6 @@ class TestAscent:
         f = _functional_from_cells(cells, p, grid)
         assert f >= functional_value(init, p, grid) - 1e-15
         assert f <= _dp_value(p, grid) + 1e-13
-
-
-class TestStationarity:
-    def test_excludes_capped_tail(self):
-        p = SystemParams(gamma=1.0, transfer_time=2.0)
-        grid = TimeGrid(2.0, 500)
-        c = CouplingProfile.optimal(truncation=0.1)
-        rep = verify_stationarity(c, p, grid)
-        assert rep.n_points > 0
-        assert np.all(rep.times < 2.0 - 0.1)
-        assert math.isfinite(rep.max_abs_residual)
-
-    def test_everything_capped_yields_empty(self):
-        p = SystemParams(gamma=1.0, transfer_time=1.0)
-        grid = TimeGrid(1.0, 50)
-        vals = np.full(51, 4.0)
-        c = CouplingProfile.sampled(grid, vals, gamma1_max=4.0)
-        rep = verify_stationarity(c, p, grid)
-        assert rep.n_points == 0
-        assert math.isnan(rep.max_abs_residual)
 
 
 def test_config_validation():

@@ -21,7 +21,13 @@ from oscxfer.oracles import (
     reference_curve,
     validity_windows,
 )
-from oscxfer.types import CouplingProfile, SystemParams, TimeGrid, profile_values
+from oscxfer.types import (
+    CouplingProfile,
+    SystemParams,
+    TimeGrid,
+    profile_values,
+    validate_params,
+)
 
 
 TWO_OVER_E = 0.7357588823428846
@@ -258,10 +264,16 @@ class TestLossyFidelity:
         expected = math.sqrt(eta) * math.exp(-gl * t) * fidelity_optimal(1.0, 3.0, t)
         assert fidelity_lossy(p, t) == pytest.approx(expected, rel=1e-14)
 
-    def test_overdamped_rejected(self):
-        p = SystemParams(gamma=1.0, transfer_time=3.0, gamma_loss=1.0)
-        with pytest.raises(ValueError):
-            fidelity_lossy(p, 1.0)
+    def test_overdamped_factorizes(self):
+        # gamma_loss >= gamma used to be refused, but the substitution
+        # a -> exp(-gamma_loss t) a removes gamma_loss at any rate
+        for gl in (1.0, 2.5):
+            p = SystemParams(gamma=1.0, transfer_time=3.0, eta=0.8,
+                             gamma_loss=gl)
+            assert validate_params(p) == []
+            want = (math.sqrt(0.8) * math.exp(-gl * 1.7)
+                    * fidelity_optimal(1.0, 3.0, 1.7))
+            assert fidelity_lossy(p, 1.7) == pytest.approx(want, rel=1e-14)
 
 
 class TestBudget:

@@ -28,8 +28,10 @@ class TestTimeGrid:
         assert nodes[-1] == pytest.approx(2.0)
         assert np.all(np.diff(nodes) > 0)
 
+    # the last two have a subnormal step: 5e-324/10 even rounds to 0
     @pytest.mark.parametrize("t_end, n", [(0.0, 10), (-1.0, 10), (1.0, 1),
-                                          (1.0, 0), (math.inf, 10)])
+                                          (1.0, 0), (math.inf, 10),
+                                          (5e-324, 10), (1e-310, 10)])
     def test_rejects_degenerate_grids(self, t_end, n):
         with pytest.raises(ValueError):
             TimeGrid(t_end, n)
