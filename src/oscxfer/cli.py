@@ -296,7 +296,9 @@ def load_config(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config-file values, then explicit flags.
 
-    Every float must be finite; ``margin`` must also be positive.
+    Every float must be finite; ``margin`` must also be positive, and
+    ``target_fidelity`` must lie in (0, 1) for every command, whether or
+    not it reads it.
     """
     values = {}
     if getattr(args, "config", None):
@@ -320,6 +322,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for key, value in cfg.to_dict().items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, not {value!r}")
+    if cfg.target_fidelity is not None and not 0.0 < cfg.target_fidelity < 1.0:
+        raise ConfigError("target_fidelity must lie strictly between 0 and 1")
     return cfg
 
 
@@ -485,6 +489,9 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise ConfigError(f"bad sweep bounds: {exc}") from exc
+    # linspace would turn an infinite end into NaN points named by value
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"sweep bounds must be finite in {spec!r}")
     if n < 1:
         raise ConfigError("sweep needs at least one point")
     if hi < lo:

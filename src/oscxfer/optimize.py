@@ -30,8 +30,11 @@ maximizes the lossless functional, and :func:`functional_value` and
 
 The sweep is one flat loop with the stage slopes written out inline.
 ``tests/test_optimize_oracle.py`` keeps it as per-cell and per-evaluation
-functions (``oracle_sweep``, ``stage_argmax``, ``stage_slopes``) and pins
-the loop to them bit for bit.
+functions (``oracle_sweep``, ``warm_start``, ``stage_argmax``,
+``stage_slopes``) and pins the loop to them bit for bit.  It also keeps the
+former sweep, whose root solves started at the next cell's maximizer
+(``former_sweep``), and pins the loop to it up to round-off: the same zero
+cells, cells within 4 ``_ROOT_RTOL`` and the functional within 1e-15.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ class OptimizerResult:
     """What the backward sweep did and how stationary its optimum is.
 
     ``iterations`` counts the stage-derivative evaluations of all cells'
-    root solves: 26 320 for gamma = 1, T = 3 on 10 000 cells, about 2.6 per
-    cell.  ``kkt_residual`` is the max-norm of the projected gradient
+    root solves: 12 668 for gamma = 1, T = 3 on 10 000 cells, about 1.27
+    per cell (26 320 when each solve started at the next cell's
+    maximizer).  ``kkt_residual`` is the max-norm of the projected gradient
     in u = sqrt(gamma1), divided by ``2 sqrt(gamma) dt``.
     """
 
@@ -215,11 +219,20 @@ def optimize_profile(
     The stage value is taken to be unimodal, so each cell's maximizer is
     the box end when the slope there is still positive, and otherwise the
     root of the slope, found by Newton steps inside a shrinking sign
-    bracket, with bisection whenever a step leaves it.  The warm start is
-    the next cell's maximizer, which lies right of this one's.  The slope
-    at the box end is evaluated only when the slope at the warm start is
-    positive: where it is negative, the root lies below the warm start,
-    the slope at the box end is negative too, and the bracket starts as
+    bracket, with bisection whenever a step leaves it.  The maximizer
+    decays smoothly going backward (u ~ exp(-gamma (T - t)) in the
+    continuum), so the warm start is the cubic extrapolation of log u from
+    the next four cells' maximizers u1..u4 (u1 nearest), u1 (r1/r2)^3 r3
+    with r_k = u_k / u_(k+1), which needs no log or exp.  Where fewer than
+    four cells follow, one of them is 0, or the extrapolation leaves
+    (0, top), the start is the next cell's maximizer (top for the last
+    cell).  Each Newton step is tested against ``_ROOT_RTOL`` before
+    anything else, so a start within round-off of the root costs one
+    evaluation; the stage value is flat to second order there, so that
+    evaluation's value stands as the cell's maximum.  Otherwise the slope
+    at the box end is evaluated only when the slope at the start is
+    positive: where it is negative, the root lies below the start, the
+    slope at the box end is negative too, and the bracket starts as
     [0, top] either way.  Where s has underflowed to 0 the slope is
     negative on all of (0, top], so the maximizer is 0.  phi and phi'
     switch to their series where :func:`_phi` and :func:`_phi_prime` do;
@@ -228,7 +241,8 @@ def optimize_profile(
 
     The sweep is interpreter-bound, so it is one loop with no call per cell
     or per evaluation; ``oracle_sweep`` in the tests is the same sweep as
-    functions, and this loop must match it bit for bit.
+    functions, and this loop must match it bit for bit.  At gamma = 1,
+    T = 3 on 10 000 cells it spends 1.27 slope evaluations per cell.
 
     Returns the optimal sampled profile and an :class:`OptimizerResult`.
     Raises ``FloatingPointError`` naming the cell whose stage value is not
@@ -246,14 +260,27 @@ def optimize_profile(
     expm1, exp = math.expm1, math.exp
 
     u = array("d", [0.0]) * n  # 8 B per cell
-    s, c, guess, iterations = 1.0, 0.0, top, 0
+    s, c, iterations = 1.0, 0.0, 0
+    # the maximizers of cells j+1..j+4; u1 is top before the last cell,
+    # and only the cells below n - 4 have four real ones
+    u1, u2, u3, u4 = top, 0.0, 0.0, 0.0
+    n4 = n - 4
     for j in range(n - 1, -1, -1):
         evals = 0
+        best = None
         try:
             uj = 0.0
             if s != 0.0:
                 sdt = s * dt
-                x, lo, hi = guess, 0.0, top
+                x, lo, hi = u1, 0.0, top
+                if (j < n4 and u1 > 0.0 and u2 > 0.0 and u3 > 0.0
+                        and u4 > 0.0):
+                    # cubic extrapolation of log u: u1 (r1/r2)^3 r3 with
+                    # r_k = u_k / u_(k+1)
+                    r = (u1 / u2) / (u2 / u3)
+                    y = u1 * (r * r * r) * (u3 / u4)
+                    if 0.0 < y < top:
+                        x = y
                 while True:
                     # the two slopes at x
                     q = dt * x * x
@@ -277,6 +304,16 @@ def optimize_profile(
                     d2 = (sdt * x * (4.0 * q * f2 - 6.0 * f1)
                           + dt2 * e * (q2 - 1.0))
                     evals += 1
+                    step = -d1 / d2 if d2 < 0.0 else math.inf
+                    # converged steps may land on a bracket end, and a start
+                    # near the root needs no probe: test them first.  The
+                    # stage value is flat to second order here, so x's
+                    # value stands for the maximizer's.
+                    if abs(step) <= _ROOT_RTOL * x:
+                        uj = x + step  # clipped into [0, top]
+                        uj = 0.0 if uj < 0.0 else top if top < uj else uj
+                        best = s * x * f + e
+                        break
                     if d1 > 0.0:
                         if evals == 1:
                             if x == top:
@@ -304,25 +341,22 @@ def optimize_profile(
                     if evals >= _MAX_ROOT_EVALS:
                         uj = math.nan
                         break
-                    step = -d1 / d2 if d2 < 0.0 else math.inf
-                    # converged steps may land on a bracket end: test them first
-                    if abs(step) <= _ROOT_RTOL * x:
-                        uj = x + step  # clipped into [0, top]
-                        uj = 0.0 if uj < 0.0 else top if top < uj else uj
-                        break
                     x += step
                     if not lo < x < hi:
                         x = 0.5 * (lo + hi)
-            q = dt * uj * uj
-            z = a - q
-            f = 1.0 + z / 2.0 + z * z / 6.0 if abs(z) < 1e-5 else expm1(z) / z
-            best = s * uj * f + c * exp(-q)
+            if best is None:
+                q = dt * uj * uj
+                z = a - q
+                f = (1.0 + z / 2.0 + z * z / 6.0 if abs(z) < 1e-5
+                     else expm1(z) / z)
+                best = s * uj * f + c * exp(-q)
         except OverflowError:
             best = math.inf
         if not 0.0 < best < math.inf:
             raise FloatingPointError(
                 f"stage value {best!r} is not finite and positive in cell {j}")
-        u[j] = guess = uj
+        u[j] = uj
+        u4, u3, u2, u1 = u3, u2, u1, uj
         iterations += evals
         s, c = decay * s / best, 1.0
 

@@ -49,6 +49,9 @@ _EDGE_FLOATS = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e308"]
 # the same for the hold flags of a simulated run, without 1e308: a cap far
 # above 1/dt asks for up to 2**26 substeps in one step, which takes seconds
 _HOLD_EDGES = _EDGE_FLOATS[:-1]
+# a sweep's end points: NaN, ±inf, 0, a negative value, 1e308, ordinary ones
+_SWEEP_ENDS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308",
+                               "0.5", "1", "2.5"])
 
 
 class TestSimulate:
@@ -388,6 +391,44 @@ class TestSweep:
         assert main(["sweep", "--sweep", spec,
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("spec", ["T:1:inf:2", "gamma_loss:0:inf:3"])
+    def test_nonfinite_bounds_exit_2(self, tmp_path, capsys, spec):
+        # linspace made the points [nan, inf], and the refusal of the first
+        # named it T=nan although the user gave 1
+        assert main(["sweep", "--sweep", spec, "--steps", "10",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: sweep bounds must be finite in {spec!r}"]
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(name="T", bounds=("1", "inf"), n=2, hold=(None, None), steps=10)
+    @example(name="gamma_loss", bounds=("0", "inf"), n=3, hold=(None, None),
+             steps=10)
+    @given(name=st.sampled_from(sorted(cli._SWEEPABLE)),
+           bounds=st.tuples(_SWEEP_ENDS, _SWEEP_ENDS),
+           n=st.integers(1, 3),
+           hold=st.tuples(*[st.one_of(st.none(), st.sampled_from(ordinary))
+                            for ordinary in (["5", "50"], ["0.1", "0.01"])]),
+           steps=st.integers(10, 50))
+    def test_numeric_flags_exit_cleanly(self, capsys, name, bounds, n, hold,
+                                        steps):
+        # every draw exits 0, 2 or 3 with a clean stderr and strict JSON;
+        # the hold flags keep ordinary values (see TestSimulate's)
+        flags = [f"{flag}={value}" for flag, value in zip(
+            ["--gamma1-max", "--dt-cut"], hold) if value is not None]
+        spec = ":".join([name, *bounds, str(n)])
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            code = main(["sweep", f"--sweep={spec}", *flags,
+                         "--steps", str(steps), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err and "RuntimeWarning" not in err
+            if code == 0:
+                rep = _read_json(out / "sweep_report.json")
+                assert rep["n_points"] == n
+
 
 class TestBudget:
     def test_frozen_terms(self, tmp_path):
@@ -440,10 +481,48 @@ class TestBudget:
         assert any("--target-fidelity" in w for w in budget["warnings"])
         assert any("gamma*dt_cut > 0.1" in w for w in budget["warnings"])
 
-    def test_explicit_target_out_of_range_exits_2(self, tmp_path):
-        assert main(["budget", "--dt-cut", "1", "--T", "5",
-                     "--target-fidelity", "1.5",
-                     "--out", str(tmp_path / "x")]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["budget", "--dt-cut", "1", "--T", "5", "--target-fidelity", "1.5"],
+        ["simulate", "--steps", "10", "--target-fidelity", "2"],
+        ["budget", "--dt-cut", "0.01", "--target-fidelity", "2"],
+        # these never read the target, and exited 0
+        ["budget", "--target-fidelity", "2"],
+        ["optimize", "--steps", "10", "--target-fidelity", "-1"],
+        ["sweep", "--sweep", "T:1:2:2", "--steps", "10",
+         "--target-fidelity", "5"],
+    ])
+    def test_explicit_target_out_of_range_exits_2(self, tmp_path, capsys,
+                                                  argv):
+        out = tmp_path / "x"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: target_fidelity must lie strictly between 0 and 1"]
+        assert not out.exists()
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(values=(None,) * 7 + ("2", None))
+    @example(values=(None,) * 5 + ("0.01", None, "2", None))
+    @given(values=st.tuples(*[
+        st.one_of(st.none(), st.sampled_from(_EDGE_FLOATS),
+                  st.sampled_from(ordinary))
+        for ordinary in (["1", "2.5"], ["1", "5"], ["0.5", "0.81"],
+                         ["0.05", "1"], ["1e6", "1e9"], ["0.1", "0.01"],
+                         ["5", "50"], ["0.5", "0.99"], ["3", "10"])]))
+    def test_numeric_flags_exit_cleanly(self, capsys, values):
+        # every draw exits 0, 2 or 3 with a clean stderr and strict JSON
+        flags = [f"{flag}={value}" for flag, value in zip(
+            ["--gamma", "--T", "--eta", "--gamma-loss", "--omega0",
+             "--dt-cut", "--gamma1-max", "--target-fidelity", "--margin"],
+            values) if value is not None]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            code = main(["budget", *flags, "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err and "RuntimeWarning" not in err
+            if code == 0:
+                assert (out / "budget.json").exists()
 
     def test_circuit_frequency_mismatch_exits_2(self, tmp_path):
         code = main(["budget", "--sender-rlc", "10:1e-9:1e-12",
