@@ -424,7 +424,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         "n_steps": cfg.n_steps,
     }
     if profile.kind is ProfileKind.OPTIMAL_CLOSED_FORM:
-        rep = budget_report(p, dt_cut=profile.truncation or 0.0,
+        rep = budget_report(p, dt_cut=profile.truncation,
                             gamma1_max=profile.gamma1_max,
                             target_fidelity=cfg.target_fidelity,
                             margin=cfg.margin)
@@ -469,7 +469,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         "functional": functional,
         "iterations": result.iterations,
         "kkt_residual": result.kkt_residual,
-        "gamma1_max": profile.gamma1_max,
+        "gamma1_max": result.gamma1_max,
         "truncation": trunc,
     }
     if cfg.format in ("json", "both"):
@@ -580,9 +580,8 @@ def cmd_budget(cfg: RunConfig, out: Path) -> int:
                                   omega0=omega0)
 
     p = _build_params(cfg)
-    gamma1_max = cfg.gamma1_max
-    if gamma1_max is None and dt_cut > 0:
-        gamma1_max = 1.0 / (2.0 * dt_cut)
+    gamma1_max = CouplingProfile.optimal(truncation=dt_cut or None,
+                                         gamma1_max=cfg.gamma1_max).gamma1_max
     rep = budget_report(p, dt_cut=dt_cut, gamma1_max=gamma1_max,
                         target_fidelity=cfg.target_fidelity, margin=cfg.margin)
     payload = rep.to_dict()

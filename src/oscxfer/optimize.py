@@ -70,11 +70,13 @@ class OptimizerResult:
     root solves: 12 668 for gamma = 1, T = 3 on 10 000 cells, about 1.27
     per cell (26 320 when each solve started at the next cell's
     maximizer).  ``kkt_residual`` is the max-norm of the projected gradient
-    in u = sqrt(gamma1), divided by ``2 sqrt(gamma) dt``.
+    in u = sqrt(gamma1), divided by ``2 sqrt(gamma) dt``.  ``gamma1_max``
+    is the cap of the box the sweep searched.
     """
 
     iterations: int
     kkt_residual: float
+    gamma1_max: float
 
 
 def _cell_values(c: CouplingProfile, p: SystemParams, grid: TimeGrid) -> np.ndarray:
@@ -365,7 +367,7 @@ def optimize_profile(
                                    math.sqrt(cap))
     cells = root * root
     node_values = np.concatenate((cells, [cells[-1]]))
-    profile = CouplingProfile.sampled(grid, node_values, gamma1_max=cap)
+    profile = CouplingProfile.sampled(grid, node_values)
     return profile, OptimizerResult(
-        iterations, kkt / (2.0 * math.sqrt(p.gamma) * dt))
+        iterations, kkt / (2.0 * math.sqrt(p.gamma) * dt), cap)
 

@@ -130,11 +130,12 @@ def reference_curve(p: SystemParams, profile: CouplingProfile,
 
     For the closed-form optimum it is :func:`fidelity_lossy`; for a
     constant profile, the same loss factor ``sqrt(eta)*exp(-gamma_loss*t)``
-    times :func:`fidelity_constant_coupling`.  A truncation is ignored:
-    past ``T - truncation`` the curve follows the untruncated closed form up
-    to ``F(T)``, so there the difference from a simulated run is the
-    truncation cost plus the integration error.  Times are clamped to
-    ``T``, because the last grid node ``n*(T/n)`` can land one ulp past it.
+    times :func:`fidelity_constant_coupling`.  The optimum's truncation is
+    ignored: past ``T - truncation`` the curve follows the untruncated
+    closed form up to ``F(T)``, so there the difference from a simulated
+    run is the truncation cost plus the integration error.  Times are
+    clamped to ``T``, because the last grid node ``n*(T/n)`` can land one
+    ulp past it.
     A sampled profile has no closed form, and its curve is NaN.
     """
     ts = np.minimum(np.asarray(t, dtype=float), p.transfer_time)

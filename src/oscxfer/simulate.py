@@ -250,18 +250,14 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
     def stages(i: np.ndarray, t: np.ndarray, h):
         """g1 at the start, middle and end stage of (sub)steps of macro
         steps ``i`` that start at times ``t`` and are ``h`` wide."""
+        if cells is not None:
+            g_cell = cells[i // ratio]
+            return g_cell, g_cell, g_cell
         # the end stage stays inside the cell being integrated: a step
         # ending exactly on a sampled-profile cell boundary must not read
         # the next cell's value
         times = (t, t + 0.5 * h, t + h * (1.0 - 1e-8))
-        if cells is None:
-            return tuple(profile_values(c, p, s) for s in times)
-        g_cell = cells[i // ratio]
-        if c.truncation is None:
-            return g_cell, g_cell, g_cell
-        # the hold window, at the stage times the time lookup would use
-        held = p.transfer_time - c.truncation
-        return tuple(np.where(s >= held, c.gamma1_max, g_cell) for s in times)
+        return tuple(profile_values(c, p, s) for s in times)
 
     def halved_maps(steps: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Maps of macro ``steps``, halved ``k`` times each: the in-order

@@ -163,9 +163,10 @@ class CouplingProfile:
       convention the quadrature and the simulator use, so the two agree
       bit-for-bit).
 
-    ``truncation`` holds the profile at ``gamma1_max`` on the final window
-    ``[T - truncation, T]``; when unset, ``gamma1_max`` defaults to
-    ``1 / (2 * truncation)``, the rate whose drain time matches the window.
+    Only the closed-form optimum has a hold window: ``truncation`` holds it
+    at ``gamma1_max`` on the final window ``[T - truncation, T]``, and when
+    unset, ``gamma1_max`` defaults to ``1 / (2 * truncation)``, the rate
+    whose drain time matches the window.  The other kinds refuse both.
     """
 
     kind: ProfileKind
@@ -176,6 +177,10 @@ class CouplingProfile:
     gamma1_max: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if self.kind is not ProfileKind.OPTIMAL_CLOSED_FORM and (
+                self.truncation is not None or self.gamma1_max is not None):
+            raise ValueError("only the closed-form optimal profile has a "
+                             "hold window (truncation, gamma1_max)")
         if self.truncation is not None:
             if self.truncation == 0.0:
                 raise ValueError(
@@ -205,14 +210,8 @@ class CouplingProfile:
             object.__setattr__(self, "values", vals)
 
     @classmethod
-    def constant(
-        cls,
-        gamma1: float,
-        truncation: Optional[float] = None,
-        gamma1_max: Optional[float] = None,
-    ) -> "CouplingProfile":
-        return cls(ProfileKind.CONSTANT, gamma1=gamma1, truncation=truncation,
-                   gamma1_max=gamma1_max)
+    def constant(cls, gamma1: float) -> "CouplingProfile":
+        return cls(ProfileKind.CONSTANT, gamma1=gamma1)
 
     @classmethod
     def optimal(
@@ -224,15 +223,8 @@ class CouplingProfile:
                    gamma1_max=gamma1_max)
 
     @classmethod
-    def sampled(
-        cls,
-        grid: TimeGrid,
-        values: np.ndarray,
-        truncation: Optional[float] = None,
-        gamma1_max: Optional[float] = None,
-    ) -> "CouplingProfile":
-        return cls(ProfileKind.SAMPLED_GRID, grid=grid, values=values,
-                   truncation=truncation, gamma1_max=gamma1_max)
+    def sampled(cls, grid: TimeGrid, values: np.ndarray) -> "CouplingProfile":
+        return cls(ProfileKind.SAMPLED_GRID, grid=grid, values=values)
 
 
 Times = Union[float, np.ndarray]
@@ -274,30 +266,28 @@ def _optimal_closed_form(gamma: float, t_remaining: np.ndarray) -> np.ndarray:
 def profile_values(c: CouplingProfile, p: SystemParams, ts: Times) -> Times:
     """Evaluate the coupling rate gamma1 at a time or at every time in ``ts``.
 
-    Inside the truncation window ``[T - truncation, T]`` every profile kind
-    returns the hold value ``gamma1_max``.  Elsewhere a constant profile
-    returns its rate, the closed-form optimum is evaluated elementwise with
-    ``math.expm1`` (and raises :class:`ProfileSingularityError` at
-    ``t >= T``), and a sampled profile returns the value at the left node of
-    the enclosing cell, snapping times within 1e-9 of a cell width below a
-    node onto that node.  A float in gives a float out, an array gives an
-    array of its shape; element by element the result is independent of the
-    other times in the array.
+    A constant profile returns its rate.  The closed-form optimum returns
+    its hold value ``gamma1_max`` inside the truncation window
+    ``[T - truncation, T]`` and elsewhere is evaluated elementwise with
+    ``math.expm1`` (raising :class:`ProfileSingularityError` at ``t >= T``
+    when untruncated).  A sampled profile returns the value at the left
+    node of the enclosing cell, snapping times within 1e-9 of a cell width
+    below a node onto that node.  A float in gives a float out, an array
+    gives an array of its shape; element by element the result is
+    independent of the other times in the array.
     """
     t = np.asarray(ts, dtype=float).reshape(-1)
     T = p.transfer_time
-    out = np.empty(t.shape)
-    if c.truncation is None:
-        free = np.ones(t.shape, dtype=bool)
-    else:
-        free = ~(t >= T - c.truncation)  # NaN times are not held
-        out[~free] = c.gamma1_max
-    t = t[free]
-
     if c.kind is ProfileKind.CONSTANT:
-        out[free] = c.gamma1
+        out = np.full(t.shape, c.gamma1, dtype=float)
     elif c.kind is ProfileKind.OPTIMAL_CLOSED_FORM:
-        out[free] = _optimal_closed_form(p.gamma, T - t)
+        if c.truncation is None:
+            out = _optimal_closed_form(p.gamma, T - t)
+        else:
+            out = np.empty(t.shape)
+            free = ~(t >= T - c.truncation)  # NaN times are not held
+            out[~free] = c.gamma1_max
+            out[free] = _optimal_closed_form(p.gamma, T - t[free])
     else:
         # SAMPLED_GRID: left-endpoint lookup with node snapping
         grid = c.grid
@@ -306,7 +296,7 @@ def profile_values(c: CouplingProfile, p: SystemParams, ts: Times) -> Times:
         j = np.floor(s)
         j[s - j > 1.0 - 1e-9] += 1.0  # within float fuzz of the next node
         j = np.clip(j, 0, grid.n_nodes - 1).astype(np.intp)
-        out[free] = c.values[j]
+        out = c.values[j]
     return _shaped(ts, out)
 
 

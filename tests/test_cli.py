@@ -105,7 +105,7 @@ class TestSimulate:
         assert max(rep["commutator_max"]) < 1e-4
         assert (out / "commutator.csv").exists()
 
-    @settings(max_examples=300, deadline=None, derandomize=True,
+    @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     # gamma' > gamma, and a cap for a profile with no hold window
     @example(rates=("1", "3", "0.8", "2.5"), profile="optimal",
@@ -202,7 +202,7 @@ class TestOptimize:
         assert not (out / "optimize_report.json").exists()
         assert not (out / "profile.csv").exists()
 
-    @settings(max_examples=30, deadline=None, derandomize=True,
+    @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(gamma=st.sampled_from(_EDGE_FLOATS + ["1", "2.5"]),
            T=st.sampled_from(_EDGE_FLOATS + ["1", "5"]),
@@ -400,7 +400,7 @@ class TestSweep:
         assert capsys.readouterr().err.splitlines() == [
             f"error: sweep bounds must be finite in {spec!r}"]
 
-    @settings(max_examples=40, deadline=None, derandomize=True,
+    @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @example(name="T", bounds=("1", "inf"), n=2, hold=(None, None), steps=10)
     @example(name="gamma_loss", bounds=("0", "inf"), n=3, hold=(None, None),
@@ -499,7 +499,7 @@ class TestBudget:
             "error: target_fidelity must lie strictly between 0 and 1"]
         assert not out.exists()
 
-    @settings(max_examples=100, deadline=None, derandomize=True,
+    @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @example(values=(None,) * 7 + ("2", None))
     @example(values=(None,) * 5 + ("0.01", None, "2", None))

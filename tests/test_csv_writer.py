@@ -148,7 +148,7 @@ VALUES = st.one_of(
                                _CSV_BLOCK + 1]),
        n_cols=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30, deadline=None)
 def test_same_bytes_as_percent_formatting(tmp_path_factory, pool, n_rows,
                                           n_cols, seed):
     # the drawn values, raw bit patterns and a log-uniform spread over the

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscxfer.optimize import functional_value
 from oscxfer.simulate import (
     IntegrationError,
     IntegratorConfig,
@@ -42,11 +41,11 @@ MAX_HALVINGS = 26
 def scalar_profile_value(c, p, t):
     """gamma1(t) by the scalar lookup, one time at a time."""
     T = p.transfer_time
-    if c.truncation is not None and t >= T - c.truncation:
-        return float(c.gamma1_max)
     if c.kind is ProfileKind.CONSTANT:
         return float(c.gamma1)
     if c.kind is ProfileKind.OPTIMAL_CLOSED_FORM:
+        if c.truncation is not None and t >= T - c.truncation:
+            return float(c.gamma1_max)
         x = 2.0 * p.gamma * (T - t)
         if x <= 0.0:
             raise ProfileSingularityError("closed form diverges at t = T")
@@ -145,10 +144,6 @@ def scalar_integrate(c, p, cfg):
             g_cell = float(cells[0][i // cells[1]])
 
             def g1_step(tau, _v=g_cell):
-                # the cell's value, or the hold inside the truncation window
-                if (c.truncation is not None
-                        and tau >= p.transfer_time - c.truncation):
-                    return float(c.gamma1_max)
                 return _v
         else:
             g1_step = g1_at
@@ -225,10 +220,6 @@ def _ramp(T, cells):
     return _sampled(T, cells, 0.3 + 2.0 * np.sin(1.7 * t) ** 2)
 
 
-HELD = CouplingProfile.sampled(TimeGrid(2.0, 100), 0.5 + np.linspace(0, 1, 101),
-                               truncation=0.3, gamma1_max=5.0)
-
-
 CASES = {
     "constant": (CouplingProfile.constant(0.8),
                  SystemParams(gamma=1.0, transfer_time=2.0), 500),
@@ -246,9 +237,6 @@ CASES = {
                          SystemParams(gamma=1.0, transfer_time=2.0), 400),
     "sampled-non-refining": (_ramp(2.0, 150),
                              SystemParams(gamma=1.0, transfer_time=2.0), 400),
-    # a hold window on a refining grid: the cells give way to the hold
-    "sampled-refining-held": (HELD,
-                              SystemParams(gamma=1.0, transfer_time=2.0), 400),
     "lossy-optimal": (CouplingProfile.optimal(truncation=1e-3),
                       SystemParams(gamma=1.0, transfer_time=3.0, eta=0.81,
                                    gamma_loss=0.05), 1000),
@@ -273,14 +261,6 @@ def test_array_integrator_is_the_scalar_loop(name):
     d1, d2 = commutator_oracle(gen)
     assert np.array_equal(got.deficits[0], d1)
     assert np.array_equal(got.deficits[1], d2)
-
-
-def test_hold_applies_on_a_refining_grid():
-    # the cells path used to read the cell values through the hold window;
-    # the hold there is what the functional and the time lookup use
-    p = SystemParams(gamma=1.0, transfer_time=2.0)
-    got = integrate_transfer(HELD, p, IntegratorConfig(n_steps=400))
-    assert abs(got.fidelity - functional_value(HELD, p, HELD.grid)) < 1e-8
 
 
 def _spiked(cells, spikes, gamma1=1.0):
@@ -366,11 +346,10 @@ T_PROP = 2.0
 P_PROP = SystemParams(gamma=1.3, transfer_time=T_PROP)
 GRID = TimeGrid(T_PROP, 40)
 PROFILES = [
-    CouplingProfile.constant(0.7, truncation=0.05),
+    CouplingProfile.constant(0.7),
     CouplingProfile.optimal(truncation=GRID.dt),
     CouplingProfile.optimal(truncation=1e-9, gamma1_max=3.0),
     CouplingProfile.sampled(GRID, 0.5 + np.arange(41) % 7),
-    CouplingProfile.sampled(GRID, 0.5 + np.arange(41) % 5, truncation=0.13),
 ]
 # nodes, just below and above them, and the edges of the truncation windows
 SPECIAL_TIMES = sorted({

@@ -238,7 +238,7 @@ def oracle_sweep(p, grid, cap=None):
         s, c = decay * s / best, 1.0
     kkt = _projected_gradient_norm(u, _u_gradient(u, p, grid), 0.0, top)
     return u * u, OptimizerResult(
-        iterations, kkt / (2.0 * math.sqrt(p.gamma) * dt))
+        iterations, kkt / (2.0 * math.sqrt(p.gamma) * dt), cap)
 
 
 def former_argmax(s, c, a, b, top, guess):
@@ -298,7 +298,7 @@ def former_sweep(p, grid, cap=None, argmax=former_argmax):
         s, c = decay * s / best, 1.0
     kkt = _projected_gradient_norm(u, _u_gradient(u, p, grid), 0.0, top)
     return u * u, OptimizerResult(
-        iterations, kkt / (2.0 * math.sqrt(p.gamma) * dt))
+        iterations, kkt / (2.0 * math.sqrt(p.gamma) * dt), cap)
 
 
 def probe_first_argmax(s, c, a, b, top, guess):
@@ -439,7 +439,7 @@ def _sweep_cases(test):
     test = given(gamma=st.floats(0.05, 50.0), gamma_t=st.floats(0.1, 700.0),
                  n=st.integers(10, 3000),
                  log_cap=st.one_of(st.none(), st.floats(-8.0, 0.0)))(test)
-    return settings(max_examples=60, deadline=None, derandomize=True)(test)
+    return settings(max_examples=60, deadline=None)(test)
 
 
 def _problem(gamma, gamma_t, n, log_cap):
@@ -524,7 +524,7 @@ def test_underflowed_stages_take_zero_coupling():
     grid = TimeGrid(7050.0, 10)
     prof, result = optimize_profile(p, grid)
     assert np.all(prof.values[:9] == 0.0)
-    assert prof.values[9] == prof.gamma1_max
+    assert prof.values[9] == result.gamma1_max
     f_dp = functional_value(prof, p, grid)
     cells, _ = ascent_oracle(p, grid)
     f_asc = _functional_from_cells(cells, p, grid)

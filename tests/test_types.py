@@ -134,13 +134,15 @@ class TestCouplingProfile:
         with pytest.raises(ValueError):
             CouplingProfile.sampled(grid, np.array([1.0, -1.0, 1.0, 1.0, 1.0]))
 
-    def test_sampled_hold_window_still_capped(self):
+    def test_only_the_optimal_profile_has_a_hold_window(self):
         grid = TimeGrid(1.0, 4)
-        vals = np.full(5, 2.0)
-        c = CouplingProfile.sampled(grid, vals, truncation=0.25, gamma1_max=9.0)
-        p = SystemParams(gamma=1.0, transfer_time=1.0)
-        assert profile_values(c, p, 0.5) == 2.0
-        assert profile_values(c, p, 0.8) == 9.0
+        kinds = {ProfileKind.CONSTANT: {"gamma1": 2.0},
+                 ProfileKind.SAMPLED_GRID: {"grid": grid,
+                                            "values": np.full(5, 2.0)}}
+        for kind, fields in kinds.items():
+            for hold in ({"truncation": 0.25}, {"gamma1_max": 9.0}):
+                with pytest.raises(ValueError, match="hold window"):
+                    CouplingProfile(kind, **fields, **hold)
 
 
 class TestTransferState:
