@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscxfer.optimize import functional_value
 from oscxfer.simulate import (
     IntegrationError,
     IntegratorConfig,
@@ -220,6 +221,12 @@ def _ramp(T, cells):
     return _sampled(T, cells, 0.3 + 2.0 * np.sin(1.7 * t) ** 2)
 
 
+# a ramp held at 5.0 on the final window [1.7, 2.0], the hold written into
+# the node values the way the optimizer writes its box cap
+HELD = _sampled(2.0, 100, np.where(np.arange(101) >= 85, 5.0,
+                                   0.5 + np.linspace(0, 1, 101)))
+
+
 CASES = {
     "constant": (CouplingProfile.constant(0.8),
                  SystemParams(gamma=1.0, transfer_time=2.0), 500),
@@ -237,6 +244,9 @@ CASES = {
                          SystemParams(gamma=1.0, transfer_time=2.0), 400),
     "sampled-non-refining": (_ramp(2.0, 150),
                              SystemParams(gamma=1.0, transfer_time=2.0), 400),
+    # a held tail on a refining grid: each cell's substeps read its value
+    "sampled-refining-held": (HELD,
+                              SystemParams(gamma=1.0, transfer_time=2.0), 400),
     "lossy-optimal": (CouplingProfile.optimal(truncation=1e-3),
                       SystemParams(gamma=1.0, transfer_time=3.0, eta=0.81,
                                    gamma_loss=0.05), 1000),
@@ -261,6 +271,14 @@ def test_array_integrator_is_the_scalar_loop(name):
     d1, d2 = commutator_oracle(gen)
     assert np.array_equal(got.deficits[0], d1)
     assert np.array_equal(got.deficits[1], d2)
+
+
+def test_hold_applies_on_a_refining_grid():
+    # the cells path must carry the held tail exactly as the functional's
+    # left-node cells do, the jump onto the hold included
+    p = SystemParams(gamma=1.0, transfer_time=2.0)
+    got = integrate_transfer(HELD, p, IntegratorConfig(n_steps=400))
+    assert abs(got.fidelity - functional_value(HELD, p, HELD.grid)) < 1e-8
 
 
 def _spiked(cells, spikes, gamma1=1.0):
