@@ -45,7 +45,9 @@ accurate through the near-singular tail of truncated optimal profiles.  The
 few stiff steps get their 2**k substeps evaluated in bounded blocks and
 folded, in substep order, into one map each.  A failure is reported at the
 earliest failing step: a step that 26 halvings cannot make stable, or the
-first non-finite coefficient.
+first non-finite coefficient.  A run whose stiff steps would need more than
+2**22 substeps in all is refused (``ValueError``) before their substeps run;
+steps past 26 halvings, which fail anyway, are not counted.
 
 A column born at t_j reaches t_i through the maps of steps j..i-1, and
 every channel's column moves by the same maps, so the commutator sum rules
@@ -55,9 +57,11 @@ every channel's column moves by the same maps, so the commutator sum rules
 
 need only the columns' summed second moments (xx, xy, yy).  With kernel
 tracking the integrator carries them through each block, step by step,
-and keeps only d1 and d2 (16 bytes per step).  Trapezoid weights (half on
-the first node and on the diagonal) keep the bias at O(dt^2); no ratio of
-accumulated maps appears, so the sums stay finite at any gamma*T.
+and keeps only d1 and d2 (16 bytes per step).  The k1 birth at t_j takes
+g1 from step j's start stage, the same time j*dt and the same cell.
+Trapezoid weights (half on the first node and on the diagonal) keep the
+bias at O(dt^2); no ratio of accumulated maps appears, so the sums stay
+finite at any gamma*T.
 """
 
 from __future__ import annotations
@@ -86,6 +90,9 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 26
+# substeps a run's stiff steps may take in all, about 3 s of work on a
+# 2-vCPU x86-64 VM; past it the run is refused before their substeps run
+_MAX_SUBSTEPS = 2**22
 _BLOCK = 8192  # macro steps, or substeps, evaluated as one array
 
 
@@ -298,8 +305,8 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
         byy = b2 * b2 + bl * bl + bv * bv
         d1, d2 = np.empty(n + 1), np.empty(n + 1)
 
-        def births(nodes: np.ndarray):  # their (xx, xy), summed over channels
-            b1 = np.sqrt(2.0 * profile_values(c, p, nodes * dt))
+        def births(g_nodes: np.ndarray):  # their (xx, xy), summed over channels
+            b1 = np.sqrt(2.0 * g_nodes)
             return b1 * b1 + bl * bl, b1 * b2
 
         def deficits(at: slice, norm_x, norm_y, bxx) -> None:
@@ -309,10 +316,11 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                             + dt * (norm_y - 0.5 * byy))
 
         # the column born at t_0 enters at half weight
-        bxx, bxy = births(np.arange(1))
+        bxx, bxy = births(profile_values(c, p, np.zeros(1)))
         sums = 0.5 * float(bxx[0]), 0.5 * float(bxy[0]), 0.5 * byy
         deficits(slice(0, 1), np.array([sums[0]]), np.array([sums[2]]), bxx)
 
+    substeps, first_stiff = 0, None
     with np.errstate(all="ignore"):
         for lo in range(0, n, _BLOCK):
             i = np.arange(lo, min(lo + _BLOCK, n))
@@ -332,6 +340,14 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
             mxx, myx, myy = pxx * 1.0, pyx * 1.0 + pyy * 0.0, pyy * 1.0
             stiff = np.flatnonzero(k)
             if stiff.size:
+                substeps += int(np.sum(2 ** k[stiff]))
+                if first_stiff is None:
+                    first_stiff = lo + int(stiff[0])
+                if substeps > _MAX_SUBSTEPS:
+                    raise ValueError(
+                        f"profile needs {substeps} substeps, more than the "
+                        f"bound {_MAX_SUBSTEPS} (2**22); its first stiff "
+                        f"step is {first_stiff}")
                 mxx[stiff], myx[stiff], myy[stiff] = halved_maps(i[stiff],
                                                                   k[stiff])
 
@@ -355,7 +371,10 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                 raise IntegrationError("profile too stiff to substep", hi)
 
             if track:
-                bxx, bxy = births(i + 1)
+                # node j's rate is step j's start stage g0; the block's last
+                # node starts the next block, so it is looked up here
+                bxx, bxy = births(np.append(g0[1:],
+                                            profile_values(c, p, hi * dt)))
                 norm_x, norm_y, sums = _moment_sums((mxx, myx, myy), bxx, bxy,
                                                     byy, sums)
                 deficits(slice(lo + 1, hi + 1), norm_x, norm_y, bxx)

@@ -10,6 +10,7 @@ the transfer amplitudes stay real-valued.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -237,15 +238,59 @@ def _shaped(t: Times, out: np.ndarray) -> Times:
     return np.reshape(out, np.shape(t))
 
 
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` (a scalar ``math`` function) applied to each element of ``x``.
+# the numpy ufunc whose strided loop may stand in for each math function
+_UFUNCS = {math.exp: np.exp, math.expm1: np.expm1}
 
-    ``math.expm1`` and ``math.exp`` are used instead of their numpy
-    counterparts because the two libraries round differently in the last
-    place on some arguments, and the scalar results are the reference.
+
+def _strided_loop(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc`` of the contiguous ``x``, written through a reversed view of
+    a fresh buffer, with overflow to inf left silent."""
+    buf = np.empty(x.size)
+    with np.errstate(over="ignore"):
+        ufunc(x, out=buf[::-1])
+    return buf[::-1]
+
+
+@functools.cache
+def _libm_ufunc(fn):
+    """numpy's ufunc for ``fn`` if its strided loop gives ``fn``'s bits on
+    509 points of [-40, 40], else None.  Probed once per process."""
+    ufunc = _UFUNCS.get(fn)
+    if ufunc is None:
+        return None
+    probe = np.linspace(-40.0, 40.0, 509)
+    want = np.fromiter(map(fn, memoryview(probe)), float, probe.size)
+    same = _strided_loop(ufunc, probe).tobytes() == want.tobytes()
+    return ufunc if same else None
+
+
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (``math.exp`` or ``math.expm1``) applied to each element of
+    ``x``, flattened in C order, with the bits of ``fn`` itself.
+
+    numpy's ``np.exp``/``np.expm1`` run SIMD kernels that round differently
+    from libm in the last place on some arguments, and the scalar results
+    are the reference.  But numpy runs those kernels only into a unit-stride
+    output: into a reversed one it takes its scalar loop, which calls the
+    same libm function as ``math`` at a fifth of the cost of a Python map.
+    So the ufunc writes the forward, contiguous input through a reversed
+    view of a fresh buffer (with both strides reversed numpy would flip
+    them and run SIMD again).  Two cases keep the map of ``fn``: fewer than
+    two elements, because numpy drops a length-1 axis's stride and runs
+    SIMD; and a process in which the one-time probe of
+    :func:`_libm_ufunc` finds the loop's bits differ from ``fn``'s.  As
+    ``fn`` does, a finite argument whose result overflows raises
+    ``OverflowError``.
     """
     x = np.ascontiguousarray(x, dtype=float).ravel()
-    return np.fromiter(map(fn, memoryview(x)), float, x.size)
+    ufunc = _libm_ufunc(fn) if x.size > 1 else None
+    if ufunc is None:
+        return np.fromiter(map(fn, memoryview(x)), float, x.size)
+    out = _strided_loop(ufunc, x)
+    inf = out == math.inf
+    if inf.any() and np.isfinite(x[inf]).any():
+        raise OverflowError("math range error")
+    return out
 
 
 def _optimal_closed_form(gamma: float, t_remaining: np.ndarray) -> np.ndarray:

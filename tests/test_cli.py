@@ -46,9 +46,6 @@ def _read_csv(path):
 
 # numeric flag values at and past the edges of what a run can take
 _EDGE_FLOATS = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e308"]
-# the same for the hold flags of a simulated run, without 1e308: a cap far
-# above 1/dt asks for up to 2**26 substeps in one step, which takes seconds
-_HOLD_EDGES = _EDGE_FLOATS[:-1]
 # a sweep's end points: NaN, ±inf, 0, a negative value, 1e308, ordinary ones
 _SWEEP_ENDS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308",
                                "0.5", "1", "2.5"])
@@ -112,6 +109,9 @@ class TestSimulate:
              hold=(None, None), steps=200)
     @example(rates=("1", "1", None, None), profile="constant:1",
              hold=("0.001", None), steps=100)
+    # a cap of 1e308 held near T = 1e-300: 2**25 substeps, refused up front
+    @example(rates=(None, "1e-300", None, None), profile="optimal",
+             hold=("1e308", None), steps=86)
     @given(rates=st.tuples(*[
                st.one_of(st.none(), st.sampled_from(_EDGE_FLOATS),
                          st.sampled_from(ordinary))
@@ -120,7 +120,7 @@ class TestSimulate:
            profile=st.sampled_from(["optimal", "constant:0", "constant:1",
                                     "constant:2.5"]),
            hold=st.tuples(*[
-               st.one_of(st.none(), st.sampled_from(_HOLD_EDGES),
+               st.one_of(st.none(), st.sampled_from(_EDGE_FLOATS),
                          st.sampled_from(ordinary))
                for ordinary in (["5", "50"], ["0.1", "0.01"])]),
            steps=st.integers(10, 200))
@@ -405,16 +405,18 @@ class TestSweep:
     @example(name="T", bounds=("1", "inf"), n=2, hold=(None, None), steps=10)
     @example(name="gamma_loss", bounds=("0", "inf"), n=3, hold=(None, None),
              steps=10)
+    @example(name="T", bounds=("0.5", "1"), n=2, hold=("1e308", None),
+             steps=10)
     @given(name=st.sampled_from(sorted(cli._SWEEPABLE)),
            bounds=st.tuples(_SWEEP_ENDS, _SWEEP_ENDS),
            n=st.integers(1, 3),
            hold=st.tuples(*[st.one_of(st.none(), st.sampled_from(ordinary))
-                            for ordinary in (["5", "50"], ["0.1", "0.01"])]),
+                            for ordinary in (["5", "50", "1e308"],
+                                             ["0.1", "0.01"])]),
            steps=st.integers(10, 50))
     def test_numeric_flags_exit_cleanly(self, capsys, name, bounds, n, hold,
                                         steps):
-        # every draw exits 0, 2 or 3 with a clean stderr and strict JSON;
-        # the hold flags keep ordinary values (see TestSimulate's)
+        # every draw exits 0, 2 or 3 with a clean stderr and strict JSON
         flags = [f"{flag}={value}" for flag, value in zip(
             ["--gamma1-max", "--dt-cut"], hold) if value is not None]
         spec = ":".join([name, *bounds, str(n)])
@@ -841,6 +843,19 @@ class TestConfigHandling:
                 fh.write(f"{i * (1.0 / n):.17g},1e300\n")
         assert main(["simulate", "--profile", f"file:{bad}", "--T", "1",
                      "--steps", str(n), "--out", str(tmp_path / "x")]) == 3
+
+    def test_too_many_substeps_exits_2(self, tmp_path, capsys):
+        # the held step near T = 1e-300 halves 25 times: the run used to
+        # spend 2**25 substeps (over 10 s) before it exited 3
+        out = tmp_path / "run"
+        code = main(["simulate", "--gamma", "1", "--T", "1e-300",
+                     "--gamma1-max", "1e308", "--steps", "86",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: profile needs 33554474 substeps, more than the bound "
+            "4194304 (2**22); its first stiff step is 76"]
+        assert not (out / "report.json").exists()
 
 
 def test_determinism_across_runs(tmp_path):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscxfer.optimize import functional_value
@@ -117,6 +117,17 @@ class Generators(NamedTuple):
     channel_births: tuple[float, float, float]
 
 
+def refining_cells(c, grid):
+    """``(node values, macro steps per cell)`` of a sampled profile whose grid
+    ``grid`` refines exactly, whose stages read the cell by index; else None."""
+    if c.kind is ProfileKind.SAMPLED_GRID:
+        pg, n = c.grid, grid.n_steps
+        if (pg.n_steps <= n and n % pg.n_steps == 0
+                and math.isclose(pg.t_end, grid.t_end, rel_tol=1e-12)):
+            return c.values, n // pg.n_steps
+    return None
+
+
 def scalar_integrate(c, p, cfg):
     """The scalar loop; returns its :class:`Generators`."""
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
@@ -128,12 +139,7 @@ def scalar_integrate(c, p, cfg):
     def g1_at(t):
         return scalar_profile_value(c, p, t)
 
-    cells = None
-    if c.kind is ProfileKind.SAMPLED_GRID:
-        pg = c.grid
-        if (pg.n_steps <= n and n % pg.n_steps == 0
-                and math.isclose(pg.t_end, grid.t_end, rel_tol=1e-12)):
-            cells = (c.values, n // pg.n_steps)
+    cells = refining_cells(c, grid)
 
     a11, a21, a22 = (np.empty(n + 1) for _ in range(3))
     a11[0], a21[0], a22[0] = 1.0, 0.0, 1.0
@@ -273,6 +279,22 @@ def test_array_integrator_is_the_scalar_loop(name):
     assert np.array_equal(got.deficits[1], d2)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_births_are_the_start_stages(name):
+    # the integrator takes node j's birth from step j's start stage: the
+    # same time j*dt, but on a refining grid the stage reads the cell by
+    # index while the scalar loop's births look the time up
+    c, p, n = CASES[name]
+    grid = TimeGrid(p.transfer_time, n)
+    births = [scalar_profile_value(c, p, t) for t in grid.nodes()[:-1]]
+    cells = refining_cells(c, grid)
+    if cells is None:
+        starts = [scalar_profile_value(c, p, j * grid.dt) for j in range(n)]
+    else:
+        starts = [float(cells[0][j // cells[1]]) for j in range(n)]
+    assert np.array(starts).tobytes() == np.array(births).tobytes()
+
+
 def test_hold_applies_on_a_refining_grid():
     # the cells path must carry the held tail exactly as the functional's
     # left-node cells do, the jump onto the hold included
@@ -364,10 +386,14 @@ T_PROP = 2.0
 P_PROP = SystemParams(gamma=1.3, transfer_time=T_PROP)
 GRID = TimeGrid(T_PROP, 40)
 PROFILES = [
-    CouplingProfile.constant(0.7),
-    CouplingProfile.optimal(truncation=GRID.dt),
-    CouplingProfile.optimal(truncation=1e-9, gamma1_max=3.0),
-    CouplingProfile.sampled(GRID, 0.5 + np.arange(41) % 7),
+    (CouplingProfile.constant(0.7), P_PROP),
+    (CouplingProfile.optimal(truncation=GRID.dt), P_PROP),
+    (CouplingProfile.optimal(truncation=1e-9, gamma1_max=3.0), P_PROP),
+    (CouplingProfile.sampled(GRID, 0.5 + np.arange(41) % 7), P_PROP),
+    # gamma*(T - t) passes 350 for t < 0.25: the closed form's exp branch
+    # (2*gamma*(T - t) > 700) and its expm1 branch meet in one array
+    (CouplingProfile.optimal(truncation=GRID.dt),
+     SystemParams(gamma=200.0, transfer_time=T_PROP)),
 ]
 # nodes, just below and above them, and the edges of the truncation windows
 SPECIAL_TIMES = sorted({
@@ -375,7 +401,7 @@ SPECIAL_TIMES = sorted({
         j * GRID.dt, np.nextafter(j * GRID.dt, -1.0),
         np.nextafter(j * GRID.dt, 3.0), j * GRID.dt - 1e-10 * GRID.dt)
 } | {
-    x for c in PROFILES if c.truncation is not None for x in (
+    x for c, _ in PROFILES if c.truncation is not None for x in (
         T_PROP - c.truncation, np.nextafter(T_PROP - c.truncation, 0.0))
 })
 TIMES = st.lists(
@@ -385,12 +411,13 @@ TIMES = st.lists(
 
 
 @given(which=st.integers(0, len(PROFILES) - 1), ts=TIMES)
+@example(which=4, ts=[0.0, 0.1, 0.25, 1.0, 1.9, 2.0])
 @settings(max_examples=200, deadline=None)
 def test_profile_values_match_scalar_lookup(which, ts):
-    c = PROFILES[which]
-    got = profile_values(c, P_PROP, np.array(ts))
-    want = [scalar_profile_value(c, P_PROP, t) for t in ts]
-    one_by_one = [profile_values(c, P_PROP, t) for t in ts]
+    c, p = PROFILES[which]
+    got = profile_values(c, p, np.array(ts))
+    want = [scalar_profile_value(c, p, t) for t in ts]
+    one_by_one = [profile_values(c, p, t) for t in ts]
     assert np.array_equal(got, want)
     assert one_by_one == want
     assert all(type(v) is float for v in one_by_one)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oscxfer import types
 from oscxfer.types import (
     CouplingProfile,
     ProfileKind,
@@ -168,9 +169,22 @@ class TestElementwise:
                       -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300,
                       709.0, -745.2, 1e-5, -1e-5])
 
+    CASES = ["random", "edges", "empty", "strided", "reversed", "2-d",
+             "fortran", "size-1", "size-2", "size-3", "scalar"]
+
+    @staticmethod
+    def force_map(monkeypatch):
+        # the probe finds a difference, so every call maps fn
+        monkeypatch.setattr(types, "_libm_ufunc", lambda fn: None)
+
+    @pytest.fixture(params=["numpy-loop", "map"])
+    def path(self, request, monkeypatch):
+        if request.param == "map":
+            self.force_map(monkeypatch)
+        return request.param
+
     @pytest.mark.parametrize("fn", [math.exp, math.expm1])
-    @pytest.mark.parametrize("case", ["random", "edges", "empty", "strided",
-                                      "2-d", "scalar"])
+    @pytest.mark.parametrize("case", CASES)
     def test_equals_list_map(self, fn, case):
         rng = np.random.default_rng(7)
         big = rng.uniform(-700.0, 700.0, 20_000) * 10.0 ** -rng.integers(
@@ -179,7 +193,12 @@ class TestElementwise:
              "edges": self.EDGES,
              "empty": np.empty(0),
              "strided": big[::3],
+             "reversed": big[::-1],
              "2-d": big[:600].reshape(20, 30).T,
+             "fortran": np.asfortranarray(big[:600].reshape(20, 30)),
+             "size-1": big[:1],
+             "size-2": big[:2],
+             "size-3": big[:3],
              "scalar": np.float64(-0.25)}[case]
         out = _elementwise(fn, x)
         want = _list_map(fn, x)
@@ -187,8 +206,45 @@ class TestElementwise:
         assert out.shape == want.shape == (np.size(x),)
         assert out.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("fn", [math.exp, math.expm1])
+    @pytest.mark.parametrize("case", CASES)
+    def test_map_equals_list_map(self, fn, case, monkeypatch):
+        self.force_map(monkeypatch)
+        self.test_equals_list_map(fn, case)
+
     def test_overflow_propagates(self):
         with pytest.raises(OverflowError):
             _elementwise(math.exp, np.array([0.0, 1000.0]))
         with pytest.raises(OverflowError):
             _elementwise(math.expm1, np.array([1000.0]))
+
+    @pytest.mark.parametrize("fn", [math.exp, math.expm1])
+    def test_single_values(self, fn, path):
+        # numpy runs its SIMD kernel on a length-1 array, whatever the
+        # strides: about 5 % of these values would move a bit
+        xs = np.random.default_rng(11).uniform(-40.0, 40.0, 400)
+        got = [_elementwise(fn, xs[j:j + 1]).tobytes() for j in range(xs.size)]
+        assert got == [_list_map(fn, xs[j:j + 1]).tobytes()
+                       for j in range(xs.size)]
+
+    # exp and expm1 overflow between 709.78 and 709.79; inf itself does not
+    @pytest.mark.parametrize("fn", [math.exp, math.expm1])
+    @pytest.mark.parametrize("arg", [709.78, 709.79])
+    def test_overflows_where_math_does(self, fn, arg, path):
+        x = np.array([-1.0, arg, math.inf, 2.0])
+        if arg == 709.79:
+            with pytest.raises(OverflowError):
+                fn(arg)
+            with pytest.raises(OverflowError):
+                _elementwise(fn, x)
+        else:
+            assert _elementwise(fn, x).tobytes() == _list_map(fn, x).tobytes()
+
+    @pytest.mark.parametrize("fn, ufunc", [(math.exp, np.exp),
+                                           (math.expm1, np.expm1)])
+    def test_probe_accepts_numpys_loop(self, fn, ufunc):
+        # on x86-64 with glibc 2.36 and numpy 2.4, numpy's strided loop is
+        # libm's: a numpy or libc whose loop moves a bit sends every call
+        # back to the map, which this test reports instead of a slower run
+        assert types._libm_ufunc(fn) is ufunc
+
