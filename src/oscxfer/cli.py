@@ -513,7 +513,8 @@ def _sweep_point(job: tuple) -> tuple[float, float]:
         p, profile, state = _simulate(cfg)
     except ConfigError as exc:
         raise ConfigError(f"{name}={value:g}: {exc}") from None
-    t_end = state.grid.nodes()[-1]  # where simulate's curve ends
+    # where simulate's curve ends: its last node, n_steps * dt
+    t_end = state.grid.n_steps * state.grid.dt
     return reference_curve(p, profile, t_end), float(state.fidelity)
 
 
@@ -522,7 +523,12 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("sweep subcommand needs --sweep param:lo:hi:n")
     name, lo, hi, n = _parse_sweep(cfg.sweep)
     points = np.linspace(lo, hi, n).tolist()
-    with ProcessPoolExecutor(max_workers=min(n, os.cpu_count() or 1)) as pool:
+    # os.cpu_count() also counts CPUs outside the process's affinity mask
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    with ProcessPoolExecutor(max_workers=min(n, cpus)) as pool:
         rows = list(pool.map(_sweep_point, [(cfg, name, v) for v in points]))
 
     table = [(value, analytic, simulated, abs(simulated - analytic))

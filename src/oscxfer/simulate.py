@@ -25,14 +25,27 @@ Because every equation is linear with scalar coefficients, one integrator
 step is a lower-triangular 2x2 map (mxx, myx, myy); the map is built by
 propagating basis vectors through the four stages of classical RK4, the
 one step map.  The maps are built as arrays, one block of about 8k macro
-steps at a time, so temporaries stay O(block): the profile is evaluated at
-every stage time of the block at once, and the stage formulas run
-elementwise in the order a single step would use, so the arrays hold the
-bits of a step-by-step loop.  Then A11 and A22 are running products
-(``np.cumprod``, which multiplies in step order), and A21, the first-order
-recurrence A21 <- myx*A11 + myy*A21, is folded in step order by one tight
-scalar loop; an associative scan would regroup the products and change the
-last bits.
+steps at a time: the profile is evaluated at every stage time of the block
+at once, and the stage formulas run elementwise in the order a single step
+would use, so the arrays hold the bits of a step-by-step loop.  Then A11
+and A22 are running products (``np.cumprod``, which multiplies in step
+order), and A21, the first-order recurrence A21 <- myx*A11 + myy*A21, is
+folded in step order by one tight scalar loop; an associative scan would
+regroup the products and change the last bits.  myy does not depend on g1:
+it is RK4's decay map of the constant beta = g + gl, one float for every
+step of width dt, so the fold multiplies by that float between the stiff
+steps, which have their own.
+
+Every per-block array is a view of one workspace, allocated once per run
+and sized for the largest block: the block's three map rows, then its
+stage times and stage values (one (3, m) array each) and the scratch rows
+of the RK4 formulas, all written by ufuncs with ``out=``.  The products
+are taken in place in the output arrays, and the fold writes each A21 over
+its myx*A11.  Blocks of substeps reuse the stage and scratch rows, never
+the map rows they fold into.  A block that allocated its ~50 temporaries
+afresh let glibc trim the heap once they were freed, so the next block
+faulted the same pages in again (about 1000 minor faults per 50k-step
+run); with the workspace the memory of a run is fixed before it starts.
 
 The receiver's rate is constant, so halving steps on it would only be a
 larger grid done badly: a grid whose (g + gl) * dt exceeds RK4's real-axis
@@ -94,6 +107,11 @@ _MAX_HALVINGS = 26
 # 2-vCPU x86-64 VM; past it the run is refused before their substeps run
 _MAX_SUBSTEPS = 2**22
 _BLOCK = 8192  # macro steps, or substeps, evaluated as one array
+# workspace rows of a block of macro steps (three stage values and six
+# scratch rows, after its three map rows) and of a block of substeps (three
+# stage values; h, h/2 and h/6; two map rows; six scratch rows)
+_STEP_ROWS = 9
+_SUBSTEP_ROWS = 14
 
 
 class IntegrationError(RuntimeError):
@@ -129,47 +147,75 @@ class IntegratorConfig:
             raise ValueError("n_steps must be at least 10")
 
 
-def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h):
-    """RK4 steps of x' = -(g1+gl) x, y' = -beta y + root*sqrt(g1) x.
-
-    ``a0``, ``am`` and ``a1`` hold g1 at each step's start, middle and end
-    stage; ``h`` is the step width, a scalar or one per step.  Returns the
-    lower-triangular maps (mxx, myx, myy) with x_new = mxx*x and
-    y_new = myx*x + myy*y.  ``root`` carries the constant factor
-    2*sqrt(eta*g), so the cross term is root*sqrt(g1(t)).
-    """
-    s0 = root * np.sqrt(a0)
-    sm = root * np.sqrt(am)
-    s1 = root * np.sqrt(a1)
-    a0 = a0 + gl
-    am = am + gl
-    a1 = a1 + gl
-
-    # basis (x=1, y=0)
-    kx1 = -a0
-    ky1 = s0
-    x2 = 1.0 + 0.5 * h * kx1
-    y2 = 0.5 * h * ky1
-    kx2 = -am * x2
-    ky2 = -beta * y2 + sm * x2
-    x3 = 1.0 + 0.5 * h * kx2
-    y3 = 0.5 * h * ky2
-    kx3 = -am * x3
-    ky3 = -beta * y3 + sm * x3
-    x4 = 1.0 + h * kx3
-    y4 = h * ky3
-    kx4 = -a1 * x4
-    ky4 = -beta * y4 + s1 * x4
-    mxx = 1.0 + h / 6.0 * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
-    myx = h / 6.0 * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4)
-
-    # basis (x=0, y=1): x stays 0, y is pure decay
+def _decay(beta: float, h: float) -> float:
+    """RK4's map of y' = -beta y over one step ``h`` wide: the myy of every
+    step that width, whatever g1 does."""
     ky1 = -beta
     ky2 = -beta * (1.0 + 0.5 * h * ky1)
     ky3 = -beta * (1.0 + 0.5 * h * ky2)
     ky4 = -beta * (1.0 + h * ky3)
-    myy = 1.0 + h / 6.0 * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4)
-    return mxx, myx, np.broadcast_to(myy, np.shape(mxx))
+    return 1.0 + h / 6.0 * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4)
+
+
+def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h,
+              out, tmp) -> None:
+    """RK4 steps of x' = -(g1+gl) x, y' = -beta y + root*sqrt(g1) x.
+
+    ``a0``, ``am`` and ``a1`` hold g1 at each step's start, middle and end
+    stage; ``h`` is ``(h, h/2, h/6)`` for step width h, scalars or one row
+    each.  Writes the maps' mxx and myx into the rows ``out``, with
+    x_new = mxx*x and y_new = myx*x + myy*y; myy is :func:`_decay`, the
+    same for every step of one width.  ``root`` carries the constant factor
+    2*sqrt(eta*g), so the cross term is root*sqrt(g1(t)).
+
+    Every stage formula runs as one ufunc per operation, in the order a
+    single step would use, so the rows hold a scalar step's bits.  The
+    operations write into ``out`` and the six rows ``tmp``, which the
+    caller takes from the run's workspace (neither may overlap the stage
+    values), so a block of maps allocates nothing; it used to allocate
+    about 45 temporaries.  The stage sums accumulate in the output rows:
+    mxx starts as k1 of the (x=1, y=0) basis vector, myx as its y slope s0.
+    """
+    h, hh, h6 = h
+    nb = -beta
+    sum_x, sum_y = out
+    sm, nam, x, y, kx, ky = tmp
+    np.sqrt(a0, out=sum_y)
+    np.multiply(root, sum_y, out=sum_y)             # ky1 = s0
+    np.sqrt(am, out=sm)
+    np.multiply(root, sm, out=sm)
+    np.add(a0, gl, out=sum_x)
+    np.negative(sum_x, out=sum_x)                   # kx1
+    np.add(am, gl, out=nam)
+    np.negative(nam, out=nam)
+    np.multiply(hh, sum_x, out=x)
+    np.add(1.0, x, out=x)                           # x2
+    np.multiply(hh, sum_y, out=y)                   # y2
+    for step in (hh, h):  # stages 2 and 3, each giving the next x and y
+        np.multiply(nam, x, out=kx)
+        np.multiply(nb, y, out=y)
+        np.multiply(sm, x, out=ky)
+        np.add(y, ky, out=ky)                       # ky = -beta*y + sm*x
+        np.multiply(step, kx, out=x)
+        np.add(1.0, x, out=x)                       # x3, x4
+        np.multiply(step, ky, out=y)                # y3, y4
+        np.multiply(2.0, kx, out=kx)
+        np.add(sum_x, kx, out=sum_x)
+        np.multiply(2.0, ky, out=ky)
+        np.add(sum_y, ky, out=sum_y)
+    np.add(a1, gl, out=kx)
+    np.negative(kx, out=kx)
+    np.multiply(kx, x, out=kx)                      # kx4
+    np.multiply(nb, y, out=y)
+    np.sqrt(a1, out=ky)
+    np.multiply(root, ky, out=ky)
+    np.multiply(ky, x, out=ky)
+    np.add(y, ky, out=ky)                           # ky4
+    np.add(sum_x, kx, out=sum_x)
+    np.add(sum_y, ky, out=sum_y)
+    np.multiply(h6, sum_x, out=sum_x)
+    np.add(1.0, sum_x, out=sum_x)                   # mxx
+    np.multiply(h6, sum_y, out=sum_y)               # myx
 
 
 def _moment_sums(maps, bxx, bxy, byy: float, s: tuple[float, float, float]):
@@ -204,6 +250,23 @@ def _halvings(rate: np.ndarray, dt: float) -> np.ndarray:
     return k
 
 
+def _fold(y: float, b: np.ndarray, decay: float, stiff: list,
+          own: list) -> None:
+    """y <- b + myy*y over the steps of ``b``, in step order, each y
+    written over its b; myy is ``decay`` but at the ``stiff`` steps, which
+    have their ``own``."""
+    fold = memoryview(b)
+    at = 0
+    for s, c in zip([*stiff, len(b)], [*own, None]):
+        for j, bj in enumerate(fold[at:s], at):
+            y = bj + decay * y
+            fold[j] = y
+        if c is not None:
+            y = fold[s] + c * y
+            fold[s] = y
+        at = s + 1
+
+
 def integrate_transfer(c: CouplingProfile, p: SystemParams,
                        cfg: IntegratorConfig) -> TransferState:
     """Integrate the cascade with line transmission ``p.eta`` and parasitic
@@ -216,6 +279,13 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
     achieved transfer amplitude.  Enable ``cfg.kernel_tracking`` to also
     get the commutator sum rules' deficits on the grid, as
     ``state.deficits``.
+
+    Memory: 24 B per node for a11, a21 and a22, 16 B more per node with
+    kernel tracking for d1 and d2, plus the workspace, fixed before the
+    run starts: (3 min(n, 8192) + 14 * 8192) doubles and 8192 offsets,
+    1.2 MB from 8192 steps on.  A lossless run peaks at 1.26 MB above its
+    three arrays from 1e4 to 1e6 steps; kernel tracking's per-block births
+    and moment sums add up to 0.5 MB.
     """
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     if c.kind is ProfileKind.OPTIMAL_CLOSED_FORM and c.truncation is None:
@@ -254,41 +324,86 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                 and math.isclose(pg.t_end, grid.t_end, rel_tol=1e-12)):
             cells, ratio = np.asarray(c.values, dtype=float), n // pg.n_steps
 
-    def stages(i: np.ndarray, t: np.ndarray, h):
+    # one workspace for the run: each block's arrays are views of it, so no
+    # block allocates; rows of a block of substeps reuse the stage rows of
+    # the macro block being substepped, never its map rows
+    width = min(n, _BLOCK)
+    work = np.empty(3 * width
+                    + max(_STEP_ROWS * width, _SUBSTEP_ROWS * _BLOCK))
+    offsets = np.arange(float(_BLOCK))
+
+    def stages(i: np.ndarray, h, tmp: np.ndarray, out: np.ndarray):
         """g1 at the start, middle and end stage of (sub)steps of macro
-        steps ``i`` that start at times ``t`` and are ``h`` wide."""
+        steps ``i`` (a float row) that start at times ``tmp[0]`` and are
+        ``h = (h, h/2)`` wide, written into the rows ``out``; the six rows
+        ``tmp`` are scratch, and ``i`` may be one of the last three."""
+        times = tmp[:3]
         if cells is not None:
-            g_cell = cells[i // ratio]
-            return g_cell, g_cell, g_cell
+            np.floor_divide(i, ratio, out=times[0])
+            cell = times[1].view(np.intp)
+            np.copyto(cell, times[0], casting="unsafe")
+            np.take(cells, cell, out=out[0], mode="clip")
+            return out[0], out[0], out[0]
+        h, half = h
         # the end stage stays inside the cell being integrated: a step
         # ending exactly on a sampled-profile cell boundary must not read
         # the next cell's value
-        times = (t, t + 0.5 * h, t + h * (1.0 - 1e-8))
-        return tuple(profile_values(c, p, s) for s in times)
+        np.add(times[0], half, out=times[1])
+        np.multiply(h, 1.0 - 1e-8, out=times[2])
+        np.add(times[0], times[2], out=times[2])
+        profile_values(c, p, times, out=out, work=tmp[3:])
+        return out[0], out[1], out[2]
 
-    def halved_maps(steps: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Maps of macro ``steps``, halved ``k`` times each: the in-order
-        fold of each step's 2**k substeps, evaluated _BLOCK at a time."""
+    def halved_maps(steps: np.ndarray, k: np.ndarray, region: np.ndarray):
+        """Maps of macro ``steps`` (floats), halved ``k`` times each: the
+        in-order fold of each step's 2**k substeps, evaluated _BLOCK at a
+        time in the workspace ``region``."""
         m = 2 ** k
         ends = np.cumsum(m)
+        starts = ends - m
+        widths = dt / m
+        decays = [_decay(beta, w) for w in widths.tolist()]
+        first_substeps = starts.astype(float)
+        total = int(ends[-1])
         folded = np.empty((3, steps.size))
         x, y, z = 1.0, 0.0, 1.0
-        for lo in range(0, int(ends[-1]), _BLOCK):
-            q = np.arange(lo, min(lo + _BLOCK, int(ends[-1])))
-            j = np.searchsorted(ends, q, side="right")
-            sub = q - (ends[j] - m[j])
-            h = dt / m[j]
-            maps = _rk4_maps(*stages(steps[j], steps[j] * dt + sub * h, h),
-                             beta, root, gl, h)
-            cuts = np.flatnonzero(np.diff(j)) + 1
-            for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), q.size]):
-                if sub[a] == 0:
+        for lo in range(0, total, _BLOCK):
+            q = min(_BLOCK, total - lo)
+            rows = region[:_SUBSTEP_ROWS * q].reshape(_SUBSTEP_ROWS, q)
+            g, (h, half, sixth) = rows[:3], rows[3:6]
+            maps, tmp = rows[6:8], rows[8:]
+            # the stiff step of each substep counts the step starts up to it
+            first = int(np.searchsorted(ends, lo, side="right"))
+            cuts = starts[first + 1:]
+            cuts = (cuts[cuts < lo + q] - lo).tolist()
+            j = tmp[3].view(np.intp)
+            j.fill(0)
+            j[cuts] = 1
+            np.cumsum(j, out=j)
+            j += first
+            np.take(widths, j, out=h, mode="clip")
+            np.multiply(0.5, h, out=half)
+            np.divide(h, 6.0, out=sixth)
+            i, t, sub = tmp[4], tmp[0], tmp[5]
+            np.take(steps, j, out=i, mode="clip")
+            np.take(first_substeps, j, out=sub, mode="clip")
+            np.add(offsets[:q], lo, out=t)
+            np.subtract(t, sub, out=sub)  # the substep's index in its step
+            np.multiply(i, dt, out=t)
+            np.multiply(sub, h, out=sub)
+            np.add(t, sub, out=t)  # its start time
+            _rk4_maps(*stages(i, (h, half), tmp, g), beta, root, gl,
+                      (h, half, sixth), maps, tmp)
+            pxx, pyx = (memoryview(r) for r in maps)
+            for s, (a, b) in enumerate(zip([0, *cuts], [*cuts, q]), first):
+                if lo + a == starts[s]:
                     x, y, z = 1.0, 0.0, 1.0
-                for pxx, pyx, pyy in zip(*(memoryview(mp[a:b]) for mp in maps)):
-                    y = pyx * x + pyy * y
-                    x = pxx * x
+                pyy = decays[s]
+                for ax, ay in zip(pxx[a:b], pyx[a:b]):
+                    y = ay * x + pyy * y
+                    x = ax * x
                     z = pyy * z
-                folded[:, j[a]] = x, y, z
+                folded[:, s] = x, y, z
         return folded
 
     a11 = np.empty(n + 1)
@@ -320,27 +435,56 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
         sums = 0.5 * float(bxx[0]), 0.5 * float(bxy[0]), 0.5 * byy
         deficits(slice(0, 1), np.array([sums[0]]), np.array([sums[2]]), bxx)
 
+    # every step's myy but a stiff one's; the identity fold below adds
+    # decay*0.0 to myx and multiplies the rest by 1.0, as for one substep
+    decay = _decay(beta, dt)
     substeps, first_stiff = 0, None
     with np.errstate(all="ignore"):
         for lo in range(0, n, _BLOCK):
-            i = np.arange(lo, min(lo + _BLOCK, n))
-            g0, gm, g1 = stages(i, i * dt, dt)
+            m = min(_BLOCK, n - lo)
+            maps = work[:3 * m].reshape(3, m)
+            rows = work[3 * m:(3 + _STEP_ROWS) * m].reshape(_STEP_ROWS, m)
+            g, tmp = rows[:3], rows[3:]
+            i = tmp[3]
+            np.add(offsets[:m], lo, out=i)
+            np.multiply(i, dt, out=tmp[0])
+            g0, gm, g1 = stages(i, (dt, 0.5 * dt), tmp, g)
+            if track:
+                # node j's rate is step j's start stage g0, read before
+                # blocks of substeps reuse its row; the block's last node
+                # starts the next block, so it is looked up here
+                last = profile_values(c, p, (lo + m) * dt)
+                bxx, bxy = births(np.append(g0[1:], last))
+
             # the stiffest stage sets the substep, as max(g0, gm, g1) would
-            g_peak = np.where(gm > g0, gm, g0)
-            g_peak = np.where(g1 > g_peak, g1, g_peak)
-            k = _halvings(g_peak + gl, dt)
+            rate, flag = tmp[0], tmp[1].view(bool)[:m]
+            np.copyto(rate, g0)
+            np.greater(gm, g0, out=flag)
+            np.copyto(rate, gm, where=flag)
+            np.greater(g1, rate, out=flag)
+            np.copyto(rate, g1, where=flag)
+            np.add(rate, gl, out=rate)
+            np.multiply(rate, dt, out=tmp[2])
+            np.greater(tmp[2], DAMPING_CAP_FACTOR, out=flag)
+            stiff = np.flatnonzero(flag)
+            k = _halvings(rate[stiff], dt)
             too_stiff = np.flatnonzero(k > _MAX_HALVINGS)
+            end = m
             if too_stiff.size:
                 cut = too_stiff[0]
-                i, g0, gm, g1, k = (v[:cut] for v in (i, g0, gm, g1, k))
-            hi = lo + i.size
+                end, stiff, k = int(stiff[cut]), stiff[:cut], k[:cut]
+            hi = lo + end
 
-            pxx, pyx, pyy = _rk4_maps(g0, gm, g1, beta, root, gl, dt)
+            mxx, myx, myy = maps[:, :end]
+            _rk4_maps(g0[:end], gm[:end], g1[:end], beta, root, gl,
+                      (dt, 0.5 * dt, dt / 6.0), (mxx, myx), tmp[:, :end])
             # one substep folded into the identity map
-            mxx, myx, myy = pxx * 1.0, pyx * 1.0 + pyy * 0.0, pyy * 1.0
-            stiff = np.flatnonzero(k)
+            np.multiply(mxx, 1.0, out=mxx)
+            np.multiply(myx, 1.0, out=myx)
+            np.add(myx, decay * 0.0, out=myx)
+            myy.fill(decay * 1.0)
             if stiff.size:
-                substeps += int(np.sum(2 ** k[stiff]))
+                substeps += int(np.sum(2 ** k))
                 if first_stiff is None:
                     first_stiff = lo + int(stiff[0])
                 if substeps > _MAX_SUBSTEPS:
@@ -348,22 +492,25 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                         f"profile needs {substeps} substeps, more than the "
                         f"bound {_MAX_SUBSTEPS} (2**22); its first stiff "
                         f"step is {first_stiff}")
-                mxx[stiff], myx[stiff], myy[stiff] = halved_maps(i[stiff],
-                                                                  k[stiff])
+                mxx[stiff], myx[stiff], myy[stiff] = halved_maps(
+                    stiff + float(lo), k, work[3 * m:])
 
             # A11 and A22 are running products; A21 = myx*A11 + myy*A21 is
             # folded in step order, as the products it builds on
-            np.cumprod(np.concatenate((a11[lo:lo + 1], mxx)), out=a11[lo:hi + 1])
-            np.cumprod(np.concatenate((a22[lo:lo + 1], myy)), out=a22[lo:hi + 1])
-            y = float(a21[lo])
-            fold = []
-            for b, a in zip(memoryview(myx * a11[lo:hi]), memoryview(myy)):
-                y = b + a * y
-                fold.append(y)
-            a21[lo + 1:hi + 1] = fold
+            np.copyto(a11[lo + 1:hi + 1], mxx)
+            np.cumprod(a11[lo:hi + 1], out=a11[lo:hi + 1])
+            np.copyto(a22[lo + 1:hi + 1], myy)
+            np.cumprod(a22[lo:hi + 1], out=a22[lo:hi + 1])
+            np.multiply(myx, a11[lo:hi], out=a21[lo + 1:hi + 1])
+            _fold(float(a21[lo]), a21[lo + 1:hi + 1], decay,
+                  stiff.tolist(), myy[stiff].tolist())
 
-            ok = (np.isfinite(a11[lo + 1:hi + 1]) & np.isfinite(a21[lo + 1:hi + 1])
-                  & np.isfinite(a22[lo + 1:hi + 1]))
+            ok, col = tmp[0].view(bool)[:end], tmp[1].view(bool)[:end]
+            np.isfinite(a11[lo + 1:hi + 1], out=ok)
+            np.isfinite(a21[lo + 1:hi + 1], out=col)
+            np.logical_and(ok, col, out=ok)
+            np.isfinite(a22[lo + 1:hi + 1], out=col)
+            np.logical_and(ok, col, out=ok)
             if not ok.all():
                 raise IntegrationError("non-finite transfer coefficient",
                                        lo + int(np.argmin(ok)))
@@ -371,10 +518,6 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                 raise IntegrationError("profile too stiff to substep", hi)
 
             if track:
-                # node j's rate is step j's start stage g0; the block's last
-                # node starts the next block, so it is looked up here
-                bxx, bxy = births(np.append(g0[1:],
-                                            profile_values(c, p, hi * dt)))
                 norm_x, norm_y, sums = _moment_sums((mxx, myx, myy), bxx, bxy,
                                                     byy, sums)
                 deficits(slice(lo + 1, hi + 1), norm_x, norm_y, bxx)

@@ -242,10 +242,10 @@ def _shaped(t: Times, out: np.ndarray) -> Times:
 _UFUNCS = {math.exp: np.exp, math.expm1: np.expm1}
 
 
-def _strided_loop(ufunc, x: np.ndarray) -> np.ndarray:
+def _strided_loop(ufunc, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """``ufunc`` of the contiguous ``x``, written through a reversed view of
-    a fresh buffer, with overflow to inf left silent."""
-    buf = np.empty(x.size)
+    ``buf`` (as long as ``x``), with overflow to inf left silent; returns
+    that view."""
     with np.errstate(over="ignore"):
         ufunc(x, out=buf[::-1])
     return buf[::-1]
@@ -260,11 +260,12 @@ def _libm_ufunc(fn):
         return None
     probe = np.linspace(-40.0, 40.0, 509)
     want = np.fromiter(map(fn, memoryview(probe)), float, probe.size)
-    same = _strided_loop(ufunc, probe).tobytes() == want.tobytes()
-    return ufunc if same else None
+    got = _strided_loop(ufunc, probe, np.empty(probe.size))
+    return ufunc if got.tobytes() == want.tobytes() else None
 
 
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+def _elementwise(fn, x: np.ndarray, buf: Optional[np.ndarray] = None
+                 ) -> np.ndarray:
     """``fn`` (``math.exp`` or ``math.expm1``) applied to each element of
     ``x``, flattened in C order, with the bits of ``fn`` itself.
 
@@ -274,41 +275,55 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     output: into a reversed one it takes its scalar loop, which calls the
     same libm function as ``math`` at a fifth of the cost of a Python map.
     So the ufunc writes the forward, contiguous input through a reversed
-    view of a fresh buffer (with both strides reversed numpy would flip
-    them and run SIMD again).  Two cases keep the map of ``fn``: fewer than
-    two elements, because numpy drops a length-1 axis's stride and runs
-    SIMD; and a process in which the one-time probe of
-    :func:`_libm_ufunc` finds the loop's bits differ from ``fn``'s.  As
-    ``fn`` does, a finite argument whose result overflows raises
-    ``OverflowError``.
+    view of ``buf``, a float buffer of ``x``'s size that must not overlap
+    it (a fresh one when None), and that view is returned (with both
+    strides reversed numpy would flip them and run SIMD again).  Two cases
+    keep the map of ``fn``: fewer than two elements, because numpy drops a
+    length-1 axis's stride and runs SIMD; and a process in which the
+    one-time probe of :func:`_libm_ufunc` finds the loop's bits differ from
+    ``fn``'s.  As ``fn`` does, a finite argument whose result overflows
+    raises ``OverflowError``.
     """
     x = np.ascontiguousarray(x, dtype=float).ravel()
+    if buf is None:
+        buf = np.empty(x.size)
     ufunc = _libm_ufunc(fn) if x.size > 1 else None
     if ufunc is None:
-        return np.fromiter(map(fn, memoryview(x)), float, x.size)
-    out = _strided_loop(ufunc, x)
+        out = buf[::-1]
+        out[...] = np.fromiter(map(fn, memoryview(x)), float, x.size)
+        return out
+    out = _strided_loop(ufunc, x, buf)
     inf = out == math.inf
     if inf.any() and np.isfinite(x[inf]).any():
         raise OverflowError("math range error")
     return out
 
 
-def _optimal_closed_form(gamma: float, t_remaining: np.ndarray) -> np.ndarray:
-    """gamma / (exp(2*gamma*t_remaining) - 1) elementwise, safe against overflow."""
-    x = 2.0 * gamma * np.asarray(t_remaining, dtype=float)
+def _optimal_closed_form(gamma: float, x: np.ndarray,
+                         held: Optional[np.ndarray], work: np.ndarray) -> None:
+    """gamma / (exp(2*gamma*r) - 1), safe against overflow, in place on
+    the contiguous remaining times r in ``x``, with ``work`` as scratch;
+    entries where ``held`` is set are skipped and left undefined."""
+    free = True if held is None else ~held
+    np.multiply(2.0 * gamma, x, out=x, where=free)
+    if held is not None:
+        # their times may lie anywhere past T - truncation
+        np.copyto(x, 1.0, where=held)
     if np.any(x <= 0.0):
         raise ProfileSingularityError(
             "closed-form coupling profile diverges at t = T; apply a truncation"
         )
     # beyond x = 700 expm1 would overflow; the value has long underflowed
-    big = x > 700.0
-    out = np.empty(x.shape)
-    out[big] = gamma * _elementwise(math.exp, -x[big])
-    out[~big] = gamma / _elementwise(math.expm1, x[~big])
-    return out
+    big = np.flatnonzero(x > 700.0)
+    tail = gamma * _elementwise(math.exp, -x[big])
+    np.minimum(x, 700.0, out=x)
+    np.divide(gamma, _elementwise(math.expm1, x, work), out=x)
+    x[big] = tail
 
 
-def profile_values(c: CouplingProfile, p: SystemParams, ts: Times) -> Times:
+def profile_values(c: CouplingProfile, p: SystemParams, ts: Times,
+                   out: Optional[np.ndarray] = None,
+                   work: Optional[np.ndarray] = None) -> Times:
     """Evaluate the coupling rate gamma1 at a time or at every time in ``ts``.
 
     A constant profile returns its rate.  The closed-form optimum returns
@@ -320,28 +335,43 @@ def profile_values(c: CouplingProfile, p: SystemParams, ts: Times) -> Times:
     below a node onto that node.  A float in gives a float out, an array
     gives an array of its shape; element by element the result is
     independent of the other times in the array.
+
+    ``out``, a C-contiguous float array of ``ts``'s shape, receives the
+    values and is returned; ``work``, a float array of ``ts``'s size, is
+    the scratch of the closed form and the sampled lookup.  Neither may
+    overlap ``ts`` or the other; each is a fresh array when None.
     """
+    if out is None:
+        out = np.empty(np.shape(ts))
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
     t = np.asarray(ts, dtype=float).reshape(-1)
+    o = out.reshape(-1)
+    w = np.empty(t.size) if work is None else work.reshape(-1)
     T = p.transfer_time
     if c.kind is ProfileKind.CONSTANT:
-        out = np.full(t.shape, c.gamma1, dtype=float)
+        o.fill(c.gamma1)
     elif c.kind is ProfileKind.OPTIMAL_CLOSED_FORM:
-        if c.truncation is None:
-            out = _optimal_closed_form(p.gamma, T - t)
-        else:
-            out = np.empty(t.shape)
-            free = ~(t >= T - c.truncation)  # NaN times are not held
-            out[~free] = c.gamma1_max
-            out[free] = _optimal_closed_form(p.gamma, T - t[free])
+        np.subtract(T, t, out=o)
+        held = None
+        if c.truncation is not None:
+            held = t >= T - c.truncation  # NaN times are not held
+        _optimal_closed_form(p.gamma, o, held, w)
+        if held is not None:
+            np.copyto(o, c.gamma1_max, where=held)
     else:
         # SAMPLED_GRID: left-endpoint lookup with node snapping
         grid = c.grid
         assert grid is not None and c.values is not None
-        s = t / grid.dt
-        j = np.floor(s)
-        j[s - j > 1.0 - 1e-9] += 1.0  # within float fuzz of the next node
-        j = np.clip(j, 0, grid.n_nodes - 1).astype(np.intp)
-        out = c.values[j]
+        s = np.divide(t, grid.dt, out=w)
+        j = np.floor(s, out=o)
+        np.subtract(s, j, out=s)
+        # within float fuzz of the next node
+        np.add(j, 1.0, out=j, where=s > 1.0 - 1e-9)
+        np.clip(j, 0, grid.n_nodes - 1, out=j)
+        index = s.view(np.intp)
+        np.copyto(index, j, casting="unsafe")
+        np.take(c.values, index, out=o)
     return _shaped(ts, out)
 
 

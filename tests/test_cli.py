@@ -347,6 +347,31 @@ class TestSweep:
             tables.append((out / "sweep.csv").read_bytes())
         assert tables[0] == tables[1]
 
+    def test_pool_fits_the_affinity_mask(self, tmp_path, monkeypatch):
+        # a process limited to one CPU gets one worker, however many CPUs
+        # the machine has
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        assert main(["sweep", "--sweep", "T:1:3:4", "--steps", "100",
+                     "--out", str(tmp_path)]) == 0
+        assert seen == [1]
+
     def test_grid_overrunning_T_by_one_ulp(self, tmp_path):
         # 100 * (T / 100) lands one ulp past T: the reference curve must
         # take the last node as T rather than refuse it

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from oscxfer.optimize import functional_value
 from oscxfer.simulate import (
+    _BLOCK,
     IntegrationError,
     IntegratorConfig,
     integrate_transfer,
@@ -233,6 +234,19 @@ HELD = _sampled(2.0, 100, np.where(np.arange(101) >= 85, 5.0,
                                    0.5 + np.linspace(0, 1, 101)))
 
 
+# one cell per step: stiff cells (rate 30, two halvings) alternate with
+# non-stiff ones (rate 0.5) from a stiff first step on, and cell 201 (rate
+# 300, five halvings) joins its stiff neighbours, so stiff steps break the
+# runs of non-stiff steps, whose myy is one decay factor, in mid-block
+def _alternating():
+    values = np.where(np.arange(401) % 2, 0.5, 30.0)
+    values[201] = 300.0
+    return _sampled(2.0, 400, values)
+
+
+ALTERNATING = _alternating()
+
+
 CASES = {
     "constant": (CouplingProfile.constant(0.8),
                  SystemParams(gamma=1.0, transfer_time=2.0), 500),
@@ -253,6 +267,16 @@ CASES = {
     # a held tail on a refining grid: each cell's substeps read its value
     "sampled-refining-held": (HELD,
                               SystemParams(gamma=1.0, transfer_time=2.0), 400),
+    "sampled-alternating-stiff": (ALTERNATING,
+                                  SystemParams(gamma=1.0, transfer_time=2.0),
+                                  400),
+    # two full blocks of macro steps, then a block of 7 that reuses the
+    # workspace at a narrower width: four stiff steps of the closed form,
+    # then three held at a rate of 0.5, which are not stiff
+    "optimal-short-tail-block": (
+        CouplingProfile.optimal(truncation=3 * 3.0 / (2 * _BLOCK + 7),
+                                gamma1_max=0.5),
+        SystemParams(gamma=1.0, transfer_time=3.0), 2 * _BLOCK + 7),
     "lossy-optimal": (CouplingProfile.optimal(truncation=1e-3),
                       SystemParams(gamma=1.0, transfer_time=3.0, eta=0.81,
                                    gamma_loss=0.05), 1000),

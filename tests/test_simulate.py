@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,27 @@ def test_receiver_rate_beyond_any_grid():
                        match="would need more than 1e308 steps .at step 0.$"):
         integrate_transfer(CouplingProfile.constant(1.0), p,
                            IntegratorConfig(n_steps=10))
+
+
+def _integration_peak(n):
+    """Peak traced bytes of a lossless n-step run, less its three arrays."""
+    p = SystemParams(gamma=1.0, transfer_time=3.0)
+    c = CouplingProfile.optimal(truncation=3.0 / n)
+    tracemalloc.start()
+    try:
+        integrate_transfer(c, p, IntegratorConfig(n_steps=n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - 3 * 8 * (n + 1)
+
+
+def test_integrator_memory_is_fixed():
+    # besides a11, a21 and a22 (24 B per node) a run holds one workspace,
+    # fixed before it starts: 1.26 MB at both sizes (x86-64, numpy 2.4)
+    small, large = _integration_peak(100_000), _integration_peak(1_000_000)
+    assert small < 1.4e6
+    assert abs(large - small) <= 0.05 * small
 
 
 def test_integration_error_survives_pickling():
