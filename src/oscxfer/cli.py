@@ -681,13 +681,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # floating-point warnings would only repeat them on stderr
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -121,7 +121,13 @@ def fidelity_lossy(p: SystemParams, t: Times) -> Times:
         raise ValueError("need gamma_loss >= 0 and eta in (0, 1]")
     ts = np.asarray(t, dtype=float)
     lossless = fidelity_optimal(p.gamma, p.transfer_time, ts)
-    return _shaped(t, math.sqrt(p.eta) * np.exp(-p.gamma_loss * ts) * lossless)
+    return _shaped(t, _loss_factor(p, ts) * lossless)
+
+
+def _loss_factor(p: SystemParams, ts: np.ndarray) -> np.ndarray:
+    """sqrt(eta) * exp(-gamma_loss*t) in the shape of ``ts``, by libm."""
+    return math.sqrt(p.eta) * _elementwise(
+        math.exp, -p.gamma_loss * ts).reshape(np.shape(ts))
 
 
 def reference_curve(p: SystemParams, profile: CouplingProfile,
@@ -143,7 +149,7 @@ def reference_curve(p: SystemParams, profile: CouplingProfile,
         out = fidelity_lossy(p, ts)
     elif profile.kind is ProfileKind.CONSTANT:
         lossless = fidelity_constant_coupling(p.gamma, ts, profile.gamma1)
-        out = math.sqrt(p.eta) * np.exp(-p.gamma_loss * ts) * lossless
+        out = _loss_factor(p, ts) * lossless
     else:
         out = np.full(np.shape(ts), math.nan)
     return _shaped(t, out)
@@ -207,7 +213,7 @@ def validity_windows(p: SystemParams, gamma1_max: float,
     """
     if not (0.0 < target_fidelity < 1.0):
         raise ValueError("target_fidelity must lie strictly between 0 and 1")
-    if gamma1_max <= 0 or margin <= 0:
+    if not (gamma1_max > 0 and margin > 0):
         raise ValueError("gamma1_max and margin must be positive")
     infid = 1.0 - target_fidelity
     q2 = p.omega0 / p.gamma

@@ -70,8 +70,9 @@ every channel's column moves by the same maps, so the commutator sum rules
 
 need only the columns' summed second moments (xx, xy, yy).  With kernel
 tracking the integrator carries them through each block, step by step,
-and keeps only d1 and d2 (16 bytes per step).  The k1 birth at t_j takes
-g1 from step j's start stage, the same time j*dt and the same cell.
+and keeps only d1 and d2 (16 bytes per step), which hold the xx and yy
+sums until the deficit formulas read them.  The k1 birth at t_j takes g1
+from step j's start stage, the same time j*dt and the same cell.
 Trapezoid weights (half on the first node and on the diagonal) keep the
 bias at O(dt^2); no ratio of accumulated maps appears, so the sums stay
 finite at any gamma*T.
@@ -80,7 +81,6 @@ finite at any gamma*T.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,21 +218,22 @@ def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h,
     np.multiply(h6, sum_y, out=sum_y)               # myx
 
 
-def _moment_sums(maps, bxx, bxy, byy: float, s: tuple[float, float, float]):
+def _moment_sums(maps, bxx, bxy, byy: float, s: tuple[float, float, float],
+                 norm_x: np.ndarray, norm_y: np.ndarray):
     """Summed second moments (xx, xy, yy) of the kernel columns, from ``s``
     on: each step moves them by its map and adds its end node's births
-    (``bxx`` and ``bxy`` per step, ``byy`` constant).  Returns the xx and yy
-    sums after each step and the last (xx, xy, yy)."""
+    (``bxx`` and ``bxy`` per step, ``byy`` constant).  Writes the xx and yy
+    sums after each step into ``norm_x`` and ``norm_y``; returns the last
+    (xx, xy, yy)."""
     sxx, sxy, syy = s
-    norm_x, norm_y = array("d"), array("d")
-    # memoryviews hand out one float at a time, so no per-step list is built
-    for a, b, c, pxx, pxy in zip(*map(memoryview, (*maps, bxx, bxy))):
+    # memoryviews hand out and take one float at a time, with no list built
+    nx, ny, *views = map(memoryview, (norm_x, norm_y, *maps, bxx, bxy))
+    for j, a, b, c, pxx, pxy in zip(range(len(nx)), *views):
         sxx, sxy, syy = (a * a * sxx + pxx,
                          a * (b * sxx + c * sxy) + pxy,
                          b * b * sxx + 2.0 * b * c * sxy + c * c * syy + byy)
-        norm_x.append(sxx)
-        norm_y.append(syy)
-    return np.frombuffer(norm_x), np.frombuffer(norm_y), (sxx, sxy, syy)
+        nx[j], ny[j] = sxx, syy
+    return sxx, sxy, syy
 
 
 def _halvings(rate: np.ndarray, dt: float) -> np.ndarray:
@@ -283,9 +284,9 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
     Memory: 24 B per node for a11, a21 and a22, 16 B more per node with
     kernel tracking for d1 and d2, plus the workspace, fixed before the
     run starts: (3 min(n, 8192) + 14 * 8192) doubles and 8192 offsets,
-    1.2 MB from 8192 steps on.  A lossless run peaks at 1.26 MB above its
+    1.2 MB from 8192 steps on.  A lossless run peaks at 1.24 MB above its
     three arrays from 1e4 to 1e6 steps; kernel tracking's per-block births
-    and moment sums add up to 0.5 MB.
+    add 0.35 MB.
     """
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     if c.kind is ProfileKind.OPTIMAL_CLOSED_FORM and c.truncation is None:
@@ -424,19 +425,19 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
             b1 = np.sqrt(2.0 * g_nodes)
             return b1 * b1 + bl * bl, b1 * b2
 
-        def deficits(at: slice, norm_x, norm_y, bxx) -> None:
-            # the diagonal's half weight is taken off
-            d1[at] = 1.0 - (a11[at] ** 2 + dt * (norm_x - 0.5 * bxx))
+        def deficits(at: slice, bxx) -> None:
+            # from the sums in d1 and d2, less the diagonal's half weight
+            d1[at] = 1.0 - (a11[at] ** 2 + dt * (d1[at] - 0.5 * bxx))
             d2[at] = 1.0 - (a21[at] ** 2 + a22[at] ** 2
-                            + dt * (norm_y - 0.5 * byy))
+                            + dt * (d2[at] - 0.5 * byy))
 
         # the column born at t_0 enters at half weight
         bxx, bxy = births(profile_values(c, p, np.zeros(1)))
         sums = 0.5 * float(bxx[0]), 0.5 * float(bxy[0]), 0.5 * byy
-        deficits(slice(0, 1), np.array([sums[0]]), np.array([sums[2]]), bxx)
+        d1[0], d2[0] = sums[0], sums[2]
+        deficits(slice(0, 1), bxx)
 
-    # every step's myy but a stiff one's; the identity fold below adds
-    # decay*0.0 to myx and multiplies the rest by 1.0, as for one substep
+    # every step's myy but a stiff one's
     decay = _decay(beta, dt)
     substeps, first_stiff = 0, None
     with np.errstate(all="ignore"):
@@ -456,13 +457,10 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                 last = profile_values(c, p, (lo + m) * dt)
                 bxx, bxy = births(np.append(g0[1:], last))
 
-            # the stiffest stage sets the substep, as max(g0, gm, g1) would
+            # the stiffest stage sets the substep
             rate, flag = tmp[0], tmp[1].view(bool)[:m]
-            np.copyto(rate, g0)
-            np.greater(gm, g0, out=flag)
-            np.copyto(rate, gm, where=flag)
-            np.greater(g1, rate, out=flag)
-            np.copyto(rate, g1, where=flag)
+            np.maximum(g0, gm, out=rate)
+            np.maximum(rate, g1, out=rate)
             np.add(rate, gl, out=rate)
             np.multiply(rate, dt, out=tmp[2])
             np.greater(tmp[2], DAMPING_CAP_FACTOR, out=flag)
@@ -478,11 +476,7 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
             mxx, myx, myy = maps[:, :end]
             _rk4_maps(g0[:end], gm[:end], g1[:end], beta, root, gl,
                       (dt, 0.5 * dt, dt / 6.0), (mxx, myx), tmp[:, :end])
-            # one substep folded into the identity map
-            np.multiply(mxx, 1.0, out=mxx)
-            np.multiply(myx, 1.0, out=myx)
-            np.add(myx, decay * 0.0, out=myx)
-            myy.fill(decay * 1.0)
+            myy.fill(decay)
             if stiff.size:
                 substeps += int(np.sum(2 ** k))
                 if first_stiff is None:
@@ -505,11 +499,10 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
             _fold(float(a21[lo]), a21[lo + 1:hi + 1], decay,
                   stiff.tolist(), myy[stiff].tolist())
 
+            # a22 needs no test: its factors are RK4 decay maps, in (0, 1]
             ok, col = tmp[0].view(bool)[:end], tmp[1].view(bool)[:end]
             np.isfinite(a11[lo + 1:hi + 1], out=ok)
             np.isfinite(a21[lo + 1:hi + 1], out=col)
-            np.logical_and(ok, col, out=ok)
-            np.isfinite(a22[lo + 1:hi + 1], out=col)
             np.logical_and(ok, col, out=ok)
             if not ok.all():
                 raise IntegrationError("non-finite transfer coefficient",
@@ -518,9 +511,10 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                 raise IntegrationError("profile too stiff to substep", hi)
 
             if track:
-                norm_x, norm_y, sums = _moment_sums((mxx, myx, myy), bxx, bxy,
-                                                    byy, sums)
-                deficits(slice(lo + 1, hi + 1), norm_x, norm_y, bxx)
+                at = slice(lo + 1, hi + 1)
+                sums = _moment_sums((mxx, myx, myy), bxx, bxy, byy, sums,
+                                    d1[at], d2[at])
+                deficits(at, bxx)
 
     return TransferState(params=p, grid=grid, a11=a11, a21=a21, a22=a22,
                          deficits=(d1, d2) if track else None)

@@ -192,7 +192,7 @@ class CouplingProfile:
                 raise ValueError("truncation must be positive")
             if self.gamma1_max is None:
                 object.__setattr__(self, "gamma1_max", 1.0 / (2.0 * self.truncation))
-        if self.gamma1_max is not None and self.gamma1_max < 0:
+        if self.gamma1_max is not None and not self.gamma1_max >= 0:
             raise ValueError("gamma1_max must be >= 0")
 
         if self.kind is ProfileKind.CONSTANT:
@@ -303,9 +303,8 @@ def _optimal_closed_form(gamma: float, x: np.ndarray,
                          held: Optional[np.ndarray], work: np.ndarray) -> None:
     """gamma / (exp(2*gamma*r) - 1), safe against overflow, in place on
     the contiguous remaining times r in ``x``, with ``work`` as scratch;
-    entries where ``held`` is set are skipped and left undefined."""
-    free = True if held is None else ~held
-    np.multiply(2.0 * gamma, x, out=x, where=free)
+    entries where ``held`` is set are left undefined."""
+    np.multiply(2.0 * gamma, x, out=x)
     if held is not None:
         # their times may lie anywhere past T - truncation
         np.copyto(x, 1.0, where=held)

@@ -226,7 +226,8 @@ class TestCurves:
             assert np.isnan(got).all() and math.isnan(
                 reference_curve(p, profile, T))
             return
-        damp = 0.9 * np.exp(-0.05 * ts)
+        # the loss factor carries libm's bits, as the closed forms do
+        damp = 0.9 * np.array([math.exp(-0.05 * t) for t in ts.tolist()])
         want = damp * (fidelity_constant_coupling(1.0, ts, 0.7)
                        if kind == "constant" else fidelity_optimal(1.0, T, ts))
         assert np.array_equal(got, want)
@@ -355,3 +356,11 @@ class TestValidityWindows:
         p = SystemParams(gamma=1.0, transfer_time=5.0)
         with pytest.raises(ValueError):
             validity_windows(p, 1e4, target_fidelity=1.0)
+
+    def test_nan_cap_and_margin_rejected(self):
+        # NaN fails every comparison, so it must not slip past as q1_min = nan
+        p = SystemParams(gamma=1.0, transfer_time=5.0)
+        with pytest.raises(ValueError, match="gamma1_max"):
+            validity_windows(p, math.nan, target_fidelity=0.999)
+        with pytest.raises(ValueError, match="margin"):
+            validity_windows(p, 1e4, target_fidelity=0.999, margin=math.nan)

@@ -135,6 +135,14 @@ class TestCouplingProfile:
         with pytest.raises(ValueError):
             CouplingProfile.sampled(grid, np.array([1.0, -1.0, 1.0, 1.0, 1.0]))
 
+    def test_nan_cap_rejected(self):
+        # a NaN cap would hold the tail at NaN and end the run in a
+        # non-finite coefficient; like a NaN constant rate, it is refused
+        with pytest.raises(ValueError, match="gamma1_max"):
+            CouplingProfile.optimal(0.01, gamma1_max=float("nan"))
+        with pytest.raises(ValueError, match="gamma1_max"):
+            CouplingProfile.optimal(None, gamma1_max=float("nan"))
+
     def test_only_the_optimal_profile_has_a_hold_window(self):
         grid = TimeGrid(1.0, 4)
         kinds = {ProfileKind.CONSTANT: {"gamma1": 2.0},
