@@ -10,7 +10,6 @@ lumped-element circuit parameters onto the model's rates.
 from .types import (
     CouplingProfile,
     FidelityReport,
-    ParamIssue,
     ProfileKind,
     ProfileSingularityError,
     SystemParams,
@@ -18,7 +17,6 @@ from .types import (
     TransferState,
     ValidityWindows,
     profile_values,
-    validate_params,
 )
 from .oracles import (
     budget_report,
@@ -52,8 +50,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemParams", "TimeGrid", "ProfileKind", "CouplingProfile",
-    "TransferState", "ValidityWindows", "FidelityReport", "ParamIssue",
-    "ProfileSingularityError", "validate_params", "profile_values",
+    "TransferState", "ValidityWindows", "FidelityReport",
+    "ProfileSingularityError", "profile_values",
     "fidelity_constant_coupling", "fidelity_optimal", "fidelity_lossy",
     "reference_curve", "budget_report",
     "validity_windows", "euler_lagrange_residual",

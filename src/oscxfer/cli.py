@@ -34,7 +34,6 @@ from .types import (
     SystemParams,
     TimeGrid,
     profile_values,
-    validate_params,
 )
 
 EXIT_OK = 0
@@ -328,15 +327,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _build_params(cfg: RunConfig) -> SystemParams:
-    p = SystemParams(gamma=cfg.gamma, transfer_time=cfg.transfer_time,
-                     gamma_loss=cfg.gamma_loss, eta=cfg.eta, omega0=cfg.omega0)
-    issues = validate_params(p, margin=cfg.margin)
-    errors = [i.message for i in issues if i.severity == "error"]
-    if errors:
-        raise ConfigError("; ".join(errors))
-    for issue in issues:
-        if issue.severity == "warning":
-            print(f"warning: {issue.message}", file=sys.stderr)
+    """The run's params; warns on stderr where the damping is not weak."""
+    try:
+        p = SystemParams(gamma=cfg.gamma, transfer_time=cfg.transfer_time,
+                         gamma_loss=cfg.gamma_loss, eta=cfg.eta,
+                         omega0=cfg.omega0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if p.gamma * cfg.margin > p.omega0:
+        print(f"warning: weak damping violated: gamma*{cfg.margin:g} exceeds "
+              "omega0 (rotating-frame treatment marginal)", file=sys.stderr)
     return p
 
 

@@ -46,7 +46,8 @@ from typing import Optional
 
 import numpy as np
 
-from .types import CouplingProfile, SystemParams, TimeGrid, profile_values
+from .types import (CouplingProfile, SystemParams, TimeGrid, _loss_factor,
+                    profile_values)
 
 __all__ = [
     "OptimizerResult",
@@ -121,11 +122,7 @@ def functional_value(c: CouplingProfile, p: SystemParams, grid: TimeGrid) -> flo
     ``sqrt(eta) exp(-gamma_loss T)``, which is exactly 1.0 when lossless.
     """
     cells = _cell_values(c, p, grid)
-    return _loss_factor(p, grid) * _functional_from_cells(cells, p, grid)
-
-
-def _loss_factor(p: SystemParams, grid: TimeGrid) -> float:
-    return math.sqrt(p.eta) * math.exp(-p.gamma_loss * grid.t_end)
+    return _loss_factor(p, grid.t_end) * _functional_from_cells(cells, p, grid)
 
 
 def _weights(cells: np.ndarray, p: SystemParams, grid: TimeGrid):
@@ -160,7 +157,7 @@ def functional_gradient(c: CouplingProfile, p: SystemParams,
         raise ValueError("gradient needs strictly positive profile values")
     root = np.sqrt(cells)
     # chain rule through gamma1 = u^2
-    return _loss_factor(p, grid) * np.concatenate(
+    return _loss_factor(p, grid.t_end) * np.concatenate(
         (_u_gradient(root, p, grid) / (2.0 * root), [0.0]))
 
 

@@ -34,6 +34,7 @@ from .types import (
     TimeGrid,
     ValidityWindows,
     _elementwise,
+    _loss_factor,
     _shaped,
     profile_values,
 )
@@ -115,19 +116,12 @@ def fidelity_lossy(p: SystemParams, t: Times) -> Times:
     Equals ``sqrt(eta) * exp(-gamma_loss*t)`` times the lossless optimal
     amplitude; the factorization is exact because the parasitic damping
     commutes with the transfer dynamics (substitute a -> exp(-gamma_loss t)
-    a), for any ``gamma_loss >= 0``.
+    a), for any ``gamma_loss >= 0``.  ``p`` holds its own invariants, so
+    only the times are checked (by :func:`fidelity_optimal`).
     """
-    if p.gamma_loss < 0 or not (0.0 < p.eta <= 1.0):
-        raise ValueError("need gamma_loss >= 0 and eta in (0, 1]")
     ts = np.asarray(t, dtype=float)
     lossless = fidelity_optimal(p.gamma, p.transfer_time, ts)
     return _shaped(t, _loss_factor(p, ts) * lossless)
-
-
-def _loss_factor(p: SystemParams, ts: np.ndarray) -> np.ndarray:
-    """sqrt(eta) * exp(-gamma_loss*t) in the shape of ``ts``, by libm."""
-    return math.sqrt(p.eta) * _elementwise(
-        math.exp, -p.gamma_loss * ts).reshape(np.shape(ts))
 
 
 def reference_curve(p: SystemParams, profile: CouplingProfile,
@@ -168,10 +162,11 @@ def budget_report(p: SystemParams, dt_cut: float,
     budget to mean much (``gamma*T < 2``).  When ``gamma1_max`` is given,
     the scale-separation windows are evaluated against ``target_fidelity``
     (default: the budget's own prediction; where that lies outside (0, 1)
-    the windows are left out with a warning).
+    the windows are left out with a warning).  ``p`` holds its own
+    invariants, so only ``dt_cut`` is checked here.
     """
-    if p.gamma <= 0 or p.transfer_time <= 0 or dt_cut < 0:
-        raise ValueError("gamma, transfer_time must be positive; dt_cut >= 0")
+    if dt_cut < 0:
+        raise ValueError("dt_cut must be >= 0")
     exp_term = 0.5 * math.exp(-2.0 * p.gamma * p.transfer_time)
     cut_term = p.gamma * dt_cut
     warnings = []

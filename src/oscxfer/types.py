@@ -14,7 +14,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -26,9 +26,7 @@ __all__ = [
     "TransferState",
     "ValidityWindows",
     "FidelityReport",
-    "ParamIssue",
     "ProfileSingularityError",
-    "validate_params",
     "profile_values",
     "DAMPING_CAP_FACTOR",
 ]
@@ -62,8 +60,11 @@ class SystemParams:
         Carrier frequency (rad/time); only consulted by validity checks,
         never by the rotating-frame dynamics.
 
-    Construction never raises: feed instances to :func:`validate_params`
-    for a report of violated invariants.
+    Construction raises ``ValueError`` naming every violated invariant,
+    joined by "; ": gamma, transfer_time and omega0 must be positive and
+    finite, gamma_loss finite and >= 0, and eta in (0, 1].  So every
+    instance describes a physical cascade, and no route needs to check one
+    again.
     """
 
     gamma: float
@@ -72,44 +73,20 @@ class SystemParams:
     eta: float = 1.0
     omega0: float = 1.0e6
 
-
-class ParamIssue(NamedTuple):
-    severity: str  # "error" | "warning"
-    message: str
-
-
-def validate_params(p: SystemParams, margin: float = 10.0) -> list[ParamIssue]:
-    """Report violated parameter invariants without raising.
-
-    Hard violations come back with severity ``"error"``; soft conditions
-    (currently only weak damping, ``gamma * margin <= omega0``) come back as
-    ``"warning"``.  An empty list means every hard invariant holds and no
-    warning fired.
-    """
-    issues: list[ParamIssue] = []
-
-    def err(msg: str) -> None:
-        issues.append(ParamIssue("error", msg))
-
-    if not math.isfinite(p.gamma) or p.gamma <= 0:
-        err("gamma must be positive and finite")
-    if not math.isfinite(p.transfer_time) or p.transfer_time <= 0:
-        err("transfer_time must be positive and finite")
-    if not math.isfinite(p.gamma_loss) or p.gamma_loss < 0:
-        err("gamma_loss must be >= 0")
-    if not (0.0 < p.eta <= 1.0):
-        err("eta must lie in (0, 1]")
-    if not math.isfinite(p.omega0) or p.omega0 <= 0:
-        err("omega0 must be positive and finite")
-    elif p.gamma > 0 and p.gamma * margin > p.omega0:
-        issues.append(
-            ParamIssue(
-                "warning",
-                f"weak damping violated: gamma*{margin:g} exceeds omega0 "
-                "(rotating-frame treatment marginal)",
-            )
-        )
-    return issues
+    def __post_init__(self) -> None:
+        errors = []
+        if not math.isfinite(self.gamma) or self.gamma <= 0:
+            errors.append("gamma must be positive and finite")
+        if not math.isfinite(self.transfer_time) or self.transfer_time <= 0:
+            errors.append("transfer_time must be positive and finite")
+        if not math.isfinite(self.gamma_loss) or self.gamma_loss < 0:
+            errors.append("gamma_loss must be >= 0")
+        if not (0.0 < self.eta <= 1.0):
+            errors.append("eta must lie in (0, 1]")
+        if not math.isfinite(self.omega0) or self.omega0 <= 0:
+            errors.append("omega0 must be positive and finite")
+        if errors:
+            raise ValueError("; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -297,6 +274,13 @@ def _elementwise(fn, x: np.ndarray, buf: Optional[np.ndarray] = None
     if inf.any() and np.isfinite(x[inf]).any():
         raise OverflowError("math range error")
     return out
+
+
+def _loss_factor(p: SystemParams, ts: Times) -> Times:
+    """sqrt(eta) * exp(-gamma_loss*t) at a time or at every time in ``ts``,
+    by libm: a float in gives a float out, an array an array of its shape."""
+    return math.sqrt(p.eta) * _shaped(
+        ts, _elementwise(math.exp, -p.gamma_loss * ts))
 
 
 def _optimal_closed_form(gamma: float, x: np.ndarray,

@@ -7,6 +7,7 @@ import dataclasses
 import inspect
 import json
 import math
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -905,6 +906,21 @@ def test_imports_only_public_names():
                and (node.level > 0 or (node.module or "").startswith("oscxfer"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_cmp_argv_lines_parse():
+    # tools/cmp_artifacts.py runs each line under two source trees; a line
+    # that no longer parses would compare two identical usage errors
+    path = Path(__file__).parents[1] / "tools" / "cmp_argv.txt"
+    lines = [s for s in map(str.strip, path.read_text().splitlines())
+             if s and s[0] != "#"]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line))
+        except SystemExit:
+            pytest.fail(f"cmp_argv.txt line does not parse: {line}")
 
 
 def test_help_exits_cleanly():

@@ -178,3 +178,34 @@ def test_config_validation():
     with pytest.raises(ValueError):
         optimize_profile(SystemParams(gamma=1.0, transfer_time=1.0),
                          TimeGrid(1.0, 50), gamma1_max=0.0)
+
+
+def _breaks_unimodality(v: np.ndarray, rtol: float = 1e-12) -> bool:
+    """Whether ``v`` falls before its argmax or rises after it by more than
+    ``rtol`` of its largest magnitude."""
+    k = int(np.argmax(v))
+    step = np.diff(v)
+    tol = rtol * float(np.max(np.abs(v)))
+    return bool(np.any(step[:k] < -tol) or np.any(step[k:] > tol))
+
+
+def test_stage_value_is_unimodal():
+    # optimize_profile maximizes each cell's stage value s u phi(a - dt u^2)
+    # + c exp(-dt u^2) by one root of its slope, which is exact only if the
+    # stage value has one maximum.  In q = dt u^2 it is sigma sqrt(q)
+    # phi(a - q) + c exp(-q), sigma = s / sqrt(dt); the sweep's search box
+    # ends at q = a + 700.
+    assert _breaks_unimodality(np.array([0.0, 1.0, 0.5, 0.9, 0.0]))
+    assert not _breaks_unimodality(np.array([0.0, 1.0, 1.0, 0.5, 0.0]))
+    rng = np.random.default_rng(20)
+    for _ in range(500):
+        a = 10.0 ** rng.uniform(-8.0, 2.5)
+        sigma = 10.0 ** rng.uniform(-12.0, 12.0)
+        c = float(rng.integers(2))
+        q = np.concatenate(([0.0], np.geomspace(1e-40, a + 700.0, 19_999)))
+        z = a - q
+        small = np.abs(z) < 1e-5
+        zs = np.where(small, 1.0, z)
+        phi = np.where(small, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(zs) / zs)
+        v = sigma * np.sqrt(q) * phi + c * np.exp(-q)
+        assert not _breaks_unimodality(v), (a, sigma, c)

@@ -26,7 +26,6 @@ from oscxfer.types import (
     SystemParams,
     TimeGrid,
     profile_values,
-    validate_params,
 )
 
 
@@ -271,7 +270,6 @@ class TestLossyFidelity:
         for gl in (1.0, 2.5):
             p = SystemParams(gamma=1.0, transfer_time=3.0, eta=0.8,
                              gamma_loss=gl)
-            assert validate_params(p) == []
             want = (math.sqrt(0.8) * math.exp(-gl * 1.7)
                     * fidelity_optimal(1.0, 3.0, 1.7))
             assert fidelity_lossy(p, 1.7) == pytest.approx(want, rel=1e-14)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oscxfer import types
+from oscxfer import cli, types
 from oscxfer.types import (
     CouplingProfile,
     ProfileKind,
@@ -15,7 +15,6 @@ from oscxfer.types import (
     TransferState,
     _elementwise,
     profile_values,
-    validate_params,
 )
 
 
@@ -40,23 +39,56 @@ class TestTimeGrid:
 
 class TestSystemParams:
     def test_validate_clean(self):
-        p = SystemParams(gamma=1.0, transfer_time=5.0)
-        assert validate_params(p) == []
+        # gamma_loss >= gamma and omega0 near gamma are both accepted
+        p = SystemParams(gamma=1.0, transfer_time=5.0, gamma_loss=2.5,
+                         eta=1.0, omega0=5.0)
+        assert (p.gamma, p.transfer_time, p.gamma_loss, p.eta, p.omega0) == (
+            1.0, 5.0, 2.5, 1.0, 5.0)
 
     def test_validate_errors(self):
-        p = SystemParams(gamma=-1.0, transfer_time=5.0)
-        issues = validate_params(p)
-        assert any(i.severity == "error" for i in issues)
+        # one ValueError names every violated invariant, in a fixed order
+        with pytest.raises(ValueError) as info:
+            SystemParams(gamma=0.0, transfer_time=-2.0, gamma_loss=-1.0,
+                         eta=1.5, omega0=math.inf)
+        assert str(info.value) == (
+            "gamma must be positive and finite; "
+            "transfer_time must be positive and finite; "
+            "gamma_loss must be >= 0; eta must lie in (0, 1]; "
+            "omega0 must be positive and finite")
 
-    def test_weak_damping_warning(self):
-        # gamma within a factor `margin` of the carrier: warn, don't fail
-        p = SystemParams(gamma=1.0, transfer_time=5.0, omega0=5.0)
-        issues = validate_params(p, margin=10.0)
-        assert issues and all(i.severity == "warning" for i in issues)
+    def test_weak_damping_warning(self, capsys):
+        # gamma within a factor `margin` of the carrier: the CLI warns, and
+        # the params construct
+        p = cli._build_params(cli.RunConfig(omega0=5.0, margin=10.0))
+        assert p.omega0 == 5.0
+        assert capsys.readouterr().err == (
+            "warning: weak damping violated: gamma*10 exceeds omega0 "
+            "(rotating-frame treatment marginal)\n")
 
     def test_eta_out_of_range_is_error(self):
-        p = SystemParams(gamma=1.0, transfer_time=5.0, eta=1.5)
-        assert any(i.severity == "error" for i in validate_params(p))
+        # the integrator and the optimizer trust their params: given this
+        # one they return F(T) = 1.22, above the bound of 1
+        with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\]$"):
+            SystemParams(gamma=1.0, transfer_time=5.0, eta=1.5)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma", 0.0, "gamma must be positive and finite"),
+        ("gamma", -1.0, "gamma must be positive and finite"),
+        ("gamma", math.inf, "gamma must be positive and finite"),
+        ("transfer_time", math.nan, "transfer_time must be positive and finite"),
+        ("transfer_time", -2.0, "transfer_time must be positive and finite"),
+        ("gamma_loss", -0.5, "gamma_loss must be >= 0"),
+        ("gamma_loss", math.inf, "gamma_loss must be >= 0"),
+        ("eta", 0.0, "eta must lie in (0, 1]"),
+        ("eta", math.nan, "eta must lie in (0, 1]"),
+        ("omega0", 0.0, "omega0 must be positive and finite"),
+        ("omega0", math.nan, "omega0 must be positive and finite"),
+    ])
+    def test_each_invariant_is_refused(self, field, value, message):
+        kwargs = {"gamma": 1.0, "transfer_time": 5.0, field: value}
+        with pytest.raises(ValueError) as info:
+            SystemParams(**kwargs)
+        assert str(info.value) == message
 
 
 class TestCouplingProfile:
