@@ -75,9 +75,6 @@ class RunConfig:
     out_dir: str = "oscxfer-out"
     format: str = "both"
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 _CSV_BLOCK = 1024  # rows formatted as one array; temporaries stay below 1 MB
 
@@ -318,7 +315,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("margin must be finite and positive")
     # refused here, before the output directory is made, not by the JSON
     # writer of config.json inside it
-    for key, value in cfg.to_dict().items():
+    for key, value in dataclasses.asdict(cfg).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, not {value!r}")
     if cfg.target_fidelity is not None and not 0.0 < cfg.target_fidelity < 1.0:
@@ -424,11 +421,9 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         "n_steps": cfg.n_steps,
     }
     if profile.kind is ProfileKind.OPTIMAL_CLOSED_FORM:
-        rep = budget_report(p, dt_cut=profile.truncation,
-                            gamma1_max=profile.gamma1_max,
-                            target_fidelity=cfg.target_fidelity,
-                            margin=cfg.margin)
-        report["budget"] = rep.to_dict()
+        report["budget"] = budget_report(
+            p, dt_cut=profile.truncation, gamma1_max=profile.gamma1_max,
+            target_fidelity=cfg.target_fidelity, margin=cfg.margin)
 
     if cfg.kernels:
         d1, d2 = state.deficits
@@ -448,6 +443,8 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     p = _build_params(cfg)
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     trunc = _resolved_dt_cut(cfg, grid)
+    # refuses a bad --dt-cut before the optimizer runs
+    reference = CouplingProfile.optimal(truncation=trunc)
     profile, result = optimize_profile(p, grid, gamma1_max=cfg.gamma1_max)
     functional = functional_value(profile, p, grid)
     for name, value in (("functional", functional),
@@ -456,7 +453,6 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
             raise FloatingPointError(f"optimizer {name} is {value!r}")
 
     times = grid.nodes()
-    reference = CouplingProfile.optimal(truncation=trunc)
     closed = profile_values(reference, p, times)
     opt_vals = np.asarray(profile.values, dtype=float)
     rel = np.where(closed > 0, np.abs(opt_vals - closed) / closed, math.nan)
@@ -588,9 +584,9 @@ def cmd_budget(cfg: RunConfig, out: Path) -> int:
     p = _build_params(cfg)
     gamma1_max = CouplingProfile.optimal(truncation=dt_cut or None,
                                          gamma1_max=cfg.gamma1_max).gamma1_max
-    rep = budget_report(p, dt_cut=dt_cut, gamma1_max=gamma1_max,
-                        target_fidelity=cfg.target_fidelity, margin=cfg.margin)
-    payload = rep.to_dict()
+    payload = budget_report(p, dt_cut=dt_cut, gamma1_max=gamma1_max,
+                            target_fidelity=cfg.target_fidelity,
+                            margin=cfg.margin)
 
     if circuits is not None:
         if gamma1_max is None:
@@ -672,11 +668,12 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    cfg = None
     try:
         cfg = resolve_config(args)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "config.json", cfg.to_dict())
+        _write_json(out / "config.json", dataclasses.asdict(cfg))
         # non-finite results are refused or written as nan, so numpy's
         # floating-point warnings would only repeat them on stderr
         with np.errstate(all="ignore"):
@@ -697,7 +694,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:
-        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        # a bare MemoryError() carries no reason: name the run instead
+        run = (args.command if cfg is None
+               else f"{args.command} --steps {cfg.n_steps}")
+        print(f"error: not enough memory: {str(exc) or run}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -27,12 +27,10 @@ import numpy as np
 
 from .types import (
     CouplingProfile,
-    FidelityReport,
     ProfileKind,
     SystemParams,
     Times,
     TimeGrid,
-    ValidityWindows,
     _elementwise,
     _loss_factor,
     _shaped,
@@ -152,11 +150,15 @@ def reference_curve(p: SystemParams, profile: CouplingProfile,
 def budget_report(p: SystemParams, dt_cut: float,
                   gamma1_max: Optional[float] = None,
                   target_fidelity: Optional[float] = None,
-                  margin: float = 10.0) -> FidelityReport:
+                  margin: float = 10.0) -> dict:
     """Infidelity budget of the truncated optimal protocol, with validity flags.
 
     ``1 - F = exp(-2*gamma*T)/2 + gamma*dt_cut + (1 - sqrt(eta))
-    + (1 - exp(-gamma_loss*T))`` to first order in the truncation.
+    + (1 - exp(-gamma_loss*T))`` to first order in the truncation, returned
+    as the dict ``budget.json`` holds: ``fidelity``, the four
+    ``infidelity_terms`` (``exponential``, ``truncation``, ``loss_line``,
+    ``loss_oscillator``), their sum ``infidelity_total``, ``warnings``, and
+    ``validity`` where the windows are evaluated.
     Warnings flag regimes where the expansion degrades
     (``gamma*dt_cut > 0.1``) or where the protocol is too short for the
     budget to mean much (``gamma*T < 2``).  When ``gamma1_max`` is given,
@@ -177,7 +179,17 @@ def budget_report(p: SystemParams, dt_cut: float,
     loss_line = 1.0 - math.sqrt(p.eta)
     loss_osc = -math.expm1(-p.gamma_loss * p.transfer_time)
     fidelity = 1.0 - exp_term - cut_term - loss_line - loss_osc
-    validity = None
+    report = {
+        "fidelity": fidelity,
+        "infidelity_terms": {
+            "exponential": exp_term,
+            "truncation": cut_term,
+            "loss_line": loss_line,
+            "loss_oscillator": loss_osc,
+        },
+        "infidelity_total": exp_term + cut_term + loss_line + loss_osc,
+        "warnings": warnings,
+    }
     if gamma1_max is not None:
         if target_fidelity is None and not 0.0 < fidelity < 1.0:
             warnings.append(
@@ -186,40 +198,38 @@ def budget_report(p: SystemParams, dt_cut: float,
                 "them")
         else:
             target = fidelity if target_fidelity is None else target_fidelity
-            validity = validity_windows(p, gamma1_max, target, margin=margin)
-    return FidelityReport(
-        fidelity=fidelity,
-        exponential=exp_term,
-        truncation=cut_term,
-        loss_line=loss_line,
-        loss_oscillator=loss_osc,
-        validity=validity,
-        warnings=tuple(warnings),
-    )
+            report["validity"] = validity_windows(p, gamma1_max, target,
+                                                  margin=margin)
+    return report
 
 
 def validity_windows(p: SystemParams, gamma1_max: float,
-                     target_fidelity: float, margin: float = 10.0) -> ValidityWindows:
+                     target_fidelity: float, margin: float = 10.0) -> dict:
     """Check the scale separations required for the rate model to apply.
 
-    ``omega0 >= margin * gamma1_max`` and
-    ``gamma1_max >= margin * gamma / (1 - F)``; the quality factors
-    ``Q = omega0 / gamma`` of both oscillators are reported with them.
+    The windows are ``carrier_above_coupling``, ``omega0 >= margin *
+    gamma1_max``, and ``coupling_above_drain``, ``gamma1_max >= margin *
+    gamma / (1 - F)``; ``all_ok`` is both.  They come in a dict with
+    ``margin`` and the quality factors ``q2 = omega0 / gamma`` of the
+    receiver and ``q1_min = omega0 / gamma1_max`` of the sender, which
+    hardware specs quote: in them the windows read ``q1_min >= margin`` and
+    ``(1 - F) * q2 >= margin * q1_min``.  ``margin`` operationalizes "much
+    greater than" as a ratio.
     """
     if not (0.0 < target_fidelity < 1.0):
         raise ValueError("target_fidelity must lie strictly between 0 and 1")
     if not (gamma1_max > 0 and margin > 0):
         raise ValueError("gamma1_max and margin must be positive")
-    infid = 1.0 - target_fidelity
-    q2 = p.omega0 / p.gamma
-    q1_min = p.omega0 / gamma1_max
-    return ValidityWindows(
-        margin=margin,
-        q2=q2,
-        q1_min=q1_min,
-        carrier_above_coupling=p.omega0 >= margin * gamma1_max,
-        coupling_above_drain=gamma1_max >= margin * p.gamma / infid,
-    )
+    carrier = p.omega0 >= margin * gamma1_max
+    drain = gamma1_max >= margin * p.gamma / (1.0 - target_fidelity)
+    return {
+        "margin": margin,
+        "q2": p.omega0 / p.gamma,
+        "q1_min": p.omega0 / gamma1_max,
+        "carrier_above_coupling": carrier,
+        "coupling_above_drain": drain,
+        "all_ok": carrier and drain,
+    }
 
 
 def euler_lagrange_residual(c: CouplingProfile, p: SystemParams,

@@ -13,7 +13,7 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -24,8 +24,6 @@ __all__ = [
     "ProfileKind",
     "CouplingProfile",
     "TransferState",
-    "ValidityWindows",
-    "FidelityReport",
     "ProfileSingularityError",
     "profile_values",
     "DAMPING_CAP_FACTOR",
@@ -144,7 +142,9 @@ class CouplingProfile:
     Only the closed-form optimum has a hold window: ``truncation`` holds it
     at ``gamma1_max`` on the final window ``[T - truncation, T]``, and when
     unset, ``gamma1_max`` defaults to ``1 / (2 * truncation)``, the rate
-    whose drain time matches the window.  The other kinds refuse both.
+    whose drain time matches the window.  The other kinds refuse both.  A
+    cap must be positive, as in the optimizer's box and the validity
+    windows.
     """
 
     kind: ProfileKind
@@ -169,8 +169,8 @@ class CouplingProfile:
                 raise ValueError("truncation must be positive")
             if self.gamma1_max is None:
                 object.__setattr__(self, "gamma1_max", 1.0 / (2.0 * self.truncation))
-        if self.gamma1_max is not None and not self.gamma1_max >= 0:
-            raise ValueError("gamma1_max must be >= 0")
+        if self.gamma1_max is not None and not self.gamma1_max > 0:
+            raise ValueError("gamma1_max must be positive")
 
         if self.kind is ProfileKind.CONSTANT:
             if self.gamma1 is None or self.gamma1 < 0 or not math.isfinite(self.gamma1):
@@ -385,74 +385,3 @@ class TransferState:
     def fidelity(self) -> float:
         """Transfer amplitude at the end of the protocol, a21(T)."""
         return float(self.a21[-1])
-
-
-@dataclass(frozen=True)
-class ValidityWindows:
-    """Scale-separation checks for the physical validity of the rate model.
-
-    The windows are tested in rate form; hardware specs quote the quality
-    factors ``q2`` and ``q1_min``, in which they read ``q1_min >= margin``
-    and ``(1 - F) * q2 >= margin * q1_min``.  ``margin`` operationalizes
-    "much greater than" as a ratio.
-    """
-
-    margin: float
-    q2: float                      # omega0 / gamma of the receiver
-    q1_min: float                  # omega0 / gamma1_max of the sender
-    carrier_above_coupling: bool   # omega0 >= margin * gamma1_max
-    coupling_above_drain: bool     # gamma1_max >= margin * gamma / (1 - F)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.carrier_above_coupling and self.coupling_above_drain
-
-    def to_dict(self) -> dict:
-        return {
-            "margin": self.margin,
-            "q2": self.q2,
-            "q1_min": self.q1_min,
-            "carrier_above_coupling": self.carrier_above_coupling,
-            "coupling_above_drain": self.coupling_above_drain,
-            "all_ok": self.all_ok,
-        }
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """Predicted fidelity with its infidelity budget broken out by mechanism.
-
-    Terms: ``exponential`` is the finite-duration term ``exp(-2*gamma*T)/2``,
-    ``truncation`` is the profile-cutoff term ``gamma*dt_cut``, and the two
-    loss terms are ``1 - sqrt(eta)`` (line) and ``1 - exp(-gamma_loss*T)``
-    (oscillators).
-    """
-
-    fidelity: float
-    exponential: float
-    truncation: float
-    loss_line: float = 0.0
-    loss_oscillator: float = 0.0
-    validity: Optional[ValidityWindows] = None
-    warnings: tuple[str, ...] = field(default=())
-
-    @property
-    def infidelity_total(self) -> float:
-        return (self.exponential + self.truncation
-                + self.loss_line + self.loss_oscillator)
-
-    def to_dict(self) -> dict:
-        out = {
-            "fidelity": self.fidelity,
-            "infidelity_terms": {
-                "exponential": self.exponential,
-                "truncation": self.truncation,
-                "loss_line": self.loss_line,
-                "loss_oscillator": self.loss_oscillator,
-            },
-            "infidelity_total": self.infidelity_total,
-            "warnings": list(self.warnings),
-        }
-        if self.validity is not None:
-            out["validity"] = self.validity.to_dict()
-        return out

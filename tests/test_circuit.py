@@ -107,8 +107,8 @@ def _windows(sender, receiver):
 class TestRatesToValidity:
     def test_identical_pair_accepted(self):
         w = _windows(_series(0.001), _series(50.0))
-        assert w.q2 > 0
-        assert isinstance(w.all_ok, bool)
+        assert w["q2"] > 0
+        assert isinstance(w["all_ok"], bool)
 
     def test_within_one_ppm_accepted(self):
         # delta(omega)/omega = delta(L)/(2L); 1e-6 relative L shift passes
@@ -126,4 +126,4 @@ class TestRatesToValidity:
         # doubling the receiver's R doubles gamma and halves Q2
         w1 = _windows(_series(0.001), _series(50.0))
         w2 = _windows(_series(0.001), _series(100.0))
-        assert w2.q2 == pytest.approx(w1.q2 / 2.0, rel=1e-12)
+        assert w2["q2"] == pytest.approx(w1["q2"] / 2.0, rel=1e-12)

@@ -849,6 +849,8 @@ class TestConfigHandling:
          "numerical failure: float division by zero"),
         (MemoryError("cannot allocate"), 2,
          "error: not enough memory: cannot allocate"),
+        # a bare MemoryError() left nothing after the colon
+        (MemoryError(), 2, "error: not enough memory: simulate --steps 10"),
     ])
     def test_last_resort_exit_codes(self, tmp_path, capsys, monkeypatch,
                                     error, code, line):
@@ -859,6 +861,28 @@ class TestConfigHandling:
         assert main(["simulate", "--steps", "10",
                      "--out", str(tmp_path / "x")]) == code
         assert capsys.readouterr().err.splitlines() == [line]
+
+    @pytest.mark.parametrize("argv, line", [
+        (["simulate", "--gamma1-max", "0", "--steps", "100"],
+         "error: bad profile 'optimal': gamma1_max must be positive"),
+        (["optimize", "--dt-cut", "0"],
+         "error: truncation = 0 is rejected: the closed-form profile is "
+         "singular at t = T; pass None to leave it untruncated"),
+        (["optimize", "--dt-cut", "-1"], "error: truncation must be positive"),
+    ], ids=["simulate-cap-0", "optimize-cut-0", "optimize-cut-negative"])
+    def test_hold_window_refused_before_any_work(self, tmp_path, capsys,
+                                                 monkeypatch, argv, line):
+        # simulate used to integrate and write fidelity_curve.csv, and
+        # optimize to run the whole optimization, before exiting 2
+        def never(*args, **kwargs):
+            pytest.fail("ran before the hold window was checked")
+
+        monkeypatch.setattr(cli, "optimize_profile", never)
+        monkeypatch.setattr(cli, "integrate_transfer", never)
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert [p.name for p in out.iterdir()] == ["config.json"]
 
     def test_stiff_profile_file_exits_3(self, tmp_path):
         bad = tmp_path / "p.csv"

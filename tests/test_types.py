@@ -175,6 +175,13 @@ class TestCouplingProfile:
         with pytest.raises(ValueError, match="gamma1_max"):
             CouplingProfile.optimal(None, gamma1_max=float("nan"))
 
+    @pytest.mark.parametrize("cap", [0.0, -1.0])
+    def test_nonpositive_cap_rejected(self, cap):
+        # the optimizer's box and the validity windows refuse it too, so a
+        # zero cap no longer runs the integrator before it is refused
+        with pytest.raises(ValueError, match="gamma1_max must be positive"):
+            CouplingProfile.optimal(0.01, gamma1_max=cap)
+
     def test_only_the_optimal_profile_has_a_hold_window(self):
         grid = TimeGrid(1.0, 4)
         kinds = {ProfileKind.CONSTANT: {"gamma1": 2.0},
