@@ -303,10 +303,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_val = getattr(args, f.name, None)
         if flag_val is not None:
             values[f.name] = flag_val
-    try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = RunConfig(**values)
     if cfg.format not in ("csv", "json", "both"):
         raise ConfigError(f"unknown format: {cfg.format!r}")
     if cfg.n_steps < 10:
@@ -533,10 +530,12 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         _write_csv(out / "sweep.csv",
                    [name, "F_oracle", "F_sim", "abs_err"], list(zip(*table)))
     if cfg.format in ("json", "both"):
+        worst = max(r[3] for r in table)
         _write_json(out / "sweep_report.json", {
             "parameter": name,
             "n_points": n,
-            "max_abs_err": max(r[3] for r in table),
+            # a file: profile has no reference, so every abs_err is NaN
+            "max_abs_err": None if math.isnan(worst) else worst,
         })
     return EXIT_OK
 

@@ -46,8 +46,8 @@ from typing import Optional
 
 import numpy as np
 
-from .types import (CouplingProfile, SystemParams, TimeGrid, _loss_factor,
-                    profile_values)
+from .types import (CouplingProfile, SystemParams, TimeGrid, _elementwise,
+                    _loss_factor, profile_values)
 
 __all__ = [
     "OptimizerResult",
@@ -69,8 +69,7 @@ class OptimizerResult:
 
     ``iterations`` counts the stage-derivative evaluations of all cells'
     root solves: 12 668 for gamma = 1, T = 3 on 10 000 cells, about 1.27
-    per cell (26 320 when each solve started at the next cell's
-    maximizer).  ``kkt_residual`` is the max-norm of the projected gradient
+    per cell.  ``kkt_residual`` is the max-norm of the projected gradient
     in u = sqrt(gamma1), divided by ``2 sqrt(gamma) dt``.  ``gamma1_max``
     is the cap of the box the sweep searched.
     """
@@ -86,27 +85,27 @@ def _cell_values(c: CouplingProfile, p: SystemParams, grid: TimeGrid) -> np.ndar
     return profile_values(c, p, ts)
 
 
-def _phi(z: np.ndarray) -> np.ndarray:
-    """(exp(z) - 1) / z, series-stabilized near z = 0."""
-    small = np.abs(z) < 1e-5
-    zs = np.where(small, 0.0, z)
-    out = np.where(small, 1.0 + z / 2.0 + z * z / 6.0,
-                   np.expm1(zs) / np.where(small, 1.0, zs))
-    return out
+def _phi_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi(z) = (exp(z) - 1) / z and its derivative phi'(z), in ``z``'s
+    shape, from one libm ``expm1`` per element.
 
-
-def _phi_prime(z: np.ndarray) -> np.ndarray:
-    """d/dz of (exp(z) - 1)/z, series-stabilized near z = 0.
-
-    (exp(z)(z - 1) + 1) / z^2 is written 1/z + expm1(z) (z - 1) / z^2, whose
-    cancellation costs ~eps/|z| rather than ~eps/z^2 and which stays finite
-    wherever expm1(z) is.
+    These are the backward sweep's formulas and series cut-offs, so each
+    element has the bits of the sweep's scalar phi and phi': phi takes its
+    series at |z| < 1e-5 and phi' at |z| < 1e-4.  phi' = (exp(z) (z - 1) +
+    1) / z^2 is written 1/z + expm1(z) (z - 1) / z^2, whose cancellation
+    costs ~eps/|z| rather than ~eps/z^2 and which stays finite wherever
+    expm1(z) is.  As ``math.expm1`` does, a z above about 709.78 raises
+    ``OverflowError``.
     """
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 1.0, z)
-    out = np.where(small, 0.5 + z / 3.0 + z * z / 8.0,
-                   1.0 / zs + np.expm1(zs) * ((zs - 1.0) / (zs * zs)))
-    return out
+    az = np.abs(z)
+    zz = z * z
+    m = _elementwise(math.expm1, z).reshape(z.shape)
+    # the closed forms divide by z, which the series replace near 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(az < 1e-5, 1.0 + z / 2.0 + zz / 6.0, m / z)
+        dphi = np.where(az < 1e-4, 0.5 + z / 3.0 + zz / 8.0,
+                        1.0 / z + m * ((z - 1.0) / zz))
+    return phi, dphi
 
 
 def functional_value(c: CouplingProfile, p: SystemParams, grid: TimeGrid) -> float:
@@ -129,7 +128,7 @@ def _weights(cells: np.ndarray, p: SystemParams, grid: TimeGrid):
     dt = grid.dt
     ts = grid.nodes()[:-1]
     big_g = np.concatenate(([0.0], np.cumsum(cells[:-1]) * dt))
-    expo = np.exp(-p.gamma * (grid.t_end - ts) - big_g)
+    expo = _elementwise(math.exp, -p.gamma * (grid.t_end - ts) - big_g)
     z = (p.gamma - cells) * dt
     return expo, z
 
@@ -139,7 +138,7 @@ def _functional_from_cells(cells: np.ndarray, p: SystemParams,
     if np.any(cells < 0):
         raise ValueError("profile must be nonnegative on the grid")
     expo, z = _weights(cells, p, grid)
-    w = expo * np.sqrt(cells) * _phi(z)
+    w = expo * np.sqrt(cells) * _phi_pair(z)[0]
     return 2.0 * math.sqrt(p.gamma) * grid.dt * float(np.sum(w))
 
 
@@ -169,13 +168,13 @@ def _u_gradient(u: np.ndarray, p: SystemParams, grid: TimeGrid) -> np.ndarray:
     dt = grid.dt
     cells = u * u
     expo, z = _weights(cells, p, grid)
-    phi = _phi(z)
+    phi, dphi = _phi_pair(z)
     w = expo * u * phi
     # suffix[j] = sum of w over cells strictly after j (reverse accumulation
     # of G's dependence on cell j)
     suffix = np.concatenate((np.cumsum(w[::-1])[-2::-1], [0.0]))
     # direct term: d/du of u*phi((gamma-u^2)dt) at fixed G
-    direct = expo * (phi - 2.0 * cells * _phi_prime(z) * dt)
+    direct = expo * (phi - 2.0 * cells * dphi * dt)
     return 2.0 * math.sqrt(p.gamma) * dt * (direct - 2.0 * dt * u * suffix)
 
 
@@ -234,7 +233,7 @@ def optimize_profile(
     slope at the box end is negative too, and the bracket starts as
     [0, top] either way.  Where s has underflowed to 0 the slope is
     negative on all of (0, top], so the maximizer is 0.  phi and phi'
-    switch to their series where :func:`_phi` and :func:`_phi_prime` do;
+    switch to their series where :func:`_phi_pair` does;
     the second slope only steers Newton steps, and its closed form cancels
     like eps/z^2, so its series takes over at |z| < 1e-2.
 

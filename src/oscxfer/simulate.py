@@ -172,9 +172,9 @@ def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h,
     single step would use, so the rows hold a scalar step's bits.  The
     operations write into ``out`` and the six rows ``tmp``, which the
     caller takes from the run's workspace (neither may overlap the stage
-    values), so a block of maps allocates nothing; it used to allocate
-    about 45 temporaries.  The stage sums accumulate in the output rows:
-    mxx starts as k1 of the (x=1, y=0) basis vector, myx as its y slope s0.
+    values), so a block of maps allocates nothing.  The stage sums
+    accumulate in the output rows: mxx starts as k1 of the (x=1, y=0)
+    basis vector, myx as its y slope s0.
     """
     h, hh, h6 = h
     nb = -beta

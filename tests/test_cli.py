@@ -4,6 +4,7 @@ import argparse
 import ast
 import csv
 import dataclasses
+import importlib.util
 import inspect
 import json
 import math
@@ -307,6 +308,22 @@ class TestSweep:
                      "--steps", "500", "--out", str(out)])
         assert code == 0
         assert len(_read_csv(out / "sweep.csv")) == 1
+
+    def test_file_profile_sweep_has_no_reference(self, tmp_path):
+        # an optimized profile swept in gamma: its rows have no closed form
+        # to compare with, so abs_err is NaN and max_abs_err is null
+        opt = tmp_path / "opt"
+        assert main(["optimize", "--gamma", "1", "--T", "1", "--steps", "10",
+                     "--out", str(opt)]) == 0
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--profile", f"file:{opt / 'profile.csv'}",
+                     "--sweep", "gamma:1:2:2", "--T", "1", "--steps", "10",
+                     "--out", str(out)]) == 0
+        assert _read_json(out / "sweep_report.json")["max_abs_err"] is None
+        rows = _read_csv(out / "sweep.csv")
+        assert [r["gamma"] for r in rows] == ["1", "2"]
+        assert all(r["F_oracle"] == r["abs_err"] == "nan" for r in rows)
+        assert all(0.0 < float(r["F_sim"]) < 1.0 for r in rows)
 
     @pytest.mark.parametrize("spec, flags", [
         ("T:2:2:1", ["--T", "2"]),
@@ -945,6 +962,37 @@ def test_cmp_argv_lines_parse():
             parser.parse_args(shlex.split(line))
         except SystemExit:
             pytest.fail(f"cmp_argv.txt line does not parse: {line}")
+
+
+def _cmp_tool():
+    """``tools/cmp_artifacts.py`` as a module."""
+    path = Path(__file__).parents[1] / "tools" / "cmp_artifacts.py"
+    spec = importlib.util.spec_from_file_location("cmp_artifacts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_science_artifacts_do_not_depend_on_simd(tmp_path, capsys):
+    # every exp and expm1 takes libm's bits, so numpy's SIMD kernels, which
+    # round some arguments differently, must never reach an artifact: run
+    # the seed-1 optimize horizon and a lossy --kernels simulate with every
+    # dispatched feature off, and compare with this process's runs
+    tool = _cmp_tool()
+    if not tool.dispatched_features():
+        pytest.skip("numpy dispatches to no CPU feature here")
+    src = Path(cli.__file__).resolve().parents[1]
+    for k, line in enumerate([
+            "optimize --gamma 1 --T 2.955612169929494 --steps 10000",
+            "simulate --profile optimal --T 3 --dt-cut 0.25 --gamma1-max 1.54 "
+            "--eta 0.81 --gamma-loss 0.05 --steps 4000 --kernels"]):
+        argv, here = shlex.split(line), tmp_path / f"{k}-here"
+        code = cli.main([*argv, "--out", str(here)])
+        want = {"exit code": code,
+                "stderr": capsys.readouterr().err.replace(str(here), "OUT"),
+                **tool.artifacts(here)}
+        assert tool.run(src, argv, tmp_path / f"{k}-off",
+                        tool.simd_off()) == want, line
 
 
 def test_help_exits_cleanly():

@@ -180,6 +180,14 @@ def test_config_validation():
                          TimeGrid(1.0, 50), gamma1_max=0.0)
 
 
+def test_value_overflow_raises():
+    # gamma*dt = 1000 at gamma1 = 1: libm's expm1 overflows in phi, as it
+    # does in the sweep's stage value, where the sum would be NaN
+    p = SystemParams(gamma=1000.0, transfer_time=10.0)
+    with pytest.raises(OverflowError):
+        functional_value(CouplingProfile.constant(1.0), p, TimeGrid(10.0, 10))
+
+
 def _breaks_unimodality(v: np.ndarray, rtol: float = 1e-12) -> bool:
     """Whether ``v`` falls before its argmax or rises after it by more than
     ``rtol`` of its largest magnitude."""

@@ -42,7 +42,7 @@ from oscxfer.optimize import (
     _ROOT_RTOL,
     OptimizerResult,
     _functional_from_cells,
-    _phi,
+    _phi_pair,
     _projected_gradient_norm,
     _u_gradient,
     functional_value,
@@ -126,15 +126,9 @@ def ascent_oracle(p, grid, gamma1_max=None, initial=None, max_iters=5000,
     return np.where(cells <= floor, 0.0, cells), trace
 
 
-def stage_slopes(u, s, c, a, b):
-    """First and second u-derivatives of the stage value
-    ``s*u*phi(a - b*u^2) + c*exp(-b*u^2)``, from a single ``math.expm1``.
-
-    phi and phi' switch to their series where ``_phi`` and ``_phi_prime``
-    do; phi'' takes its series at |z| < 1e-2.
-    """
-    q = b * u * u
-    z = a - q
+def stage_phis(z):
+    """``math.expm1(z)``, phi(z) and phi'(z) as the sweep forms them: phi
+    and phi' switch to their series where ``_phi_pair`` does."""
     az = abs(z)
     m = math.expm1(z)
     f = 1.0 + z / 2.0 + z * z / 6.0 if az < 1e-5 else m / z
@@ -142,7 +136,20 @@ def stage_slopes(u, s, c, a, b):
         d1 = 0.5 + z / 3.0 + z * z / 8.0
     else:
         d1 = 1.0 / z + m * ((z - 1.0) / (z * z))
-    if az < 1e-2:
+    return m, f, d1
+
+
+def stage_slopes(u, s, c, a, b):
+    """First and second u-derivatives of the stage value
+    ``s*u*phi(a - b*u^2) + c*exp(-b*u^2)``, from a single ``math.expm1``.
+
+    phi and phi' are :func:`stage_phis`; phi'' takes its series at
+    |z| < 1e-2.
+    """
+    q = b * u * u
+    z = a - q
+    m, f, d1 = stage_phis(z)
+    if abs(z) < 1e-2:
         d2 = 1.0 / 3.0 + z * (0.25 + z * (0.1 + z / 36.0))
     else:
         d2 = (z - 2.0) / (z * z) + m * (((z - 2.0) * z + 2.0) / (z * z * z))
@@ -345,7 +352,7 @@ def _batch_functional(u, p, grid):
     big_g = np.concatenate((np.zeros((u.shape[0], 1)),
                             np.cumsum(cells[:, :-1], axis=1) * dt), axis=1)
     expo = np.exp(-p.gamma * (grid.t_end - ts) - big_g)
-    w = expo * u * _phi((p.gamma - cells) * dt)
+    w = expo * u * _phi_pair((p.gamma - cells) * dt)[0]
     return 2.0 * math.sqrt(p.gamma) * dt * np.sum(w, axis=1)
 
 
@@ -471,6 +478,25 @@ def test_flat_loop_agrees_with_former_sweep(gamma, gamma_t, n, log_cap):
     ref_cells, ref = former_sweep(p, grid, cap)
     _assert_agrees(p, grid, cells, result, ref_cells)
     assert result.iterations <= 1.1 * ref.iterations
+
+
+def test_vector_phis_are_the_sweeps():
+    # the value, the gradient and the KKT residual take phi and phi' from
+    # _phi_pair, and each element must have the bits of the sweep's scalars,
+    # at and beside both series cut-offs too
+    cuts = [sign * cut for cut in (1e-5, 1e-4) for sign in (-1.0, 1.0)]
+    beside = [np.nextafter(cut, to) for cut in cuts for to in (-1.0, 1.0)]
+    small = np.geomspace(1e-12, 1e-2, 5000)
+    z = np.concatenate((np.linspace(-700.0, 5.0, 200_001), small, -small,
+                        [0.0, -0.0], cuts, beside))
+    phi, dphi = _phi_pair(z)
+    want = np.array([stage_phis(x)[1:] for x in z.tolist()])
+    assert np.array_equal(phi, want[:, 0])
+    assert np.array_equal(dphi, want[:, 1])
+    # a batch of rows keeps its shape
+    rows = _phi_pair(z[:200].reshape(8, 25))
+    assert [r.shape for r in rows] == [(8, 25), (8, 25)]
+    assert np.array_equal(rows[0].ravel(), phi[:200])
 
 
 def test_box_end_probed_when_guess_slopes_up():

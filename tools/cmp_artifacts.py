@@ -1,10 +1,15 @@
-"""Compare the CLI's results under two source trees, byte for byte.
+"""Compare the CLI's results under two source trees, or under two SIMD
+settings, byte for byte.
 
     python tools/cmp_artifacts.py PARENT_SRC CHANGE_SRC
+    python tools/cmp_artifacts.py --simd SRC
 
-PARENT_SRC and CHANGE_SRC hold the ``oscxfer`` package (a checkout's
+PARENT_SRC, CHANGE_SRC and SRC hold the ``oscxfer`` package (a checkout's
 ``src``).  Each line of ``cmp_argv.txt`` beside this script (``#`` starts a
-comment line) is a CLI argv without ``--out``, run under both trees.  The
+comment line) is a CLI argv without ``--out``.  The first form runs it
+under both trees.  The second runs it twice under SRC: once plainly, and
+once with ``NPY_DISABLE_CPU_FEATURES`` naming every CPU feature that numpy
+dispatches to on this CPU, so that numpy runs its baseline kernels.  The
 runs' exit codes, stderr and science artifacts are compared: ``*.csv``,
 ``*report.json``, ``budget.json``, and ``config.json`` without ``out_dir``.
 Prints SAME or DIFF per line, with what differs; exits 1 on any DIFF.
@@ -19,15 +24,26 @@ import tempfile
 from pathlib import Path
 
 
-def run(src: str, argv: list, out: Path) -> dict:
-    """Exit code, stderr and artifacts of one run, keyed by name."""
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
-               PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "oscxfer.cli", *argv, "--out", str(out)],
-        env=env, capture_output=True, text=True)
-    got = {"exit code": proc.returncode,
-           "stderr": proc.stderr.replace(str(out), "OUT")}
+def dispatched_features() -> list:
+    """The CPU features numpy dispatches to and this CPU has (none where
+    ``NPY_DISABLE_CPU_FEATURES`` already turned them off)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(name)]
+
+
+def simd_off() -> dict:
+    """Environment in which numpy runs no dispatched SIMD kernel."""
+    return {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatched_features())}
+
+
+def artifacts(out: Path) -> dict:
+    """The science artifacts under ``out``, keyed by their relative path:
+    bytes, and ``config.json`` as a dict without ``out_dir``."""
+    got = {}
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         name = str(path.relative_to(out))
         if path.name == "config.json":
@@ -38,16 +54,33 @@ def run(src: str, argv: list, out: Path) -> dict:
     return got
 
 
+def run(src, argv: list, out: Path, env=None) -> dict:
+    """Exit code, stderr and artifacts of one run under ``src``, keyed by
+    name, with ``env`` added to this process's environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
+               PYTHONDONTWRITEBYTECODE="1", **(env or {}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscxfer.cli", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True)
+    return {"exit code": proc.returncode,
+            "stderr": proc.stderr.replace(str(out), "OUT"), **artifacts(out)}
+
+
 def main(args: list) -> int:
     if len(args) != 2:
         sys.exit(__doc__)
+    if args[0] == "--simd":
+        sides = [(args[1], {"NPY_DISABLE_CPU_FEATURES": ""}),
+                 (args[1], simd_off())]
+    else:
+        sides = [(src, None) for src in args]
     lines = Path(__file__).with_name("cmp_argv.txt").read_text().splitlines()
     differ = False
     with tempfile.TemporaryDirectory() as tmp:
         for k, line in enumerate(s for s in map(str.strip, lines)
                                  if s and s[0] != "#"):
-            a, b = (run(src, shlex.split(line), Path(tmp, f"{k}{side}"))
-                    for side, src in zip("ab", args))
+            a, b = (run(src, shlex.split(line), Path(tmp, f"{k}{side}"), env)
+                    for side, (src, env) in zip("ab", sides))
             bad = sorted(key for key in a.keys() | b.keys()
                          if a.get(key) != b.get(key))
             differ |= bool(bad)
