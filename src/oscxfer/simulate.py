@@ -42,10 +42,11 @@ stage times and stage values (one (3, m) array each) and the scratch rows
 of the RK4 formulas, all written by ufuncs with ``out=``.  The products
 are taken in place in the output arrays, and the fold writes each A21 over
 its myx*A11.  Blocks of substeps reuse the stage and scratch rows, never
-the map rows they fold into.  A block that allocated its ~50 temporaries
-afresh let glibc trim the heap once they were freed, so the next block
-faulted the same pages in again (about 1000 minor faults per 50k-step
-run); with the workspace the memory of a run is fixed before it starts.
+the map rows they fold into; their width is a scalar, not a row.  A block
+that allocated its ~50 temporaries afresh let glibc trim the heap once
+they were freed, so the next block faulted the same pages in again (about
+1000 minor faults per 50k-step run); with the workspace the memory of a
+run is fixed before it starts.
 
 The receiver's rate is constant, so halving steps on it would only be a
 larger grid done badly: a grid whose (g + gl) * dt exceeds RK4's real-axis
@@ -55,12 +56,14 @@ at step 0, before any work, with the smallest step count that resolves it.
 Steps are halved adaptively whenever ``(g1 + gl) * h`` exceeds
 :data:`~oscxfer.types.DAMPING_CAP_FACTOR`, which keeps the integrator
 accurate through the near-singular tail of truncated optimal profiles.  The
-few stiff steps get their 2**k substeps evaluated in bounded blocks and
-folded, in substep order, into one map each.  A failure is reported at the
-earliest failing step: a step that 26 halvings cannot make stable, or the
-first non-finite coefficient.  A run whose stiff steps would need more than
-2**22 substeps in all is refused (``ValueError``) before their substeps run;
-steps past 26 halvings, which fail anyway, are not counted.
+few stiff steps run in groups that share a halving count k, so one width
+dt/2**k and one decay map: their substeps are evaluated in bounded blocks
+and each step's 2**k are folded, in substep order, into its map.  A failure
+is reported at the earliest failing step: a step that 26 halvings cannot
+make stable, or the first non-finite coefficient.  A run whose stiff steps
+would need more than 2**22 substeps in all is refused (``ValueError``)
+before their substeps run; steps past 26 halvings, which fail anyway, are
+not counted.
 
 A column born at t_j reaches t_i through the maps of steps j..i-1, and
 every channel's column moves by the same maps, so the commutator sum rules
@@ -108,10 +111,10 @@ _MAX_HALVINGS = 26
 _MAX_SUBSTEPS = 2**22
 _BLOCK = 8192  # macro steps, or substeps, evaluated as one array
 # workspace rows of a block of macro steps (three stage values and six
-# scratch rows, after its three map rows) and of a block of substeps (three
-# stage values; h, h/2 and h/6; two map rows; six scratch rows)
+# scratch rows, after its three map rows) and of a block of substeps of one
+# width (three stage values, two map rows and six scratch rows)
 _STEP_ROWS = 9
-_SUBSTEP_ROWS = 14
+_SUBSTEP_ROWS = 11
 
 
 class IntegrationError(RuntimeError):
@@ -162,11 +165,11 @@ def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h,
     """RK4 steps of x' = -(g1+gl) x, y' = -beta y + root*sqrt(g1) x.
 
     ``a0``, ``am`` and ``a1`` hold g1 at each step's start, middle and end
-    stage; ``h`` is ``(h, h/2, h/6)`` for step width h, scalars or one row
-    each.  Writes the maps' mxx and myx into the rows ``out``, with
-    x_new = mxx*x and y_new = myx*x + myy*y; myy is :func:`_decay`, the
-    same for every step of one width.  ``root`` carries the constant factor
-    2*sqrt(eta*g), so the cross term is root*sqrt(g1(t)).
+    stage; ``h`` is the scalars ``(h, h/2, h/6)`` for step width h.  Writes
+    the maps' mxx and myx into the rows ``out``, with x_new = mxx*x and
+    y_new = myx*x + myy*y; myy is :func:`_decay`, the same for every step
+    of one width.  ``root`` carries the constant factor 2*sqrt(eta*g), so
+    the cross term is root*sqrt(g1(t)).
 
     Every stage formula runs as one ufunc per operation, in the order a
     single step would use, so the rows hold a scalar step's bits.  The
@@ -242,12 +245,11 @@ def _halvings(rate: np.ndarray, dt: float) -> np.ndarray:
     A count above ``_MAX_HALVINGS`` marks a step too stiff to substep.
     """
     k = np.zeros(rate.shape, dtype=np.intp)
-    h = np.full(rate.shape, dt)
-    todo = rate * h > DAMPING_CAP_FACTOR
+    todo = rate * dt > DAMPING_CAP_FACTOR
     while todo.any():
-        k[todo] += 1
-        h[todo] = dt / 2.0 ** k[todo]
-        todo &= (rate * h > DAMPING_CAP_FACTOR) & (k <= _MAX_HALVINGS)
+        k += todo
+        todo &= ((rate * (dt / 2.0 ** k) > DAMPING_CAP_FACTOR)
+                 & (k <= _MAX_HALVINGS))
     return k
 
 
@@ -283,8 +285,8 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
 
     Memory: 24 B per node for a11, a21 and a22, 16 B more per node with
     kernel tracking for d1 and d2, plus the workspace, fixed before the
-    run starts: (3 min(n, 8192) + 14 * 8192) doubles and 8192 offsets,
-    1.2 MB from 8192 steps on.  A lossless run peaks at 1.24 MB above its
+    run starts: (3 min(n, 8192) + 11 * 8192) doubles and 8192 offsets,
+    0.98 MB from 8192 steps on.  A lossless run peaks at 1.04 MB above its
     three arrays from 1e4 to 1e6 steps; kernel tracking's per-block births
     add 0.35 MB.
     """
@@ -305,6 +307,9 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
             n_min = math.ceil(need)
             # dt = T / n_min can round up past the edge
             n_min += beta * (grid.t_end / n_min) > STABILITY_EDGE
+            if n_min > 2**53:  # its last digits are float noise
+                scale = 10 ** (len(str(n_min)) - 4)  # round up to 4 digits
+                n_min = f"{-(-n_min // scale) * scale:.4g}"
             hint = f"the grid needs at least {n_min} steps"
         else:
             hint = "the grid would need more than 1e308 steps"
@@ -319,11 +324,11 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
     # grid scale, and one wrong stage value per cell costs an order of
     # accuracy.
     cells = None
-    if c.kind is ProfileKind.SAMPLED_GRID and c.grid is not None:
+    if c.kind is ProfileKind.SAMPLED_GRID:
         pg = c.grid
         if (pg.n_steps <= n and n % pg.n_steps == 0
                 and math.isclose(pg.t_end, grid.t_end, rel_tol=1e-12)):
-            cells, ratio = np.asarray(c.values, dtype=float), n // pg.n_steps
+            cells, ratio = c.values, n // pg.n_steps
 
     # one workspace for the run: each block's arrays are views of it, so no
     # block allocates; rows of a block of substeps reuse the stage rows of
@@ -336,8 +341,9 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
     def stages(i: np.ndarray, h, tmp: np.ndarray, out: np.ndarray):
         """g1 at the start, middle and end stage of (sub)steps of macro
         steps ``i`` (a float row) that start at times ``tmp[0]`` and are
-        ``h = (h, h/2)`` wide, written into the rows ``out``; the six rows
-        ``tmp`` are scratch, and ``i`` may be one of the last three."""
+        ``h = (h, h/2)`` wide (scalars), written into the rows ``out``; the
+        six rows ``tmp`` are scratch, and ``i`` may be one of the last
+        three."""
         times = tmp[:3]
         if cells is not None:
             np.floor_divide(i, ratio, out=times[0])
@@ -355,57 +361,44 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
         profile_values(c, p, times, out=out, work=tmp[3:])
         return out[0], out[1], out[2]
 
-    def halved_maps(steps: np.ndarray, k: np.ndarray, region: np.ndarray):
-        """Maps of macro ``steps`` (floats), halved ``k`` times each: the
-        in-order fold of each step's 2**k substeps, evaluated _BLOCK at a
-        time in the workspace ``region``."""
+    def halved_maps(at: np.ndarray, lo: int, k: int, maps,
+                    region: np.ndarray) -> None:
+        """Maps of the steps ``at`` of the block from macro step ``lo``,
+        each halved ``k`` times: the in-order fold of its 2**k substeps,
+        written into the block's ``maps`` rows.  The substeps run _BLOCK at
+        a time in the workspace ``region``; both counts are powers of two,
+        so a chunk holds whole steps or a part of one."""
         m = 2 ** k
-        ends = np.cumsum(m)
-        starts = ends - m
-        widths = dt / m
-        decays = [_decay(beta, w) for w in widths.tolist()]
-        first_substeps = starts.astype(float)
-        total = int(ends[-1])
-        folded = np.empty((3, steps.size))
-        x, y, z = 1.0, 0.0, 1.0
-        for lo in range(0, total, _BLOCK):
-            q = min(_BLOCK, total - lo)
+        h = dt / m
+        pyy = _decay(beta, h)
+        steps = at + float(lo)
+        total = steps.size * m
+        for s in range(0, total, _BLOCK):
+            q = min(_BLOCK, total - s)
+            per = min(m, q)  # substeps of one step in the chunk
             rows = region[:_SUBSTEP_ROWS * q].reshape(_SUBSTEP_ROWS, q)
-            g, (h, half, sixth) = rows[:3], rows[3:6]
-            maps, tmp = rows[6:8], rows[8:]
-            # the stiff step of each substep counts the step starts up to it
-            first = int(np.searchsorted(ends, lo, side="right"))
-            cuts = starts[first + 1:]
-            cuts = (cuts[cuts < lo + q] - lo).tolist()
-            j = tmp[3].view(np.intp)
-            j.fill(0)
-            j[cuts] = 1
-            np.cumsum(j, out=j)
-            j += first
-            np.take(widths, j, out=h, mode="clip")
-            np.multiply(0.5, h, out=half)
-            np.divide(h, 6.0, out=sixth)
-            i, t, sub = tmp[4], tmp[0], tmp[5]
-            np.take(steps, j, out=i, mode="clip")
-            np.take(first_substeps, j, out=sub, mode="clip")
-            np.add(offsets[:q], lo, out=t)
-            np.subtract(t, sub, out=sub)  # the substep's index in its step
+            g, sub, tmp = rows[:3], rows[3:5], rows[5:]
+            # substep s + r is substep (s + r) % m of step (s + r) // m and
+            # starts at i*dt + ((s + r) % m)*h
+            i, t = tmp[4].reshape(-1, per), tmp[0].reshape(-1, per)
+            part = tmp[5, :per]
+            np.copyto(i, steps[s // m:s // m + q // per, None])
+            np.add(offsets[:per], s % m, out=part)
+            np.multiply(part, h, out=part)
             np.multiply(i, dt, out=t)
-            np.multiply(sub, h, out=sub)
-            np.add(t, sub, out=t)  # its start time
-            _rk4_maps(*stages(i, (h, half), tmp, g), beta, root, gl,
-                      (h, half, sixth), maps, tmp)
-            pxx, pyx = (memoryview(r) for r in maps)
-            for s, (a, b) in enumerate(zip([0, *cuts], [*cuts, q]), first):
-                if lo + a == starts[s]:
+            np.add(t, part, out=t)
+            _rk4_maps(*stages(tmp[4], (h, 0.5 * h), tmp, g), beta, root, gl,
+                      (h, 0.5 * h, h / 6.0), sub, tmp)
+            pxx, pyx = (memoryview(r) for r in sub)
+            for a in range(0, q, per):
+                if (s + a) % m == 0:
                     x, y, z = 1.0, 0.0, 1.0
-                pyy = decays[s]
-                for ax, ay in zip(pxx[a:b], pyx[a:b]):
+                for ax, ay in zip(pxx[a:a + per], pyx[a:a + per]):
                     y = ay * x + pyy * y
                     x = ax * x
                     z = pyy * z
-                folded[:, s] = x, y, z
-        return folded
+                if (s + a + per) % m == 0:
+                    maps[:, at[(s + a) // m]] = x, y, z
 
     a11 = np.empty(n + 1)
     a21 = np.empty(n + 1)
@@ -486,8 +479,9 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                         f"profile needs {substeps} substeps, more than the "
                         f"bound {_MAX_SUBSTEPS} (2**22); its first stiff "
                         f"step is {first_stiff}")
-                mxx[stiff], myx[stiff], myy[stiff] = halved_maps(
-                    stiff + float(lo), k, work[3 * m:])
+                for kk in sorted(set(k.tolist())):  # np.unique loads numpy.ma
+                    halved_maps(stiff[k == kk], lo, kk, maps[:, :end],
+                                work[3 * m:])
 
             # A11 and A22 are running products; A21 = myx*A11 + myy*A21 is
             # folded in step order, as the products it builds on

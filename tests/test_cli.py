@@ -834,6 +834,20 @@ class TestConfigHandling:
             f"the grid needs at least {steps} steps (at step 0)"]
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("flag, value, steps", [
+        ("--gamma-loss", "1e300", "3.591e+299"),
+        ("--gamma", "1e20", "3.591e+19"),
+    ])
+    def test_step_count_past_2_53_is_rounded_up(self, tmp_path, capsys,
+                                                flag, value, steps):
+        # past 2**53 a count's last digits are float noise; the hint shows
+        # 4 significant digits, rounded up so that "at least" still holds
+        code = main(["simulate", flag, value, "--T", "1", "--steps", "10",
+                     "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"the grid needs at least {steps} steps (at step 0)")
+
     def test_coarsest_default_run_exits_0(self, tmp_path):
         # the default T = 5 at the fewest steps: gamma*dt = 0.5
         assert main(["simulate", "--steps", "10",

@@ -273,9 +273,9 @@ def _integration_peak(n):
 
 def test_integrator_memory_is_fixed():
     # besides a11, a21 and a22 (24 B per node) a run holds one workspace,
-    # fixed before it starts: 1.24 MB at both sizes (x86-64, numpy 2.4)
+    # fixed before it starts: 1.04 MB at both sizes (x86-64, numpy 2.4)
     small, large = _integration_peak(100_000), _integration_peak(1_000_000)
-    assert small < 1.4e6
+    assert small < 1.15e6
     assert abs(large - small) <= 0.05 * small
 
 
