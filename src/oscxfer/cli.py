@@ -504,8 +504,11 @@ def _sweep_point(job: tuple) -> tuple[float, float]:
     cfg = dataclasses.replace(cfg, kernels=False, **{_SWEEPABLE[name]: value})
     try:
         p, profile, state = _simulate(cfg)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError among them
         raise ConfigError(f"{name}={value:g}: {exc}") from None
+    except IntegrationError as exc:
+        raise IntegrationError(f"{name}={value:g}: {exc.reason}",
+                               exc.step) from None
     # where simulate's curve ends: its last node, n_steps * dt
     t_end = state.grid.n_steps * state.grid.dt
     return reference_curve(p, profile, t_end), float(state.fidelity)

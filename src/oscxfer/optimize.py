@@ -27,14 +27,6 @@ of every profile by sqrt(eta) exp(-gamma_loss T) (substitute a ->
 exp(-gamma_loss t) a), so they leave the optimum where it is: the sweep
 maximizes the lossless functional, and :func:`functional_value` and
 :func:`functional_gradient` carry the factor.
-
-The sweep is one flat loop with the stage slopes written out inline.
-``tests/test_optimize_oracle.py`` keeps it as per-cell and per-evaluation
-functions (``oracle_sweep``, ``warm_start``, ``stage_argmax``,
-``stage_slopes``) and pins the loop to them bit for bit.  It also keeps the
-former sweep, whose root solves started at the next cell's maximizer
-(``former_sweep``), and pins the loop to it up to round-off: the same zero
-cells, cells within 4 ``_ROOT_RTOL`` and the functional within 1e-15.
 """
 
 from __future__ import annotations
@@ -227,19 +219,24 @@ def optimize_profile(
     cell).  Each Newton step is tested against ``_ROOT_RTOL`` before
     anything else, so a start within round-off of the root costs one
     evaluation; the stage value is flat to second order there, so that
-    evaluation's value stands as the cell's maximum.  Otherwise the slope
-    at the box end is evaluated only when the slope at the start is
-    positive: where it is negative, the root lies below the start, the
-    slope at the box end is negative too, and the bracket starts as
-    [0, top] either way.  Where s has underflowed to 0 the slope is
-    negative on all of (0, top], so the maximizer is 0.  phi and phi'
-    switch to their series where :func:`_phi_pair` does;
-    the second slope only steers Newton steps, and its closed form cancels
-    like eps/z^2, so its series takes over at |z| < 1e-2.
+    evaluation's value stands as the cell's maximum.  Otherwise the slope's
+    sign at the box end is read only where the slope at the start is
+    positive (where it is negative, so is the slope at the box end), and
+    the bracket starts as [0, top].  Where s has underflowed to 0 the slope
+    is negative on all of (0, top], so the maximizer is 0.  The box end and
+    u = 0 are per-run constants, whose phi, phi', exp(-q) and stage value
+    are taken once; every exit of a cell sets its maximizer and stage value
+    where it decides.  phi and phi' switch to their series where
+    :func:`_phi_pair` does; the second slope only steers Newton steps, and
+    its closed form cancels like eps/z^2, so its series takes over at
+    |z| < 1e-2.
 
-    The sweep is interpreter-bound, so it is one loop with no call per cell
-    or per evaluation; ``oracle_sweep`` in the tests is the same sweep as
-    functions, and this loop must match it bit for bit.  At gamma = 1,
+    The sweep is interpreter-bound, so it is one flat loop with the Newton
+    evaluation inline.  ``tests/test_optimize_oracle.py`` keeps it as
+    functions (``oracle_sweep``, ``warm_start``, ``stage_argmax``,
+    ``stage_slopes``) that evaluate the box end in every cell, and pins the
+    loop to them bit for bit, and to the former sweep (``former_sweep``,
+    started at the next cell's maximizer) up to round-off.  At gamma = 1,
     T = 3 on 10 000 cells it spends 1.27 slope evaluations per cell.
 
     Returns the optimal sampled profile and an :class:`OptimizerResult`.
@@ -256,6 +253,19 @@ def optimize_profile(
     decay = math.exp(-a)
     dt2 = 2.0 * dt
     expm1, exp = math.expm1, math.exp
+    # the box end's terms, and the stage value 0 phi(a) + 1 at u = 0 (read
+    # where s = 0, so c = 1), each left inf where its expm1 overflows.
+    # expm1 overflows at top only where it overflows on all of [0, top],
+    # and then the last cell's first evaluation raises before any is read
+    qt = dt * top * top
+    et = exp(-qt)
+    ft = f1t = best0 = math.inf
+    try:
+        ft, f1t = map(float, _phi_pair(np.array(a - qt)))
+        best0 = 0.0 * expm1(a) + 1.0
+    except OverflowError:
+        pass
+    k1, k2 = ft - 2.0 * qt * f1t, dt2 * top * et
 
     u = array("d", [0.0]) * n  # 8 B per cell
     s, c, iterations = 1.0, 0.0, 0
@@ -265,10 +275,10 @@ def optimize_profile(
     n4 = n - 4
     for j in range(n - 1, -1, -1):
         evals = 0
-        best = None
         try:
-            uj = 0.0
-            if s != 0.0:
+            if s == 0.0:
+                uj, best = 0.0, best0
+            else:
                 sdt = s * dt
                 x, lo, hi = u1, 0.0, top
                 if (j < n4 and u1 > 0.0 and u2 > 0.0 and u3 > 0.0
@@ -314,40 +324,21 @@ def optimize_profile(
                         break
                     if d1 > 0.0:
                         if evals == 1:
-                            if x == top:
-                                uj = top
-                                break
-                            # the first slope at the box end, for its sign
-                            q = dt * top * top
-                            z = a - q
-                            az = abs(z)
-                            zz = z * z
-                            m = expm1(z)
-                            f = 1.0 + z / 2.0 + zz / 6.0 if az < 1e-5 else m / z
-                            if az < 1e-4:
-                                f1 = 0.5 + z / 3.0 + zz / 8.0
-                            else:
-                                f1 = 1.0 / z + m * ((z - 1.0) / zz)
-                            evals += 1
-                            e = c * exp(-q)
-                            if s * (f - 2.0 * q * f1) - dt2 * top * e > 0.0:
-                                uj = top
+                            # the slope's sign at the box end, counted as a
+                            # probe unless x is top, where it has d1's bits
+                            evals += x != top
+                            if s * k1 - c * k2 > 0.0:
+                                uj, best = top, s * top * ft + c * et
                                 break
                         lo = x
                     else:
                         hi = x
                     if evals >= _MAX_ROOT_EVALS:
-                        uj = math.nan
+                        uj = best = math.nan
                         break
                     x += step
                     if not lo < x < hi:
                         x = 0.5 * (lo + hi)
-            if best is None:
-                q = dt * uj * uj
-                z = a - q
-                f = (1.0 + z / 2.0 + z * z / 6.0 if abs(z) < 1e-5
-                     else expm1(z) / z)
-                best = s * uj * f + c * exp(-q)
         except OverflowError:
             best = math.inf
         if not 0.0 < best < math.inf:

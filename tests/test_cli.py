@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oscxfer import cli
+from oscxfer import cli, optimize
 from oscxfer.oracles import fidelity_lossy, reference_curve
 from oscxfer.simulate import STABILITY_EDGE
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
@@ -250,6 +250,22 @@ class TestOptimize:
         rep = _read_json(out / "optimize_report.json")
         assert 0.0 < rep["functional"] <= math.sqrt(-math.expm1(-2e-300))
 
+    def test_cell_out_of_evaluations_exits_3(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the root solve's last exit: a cell that runs out of slope
+        # evaluations has a NaN maximizer and stage value
+        monkeypatch.setattr(optimize, "_MAX_ROOT_EVALS", 2)
+        line = "stage value nan is not finite and positive in cell 8"
+        with pytest.raises(FloatingPointError) as exc:
+            optimize.optimize_profile(SystemParams(gamma=1.0,
+                                                   transfer_time=3.0),
+                                      TimeGrid(3.0, 10))
+        assert str(exc.value) == line
+        assert main(["optimize", "--gamma", "1", "--T", "3", "--steps", "10",
+                     "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical failure: {line}"]
+
     def test_removed_iteration_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["optimize", "--max-iters", "5",
@@ -422,6 +438,23 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: eta=1.5: eta must lie in (0, 1]"]
+
+    @pytest.mark.parametrize("spec, flags, line", [
+        ("gamma:1:600:2", ["--T", "1", "--steps", "20"],
+         "numerical failure: gamma=600: receiver too stiff for the grid: "
+         "(gamma + gamma_loss)*dt = 30 exceeds the rk4 stability edge "
+         "2.785; the grid needs at least 216 steps (at step 0)"),
+        ("T:1e-300:2e-300:2", ["--gamma1-max", "1e308", "--steps", "86"],
+         "error: T=1e-300: profile needs 33554474 substeps, more than the "
+         "bound 4194304 (2**22); its first stiff step is 76"),
+    ], ids=["integration-error", "value-error"])
+    def test_point_failure_names_the_point(self, tmp_path, capsys, spec,
+                                           flags, line):
+        # a refusal and a numerical failure at a point both name it
+        code = main(["sweep", "--sweep", spec, *flags,
+                     "--out", str(tmp_path / "x")])
+        assert code == (3 if line.startswith("numerical") else 2)
+        assert capsys.readouterr().err.splitlines() == [line]
 
     @pytest.mark.parametrize("spec", [
         "eta:1.0:0.5:3",      # empty range
@@ -608,6 +641,73 @@ class TestConfigHandling:
                      "--out", str(afile / below)])
         assert code == 2
         assert "error: cannot write output:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, line, exact", [
+        (["simulate", "--config", "{tmp}/missing.json"],
+         "error: cannot read config file: [Errno 2] No such file or "
+         "directory: ", False),
+        (["simulate", "--config", "{tmp}/array.json"],
+         "error: config file must hold a JSON object", True),
+        (["simulate", "--config", "{tmp}/xml.json"],
+         "error: unknown format: 'xml'", True),
+        (["budget", "--config", "{tmp}/ring.json"],
+         "error: unknown topology: 'ring'", True),
+        (["simulate", "--profile", "file:{tmp}/words.csv", "--T", "1",
+          "--steps", "10"],
+         "error: cannot parse profile file '{tmp}/words.csv': ", False),
+        (["simulate", "--profile", "file:{tmp}/times.csv", "--T", "1",
+          "--steps", "10"],
+         "error: profile file needs columns: t, gamma1", True),
+        (["simulate", "--profile", "file:{tmp}/stretched.csv", "--T", "1",
+          "--steps", "10"],
+         "error: profile file times do not match the run grid", True),
+        (["sweep"], "error: sweep subcommand needs --sweep param:lo:hi:n",
+         True),
+        (["budget", "--sender-rlc", "1:2", "--receiver-rlc", "1:1:1"],
+         "error: circuit spec must look like R:L:C", True),
+        (["budget", "--sender-rlc", "a:b:c", "--receiver-rlc", "1:1:1"],
+         "error: bad circuit spec: could not convert string to float: 'a'",
+         True),
+        (["budget", "--sender-rlc=-1:1e-9:1e-12",
+          "--receiver-rlc", "50:1e-9:1e-12"],
+         "error: resistance must be positive and finite", True),
+        (["budget", "--dt-cut", "-1"], "error: dt-cut must be nonnegative",
+         True),
+        (["budget", "--sender-rlc", "10:1e-9:1e-12",
+          "--receiver-rlc", "50:1e-9:1e-12"],
+         "error: circuit validity needs --gamma1-max or a positive --dt-cut",
+         True),
+    ], ids=["config-missing", "config-array", "config-format",
+            "config-topology", "profile-rows", "profile-one-column",
+            "profile-times", "sweep-without-spec", "rlc-two-parts",
+            "rlc-words", "rlc-negative", "budget-negative-cut",
+            "circuits-without-cap"])
+    def test_refusals_exit_2(self, tmp_path, capsys, argv, line, exact):
+        # each input is refused with one error line (after any warnings),
+        # no traceback and no artifact; a refused config file leaves no
+        # output directory, and later refusals leave only config.json.
+        # Where the line quotes an OS or numpy message, its prefix is fixed
+        inputs = {
+            "array.json": "[1, 2]",
+            "xml.json": '{"format": "xml"}',
+            "ring.json": json.dumps({"topology": "ring",
+                                     "sender_rlc": "10:1e-9:1e-12",
+                                     "receiver_rlc": "50:1e-9:1e-12"}),
+            "words.csv": "t,gamma1\n0,a\n1,b\n",
+            "times.csv": "t\n" + "".join(f"{i / 10!r}\n" for i in range(11)),
+            "stretched.csv": "t,gamma1\n" + "".join(
+                f"{1.01 * i / 10!r},1\n" for i in range(11)),
+        }
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "run"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        line = line.format(tmp=tmp_path)
+        assert main([*argv, "--out", str(out)]) == 2
+        *warnings, last = capsys.readouterr().err.splitlines()
+        assert all(w.startswith("warning: ") for w in warnings)
+        assert last == line if exact else last.startswith(line)
+        assert {p.name for p in out.glob("*")} <= {"config.json"}
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
