@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import locale  # build_parser() needs it (argparse gettext): load it at import
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -524,8 +524,12 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    with ProcessPoolExecutor(max_workers=min(n, cpus)) as pool:
-        rows = list(pool.map(_sweep_point, [(cfg, name, v) for v in points]))
+    workers = min(n, cpus)
+    # imported here, not at module level: only sweep needs its 29 modules
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(_sweep_point, [(cfg, name, v) for v in points],
+                             chunksize=max(1, n // (4 * workers))))
 
     table = [(value, analytic, simulated, abs(simulated - analytic))
              for value, (analytic, simulated) in zip(points, rows)]

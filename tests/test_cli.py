@@ -2,13 +2,17 @@
 
 import argparse
 import ast
+import concurrent.futures
 import csv
 import dataclasses
 import importlib.util
 import inspect
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -396,12 +400,13 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        # cmd_sweep imports the pool when it runs
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         assert main(["sweep", "--sweep", "T:1:3:4", "--steps", "100",
                      "--out", str(tmp_path)]) == 0
         assert seen == [1]
@@ -447,10 +452,18 @@ class TestSweep:
         ("T:1e-300:2e-300:2", ["--gamma1-max", "1e308", "--steps", "86"],
          "error: T=1e-300: profile needs 33554474 substeps, more than the "
          "bound 4194304 (2**22); its first stiff step is 76"),
-    ], ids=["integration-error", "value-error"])
-    def test_point_failure_names_the_point(self, tmp_path, capsys, spec,
-                                           flags, line):
-        # a refusal and a numerical failure at a point both name it
+        ("gamma:1:600:20", ["--T", "1", "--steps", "20"],
+         "numerical failure: gamma=64.0526: receiver too stiff for the grid: "
+         "(gamma + gamma_loss)*dt = 3.20263 exceeds the rk4 stability edge "
+         "2.785; the grid needs at least 23 steps (at step 0)"),
+    ], ids=["integration-error", "value-error", "chunked"])
+    def test_point_failure_names_the_point(self, tmp_path, capsys,
+                                           monkeypatch, spec, flags, line):
+        # a refusal and a numerical failure at a point both name it; on two
+        # CPUs the 20-point sweep goes out in chunks of 2, and every point
+        # from the third on fails, so the first failing point is named
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         code = main(["sweep", "--sweep", spec, *flags,
                      "--out", str(tmp_path / "x")])
         assert code == (3 if line.startswith("numerical") else 2)
@@ -1107,6 +1120,32 @@ def test_science_artifacts_do_not_depend_on_simd(tmp_path, capsys):
                 **tool.artifacts(here)}
         assert tool.run(src, argv, tmp_path / f"{k}-off",
                         tool.simd_off()) == want, line
+
+
+_STARTUP_PROBE = """
+import sys
+import oscxfer.cli as cli
+
+print(sorted({"concurrent.futures.process", "multiprocessing"}
+             & set(sys.modules)))
+for argv in (["simulate", "--steps", "10", "--kernels"],
+             ["optimize", "--steps", "10"], ["budget", "--dt-cut", "1e-3"]):
+    before = set(sys.modules)
+    assert cli.main([*argv, "--out", sys.argv[1] + "/" + argv[0]]) == 0
+    print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_commands_other_than_sweep_import_nothing(tmp_path):
+    # in a fresh interpreter: importing the CLI loads no process pool, and
+    # no simulate, optimize or budget run pays for an import
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"] * 4
 
 
 def test_help_exits_cleanly():

@@ -12,11 +12,14 @@ once with ``NPY_DISABLE_CPU_FEATURES`` naming every CPU feature that numpy
 dispatches to on this CPU, so that numpy runs its baseline kernels.  The
 runs' exit codes, stderr and science artifacts are compared: ``*.csv``,
 ``*report.json``, ``budget.json``, and ``config.json`` without ``out_dir``.
-Prints SAME or DIFF per line, with what differs; exits 1 on any DIFF.
+Prints a ``#`` line naming the platform first (the bytes hold only across
+hosts that match it), then SAME or DIFF per line, with what differs; exits
+1 on any DIFF.
 """
 
 import json
 import os
+import platform
 import shlex
 import subprocess
 import sys
@@ -24,15 +27,34 @@ import tempfile
 from pathlib import Path
 
 
-def dispatched_features() -> list:
-    """The CPU features numpy dispatches to and this CPU has (none where
-    ``NPY_DISABLE_CPU_FEATURES`` already turned them off)."""
+def _umath():
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
         from numpy.core import _multiarray_umath as umath
+    return umath
+
+
+def dispatched_features() -> list:
+    """The CPU features numpy dispatches to and this CPU has (none where
+    ``NPY_DISABLE_CPU_FEATURES`` already turned them off)."""
+    umath = _umath()
     return [name for name in umath.__cpu_dispatch__
             if umath.__cpu_features__.get(name)]
+
+
+def platform_line() -> str:
+    """The versions the bytes depend on, and whether numpy reports FMA3:
+    glibc runs FMA variants of ``exp`` and ``expm1`` where the CPU has it,
+    and they round some arguments differently."""
+    import numpy
+
+    libc, version = platform.libc_ver()
+    fma = "yes" if _umath().__cpu_features__.get("FMA3") else "no"
+    return "  ".join(["# python " + platform.python_version(),
+                      "numpy " + numpy.__version__,
+                      f"{libc or 'libc'} {version or 'unknown'}",
+                      "FMA3 " + fma])
 
 
 def simd_off() -> dict:
@@ -76,6 +98,7 @@ def main(args: list) -> int:
         sides = [(src, None) for src in args]
     lines = Path(__file__).with_name("cmp_argv.txt").read_text().splitlines()
     differ = False
+    print(platform_line(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for k, line in enumerate(s for s in map(str.strip, lines)
                                  if s and s[0] != "#"):
