@@ -524,12 +524,10 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(n, cpus)
     # imported here, not at module level: only sweep needs its 29 modules
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(_sweep_point, [(cfg, name, v) for v in points],
-                             chunksize=max(1, n // (4 * workers))))
+    with ProcessPoolExecutor(max_workers=min(n, cpus)) as pool:
+        rows = list(pool.map(_sweep_point, [(cfg, name, v) for v in points]))
 
     table = [(value, analytic, simulated, abs(simulated - analytic))
              for value, (analytic, simulated) in zip(points, rows)]

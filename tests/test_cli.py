@@ -400,7 +400,7 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs, chunksize=1):
+            def map(self, fn, jobs):
                 return map(fn, jobs)
 
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0},
@@ -452,18 +452,10 @@ class TestSweep:
         ("T:1e-300:2e-300:2", ["--gamma1-max", "1e308", "--steps", "86"],
          "error: T=1e-300: profile needs 33554474 substeps, more than the "
          "bound 4194304 (2**22); its first stiff step is 76"),
-        ("gamma:1:600:20", ["--T", "1", "--steps", "20"],
-         "numerical failure: gamma=64.0526: receiver too stiff for the grid: "
-         "(gamma + gamma_loss)*dt = 3.20263 exceeds the rk4 stability edge "
-         "2.785; the grid needs at least 23 steps (at step 0)"),
-    ], ids=["integration-error", "value-error", "chunked"])
-    def test_point_failure_names_the_point(self, tmp_path, capsys,
-                                           monkeypatch, spec, flags, line):
-        # a refusal and a numerical failure at a point both name it; on two
-        # CPUs the 20-point sweep goes out in chunks of 2, and every point
-        # from the third on fails, so the first failing point is named
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
+    ], ids=["integration-error", "value-error"])
+    def test_point_failure_names_the_point(self, tmp_path, capsys, spec,
+                                           flags, line):
+        # a refusal and a numerical failure at a point both name it
         code = main(["sweep", "--sweep", spec, *flags,
                      "--out", str(tmp_path / "x")])
         assert code == (3 if line.startswith("numerical") else 2)
