@@ -1,12 +1,12 @@
 """Command-line front end: simulate, optimize, sweep, and budget workflows.
 
-Each subcommand reads its configuration from flags and/or a JSON config file
-(flags override file values override defaults), echoes the effective
-configuration into the output directory for reproducibility, and writes
-plot-ready CSV plus JSON reports.  ``simulate`` and every ``sweep`` point
-run the same code and compare against the same closed form,
-:func:`oscxfer.oracles.reference_curve`.  Exit codes: 0 success, 2 invalid
-configuration, 3 numerical failure.
+Each subcommand takes only the options it reads (``_OPTIONS``), from flags
+and/or a JSON config file (flags override file values override defaults),
+echoes the effective configuration into the output directory for
+reproducibility, and writes plot-ready CSV plus JSON reports.  ``simulate``
+and every ``sweep`` point run the same code and compare against the same
+closed form, :func:`oscxfer.oracles.reference_curve`.  Exit codes: 0
+success, 2 invalid configuration, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Flattened run configuration shared by all subcommands."""
+    """Flattened run configuration; a subcommand sets the fields it reads."""
 
     gamma: float = 1.0
     gamma_loss: float = 0.0
@@ -74,6 +74,43 @@ class RunConfig:
     topology: str = "series"
     out_dir: str = "oscxfer-out"
     format: str = "both"
+
+
+# (group, flag, dest, argparse kwargs) of every option; a command takes the
+# groups _READS gives it, as flags and as config keys (RunConfig fields).
+_OPTIONS = (
+    ("run", "--config", "config", dict(help="JSON config file (flags override it)")),
+    ("run", "--out", "out_dir", dict(help="output directory")),
+    ("physics", "--gamma", "gamma", dict(type=float, help="receiver coupling rate")),
+    ("physics", "--gamma-loss", "gamma_loss",
+     dict(type=float, help="parasitic damping rate of each oscillator")),
+    ("physics", "--eta", "eta", dict(type=float, help="line power transmission")),
+    ("physics", "--T", "transfer_time", dict(type=float, help="protocol duration")),
+    ("physics", "--omega0", "omega0", dict(type=float, help="carrier frequency")),
+    ("physics", "--margin", "margin",
+     dict(type=float, help="scale-separation factor for validity checks")),
+    ("hold", "--dt-cut", "dt_cut", dict(type=float, help="truncation interval before T")),
+    ("hold", "--gamma1-max", "gamma1_max", dict(type=float, help="hold cap of the profile")),
+    ("grid", "--steps", "n_steps", dict(type=int, help="integration grid steps")),
+    ("output", "--format", "format", dict(choices=("csv", "json", "both"))),
+    ("profile", "--profile", "profile", dict(help="constant:<v> | optimal | file:<path>")),
+    ("validity", "--target-fidelity", "target_fidelity", dict(type=float)),
+    ("kernels", "--kernels", "kernels", dict(
+        action="store_const", const=True, help="track noise kernels and check "
+        "the commutator sum rules (O(n) memory, about 16 B per step)")),
+    ("sweep", "--sweep", "sweep",
+     dict(help="param:lo:hi:n over " + "/".join(_SWEEPABLE))),
+    ("circuit", "--sender-rlc", "sender_rlc", dict(help="sender R:L:C (SI units)")),
+    ("circuit", "--receiver-rlc", "receiver_rlc", dict(help="receiver R:L:C (SI units)")),
+    ("circuit", "--topology", "topology", dict(choices=("series", "parallel"))),
+)
+_READS = {
+    "simulate": ("run", "physics", "hold", "grid", "output", "profile",
+                 "validity", "kernels"),
+    "optimize": ("run", "physics", "hold", "grid", "output"),
+    "sweep": ("run", "physics", "hold", "grid", "output", "profile", "sweep"),
+    "budget": ("run", "physics", "hold", "validity", "circuit"),
+}
 
 
 _CSV_BLOCK = 1024  # rows formatted as one array; temporaries stay below 1 MB
@@ -263,7 +300,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, command: str) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -286,6 +323,16 @@ def load_config(path: str) -> dict:
                 and isinstance(value, bool) == (kind == "bool"))):
             raise ConfigError(
                 f"config key {f.name!r} must be {f.type}, not {value!r}")
+    # an unread key may hold its default, as in the command's own config.json
+    reads = {dest for group, _, dest, _ in _OPTIONS if group in _READS[command]}
+    defaults = dataclasses.asdict(RunConfig())
+    unread = sorted(key for key in set(raw) - reads if raw[key] != defaults[key])
+    if unread:
+        raise ConfigError(
+            f"config keys not read by {command}: {', '.join(unread)}")
+    for _, _, key, kwargs in _OPTIONS:
+        if key in raw and raw[key] not in kwargs.get("choices", (raw[key],)):
+            raise ConfigError(f"unknown {key}: {raw[key]!r}")
     return raw
 
 
@@ -293,19 +340,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config-file values, then explicit flags.
 
     Every float must be finite; ``margin`` must also be positive, and
-    ``target_fidelity`` must lie in (0, 1) for every command, whether or
-    not it reads it.
+    ``target_fidelity`` must lie in (0, 1).
     """
     values = {}
-    if getattr(args, "config", None):
-        values.update(load_config(args.config))
+    if args.config:
+        values.update(load_config(args.config, args.command))
     for f in dataclasses.fields(RunConfig):
         flag_val = getattr(args, f.name, None)
         if flag_val is not None:
             values[f.name] = flag_val
     cfg = RunConfig(**values)
-    if cfg.format not in ("csv", "json", "both"):
-        raise ConfigError(f"unknown format: {cfg.format!r}")
     if cfg.n_steps < 10:
         raise ConfigError("steps must be at least 10")
     if not 0.0 < cfg.margin < math.inf:
@@ -339,14 +383,16 @@ def _resolved_dt_cut(cfg: RunConfig, grid: TimeGrid) -> float:
 
 
 def _build_profile(cfg: RunConfig, grid: TimeGrid) -> CouplingProfile:
-    """The run's profile; only the optimal one has a hold window, so only
-    it takes ``--dt-cut`` and ``--gamma1-max``."""
+    """The run's profile; only the optimal one has a hold window and a
+    budget, so only it takes ``--dt-cut``, ``--gamma1-max`` and
+    ``--target-fidelity``."""
     spec = cfg.profile
     if spec != "optimal" and not spec.startswith(("constant:", "file:")):
         raise ConfigError(f"unknown profile {spec!r} (expected constant:<v>, "
                           "optimal, or file:<path>)")
     for flag, value in (("--dt-cut", cfg.dt_cut),
-                        ("--gamma1-max", cfg.gamma1_max)):
+                        ("--gamma1-max", cfg.gamma1_max),
+                        ("--target-fidelity", cfg.target_fidelity)):
         if value is not None and spec != "optimal":
             raise ConfigError(f"{flag} applies only to --profile optimal, "
                               f"not {spec!r}")
@@ -395,6 +441,7 @@ def _simulate(cfg: RunConfig):
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
+    """Integrate the transfer and compare to closed forms."""
     p, profile, state = _simulate(cfg)
 
     times, curve = state.grid.nodes(), state.a21
@@ -437,6 +484,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, out: Path) -> int:
+    """Optimal coupling profile on the grid."""
     p = _build_params(cfg)
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     trunc = _resolved_dt_cut(cfg, grid)
@@ -495,13 +543,9 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
 
 
 def _sweep_point(job: tuple) -> tuple[float, float]:
-    """One sweep evaluation, ``(F_oracle, F_sim)``; runs in a worker process.
-
-    Kernel tracking is off: it only records, so ``F_sim`` is the same
-    without it, and a sweep row has no use for the kernels.
-    """
+    """One sweep evaluation, ``(F_oracle, F_sim)``; runs in a worker process."""
     cfg, name, value = job
-    cfg = dataclasses.replace(cfg, kernels=False, **{_SWEEPABLE[name]: value})
+    cfg = dataclasses.replace(cfg, **{_SWEEPABLE[name]: value})
     try:
         p, profile, state = _simulate(cfg)
     except ValueError as exc:  # ConfigError among them
@@ -515,6 +559,7 @@ def _sweep_point(job: tuple) -> tuple[float, float]:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
+    """Sweep one parameter, one row per point."""
     if not cfg.sweep:
         raise ConfigError("sweep subcommand needs --sweep param:lo:hi:n")
     name, lo, hi, n = _parse_sweep(cfg.sweep)
@@ -526,8 +571,17 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         cpus = os.cpu_count() or 1
     # imported here, not at module level: only sweep needs its 29 modules
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    rows = []
     with ProcessPoolExecutor(max_workers=min(n, cpus)) as pool:
-        rows = list(pool.map(_sweep_point, [(cfg, name, v) for v in points]))
+        try:
+            for row in pool.map(_sweep_point, [(cfg, name, v) for v in points]):
+                rows.append(row)
+        except BrokenProcessPool:
+            left = ", ".join(f"{name}={v:g}" for v in points[len(rows):])
+            raise ConfigError(
+                "a sweep worker ended without a result (killed by a signal or "
+                f"out of memory); no result for {left}") from None
 
     table = [(value, analytic, simulated, abs(simulated - analytic))
              for value, (analytic, simulated) in zip(points, rows)]
@@ -554,9 +608,7 @@ def _parse_rlc(spec: str, topology: str) -> CircuitSpec:
     except ValueError as exc:
         raise ConfigError(f"bad circuit spec: {exc}") from exc
     topo = {"series": Topology.SERIES_LC,
-            "parallel": Topology.PARALLEL_LC}.get(topology)
-    if topo is None:
-        raise ConfigError(f"unknown topology: {topology!r}")
+            "parallel": Topology.PARALLEL_LC}[topology]
     try:
         return CircuitSpec(topology=topo, resistance=r, inductance=l,
                            capacitance=c)
@@ -565,6 +617,7 @@ def _parse_rlc(spec: str, topology: str) -> CircuitSpec:
 
 
 def cmd_budget(cfg: RunConfig, out: Path) -> int:
+    """Analytic infidelity budget and validity."""
     dt_cut = cfg.dt_cut if cfg.dt_cut is not None else 0.0
     if dt_cut < 0:
         raise ConfigError("dt-cut must be nonnegative")
@@ -604,60 +657,16 @@ def cmd_budget(cfg: RunConfig, out: Path) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file (flags override it)")
-    common.add_argument("--out", dest="out_dir", help="output directory")
-    common.add_argument("--gamma", type=float, help="receiver coupling rate")
-    common.add_argument("--gamma-loss", dest="gamma_loss", type=float,
-                        help="parasitic damping rate of each oscillator")
-    common.add_argument("--eta", type=float, help="line power transmission")
-    common.add_argument("--T", dest="transfer_time", type=float,
-                        help="protocol duration")
-    common.add_argument("--omega0", type=float, help="carrier frequency")
-    common.add_argument("--dt-cut", dest="dt_cut", type=float,
-                        help="truncation interval before T")
-    common.add_argument("--gamma1-max", dest="gamma1_max", type=float,
-                        help="hold cap for the coupling profile")
-    common.add_argument("--profile",
-                        help="constant:<v> | optimal | file:<path>")
-    common.add_argument("--steps", dest="n_steps", type=int,
-                        help="integration grid steps")
-    common.add_argument("--kernels", action="store_const", const=True,
-                        default=None,
-                        help="track noise kernels and check the commutator "
-                             "sum rules (O(n) memory, about 16 B per step); "
-                             "sweep ignores it")
-    common.add_argument("--format", choices=("csv", "json", "both"))
-    common.add_argument("--target-fidelity", dest="target_fidelity", type=float)
-    common.add_argument("--margin", type=float,
-                        help="scale-separation factor for validity checks")
-
     parser = argparse.ArgumentParser(
         prog="oscxfer",
         description="cascaded-oscillator state-transfer toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("simulate", parents=[common],
-                   help="integrate the transfer and compare to closed forms")
-
-    sub.add_parser("optimize", parents=[common],
-                   help="optimal coupling profile on the grid (ignores "
-                        "--profile)")
-
-    p_sweep = sub.add_parser("sweep", parents=[common],
-                             help="sweep one parameter, one row per point")
-    p_sweep.add_argument("--sweep", help="param:lo:hi:n over "
-                         + "/".join(_SWEEPABLE))
-
-    p_budget = sub.add_parser("budget", parents=[common],
-                              help="analytic infidelity budget and validity")
-    p_budget.add_argument("--sender-rlc", dest="sender_rlc",
-                          help="sender circuit R:L:C (SI units)")
-    p_budget.add_argument("--receiver-rlc", dest="receiver_rlc",
-                          help="receiver circuit R:L:C (SI units)")
-    p_budget.add_argument("--topology", choices=("series", "parallel"))
-
+    for command, run in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=run.__doc__)
+        for group, flag, dest, kwargs in _OPTIONS:
+            if group in _READS[command]:
+                p_command.add_argument(flag, dest=dest, **kwargs)
     return parser
 
 

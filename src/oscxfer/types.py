@@ -185,7 +185,9 @@ class CouplingProfile:
                 )
             if not np.all(np.isfinite(vals)) or np.any(vals < 0):
                 raise ValueError("profile values must be finite and >= 0")
-            object.__setattr__(self, "values", vals)
+            # a column view, such as a profile file's, would make every
+            # cell lookup a strided gather; the copy keeps every bit
+            object.__setattr__(self, "values", np.ascontiguousarray(vals))
 
     @classmethod
     def constant(cls, gamma1: float) -> "CouplingProfile":
@@ -232,9 +234,7 @@ def _strided_loop(ufunc, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
 def _libm_ufunc(fn):
     """numpy's ufunc for ``fn`` if its strided loop gives ``fn``'s bits on
     509 points of [-40, 40], else None.  Probed once per process."""
-    ufunc = _UFUNCS.get(fn)
-    if ufunc is None:
-        return None
+    ufunc = _UFUNCS[fn]
     probe = np.linspace(-40.0, 40.0, 509)
     want = np.fromiter(map(fn, memoryview(probe)), float, probe.size)
     got = _strided_loop(ufunc, probe, np.empty(probe.size))

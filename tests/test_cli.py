@@ -11,6 +11,7 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
@@ -55,6 +56,40 @@ _EDGE_FLOATS = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e308"]
 # a sweep's end points: NaN, ±inf, 0, a negative value, 1e308, ordinary ones
 _SWEEP_ENDS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308",
                                "0.5", "1", "2.5"])
+
+# every flag, the config key it sets and a value other than the default,
+# written out here rather than read back from cli's option table
+_FLAG_KEYS = {
+    "--config": (None, None), "--out": ("out_dir", "elsewhere"),
+    "--gamma": ("gamma", 2.0), "--gamma-loss": ("gamma_loss", 0.1),
+    "--eta": ("eta", 0.5), "--T": ("transfer_time", 2.0),
+    "--omega0": ("omega0", 1e7), "--margin": ("margin", 5.0),
+    "--dt-cut": ("dt_cut", 0.01), "--gamma1-max": ("gamma1_max", 5.0),
+    "--steps": ("n_steps", 100), "--format": ("format", "json"),
+    "--profile": ("profile", "constant:1"),
+    "--target-fidelity": ("target_fidelity", 0.9),
+    "--kernels": ("kernels", True), "--sweep": ("sweep", "T:1:2:2"),
+    "--sender-rlc": ("sender_rlc", "1:1:1"),
+    "--receiver-rlc": ("receiver_rlc", "1:1:1"),
+    "--topology": ("topology", "parallel"),
+}
+_EVERY_COMMAND = {"--config", "--out", "--gamma", "--gamma-loss", "--eta",
+                  "--T", "--omega0", "--margin", "--dt-cut", "--gamma1-max"}
+# the flags each command takes: those of every command and its own
+_TAKES = {
+    "simulate": _EVERY_COMMAND | {"--steps", "--format", "--profile",
+                                  "--target-fidelity", "--kernels"},
+    "optimize": _EVERY_COMMAND | {"--steps", "--format"},
+    "sweep": _EVERY_COMMAND | {"--steps", "--format", "--profile", "--sweep"},
+    "budget": _EVERY_COMMAND | {"--target-fidelity", "--sender-rlc",
+                                "--receiver-rlc", "--topology"},
+}
+
+
+def _kill_own_worker(job):
+    """A sweep point whose worker process is killed, as the OOM killer
+    would kill it."""
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestSimulate:
@@ -364,27 +399,6 @@ class TestSweep:
         assert float(row["F_sim"]) == rep["fidelity"]
         assert float(row["F_oracle"]) == float(last["F_oracle"])
 
-    def test_point_skips_kernel_tracking(self, tmp_path, monkeypatch):
-        # tracking only records, and a sweep row reads none of it
-        real, seen = cli.integrate_transfer, []
-
-        def spy(c, p, cfg):
-            seen.append(cfg.kernel_tracking)
-            return real(c, p, cfg)
-
-        monkeypatch.setattr(cli, "integrate_transfer", spy)
-        cli._sweep_point((cli.RunConfig(kernels=True, n_steps=200), "T", 2.0))
-        assert seen == [False]
-
-        monkeypatch.undo()
-        tables = []
-        for name, flags in (("plain", []), ("kernels", ["--kernels"])):
-            out = tmp_path / name
-            assert main(["sweep", "--sweep", "T:1:3:2", "--steps", "200",
-                         *flags, "--out", str(out)]) == 0
-            tables.append((out / "sweep.csv").read_bytes())
-        assert tables[0] == tables[1]
-
     def test_pool_fits_the_affinity_mask(self, tmp_path, monkeypatch):
         # a process limited to one CPU gets one worker, however many CPUs
         # the machine has
@@ -407,9 +421,26 @@ class TestSweep:
                             raising=False)
         # cmd_sweep imports the pool when it runs
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        assert main(["sweep", "--sweep", "T:1:3:4", "--steps", "100",
-                     "--out", str(tmp_path)]) == 0
-        assert seen == [1]
+        argv = ["sweep", "--sweep", "T:1:3:4", "--steps", "100",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        # without an affinity mask, every CPU counts
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert main(argv) == 0
+        assert seen == [1, 3]
+
+    def test_lost_worker_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a worker ended by a signal or the OOM killer broke the pool, and
+        # the run ended in a BrokenProcessPool traceback
+        monkeypatch.setattr(cli, "_sweep_point", _kill_own_worker)
+        out = tmp_path / "x"
+        assert main(["sweep", "--sweep", "T:1:2:2", "--steps", "100",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: a sweep worker ended without a result (killed by a signal "
+            "or out of memory); no result for T=1, T=2"]
+        assert [p.name for p in out.iterdir()] == ["config.json"]
 
     def test_grid_overrunning_T_by_one_ulp(self, tmp_path):
         # 100 * (T / 100) lands one ulp past T: the reference curve must
@@ -568,11 +599,7 @@ class TestBudget:
         ["budget", "--dt-cut", "1", "--T", "5", "--target-fidelity", "1.5"],
         ["simulate", "--steps", "10", "--target-fidelity", "2"],
         ["budget", "--dt-cut", "0.01", "--target-fidelity", "2"],
-        # these never read the target, and exited 0
         ["budget", "--target-fidelity", "2"],
-        ["optimize", "--steps", "10", "--target-fidelity", "-1"],
-        ["sweep", "--sweep", "T:1:2:2", "--steps", "10",
-         "--target-fidelity", "5"],
     ])
     def test_explicit_target_out_of_range_exits_2(self, tmp_path, capsys,
                                                   argv):
@@ -765,6 +792,96 @@ class TestConfigHandling:
                  for a in p._actions if a.dest != "help"}
         fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
         assert dests - {"config", "command"} == fields
+        # and by the written-out key sets, every field is read somewhere
+        keys = {c: {_FLAG_KEYS[f][0] for f in flags} - {None}
+                for c, flags in _TAKES.items()}
+        assert {c: len(k) for c, k in keys.items()} == {
+            "simulate": 14, "optimize": 11, "sweep": 13, "budget": 13}
+        assert set().union(*keys.values()) == fields
+
+    @pytest.mark.parametrize("command", sorted(_TAKES))
+    def test_each_command_takes_exactly_its_options(self, tmp_path, command):
+        # every other flag exits 2, and every other config key too unless
+        # it holds its default, as in the command's own config.json
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {s for a in sub.choices[command]._actions
+                 for s in a.option_strings} - {"-h", "--help"}
+        assert flags == _TAKES[command]
+        assert len(flags) == {"simulate": 15, "optimize": 12, "sweep": 14,
+                              "budget": 14}[command]
+        path = tmp_path / "cfg.json"
+        for flag, (key, value) in _FLAG_KEYS.items():
+            if flag not in _TAKES[command]:
+                argv = [command, flag] + ([] if value is True else ["1"])
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 2, flag
+            if key is None:
+                continue
+            path.write_text(json.dumps({key: value}))
+            if flag in _TAKES[command]:
+                assert cli.load_config(str(path), command) == {key: value}
+            else:
+                with pytest.raises(cli.ConfigError) as exc:
+                    cli.load_config(str(path), command)
+                assert str(exc.value) == (
+                    f"config keys not read by {command}: {key}")
+            default = dataclasses.asdict(cli.RunConfig())[key]
+            path.write_text(json.dumps({key: default}))
+            assert cli.load_config(str(path), command) == {key: default}
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["optimize", "--profile", "constant:1"], "--profile constant:1"),
+        (["sweep", "--kernels", "--sweep", "T:1:2:2", "--steps", "100"],
+         "--kernels"),
+        (["budget", "--format", "csv", "--dt-cut", "1e-3"], "--format csv"),
+        (["budget", "--profile", "file:nope.csv"], "--profile file:nope.csv"),
+        (["budget", "--steps", "5"], "--steps 5"),
+        (["optimize", "--steps", "10", "--target-fidelity", "-1"],
+         "--target-fidelity -1"),
+        (["sweep", "--sweep", "T:1:2:2", "--steps", "10",
+          "--target-fidelity", "5"], "--target-fidelity 5"),
+    ], ids=["optimize-profile", "sweep-kernels", "budget-format",
+            "budget-profile", "budget-steps", "optimize-target",
+            "sweep-target"])
+    def test_unread_flag_exits_2(self, tmp_path, capsys, argv, unread):
+        # each of these exited 0 with the flag dropped, except budget
+        # --steps 5, which was refused for a value budget never read
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"oscxfer: error: unrecognized arguments: {unread}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, values, keys", [
+        ("simulate", {"sweep": "T:1:2:2", "sender_rlc": "10:1e-9:1e-12"},
+         "sender_rlc, sweep"),
+        # a sweep point ran without its kernels, whatever the file said
+        ("sweep", {"sweep": "T:1:2:2", "kernels": True}, "kernels"),
+        ("budget", {"format": "csv"}, "format"),
+    ], ids=["simulate-sweep-rlc", "sweep-kernels", "budget-format"])
+    def test_unread_config_key_exits_2(self, tmp_path, capsys, command,
+                                       values, keys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "x"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config keys not read by {command}: {keys}"]
+        assert not out.exists()
+
+    def test_target_needs_the_optimal_profile(self, tmp_path, capsys):
+        # only the optimal profile's budget block reads the target
+        assert main(["simulate", "--profile", "constant:1",
+                     "--target-fidelity", "0.9", "--steps", "100",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --target-fidelity applies only to --profile optimal, "
+            "not 'constant:1'"]
 
     @pytest.mark.parametrize("key, value", [
         ("max_iters", 5000),
@@ -784,8 +901,9 @@ class TestConfigHandling:
     def test_margin_must_be_finite_and_positive(self, tmp_path, capsys,
                                                 command, margin):
         out = tmp_path / "x"
+        steps = ["--steps", "100"] if command == "simulate" else []
         assert main([command, "--margin", margin, "--dt-cut", "1e-3",
-                     "--steps", "100", "--out", str(out)]) == 2
+                     *steps, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: margin must be finite and positive"]
         assert not out.exists()
@@ -801,13 +919,20 @@ class TestConfigHandling:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_nonfinite_flag_exits_2(self, tmp_path, capsys, command, flag,
                                     key, value):
-        # refused before the output directory is made, naming the key
+        # refused before the output directory is made, naming the key, or
+        # by the parser where the command does not take the flag
         out = tmp_path / "x"
         sweep = ["--sweep", "T:1:2:2"] if command == "sweep" else []
-        assert main([command, f"{flag}={value}", *sweep, "--steps", "100",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {key} must be finite, not {float(value)!r}"]
+        steps = ["--steps", "100"] if "--steps" in _TAKES[command] else []
+        argv = [command, f"{flag}={value}", *sweep, *steps, "--out", str(out)]
+        if flag in _TAKES[command]:
+            assert main(argv) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {key} must be finite, not {float(value)!r}"]
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
@@ -836,7 +961,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command, values, steps", [
         ("simulate", {"gamma": "2"}, ["--steps", "100"]),
         ("simulate", {"margin": "x"}, ["--steps", "100"]),
-        ("budget", {"margin": "x"}, ["--steps", "100"]),
+        ("budget", {"margin": "x"}, []),
         ("simulate", {"n_steps": 100.5}, []),
         ("simulate", {"kernels": "no"}, ["--steps", "100"]),
         ("simulate", {"gamma": True}, ["--steps", "100"]),
@@ -1070,17 +1195,24 @@ def test_imports_only_public_names():
 
 def test_cmp_argv_lines_parse():
     # tools/cmp_artifacts.py runs each line under two source trees; a line
-    # that no longer parses would compare two identical usage errors
+    # that no longer parses would compare two identical usage errors.  The
+    # lines under the "refused:" comment must stay refused
     path = Path(__file__).parents[1] / "tools" / "cmp_argv.txt"
-    lines = [s for s in map(str.strip, path.read_text().splitlines())
-             if s and s[0] != "#"]
-    assert lines
     parser = cli.build_parser()
-    for line in lines:
-        try:
-            parser.parse_args(shlex.split(line))
-        except SystemExit:
-            pytest.fail(f"cmp_argv.txt line does not parse: {line}")
+    parsed, refused = [], []
+    section = None
+    for line in map(str.strip, path.read_text().splitlines()):
+        if line.startswith("#"):
+            section = line
+        elif line:
+            try:
+                parser.parse_args(shlex.split(line))
+                parsed.append(line)
+            except SystemExit:
+                refused.append(line)
+            want = section == "# refused: a flag the command does not read"
+            assert (line in refused) == want, line
+    assert parsed and refused
 
 
 def _cmp_tool():

@@ -155,6 +155,16 @@ class TestCouplingProfile:
         t = 9999 * (3.0 / 10_000)   # floating reconstruction of node 9999
         assert profile_values(c, p, t) == 9999.0
 
+    def test_sampled_values_are_contiguous(self):
+        # a profile file's column was kept as loadtxt's strided view, which
+        # made each cell lookup a strided gather and kept all four columns
+        grid = TimeGrid(1.0, 4)
+        data = np.column_stack([grid.nodes(), [0.1, 0.2, 0.3, 0.4, 0.5],
+                                np.full(5, np.pi), np.full(5, np.e)])
+        c = CouplingProfile.sampled(grid, data[:, 1])
+        assert c.values.flags.c_contiguous
+        assert c.values.tobytes() == data[:, 1].tobytes()
+
     def test_sampled_length_mismatch(self):
         grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
