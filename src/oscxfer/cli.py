@@ -558,8 +558,96 @@ def _sweep_point(job: tuple) -> tuple[float, float]:
     return reference_curve(p, profile, t_end), float(state.fidelity)
 
 
+def _attempt(job: tuple) -> tuple:
+    """``(True, row)`` of one sweep point, or ``(False, error)``."""
+    try:
+        return True, _sweep_point(job)
+    except Exception as exc:
+        return False, exc
+
+
+def _sweep_rows(jobs: list, workers: int) -> list:
+    """Each job's ``_sweep_point`` row, in job order, from ``workers``
+    forked children, or from this process without ``os.fork``.  A child
+    answers each 8-byte point index on its pipe with an 8-byte length and
+    the pickle of :func:`_attempt`, and gets the next index as soon as its
+    answer is back.  No point starts after one fails or a child is lost;
+    the earliest point without a row decides what is raised.
+    """
+    import pickle
+    import select
+
+    outcomes, todo = [None] * len(jobs), list(range(len(jobs)))[::-1]
+    children, busy = {}, {}  # by result pipe: (pid, job pipe, reader); index
+    sys.stdout.flush()  # else a child's line-buffered stderr repeats them
+    sys.stderr.flush()
+    try:
+        for _ in range(workers if hasattr(os, "fork") else 0):
+            job_r, job_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a child leaves only through os._exit
+                try:
+                    # the parent's ends: a child's death must end its pipes
+                    for fd in (job_w, result_r, *children,
+                               *(c[1] for c in children.values())):
+                        os.close(fd)
+                    indices, answers = open(job_r, "rb"), open(result_w, "wb")
+                    while index := indices.read(8):
+                        data = pickle.dumps(
+                            _attempt(jobs[int.from_bytes(index, "little")]))
+                        answers.write(len(data).to_bytes(8, "little") + data)
+                        answers.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(job_r)
+            os.close(result_w)
+            children[result_r] = pid, job_w, open(result_r, "rb")
+        poller = select.poll() if children else None  # Windows has neither
+        idle = list(children)
+        while todo and idle or busy:
+            while todo and idle:
+                fd = idle.pop()
+                busy[fd] = todo.pop()
+                poller.register(fd, select.POLLIN)
+                try:
+                    os.write(children[fd][1], busy[fd].to_bytes(8, "little"))
+                except BrokenPipeError:  # the child is gone: its pipe ends
+                    pass
+            for fd, _ in poller.poll():
+                poller.unregister(fd)
+                index, answer = busy.pop(fd), children[fd][2]
+                size = int.from_bytes(head := answer.read(8), "little")
+                if len(head) == 8 and len(data := answer.read(size)) == size:
+                    outcomes[index] = pickle.loads(data)
+                if outcomes[index] is None or not outcomes[index][0]:
+                    todo.clear()
+                idle.append(fd)
+        while todo:  # no os.fork: this process runs the points
+            index = todo.pop()
+            outcomes[index] = _attempt(jobs[index])
+            if not outcomes[index][0]:
+                todo.clear()
+    finally:
+        for pid, job_w, answer in children.values():
+            os.close(job_w)  # an idle child reads the end and exits
+            answer.close()
+            os.waitpid(pid, 0)
+    for outcome in outcomes:
+        if outcome is None:
+            raise ConfigError(
+                "a sweep worker ended without a result (killed by a signal or "
+                "out of memory); no result for " + ", ".join(
+                    f"{name}={value:g}" for (_, name, value), o
+                    in zip(jobs, outcomes) if o is None))
+        if not outcome[0]:
+            raise outcome[1]
+    return [row for _, row in outcomes]
+
+
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    """Sweep one parameter, one row per point."""
+    """Sweep one parameter, one row per point, on one forked worker per CPU."""
     if not cfg.sweep:
         raise ConfigError("sweep subcommand needs --sweep param:lo:hi:n")
     name, lo, hi, n = _parse_sweep(cfg.sweep)
@@ -569,19 +657,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    # imported here, not at module level: only sweep needs its 29 modules
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    rows = []
-    with ProcessPoolExecutor(max_workers=min(n, cpus)) as pool:
-        try:
-            for row in pool.map(_sweep_point, [(cfg, name, v) for v in points]):
-                rows.append(row)
-        except BrokenProcessPool:
-            left = ", ".join(f"{name}={v:g}" for v in points[len(rows):])
-            raise ConfigError(
-                "a sweep worker ended without a result (killed by a signal or "
-                f"out of memory); no result for {left}") from None
+    rows = _sweep_rows([(cfg, name, v) for v in points], min(n, cpus))
 
     table = [(value, analytic, simulated, abs(simulated - analytic))
              for value, (analytic, simulated) in zip(points, rows)]
@@ -656,12 +732,23 @@ def cmd_budget(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """Refuses a flag its command does not take under its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oscxfer",
         description="cascaded-oscillator state-transfer toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
     for command, run in _COMMANDS.items():
         p_command = sub.add_parser(command, help=run.__doc__)
         for group, flag, dest, kwargs in _OPTIONS:

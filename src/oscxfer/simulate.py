@@ -130,8 +130,8 @@ class IntegrationError(RuntimeError):
 
     def __reduce__(self):
         # the default rebuilds from ``args`` (the formatted text alone), which
-        # does not match __init__; sweep workers send this error across
-        # processes, so it has to unpickle intact
+        # does not match __init__; a forked sweep worker pickles this error
+        # back to the parent over a pipe, so it has to unpickle intact
         return (type(self), (self.reason, self.step))
 
 

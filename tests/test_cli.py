@@ -2,7 +2,6 @@
 
 import argparse
 import ast
-import concurrent.futures
 import csv
 import dataclasses
 import importlib.util
@@ -15,6 +14,8 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from oscxfer import cli, optimize
 from oscxfer.oracles import fidelity_lossy, reference_curve
-from oscxfer.simulate import STABILITY_EDGE
+from oscxfer.simulate import STABILITY_EDGE, IntegrationError
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
 
 
@@ -404,23 +405,13 @@ class TestSweep:
         # the machine has
         seen = []
 
-        class Pool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+        def rows(jobs, workers):
+            seen.append(workers)
+            return [cli._sweep_point(job) for job in jobs]
 
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-        # cmd_sweep imports the pool when it runs
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "_sweep_rows", rows)
         argv = ["sweep", "--sweep", "T:1:3:4", "--steps", "100",
                 "--out", str(tmp_path)]
         assert main(argv) == 0
@@ -441,6 +432,69 @@ class TestSweep:
             "error: a sweep worker ended without a result (killed by a signal "
             "or out of memory); no result for T=1, T=2"]
         assert [p.name for p in out.iterdir()] == ["config.json"]
+
+    def test_rows_come_in_point_order(self):
+        # 7 points on 3 workers: each row is the point's own run, bit for bit
+        cfg = cli.RunConfig(n_steps=100)
+        jobs = [(cfg, "T", T) for T in np.linspace(1, 2, 7).tolist()]
+        assert cli._sweep_rows(jobs, 3) == [cli._sweep_point(j) for j in jobs]
+
+    def test_a_slow_point_holds_up_only_itself(self, monkeypatch):
+        # point 0 sleeps; the other worker runs every other point
+        def point(job):
+            if job == 0:
+                time.sleep(1.0)
+            return os.getpid(), job
+
+        monkeypatch.setattr(cli, "_sweep_point", point)
+        rows = cli._sweep_rows(list(range(5)), 2)
+        assert [job for _, job in rows] == list(range(5))
+        pids = [pid for pid, _ in rows]
+        assert pids[0] != pids[1] == pids[2] == pids[3] == pids[4]
+        assert os.getpid() not in pids
+
+    def test_earliest_failure_is_reported(self, tmp_path, capsys,
+                                          monkeypatch):
+        # gamma = 300.5 and 600 both fail; the earlier is named
+        assert main(["sweep", "--sweep", "gamma:1:600:3", "--T", "1",
+                     "--steps", "20", "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: gamma=300.5: ")
+
+        # the earlier point fails last, and with another exit code; no
+        # point starts after a failure
+        def point(job):
+            (tmp_path / str(job)).touch()
+            if job == 0:
+                time.sleep(0.5)
+                raise cli.ConfigError("point 0")
+            raise IntegrationError("point 1", 0)
+
+        monkeypatch.setattr(cli, "_sweep_point", point)
+        with pytest.raises(cli.ConfigError, match="^point 0$"):
+            cli._sweep_rows([0, 1, 2], 2)
+        assert (tmp_path / "1").exists() and not (tmp_path / "2").exists()
+
+    def test_no_worker_or_thread_is_left(self, tmp_path, monkeypatch):
+        argv = ["sweep", "--sweep", "T:1:2:3", "--steps", "100"]
+        assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+        assert main(["sweep", "--sweep", "eta:0.5:1.5:3", "--steps", "100",
+                     "--out", str(tmp_path / "fail")]) == 2
+        monkeypatch.setattr(cli, "_sweep_point", _kill_own_worker)
+        assert main([*argv, "--out", str(tmp_path / "lost")]) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert threading.active_count() == 1
+
+    def test_without_fork_the_same_bytes_come_out(self, tmp_path,
+                                                  monkeypatch):
+        argv = ["sweep", "--sweep", "T:1:2:5", "--steps", "100"]
+        assert main([*argv, "--out", str(tmp_path / "fork")]) == 0
+        monkeypatch.delattr(cli.os, "fork")
+        assert main([*argv, "--out", str(tmp_path / "here")]) == 0
+        for name in ("sweep.csv", "sweep_report.json"):
+            assert ((tmp_path / "fork" / name).read_bytes()
+                    == (tmp_path / "here" / name).read_bytes())
 
     def test_grid_overrunning_T_by_one_ulp(self, tmp_path):
         # 100 * (T / 100) lands one ulp past T: the reference curve must
@@ -853,8 +907,11 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(out)])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            f"oscxfer: error: unrecognized arguments: {unread}")
+        # under the command's own usage line, which lists what it takes
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: oscxfer {argv[0]} [-h] [--config")
+        assert err[-1] == (
+            f"oscxfer {argv[0]}: error: unrecognized arguments: {unread}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, values, keys", [
@@ -1253,23 +1310,25 @@ import oscxfer.cli as cli
 print(sorted({"concurrent.futures.process", "multiprocessing"}
              & set(sys.modules)))
 for argv in (["simulate", "--steps", "10", "--kernels"],
-             ["optimize", "--steps", "10"], ["budget", "--dt-cut", "1e-3"]):
+             ["optimize", "--steps", "10"], ["budget", "--dt-cut", "1e-3"],
+             ["sweep", "--sweep", "T:1:2:3", "--steps", "10"]):
     before = set(sys.modules)
     assert cli.main([*argv, "--out", sys.argv[1] + "/" + argv[0]]) == 0
-    print(sorted(set(sys.modules) - before))
+    print(sorted(set(sys.modules) - before - {"select"}))
 """
 
 
-def test_commands_other_than_sweep_import_nothing(tmp_path):
-    # in a fresh interpreter: importing the CLI loads no process pool, and
-    # no simulate, optimize or budget run pays for an import
+def test_no_command_imports_a_process_pool(tmp_path):
+    # in a fresh interpreter: importing the CLI loads no process pool, no
+    # simulate, optimize or budget run pays for an import, and a sweep
+    # imports only select
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]"] * 4
+    assert proc.stdout.splitlines() == ["[]"] * 5
 
 
 def test_help_exits_cleanly():
