@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .types import (CouplingProfile, SystemParams, TimeGrid, _elementwise,
-                    _loss_factor, profile_values)
+                    _loss_factor, _phi, profile_values)
 
 __all__ = [
     "OptimizerResult",
@@ -81,21 +81,19 @@ def _phi_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """phi(z) = (exp(z) - 1) / z and its derivative phi'(z), in ``z``'s
     shape, from one libm ``expm1`` per element.
 
-    These are the backward sweep's formulas and series cut-offs, so each
-    element has the bits of the sweep's scalar phi and phi': phi takes its
-    series at |z| < 1e-5 and phi' at |z| < 1e-4.  phi' = (exp(z) (z - 1) +
-    1) / z^2 is written 1/z + expm1(z) (z - 1) / z^2, whose cancellation
-    costs ~eps/|z| rather than ~eps/z^2 and which stays finite wherever
-    expm1(z) is.  As ``math.expm1`` does, a z above about 709.78 raises
-    ``OverflowError``.
+    phi is :func:`~oscxfer.types._phi`.  These are the backward sweep's
+    formulas and series cut-offs, so each element has the bits of the
+    sweep's scalar phi and phi': phi takes its series at |z| < 1e-5 and phi'
+    at |z| < 1e-4.  phi' = (exp(z) (z - 1) + 1) / z^2 is written
+    1/z + expm1(z) (z - 1) / z^2, whose cancellation costs ~eps/|z| rather
+    than ~eps/z^2 and which stays finite wherever expm1(z) is.  As
+    ``math.expm1`` does, a z above about 709.78 raises ``OverflowError``.
     """
-    az = np.abs(z)
+    phi, m = _phi(z)
     zz = z * z
-    m = _elementwise(math.expm1, z).reshape(z.shape)
-    # the closed forms divide by z, which the series replace near 0
+    # the closed form divides by z, which the series replaces near 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(az < 1e-5, 1.0 + z / 2.0 + zz / 6.0, m / z)
-        dphi = np.where(az < 1e-4, 0.5 + z / 3.0 + zz / 8.0,
+        dphi = np.where(np.abs(z) < 1e-4, 0.5 + z / 3.0 + zz / 8.0,
                         1.0 / z + m * ((z - 1.0) / zz))
     return phi, dphi
 
@@ -113,7 +111,10 @@ def functional_value(c: CouplingProfile, p: SystemParams, grid: TimeGrid) -> flo
     ``sqrt(eta) exp(-gamma_loss T)``, which is exactly 1.0 when lossless.
     """
     cells = _cell_values(c, p, grid)
-    return _loss_factor(p, grid.t_end) * _functional_from_cells(cells, p, grid)
+    expo, z = _weights(cells, p, grid)
+    w = expo * np.sqrt(cells) * _phi(z)[0]
+    return _loss_factor(p, grid.t_end) * (
+        2.0 * math.sqrt(p.gamma) * grid.dt * float(np.sum(w)))
 
 
 def _weights(cells: np.ndarray, p: SystemParams, grid: TimeGrid):
@@ -123,15 +124,6 @@ def _weights(cells: np.ndarray, p: SystemParams, grid: TimeGrid):
     expo = _elementwise(math.exp, -p.gamma * (grid.t_end - ts) - big_g)
     z = (p.gamma - cells) * dt
     return expo, z
-
-
-def _functional_from_cells(cells: np.ndarray, p: SystemParams,
-                           grid: TimeGrid) -> float:
-    if np.any(cells < 0):
-        raise ValueError("profile must be nonnegative on the grid")
-    expo, z = _weights(cells, p, grid)
-    w = expo * np.sqrt(cells) * _phi_pair(z)[0]
-    return 2.0 * math.sqrt(p.gamma) * grid.dt * float(np.sum(w))
 
 
 def functional_gradient(c: CouplingProfile, p: SystemParams,

@@ -15,7 +15,8 @@ The optimal profile itself is :func:`~oscxfer.types.profile_values` of
 
 All expressions are evaluated in numerically stable forms (``expm1`` /
 ``exp`` of negative arguments) so they hold to round-off over many decades
-of ``gamma*T``.
+of ``gamma*T``.  phi(z) = expm1(z)/z is the optimizer's own,
+:func:`~oscxfer.types._phi`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .types import (
     TimeGrid,
     _elementwise,
     _loss_factor,
+    _phi,
     _shaped,
     profile_values,
 )
@@ -53,11 +55,12 @@ def fidelity_constant_coupling(gamma: float, t: Times,
     """Transfer amplitude for a constant sender coupling ``gamma1``.
 
     ``2*sqrt(gamma*gamma1) * (exp(-gamma1*t) - exp(-gamma*t)) / (gamma - gamma1)``,
-    evaluated in a form that stays smooth through the matched point and
-    finite where ``(gamma - gamma1)*t`` is large.  With the couplings
-    matched (``gamma1`` omitted means ``gamma1 = gamma``) it is
-    ``2*gamma*t*exp(-gamma*t)``, peaking at ``t = 1/gamma`` with value
-    ``2/e``.
+    evaluated as ``2*sqrt(gamma*gamma1) * t * exp(-min(gamma, gamma1)*t) *
+    phi(-|gamma - gamma1|*t)``, since ``exp(-gamma*t) (e^z - 1) =
+    exp(-gamma1*t) (1 - e^-z)``: phi never sees a ``z > 0``, so nothing
+    overflows, and it is smooth through the matched point.  With the
+    couplings matched (``gamma1`` omitted means ``gamma1 = gamma``) it is
+    ``2*gamma*t*exp(-gamma*t)``, peaking at ``t = 1/gamma`` with value ``2/e``.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -66,27 +69,9 @@ def fidelity_constant_coupling(gamma: float, t: Times,
     if gamma1 < 0:
         raise ValueError("gamma1 must be nonnegative")
     ts = np.ravel(np.asarray(t, dtype=float))
-    if gamma1 == 0.0:
-        return _shaped(t, np.zeros(ts.shape))
-    # 2 sqrt(g g1) e^(-g t) * t * phi((g - g1) t),  phi(z) = (e^z - 1)/z
-    z = (gamma - gamma1) * ts
-    small = np.abs(z) < 1e-8
-    # e^(-g t) underflows past g t ~ 709 even where the amplitude does not,
-    # and e^z overflows past z ~ 709 (z <= g t, since g1 >= 0)
-    big = (gamma * ts > 700.0) & (z > 0.0) & ~small
-    mid = ~(small | big)
-    phi = np.ones(ts.shape)
-    zs, zm = z[small], z[mid]
-    phi[small] = 1.0 + zs / 2.0 + zs * zs / 6.0
-    phi[mid] = _elementwise(math.expm1, zm) / zm
-    scale = 2.0 * math.sqrt(gamma * gamma1)
-    out = scale * _elementwise(math.exp, -gamma * ts) * ts * phi
-    # there e^(-g t) (e^z - 1) = e^(-g1 t) (1 - e^(-z)), with no overflow
-    tb, zb = ts[big], z[big]
-    out[big] = (scale * tb * _elementwise(math.exp, -gamma1 * tb)
-                * -_elementwise(math.expm1, -zb) / zb)
-    out[ts == 0.0] = 0.0
-    return _shaped(t, out)
+    return _shaped(t, 2.0 * math.sqrt(gamma * gamma1)
+                   * _elementwise(math.exp, -min(gamma, gamma1) * ts) * ts
+                   * _phi(-abs(gamma - gamma1) * ts)[0])
 
 
 def fidelity_optimal(gamma: float, transfer_time: float, t: Times) -> Times:

@@ -276,6 +276,24 @@ def _elementwise(fn, x: np.ndarray, buf: Optional[np.ndarray] = None
     return out
 
 
+def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi(z) = expm1(z) / z in ``z``'s shape, and the libm ``expm1(z)`` it
+    divides, from one ``expm1`` per element.
+
+    Where |z| < 1e-5, phi is the series 1 + z/2 + z^2/6 instead, formed
+    only there, so a huge |z| elsewhere never meets z^2.  As
+    ``math.expm1`` does, a z above about 709.78 raises ``OverflowError``.
+    """
+    m = _elementwise(math.expm1, z).reshape(z.shape)
+    small = np.abs(z) < 1e-5
+    # the closed form divides by z, which the series replaces near 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.divide(m, z, out=np.empty_like(m))
+    zs = z[small]
+    phi[small] = 1.0 + zs / 2.0 + zs * zs / 6.0
+    return phi, m
+
+
 def _loss_factor(p: SystemParams, ts: Times) -> Times:
     """sqrt(eta) * exp(-gamma_loss*t) at a time or at every time in ``ts``,
     by libm: a float in gives a float out, an array an array of its shape."""

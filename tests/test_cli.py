@@ -749,6 +749,9 @@ class TestConfigHandling:
          "error: profile file times do not match the run grid", True),
         (["sweep"], "error: sweep subcommand needs --sweep param:lo:hi:n",
          True),
+        (["sweep", "--sweep", "omega0:1:2:2"],
+         "error: cannot sweep 'omega0'; choose one of ('T', 'gamma', 'eta', "
+         "'gamma_loss')", True),
         (["budget", "--sender-rlc", "1:2", "--receiver-rlc", "1:1:1"],
          "error: circuit spec must look like R:L:C", True),
         (["budget", "--sender-rlc", "a:b:c", "--receiver-rlc", "1:1:1"],
@@ -765,7 +768,8 @@ class TestConfigHandling:
          True),
     ], ids=["config-missing", "config-array", "config-format",
             "config-topology", "profile-rows", "profile-one-column",
-            "profile-times", "sweep-without-spec", "rlc-two-parts",
+            "profile-times", "sweep-without-spec", "sweep-unknown-param",
+            "rlc-two-parts",
             "rlc-words", "rlc-negative", "budget-negative-cut",
             "circuits-without-cap"])
     def test_refusals_exit_2(self, tmp_path, capsys, argv, line, exact):

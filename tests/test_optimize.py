@@ -13,7 +13,6 @@ import pytest
 
 import test_optimize_oracle as oracle_mod
 from oscxfer.optimize import (
-    _functional_from_cells,
     functional_gradient,
     functional_value,
     optimize_profile,
@@ -107,7 +106,7 @@ class TestAscent:
         assert trace.converged is False
         assert trace.functional == []
         assert np.all(cells == 1.0)
-        assert _functional_from_cells(cells, p, grid) < _dp_value(p, grid)
+        assert oracle_mod.cell_functional(cells, p, grid) < _dp_value(p, grid)
 
     def test_respects_box(self):
         p = SystemParams(gamma=1.0, transfer_time=2.0)
@@ -169,7 +168,7 @@ class TestAscent:
         cells, trace = oracle_mod.ascent_oracle(p, grid, initial=init,
                                                 max_iters=500)
         assert trace.converged
-        f = _functional_from_cells(cells, p, grid)
+        f = oracle_mod.cell_functional(cells, p, grid)
         assert f >= functional_value(init, p, grid) - 1e-15
         assert f <= _dp_value(p, grid) + 1e-13
 

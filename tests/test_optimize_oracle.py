@@ -41,7 +41,6 @@ from oscxfer.optimize import (
     _MAX_ROOT_EVALS,
     _ROOT_RTOL,
     OptimizerResult,
-    _functional_from_cells,
     _phi_pair,
     _projected_gradient_norm,
     _u_gradient,
@@ -53,6 +52,13 @@ from oscxfer.types import CouplingProfile, SystemParams, TimeGrid, profile_value
 FLOOR_FRACTION = 1e-12
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 60
+
+
+def cell_functional(cells, p, grid):
+    """:func:`functional_value` of the grid profile whose cells hold
+    ``cells`` (the last node repeats the last cell)."""
+    values = np.append(cells, cells[-1])
+    return functional_value(CouplingProfile.sampled(grid, values), p, grid)
 
 
 @dataclass
@@ -86,7 +92,7 @@ def ascent_oracle(p, grid, gamma1_max=None, initial=None, max_iters=5000,
     lo, hi = math.sqrt(floor), math.sqrt(cap)
 
     def value(uu):
-        return _functional_from_cells(uu * uu, p, grid)
+        return cell_functional(uu * uu, p, grid)
 
     trace = AscentTrace()
     f_cur = value(u)
@@ -391,7 +397,7 @@ def test_dp_never_below_ascent(gamma, gamma_t, n, cap_factor):
     cap = None if cap_factor is None else cap_factor * gamma
     f_dp, result = _dp(p, grid, cap)
     cells, _ = ascent_oracle(p, grid, cap)
-    f_asc = _functional_from_cells(cells, p, grid)
+    f_asc = cell_functional(cells, p, grid)
     assert f_dp >= f_asc - 1e-13
     assert result.kkt_residual <= 1e-9
     assert result.iterations >= n
@@ -409,7 +415,7 @@ def _assert_agrees(p, grid, cells, result, ref_cells):
     to 1e-15 and a KKT residual of at most 1e-9."""
     assert np.array_equal(cells == 0.0, ref_cells == 0.0)
     assert np.all(np.abs(cells - ref_cells) <= 4.0 * _ROOT_RTOL * ref_cells)
-    f, f_ref = (_functional_from_cells(x, p, grid) for x in (cells, ref_cells))
+    f, f_ref = (cell_functional(x, p, grid) for x in (cells, ref_cells))
     assert abs(f - f_ref) <= 1e-15 * f_ref
     assert result.kkt_residual <= 1e-9
 
@@ -530,7 +536,7 @@ def test_long_horizon_stays_finite(gamma_t):
     f_dp, result = _dp(p, grid)
     start = CouplingProfile.optimal(truncation=grid.dt)
     cells, _ = ascent_oracle(p, grid, initial=start)
-    f_asc = _functional_from_cells(cells, p, grid)
+    f_asc = cell_functional(cells, p, grid)
     assert math.isfinite(f_dp)
     assert f_dp >= f_asc - 1e-13
     assert result.kkt_residual <= 1e-9
@@ -553,7 +559,7 @@ def test_underflowed_stages_take_zero_coupling():
     assert prof.values[9] == result.gamma1_max
     f_dp = functional_value(prof, p, grid)
     cells, _ = ascent_oracle(p, grid)
-    f_asc = _functional_from_cells(cells, p, grid)
+    f_asc = cell_functional(cells, p, grid)
     assert math.isfinite(f_dp)
     assert f_dp >= f_asc - 1e-13
     assert result.kkt_residual <= 1e-9

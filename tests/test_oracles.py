@@ -5,7 +5,9 @@ at 40 digits and frozen; the functions under test use ordinary doubles and
 must land within a few ulp.
 """
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -87,13 +89,34 @@ class TestConstantCoupling:
         (1.0, 0.5, 1401.0, 1.6914548913262670559e-304),
         # (gamma - gamma1)*t = 699.5, but e^(-gamma t) underflows to 0
         (1.0, 0.5, 1399.0, 4.5978510947503608659e-304),
+        # z*z overflows for z = -1e160, so phi's series must not meet it
+        (1e160, 1.0, 1.0, 7.3575888234288464079e-81),
     ])
     def test_large_rate_gap_stays_finite(self, gamma, gamma1, t, expected):
         # (gamma - gamma1)*t > 700, where expm1 of it overflows, or
-        # gamma*t > 700, where e^(-gamma t) loses the product's digits
+        # gamma*t > 700, where e^(-gamma t) loses the product's digits;
+        # RuntimeWarnings are errors here
         got = fidelity_constant_coupling(gamma, t, gamma1)
         assert math.isfinite(got)
         assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("gamma, gamma1, T", [
+        (3e5, 1.0, 1.0), (55.7, 1.0, 1.0), (2.0, 0.02, 10.0),
+        (1.0, 0.5, 1400.0), (1.0, 1.0 - 3e-6, 3.0), (0.3, 5.0, 3.0),
+    ])
+    def test_accurate_against_decimal(self, gamma, gamma1, T):
+        # the textbook difference of exponentials at 60 digits, at the
+        # exact value of every double involved: large rate gaps, gamma*t
+        # past 700, a near-matched pair and gamma1 > gamma, to 1e-15
+        # relative on every node
+        ts = TimeGrid(T, 1000).nodes()
+        got = fidelity_constant_coupling(gamma, ts, gamma1)
+        with decimal.localcontext(decimal.Context(prec=60)):
+            g, g1 = Decimal(gamma), Decimal(gamma1)
+            scale = 2 * (g * g1).sqrt() / (g - g1)
+            for t, a in zip(map(Decimal, ts.tolist()), got.tolist()):
+                want = scale * ((-g1 * t).exp() - (-g * t).exp())
+                assert abs(Decimal(a) - want) <= Decimal("1e-15") * abs(want), t
 
     def test_stable_form_is_continuous_at_its_threshold(self):
         # gamma*t on either side of 700, with e^(-gamma t) still a normal
@@ -170,12 +193,11 @@ class TestOptimalFidelity:
 
 
 def _scalar_constant(gamma, t, gamma1):
-    # the per-point formula the CLI's oracle column was computed with
-    if gamma1 == 0.0 or t == 0.0:
-        return 0.0
-    z = (gamma - gamma1) * t
-    phi = 1.0 + z / 2.0 + z * z / 6.0 if abs(z) < 1e-8 else math.expm1(z) / z
-    return 2.0 * math.sqrt(gamma * gamma1) * math.exp(-gamma * t) * t * phi
+    # the per-point formula the CLI's oracle column is computed with
+    z = -abs(gamma - gamma1) * t
+    phi = 1.0 + z / 2.0 + z * z / 6.0 if abs(z) < 1e-5 else math.expm1(z) / z
+    return (2.0 * math.sqrt(gamma * gamma1) * math.exp(-min(gamma, gamma1) * t)
+            * t * phi)
 
 
 def _scalar_optimal(gamma, T, t):
@@ -189,7 +211,8 @@ class TestCurves:
     formulas bitwise, and each element equals the float-in result."""
 
     @pytest.mark.parametrize("gamma, gamma1", [
-        (1.0, 0.7), (1.0, 1.0), (1.0, 1.0 + 1e-9), (2.0, 0.0), (0.3, 5.0),
+        (1.0, 0.7), (1.0, 1.0), (1.0, 1.0 + 1e-9), (1.0, 1.0 - 3e-6),
+        (2.0, 0.0), (0.3, 5.0),
     ])
     def test_constant_coupling(self, gamma, gamma1):
         ts = TimeGrid(3.0, 5000).nodes()
