@@ -192,8 +192,9 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = np.floor(np.log10(a)).astype(np.intp)
     p = a * _POW[k]            # Dekker: p + e = a * _POW[k] exactly
     a_hi, a_lo = _split(a)
-    e = (((a_hi * _POW_HI[k] - p) + a_hi * _POW_LO[k] + a_lo * _POW_HI[k])
-         + a_lo * _POW_LO[k])
+    pow_hi, pow_lo = _POW_HI[k], _POW_LO[k]
+    e = (((a_hi * pow_hi - p) + a_hi * pow_lo + a_lo * pow_hi)
+         + a_lo * pow_lo)
     e += a * _POW_TAIL[k]
     hi = p + e                 # fast two-sum: hi + lo = p + e exactly
     lo = e - (hi - p)
@@ -218,7 +219,9 @@ def _digits(n: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         groups.append(n // 10 ** e)
         n -= groups[-1] * 10 ** e
     groups.append(n)
-    n_sig = np.maximum.reduce([_SIG[w][g] for w, g in enumerate(groups)])
+    n_sig = _SIG[0][groups[0]]
+    for w in (1, 2, 3):
+        np.maximum(n_sig, _SIG[w][groups[w]], out=n_sig)
     h1 = _GROUP[groups[0]] | _GROUP[groups[1]] << 32
     h2 = _GROUP[groups[2]] | _GROUP[groups[3]] << 32
     return [lead.view(np.uint64) << 8 | h1 << 16, h1 >> 48 | h2 << 16,
@@ -236,12 +239,17 @@ def _format_rows(block: np.ndarray) -> bytearray:
     shift = _SHIFT[k]
     buf = bytearray(24 * x.size)
     out = np.frombuffer(buf, "<u8").reshape(-1, 3)  # stored little-endian
-    carry = 0
-    for w, word in enumerate(words):
-        head = word & _HEAD[w][k]
-        tail = word ^ head
-        head |= tail << shift | carry
-        carry = tail >> (64 - shift)
+    back = 64 - shift
+    for w, tail in enumerate(words):
+        # the head stays; the tail moves up, and its top carries over
+        head = tail & _HEAD[w][k]
+        tail ^= head
+        if w:
+            head |= carry
+        if w < 2:
+            carry = tail >> back
+        tail <<= shift
+        head |= tail
         np.bitwise_xor(head, _PATTERN[w][row], out=out[:, w])
     out[:, 0] |= (x.view(np.uint64) >> 63) * ord("-")
     out[cols - 1::cols, 2] ^= (ord(",") ^ ord("\n")) << 56
@@ -742,18 +750,23 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extra
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every subcommand; only ``command``'s takes
+    its options (every one's when None).  Each ``add_argument`` builds a
+    help formatter, which asks the terminal its size, and a parse reads
+    only the options of the command it names."""
     parser = argparse.ArgumentParser(
         prog="oscxfer",
         description="cascaded-oscillator state-transfer toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_CommandParser)
-    for command, run in _COMMANDS.items():
-        p_command = sub.add_parser(command, help=run.__doc__)
-        for group, flag, dest, kwargs in _OPTIONS:
-            if group in _READS[command]:
-                p_command.add_argument(flag, dest=dest, **kwargs)
+    for name, run in _COMMANDS.items():
+        p_command = sub.add_parser(name, help=run.__doc__)
+        if command in (None, name):
+            for group, flag, dest, kwargs in _OPTIONS:
+                if group in _READS[name]:
+                    p_command.add_argument(flag, dest=dest, **kwargs)
     return parser
 
 
@@ -766,8 +779,11 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no value, so the first command name in
+    # argv is the command parsed
+    command = next((word for word in argv if word in _COMMANDS), None)
+    args = build_parser(command).parse_args(argv)
     cfg = None
     try:
         cfg = resolve_config(args)

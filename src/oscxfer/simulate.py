@@ -287,8 +287,9 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
     kernel tracking for d1 and d2, plus the workspace, fixed before the
     run starts: (3 min(n, 8192) + 11 * 8192) doubles and 8192 offsets,
     0.98 MB from 8192 steps on.  A lossless run peaks at 1.04 MB above its
-    three arrays from 1e4 to 1e6 steps; kernel tracking's per-block births
-    add 0.35 MB.
+    three arrays from 1e4 to 1e6 steps.  Kernel tracking adds two rows of
+    min(n, 8192) doubles for a block's births, 0.13 MB, and no block
+    allocates either way.
     """
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     if c.kind is ProfileKind.OPTIMAL_CLOSED_FORM and c.truncation is None:
@@ -413,22 +414,45 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
         bv = math.sqrt(2.0 * g * (1.0 - eta))
         byy = b2 * b2 + bl * bl + bv * bv
         d1, d2 = np.empty(n + 1), np.empty(n + 1)
+        # each block's births, beside the workspace: blocks of substeps
+        # reuse its stage rows before the births are read
+        born = np.empty((2, width))
 
-        def births(g_nodes: np.ndarray):  # their (xx, xy), summed over channels
-            b1 = np.sqrt(2.0 * g_nodes)
-            return b1 * b1 + bl * bl, b1 * b2
+        def births(bxx: np.ndarray, bxy: np.ndarray) -> None:
+            """The rates g1 in ``bxx`` become the births' (xx, xy), summed
+            over channels, in ``bxx`` and ``bxy``."""
+            np.multiply(2.0, bxx, out=bxx)
+            np.sqrt(bxx, out=bxx)                   # b1
+            np.multiply(bxx, b2, out=bxy)
+            np.multiply(bxx, bxx, out=bxx)
+            np.add(bxx, bl * bl, out=bxx)
 
-        def deficits(at: slice, bxx) -> None:
-            # from the sums in d1 and d2, less the diagonal's half weight
-            d1[at] = 1.0 - (a11[at] ** 2 + dt * (d1[at] - 0.5 * bxx))
-            d2[at] = 1.0 - (a21[at] ** 2 + a22[at] ** 2
-                            + dt * (d2[at] - 0.5 * byy))
+        def deficits(at: slice, bxx: np.ndarray, tmp: np.ndarray) -> None:
+            """From the sums in d1 and d2, less the diagonal's half weight;
+            overwrites ``bxx`` and the two rows ``tmp``."""
+            # d1 = 1 - (a11**2 + dt*(d1 - bxx/2))
+            np.multiply(0.5, bxx, out=bxx)
+            np.subtract(d1[at], bxx, out=bxx)
+            np.multiply(dt, bxx, out=bxx)
+            np.square(a11[at], out=tmp[0])
+            np.add(tmp[0], bxx, out=tmp[0])
+            np.subtract(1.0, tmp[0], out=d1[at])
+            # d2 = 1 - (a21**2 + a22**2 + dt*(d2 - byy/2))
+            np.square(a21[at], out=tmp[0])
+            np.square(a22[at], out=tmp[1])
+            np.add(tmp[0], tmp[1], out=tmp[0])
+            np.subtract(d2[at], 0.5 * byy, out=tmp[1])
+            np.multiply(dt, tmp[1], out=tmp[1])
+            np.add(tmp[0], tmp[1], out=tmp[0])
+            np.subtract(1.0, tmp[0], out=d2[at])
 
         # the column born at t_0 enters at half weight
-        bxx, bxy = births(profile_values(c, p, np.zeros(1)))
+        bxx, bxy = born[:, :1]
+        profile_values(c, p, np.zeros(1), out=bxx)
+        births(bxx, bxy)
         sums = 0.5 * float(bxx[0]), 0.5 * float(bxy[0]), 0.5 * byy
         d1[0], d2[0] = sums[0], sums[2]
-        deficits(slice(0, 1), bxx)
+        deficits(slice(0, 1), bxx, born[:, 1:2])
 
     # every step's myy but a stiff one's
     decay = _decay(beta, dt)
@@ -447,8 +471,10 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                 # node j's rate is step j's start stage g0, read before
                 # blocks of substeps reuse its row; the block's last node
                 # starts the next block, so it is looked up here
-                last = profile_values(c, p, (lo + m) * dt)
-                bxx, bxy = births(np.append(g0[1:], last))
+                bxx, bxy = born[:, :m]
+                bxx[:-1] = g0[1:]
+                bxx[-1] = profile_values(c, p, (lo + m) * dt)
+                births(bxx, bxy)
 
             # the stiffest stage sets the substep
             rate, flag = tmp[0], tmp[1].view(bool)[:m]
@@ -508,7 +534,7 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                 at = slice(lo + 1, hi + 1)
                 sums = _moment_sums((mxx, myx, myy), bxx, bxy, byy, sums,
                                     d1[at], d2[at])
-                deficits(at, bxx)
+                deficits(at, bxx[:end], tmp[:2, :end])
 
     return TransferState(params=p, grid=grid, a11=a11, a21=a21, a22=a22,
                          deficits=(d1, d2) if track else None)

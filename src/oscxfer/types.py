@@ -296,7 +296,12 @@ def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _loss_factor(p: SystemParams, ts: Times) -> Times:
     """sqrt(eta) * exp(-gamma_loss*t) at a time or at every time in ``ts``,
-    by libm: a float in gives a float out, an array an array of its shape."""
+    by libm: a float in gives a float out, an array an array of its shape.
+    Without parasitic damping every exp(-0*t) is 1.0, so the factor is the
+    float sqrt(eta) whatever ``ts``, which scales an amplitude to the same
+    bits."""
+    if p.gamma_loss == 0.0:
+        return math.sqrt(p.eta)
     return math.sqrt(p.eta) * _shaped(
         ts, _elementwise(math.exp, -p.gamma_loss * ts))
 

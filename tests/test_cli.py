@@ -496,6 +496,25 @@ class TestSweep:
             assert ((tmp_path / "fork" / name).read_bytes()
                     == (tmp_path / "here" / name).read_bytes())
 
+    def test_without_fork_a_failing_point_stops_the_sweep(
+            self, tmp_path, capsys, monkeypatch):
+        # the second of three points fails: it is named with its exit code,
+        # and the third never starts
+        started = []
+        point = cli._sweep_point
+
+        def record(job):
+            started.append(job[2])
+            return point(job)
+
+        monkeypatch.delattr(cli.os, "fork")
+        monkeypatch.setattr(cli, "_sweep_point", record)
+        assert main(["sweep", "--sweep", "gamma:1:600:3", "--T", "1",
+                     "--steps", "20", "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: gamma=300.5: receiver too stiff for the grid")
+        assert started == [1.0, 300.5]
+
     def test_grid_overrunning_T_by_one_ulp(self, tmp_path):
         # 100 * (T / 100) lands one ulp past T: the reference curve must
         # take the last node as T rather than refuse it
@@ -890,6 +909,32 @@ class TestConfigHandling:
             path.write_text(json.dumps({key: default}))
             assert cli.load_config(str(path), command) == {key: default}
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--steps", "10"],
+        ["optimize", "--steps", "10"],
+        ["sweep", "--sweep", "T:1:1:1", "--steps", "10"],
+        ["budget"],
+    ], ids=lambda argv: argv[0])
+    def test_a_run_registers_only_its_commands_options(self, tmp_path,
+                                                       monkeypatch, argv):
+        # each add_argument builds a help formatter, so main() registers
+        # the invoked command's options alone; every parser still takes
+        # argparse's own -h
+        added = []
+        add = argparse.ArgumentParser.add_argument
+
+        def record(parser, *flags, **kwargs):
+            added.append(flags)
+            return add(parser, *flags, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 0
+        helps = [f for f in added if f == ("-h", "--help")]
+        # the top-level parser and the four subcommands
+        assert len(helps) == 5
+        assert sorted(f for f in added if f not in helps) == sorted(
+            (flag,) for flag in _TAKES[argv[0]])
+
     @pytest.mark.parametrize("argv, unread", [
         (["optimize", "--profile", "constant:1"], "--profile constant:1"),
         (["sweep", "--kernels", "--sweep", "T:1:2:2", "--steps", "100"],
@@ -1257,7 +1302,8 @@ def test_imports_only_public_names():
 def test_cmp_argv_lines_parse():
     # tools/cmp_artifacts.py runs each line under two source trees; a line
     # that no longer parses would compare two identical usage errors.  The
-    # lines under the "refused:" comment must stay refused
+    # lines under the "refused:" comment must stay refused, and those under
+    # "the parser's own exits" must end in the parser
     path = Path(__file__).parents[1] / "tools" / "cmp_argv.txt"
     parser = cli.build_parser()
     parsed, refused = [], []
@@ -1271,7 +1317,10 @@ def test_cmp_argv_lines_parse():
                 parsed.append(line)
             except SystemExit:
                 refused.append(line)
-            want = section == "# refused: a flag the command does not read"
+            want = section in (
+                "# refused: a flag the command does not read",
+                "# the parser's own exits: help, and a command it does not "
+                "know")
             assert (line in refused) == want, line
     assert parsed and refused
 
@@ -1300,8 +1349,10 @@ def test_science_artifacts_do_not_depend_on_simd(tmp_path, capsys):
             "--eta 0.81 --gamma-loss 0.05 --steps 4000 --kernels"]):
         argv, here = shlex.split(line), tmp_path / f"{k}-here"
         code = cli.main([*argv, "--out", str(here)])
+        printed = capsys.readouterr()
         want = {"exit code": code,
-                "stderr": capsys.readouterr().err.replace(str(here), "OUT"),
+                "stdout": printed.out.replace(str(here), "OUT"),
+                "stderr": printed.err.replace(str(here), "OUT"),
                 **tool.artifacts(here)}
         assert tool.run(src, argv, tmp_path / f"{k}-off",
                         tool.simd_off()) == want, line

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscxfer import types
 from oscxfer.oracles import (
     budget_report,
     euler_lagrange_residual,
@@ -256,6 +257,28 @@ class TestCurves:
         assert type(reference_curve(p, profile, T)) is float
         assert [reference_curve(p, profile, t)
                 for t in ts[::997].tolist()] == got[::997].tolist()
+
+    def test_lossless_curve_runs_no_loss_factor_exp(self, monkeypatch):
+        # without parasitic damping the loss factor is sqrt(eta), so the
+        # curve skips its libm pass and keeps the closed form's bits
+        calls = []
+        elementwise = types._elementwise
+
+        def record(fn, *args, **kwargs):
+            calls.append(fn)
+            return elementwise(fn, *args, **kwargs)
+
+        monkeypatch.setattr(types, "_elementwise", record)
+        T = 3.0
+        ts = TimeGrid(T, 5000).nodes()
+        profile = CouplingProfile.optimal(truncation=0.1)
+        p = SystemParams(gamma=1.0, transfer_time=T)
+        assert np.array_equal(reference_curve(p, profile, ts),
+                              fidelity_optimal(1.0, T, ts))
+        lossy_line = SystemParams(gamma=1.0, transfer_time=T, eta=0.81)
+        assert np.array_equal(reference_curve(lossy_line, profile, ts),
+                              0.9 * fidelity_optimal(1.0, T, ts))
+        assert math.exp not in calls
 
 
 class TestLossyFidelity:

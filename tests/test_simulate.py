@@ -258,17 +258,19 @@ def test_receiver_rate_beyond_any_grid():
                            IntegratorConfig(n_steps=10))
 
 
-def _integration_peak(n):
-    """Peak traced bytes of a lossless n-step run, less its three arrays."""
-    p = SystemParams(gamma=1.0, transfer_time=3.0)
-    c = CouplingProfile.optimal(truncation=3.0 / n)
+def _integration_peak(n, p=SystemParams(gamma=1.0, transfer_time=3.0),
+                      c=None, track=False):
+    """Peak traced bytes of an n-step run, less its output arrays; a
+    lossless run of the optimal profile by default."""
+    c = c or CouplingProfile.optimal(truncation=3.0 / n)
     tracemalloc.start()
     try:
-        integrate_transfer(c, p, IntegratorConfig(n_steps=n))
+        integrate_transfer(c, p, IntegratorConfig(n_steps=n,
+                                                  kernel_tracking=track))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak - 3 * 8 * (n + 1)
+    return peak - (5 if track else 3) * 8 * (n + 1)
 
 
 def test_integrator_memory_is_fixed():
@@ -277,6 +279,19 @@ def test_integrator_memory_is_fixed():
     small, large = _integration_peak(100_000), _integration_peak(1_000_000)
     assert small < 1.15e6
     assert abs(large - small) <= 0.05 * small
+
+
+@pytest.mark.parametrize("n", [100_000, 1_000_000])
+def test_tracked_memory_is_two_rows_more(n):
+    # kernel tracking adds d1 and d2 (16 B per node) and two workspace rows
+    # for a block's births (0.131 MB), with a few kB of interpreter frames;
+    # its deficits use the block's rows, so no block allocates
+    p = SystemParams(gamma=1.0, transfer_time=3.0, eta=0.81, gamma_loss=0.05)
+    c = CouplingProfile.optimal(truncation=0.25, gamma1_max=1.54)
+    # a first run fills numpy's per-process caches, which stay
+    _integration_peak(1000, p, c, track=True)
+    tracked = _integration_peak(n, p, c, track=True)
+    assert tracked - _integration_peak(n, p, c) <= 0.14e6
 
 
 def test_integration_error_survives_pickling():

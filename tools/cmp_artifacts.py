@@ -10,7 +10,7 @@ comment line) is a CLI argv without ``--out``.  The first form runs it
 under both trees.  The second runs it twice under SRC: once plainly, and
 once with ``NPY_DISABLE_CPU_FEATURES`` naming every CPU feature that numpy
 dispatches to on this CPU, so that numpy runs its baseline kernels.  The
-runs' exit codes, stderr and science artifacts are compared: ``*.csv``,
+runs' exit codes, stdout, stderr and science artifacts are compared: ``*.csv``,
 ``*report.json``, ``budget.json``, and ``config.json`` without ``out_dir``.
 Prints a ``#`` line naming the platform first (the bytes hold only across
 hosts that match it), then SAME or DIFF per line, with what differs; exits
@@ -77,14 +77,15 @@ def artifacts(out: Path) -> dict:
 
 
 def run(src, argv: list, out: Path, env=None) -> dict:
-    """Exit code, stderr and artifacts of one run under ``src``, keyed by
-    name, with ``env`` added to this process's environment."""
+    """Exit code, stdout, stderr and artifacts of one run under ``src``,
+    keyed by name, with ``env`` added to this process's environment."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
                PYTHONDONTWRITEBYTECODE="1", **(env or {}))
     proc = subprocess.run(
         [sys.executable, "-m", "oscxfer.cli", *argv, "--out", str(out)],
         env=env, capture_output=True, text=True)
     return {"exit code": proc.returncode,
+            "stdout": proc.stdout.replace(str(out), "OUT"),
             "stderr": proc.stderr.replace(str(out), "OUT"), **artifacts(out)}
 
 
