@@ -12,6 +12,7 @@ success, 2 invalid configuration, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import locale  # build_parser() needs it (argparse gettext): load it at import
@@ -27,7 +28,7 @@ import numpy as np
 from .circuit import CircuitSpec, Topology, carrier_frequency, circuit_to_rates
 from .oracles import budget_report, reference_curve
 from .optimize import functional_value, optimize_profile
-from .simulate import IntegrationError, IntegratorConfig, integrate_transfer
+from .simulate import IntegrationError, IntegratorConfig, integrate_blocks
 from .types import (
     CouplingProfile,
     ProfileKind,
@@ -97,7 +98,7 @@ _OPTIONS = (
     ("validity", "--target-fidelity", "target_fidelity", dict(type=float)),
     ("kernels", "--kernels", "kernels", dict(
         action="store_const", const=True, help="track noise kernels and check "
-        "the commutator sum rules (O(n) memory, about 16 B per step)")),
+        "the commutator sum rules (memory fixed in the step count)")),
     ("sweep", "--sweep", "sweep",
      dict(help="param:lo:hi:n over " + "/".join(_SWEEPABLE))),
     ("circuit", "--sender-rlc", "sender_rlc", dict(help="sender R:L:C (SI units)")),
@@ -293,12 +294,41 @@ def _write_csv(path: Path, header: Sequence[str],
     ``translate`` drops.  The words are stored through a '<u8' array, so a
     big-endian host byte-swaps them in that one store.
     """
-    columns = [np.asarray(col, dtype=float) for col in columns]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            fh.write(_format_rows(np.column_stack(
-                [col[lo:lo + _CSV_BLOCK] for col in columns])))
+        _write_rows(fh, [np.asarray(col, dtype=float) for col in columns])
+
+
+def _write_rows(fh, columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length float columns to ``fh`` as rows of
+    :func:`_write_csv`, one block of rows at a time."""
+    for lo in range(0, len(columns[0]), _CSV_BLOCK):
+        fh.write(_format_rows(np.column_stack(
+            [col[lo:lo + _CSV_BLOCK] for col in columns])))
+
+
+@contextlib.contextmanager
+def _streamed_csv(tables: dict):
+    """Open each CSV of ``tables`` (path -> header), write its header and
+    yield the open files in that order.  Each is written under a
+    temporary name, which becomes its own name only when the ``with``
+    block exits cleanly: a run that fails part way leaves no table."""
+    parts = []
+    try:
+        for path, header in tables.items():
+            part = path.with_name(path.name + ".part")
+            fh = open(part, "wb")
+            parts.append((fh, part, path))
+            fh.write((",".join(header) + "\n").encode())
+        yield [fh for fh, _, _ in parts]
+        for fh, part, path in parts:
+            fh.close()
+            part.replace(path)
+    except BaseException:
+        for fh, part, _ in parts:
+            fh.close()
+            part.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -438,32 +468,55 @@ def _profile_from_file(path: str, grid: TimeGrid) -> CouplingProfile:
 
 
 def _simulate(cfg: RunConfig):
-    """Build the run's params, grid and profile and integrate; returns
-    ``(params, profile, state)``."""
+    """Build the run's params, grid and profile; returns ``(params,
+    profile, grid, blocks)``, with the blocks of
+    :func:`~oscxfer.simulate.integrate_blocks` still to run."""
     p = _build_params(cfg)
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     profile = _build_profile(cfg, grid)
-    state = integrate_transfer(profile, p, IntegratorConfig(
+    blocks = integrate_blocks(profile, p, IntegratorConfig(
         n_steps=cfg.n_steps, kernel_tracking=cfg.kernels))
-    return p, profile, state
+    return p, profile, grid, blocks
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     """Integrate the transfer and compare to closed forms."""
-    p, profile, state = _simulate(cfg)
+    p, profile, grid, blocks = _simulate(cfg)
 
-    times, curve = state.grid.nodes(), state.a21
-    oracle = reference_curve(p, profile, times)
-    abs_err = np.abs(curve - oracle)
+    tables = {}
     if cfg.format in ("csv", "both"):
-        _write_csv(out / "fidelity_curve.csv",
-                   ["t", "F_sim", "F_oracle", "abs_err"],
-                   (times, curve, oracle, abs_err))
+        tables[out / "fidelity_curve.csv"] = ["t", "F_sim", "F_oracle",
+                                              "abs_err"]
+        if cfg.kernels:
+            tables[out / "commutator.csv"] = ["t", "deficit_osc1",
+                                              "deficit_osc2"]
+    # the curve's first maximum, and the deficits' largest magnitudes,
+    # which np.maximum keeps NaN in
+    peak, peak_time, deficit_max = -math.inf, math.nan, -math.inf
+    node = 0  # the block's first node
+    with _streamed_csv(tables) as files:
+        for block in blocks:
+            _, curve, _, *deficits = block
+            j = int(np.argmax(curve))
+            if curve[j] > peak:
+                # node * dt, as grid.nodes() has it
+                peak, peak_time = float(curve[j]), (node + j) * grid.dt
+            if deficits:
+                deficit_max = np.maximum(deficit_max, [
+                    np.max(np.abs(d)) for d in deficits])
+            if files:
+                times = np.arange(node, node + curve.size) * grid.dt
+                oracle = reference_curve(p, profile, times)
+                _write_rows(files[0], (times, curve, oracle,
+                                       np.abs(curve - oracle)))
+                if deficits:
+                    _write_rows(files[1], (times, *deficits))
+            node += curve.size
 
     report = {
-        "fidelity": float(state.fidelity),
-        "peak_fidelity": float(np.max(curve)),
-        "peak_time": float(times[int(np.argmax(curve))]),
+        "fidelity": float(curve[-1]),
+        "peak_fidelity": peak,
+        "peak_time": peak_time,
         "params": {
             "gamma": p.gamma,
             "transfer_time": p.transfer_time,
@@ -478,13 +531,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             target_fidelity=cfg.target_fidelity, margin=cfg.margin)
 
     if cfg.kernels:
-        d1, d2 = state.deficits
-        report["commutator_max"] = [float(np.max(np.abs(d1))),
-                                    float(np.max(np.abs(d2)))]
-        if cfg.format in ("csv", "both"):
-            _write_csv(out / "commutator.csv",
-                       ["t", "deficit_osc1", "deficit_osc2"],
-                       (times, d1, d2))
+        report["commutator_max"] = deficit_max.tolist()
 
     if cfg.format in ("json", "both"):
         _write_json(out / "report.json", report)
@@ -555,15 +602,17 @@ def _sweep_point(job: tuple) -> tuple[float, float]:
     cfg, name, value = job
     cfg = dataclasses.replace(cfg, **{_SWEEPABLE[name]: value})
     try:
-        p, profile, state = _simulate(cfg)
+        p, profile, grid, blocks = _simulate(cfg)
+        for block in blocks:  # of which only the last a21 is kept
+            pass
     except ValueError as exc:  # ConfigError among them
         raise ConfigError(f"{name}={value:g}: {exc}") from None
     except IntegrationError as exc:
         raise IntegrationError(f"{name}={value:g}: {exc.reason}",
                                exc.step) from None
     # where simulate's curve ends: its last node, n_steps * dt
-    t_end = state.grid.n_steps * state.grid.dt
-    return reference_curve(p, profile, t_end), float(state.fidelity)
+    t_end = grid.n_steps * grid.dt
+    return reference_curve(p, profile, t_end), float(block[1, -1])
 
 
 def _attempt(job: tuple) -> tuple:

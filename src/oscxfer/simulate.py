@@ -8,7 +8,7 @@ ODEs for the transfer coefficients
     a22' = -(g + gl) a22
 
 with g the receiver coupling, g1(t) the sender's control profile, gl the
-parasitic damping and eta the line transmission.  :func:`integrate_transfer`
+parasitic damping and eta the line transmission.  :func:`integrate_blocks`
 reads eta and gl from the system parameters; lossless transfer is not a
 separate path but the case eta = 1, gl = 0.
 Noise kernels obey the same pair of equations column by column, each column
@@ -28,25 +28,33 @@ one step map.  The maps are built as arrays, one block of about 8k macro
 steps at a time: the profile is evaluated at every stage time of the block
 at once, and the stage formulas run elementwise in the order a single step
 would use, so the arrays hold the bits of a step-by-step loop.  Then A11
-and A22 are running products (``np.cumprod``, which multiplies in step
-order), and A21, the first-order recurrence A21 <- myx*A11 + myy*A21, is
-folded in step order by one tight scalar loop; an associative scan would
-regroup the products and change the last bits.  myy does not depend on g1:
+and A22 are running products (``np.multiply.accumulate``, which
+multiplies in step order), and A21, the first-order recurrence
+A21 <- myx*A11 + myy*A21, is folded in step order by a scalar list
+comprehension, 1024 steps at a time, whose floats ``struct.pack_into``
+writes into the row at once (a quarter faster than storing each float as
+it comes); an associative scan would regroup the products and change the
+last bits.  myy does not depend on g1:
 it is RK4's decay map of the constant beta = g + gl, one float for every
 step of width dt, so the fold multiplies by that float between the stiff
 steps, which have their own.
 
-Every per-block array is a view of one workspace, allocated once per run
-and sized for the largest block: the block's three map rows, then its
-stage times and stage values (one (3, m) array each) and the scratch rows
-of the RK4 formulas, all written by ufuncs with ``out=``.  The products
-are taken in place in the output arrays, and the fold writes each A21 over
-its myx*A11.  Blocks of substeps reuse the stage and scratch rows, never
-the map rows they fold into; their width is a scalar, not a row.  A block
-that allocated its ~50 temporaries afresh let glibc trim the heap once
-they were freed, so the next block faulted the same pages in again (about
-1000 minor faults per 50k-step run); with the workspace the memory of a
-run is fixed before it starts.
+The run streams: :func:`integrate_blocks` yields each block's nodes,
+a11, a21 and a22 (and d1, d2 with tracking), and keeps of it only the
+last node, which starts the next block.  Every per-block array is a view
+of one workspace, allocated once per run and sized for the largest block:
+the block's three map rows, then its stage times and stage values (one
+(3, m) array each) and the scratch rows of the RK4 formulas, all written
+by ufuncs with ``out=``.  Blocks of substeps reuse the stage and scratch
+rows, never the map rows they fold into; their width is a scalar, not a
+row.  Once a block's maps exist its stage rows are dead, so the rows it
+yields are written over them: the running products are taken there, and
+the fold writes each A21 over its myx*A11.  A block that allocated its ~50
+temporaries afresh let glibc trim the heap once they were freed, so the
+next block faulted the same pages in again (about 1000 minor faults per
+50k-step run); with the workspace the memory of a run is fixed before it
+starts, whatever its length.  :func:`integrate_transfer` collects the
+blocks into whole arrays, for callers that want the curve at once.
 
 The receiver's rate is constant, so halving steps on it would only be a
 larger grid done badly: a grid whose (g + gl) * dt exceeds RK4's real-axis
@@ -73,8 +81,8 @@ every channel's column moves by the same maps, so the commutator sum rules
 
 need only the columns' summed second moments (xx, xy, yy).  With kernel
 tracking the integrator carries them through each block, step by step,
-and keeps only d1 and d2 (16 bytes per step), which hold the xx and yy
-sums until the deficit formulas read them.  The k1 birth at t_j takes g1
+and keeps only the block's d1 and d2 rows, which hold the xx and yy sums
+until the deficit formulas read them.  The k1 birth at t_j takes g1
 from step j's start stage, the same time j*dt and the same cell.
 Trapezoid weights (half on the first node and on the diagonal) keep the
 bias at O(dt^2); no ratio of accumulated maps appears, so the sums stay
@@ -84,7 +92,9 @@ finite at any gamma*T.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from struct import pack_into
 
 import numpy as np
 
@@ -102,6 +112,7 @@ __all__ = [
     "IntegratorConfig",
     "IntegrationError",
     "STABILITY_EDGE",
+    "integrate_blocks",
     "integrate_transfer",
 ]
 
@@ -110,9 +121,11 @@ _MAX_HALVINGS = 26
 # 2-vCPU x86-64 VM; past it the run is refused before their substeps run
 _MAX_SUBSTEPS = 2**22
 _BLOCK = 8192  # macro steps, or substeps, evaluated as one array
+_FOLD = 1024  # steps folded into one list of floats, then packed at once
 # workspace rows of a block of macro steps (three stage values and six
 # scratch rows, after its three map rows) and of a block of substeps of one
-# width (three stage values, two map rows and six scratch rows)
+# width (three stage values, two map rows and six scratch rows); the rows a
+# block yields, five at most, and two scratch rows go over the same 11
 _STEP_ROWS = 9
 _SUBSTEP_ROWS = 11
 
@@ -143,7 +156,7 @@ STABILITY_EDGE = 2.785
 @dataclass(frozen=True)
 class IntegratorConfig:
     n_steps: int = 10_000
-    kernel_tracking: bool = False  # commutator deficits: 16 B per step
+    kernel_tracking: bool = False  # commutator deficits d1 and d2
 
     def __post_init__(self) -> None:
         if self.n_steps < 10:
@@ -261,35 +274,41 @@ def _fold(y: float, b: np.ndarray, decay: float, stiff: list,
     fold = memoryview(b)
     at = 0
     for s, c in zip([*stiff, len(b)], [*own, None]):
-        for j, bj in enumerate(fold[at:s], at):
-            y = bj + decay * y
-            fold[j] = y
+        for lo in range(at, s, _FOLD):
+            hi = min(lo + _FOLD, s)
+            pack_into(f"{hi - lo}d", b, 8 * lo,
+                      *[y := bj + decay * y for bj in fold[lo:hi]])
         if c is not None:
             y = fold[s] + c * y
             fold[s] = y
         at = s + 1
 
 
-def integrate_transfer(c: CouplingProfile, p: SystemParams,
-                       cfg: IntegratorConfig) -> TransferState:
+def integrate_blocks(c: CouplingProfile, p: SystemParams,
+                     cfg: IntegratorConfig) -> Iterator[np.ndarray]:
     """Integrate the cascade with line transmission ``p.eta`` and parasitic
-    damping ``p.gamma_loss``.
+    damping ``p.gamma_loss``, one block of up to 8192 steps at a time.
 
     There is one path for every run: the lossless cascade is the case
     eta = 1, gamma_loss = 0, whose loss births are all zero.
 
-    Returns the transfer coefficients on the grid; ``a21(T)`` is the
-    achieved transfer amplitude.  Enable ``cfg.kernel_tracking`` to also
-    get the commutator sum rules' deficits on the grid, as
-    ``state.deficits``.
+    Yields, per block, the rows (a11, a21, a22) of its nodes as one
+    (3, k) array, with kernel tracking (a11, a21, a22, d1, d2), the
+    commutator sum rules' deficits, as a (5, k) array.  The first block
+    holds nodes 0 to min(n, 8192), each later one the next 8192 nodes at
+    most, so the blocks give every node 0..n once, in order; the last a21
+    is the achieved transfer amplitude a21(T).  A yielded array is a view
+    of the run's workspace and stays valid only until the next block is
+    asked for: copy what must outlive it.  A failing step raises once the
+    blocks before it are yielded.
 
-    Memory: 24 B per node for a11, a21 and a22, 16 B more per node with
-    kernel tracking for d1 and d2, plus the workspace, fixed before the
-    run starts: (3 min(n, 8192) + 11 * 8192) doubles and 8192 offsets,
-    0.98 MB from 8192 steps on.  A lossless run peaks at 1.04 MB above its
-    three arrays from 1e4 to 1e6 steps.  Kernel tracking adds two rows of
-    min(n, 8192) doubles for a block's births, 0.13 MB, and no block
-    allocates either way.
+    Memory: the workspace, fixed before the run starts and whatever its
+    length: (3 min(n, 8192) + 11 * 8192) doubles and 8192 offsets, 0.98 MB
+    from 8192 steps on.  The rows a block yields lie in it, over the
+    block's dead stage rows.  A lossless run peaks at 1.05 MB from 1e5 to
+    1e6 steps (tracemalloc, x86-64, numpy 2.4).  Kernel tracking adds two
+    rows of min(n, 8192) doubles for a block's births, 0.13 MB, and no
+    block allocates either way.
     """
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     if c.kind is ProfileKind.OPTIMAL_CLOSED_FORM and c.truncation is None:
@@ -401,10 +420,8 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                 if (s + a + per) % m == 0:
                     maps[:, at[(s + a) // m]] = x, y, z
 
-    a11 = np.empty(n + 1)
-    a21 = np.empty(n + 1)
-    a22 = np.empty(n + 1)
-    a11[0], a21[0], a22[0] = 1.0, 0.0, 1.0
+    # the node a block starts from: the last one of the block before
+    carry = [1.0, 0.0, 1.0]  # a11, a21, a22 at t = 0
 
     track = cfg.kernel_tracking
     if track:
@@ -413,7 +430,6 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
         b2, bl = -math.sqrt(2.0 * g * eta), math.sqrt(2.0 * gl)
         bv = math.sqrt(2.0 * g * (1.0 - eta))
         byy = b2 * b2 + bl * bl + bv * bv
-        d1, d2 = np.empty(n + 1), np.empty(n + 1)
         # each block's births, beside the workspace: blocks of substeps
         # reuse its stage rows before the births are read
         born = np.empty((2, width))
@@ -427,42 +443,49 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
             np.multiply(bxx, bxx, out=bxx)
             np.add(bxx, bl * bl, out=bxx)
 
-        def deficits(at: slice, bxx: np.ndarray, tmp: np.ndarray) -> None:
-            """From the sums in d1 and d2, less the diagonal's half weight;
+        def deficits(rows: np.ndarray, bxx: np.ndarray,
+                     tmp: np.ndarray) -> None:
+            """From the sums in the rows d1 and d2 of the nodes ``rows``
+            (a11, a21, a22, d1, d2), less the diagonal's half weight;
             overwrites ``bxx`` and the two rows ``tmp``."""
+            a11, a21, a22, d1, d2 = rows
             # d1 = 1 - (a11**2 + dt*(d1 - bxx/2))
             np.multiply(0.5, bxx, out=bxx)
-            np.subtract(d1[at], bxx, out=bxx)
+            np.subtract(d1, bxx, out=bxx)
             np.multiply(dt, bxx, out=bxx)
-            np.square(a11[at], out=tmp[0])
+            np.square(a11, out=tmp[0])
             np.add(tmp[0], bxx, out=tmp[0])
-            np.subtract(1.0, tmp[0], out=d1[at])
+            np.subtract(1.0, tmp[0], out=d1)
             # d2 = 1 - (a21**2 + a22**2 + dt*(d2 - byy/2))
-            np.square(a21[at], out=tmp[0])
-            np.square(a22[at], out=tmp[1])
+            np.square(a21, out=tmp[0])
+            np.square(a22, out=tmp[1])
             np.add(tmp[0], tmp[1], out=tmp[0])
-            np.subtract(d2[at], 0.5 * byy, out=tmp[1])
+            np.subtract(d2, 0.5 * byy, out=tmp[1])
             np.multiply(dt, tmp[1], out=tmp[1])
             np.add(tmp[0], tmp[1], out=tmp[0])
-            np.subtract(1.0, tmp[0], out=d2[at])
+            np.subtract(1.0, tmp[0], out=d2)
 
         # the column born at t_0 enters at half weight
         bxx, bxy = born[:, :1]
         profile_values(c, p, np.zeros(1), out=bxx)
         births(bxx, bxy)
         sums = 0.5 * float(bxx[0]), 0.5 * float(bxy[0]), 0.5 * byy
-        d1[0], d2[0] = sums[0], sums[2]
-        deficits(slice(0, 1), bxx, born[:, 1:2])
+        node = work[:5, None]
+        node[:, 0] = *carry, sums[0], sums[2]
+        deficits(node, bxx, born[:, 1:2])
+        carry = node[:, 0].tolist()
 
     # every step's myy but a stiff one's
     decay = _decay(beta, dt)
     substeps, first_stiff = 0, None
-    with np.errstate(all="ignore"):
-        for lo in range(0, n, _BLOCK):
-            m = min(_BLOCK, n - lo)
-            maps = work[:3 * m].reshape(3, m)
-            rows = work[3 * m:(3 + _STEP_ROWS) * m].reshape(_STEP_ROWS, m)
-            g, tmp = rows[:3], rows[3:]
+    for lo in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - lo)
+        maps = work[:3 * m].reshape(3, m)
+        rows = work[3 * m:(3 + _STEP_ROWS) * m].reshape(_STEP_ROWS, m)
+        g, tmp = rows[:3], rows[3:]
+        # errstate is entered and left within each block, never across a
+        # yield, where the consumer's code runs
+        with np.errstate(all="ignore"):
             i = tmp[3]
             np.add(offsets[:m], lo, out=i)
             np.multiply(i, dt, out=tmp[0])
@@ -490,7 +513,6 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
             if too_stiff.size:
                 cut = too_stiff[0]
                 end, stiff, k = int(stiff[cut]), stiff[:cut], k[:cut]
-            hi = lo + end
 
             mxx, myx, myy = maps[:, :end]
             _rk4_maps(g0[:end], gm[:end], g1[:end], beta, root, gl,
@@ -509,33 +531,67 @@ def integrate_transfer(c: CouplingProfile, p: SystemParams,
                     halved_maps(stiff[k == kk], lo, kk, maps[:, :end],
                                 work[3 * m:])
 
-            # A11 and A22 are running products; A21 = myx*A11 + myy*A21 is
-            # folded in step order, as the products it builds on
-            np.copyto(a11[lo + 1:hi + 1], mxx)
-            np.cumprod(a11[lo:hi + 1], out=a11[lo:hi + 1])
-            np.copyto(a22[lo + 1:hi + 1], myy)
-            np.cumprod(a22[lo:hi + 1], out=a22[lo:hi + 1])
-            np.multiply(myx, a11[lo:hi], out=a21[lo + 1:hi + 1])
-            _fold(float(a21[lo]), a21[lo + 1:hi + 1], decay,
-                  stiff.tolist(), myy[stiff].tolist())
+            # the maps are built, so the stage rows are dead: the block's
+            # nodes lo..lo+end go over them, each row starting from the
+            # carried node, and two scratch rows after them
+            size = len(carry) * (m + 1)
+            nodes = work[3 * m:3 * m + size].reshape(-1, m + 1)[:, :end + 1]
+            spare = work[3 * m + size:][:2 * m].reshape(2, m)
+            nodes[:, 0] = carry
+            a11, a21, a22 = nodes[:3]
+            # A11 and A22 are running products and A21 = myx*A11 + myy*A21
+            # is folded in step order, as the products it builds on.  The
+            # ufunc's own accumulate, not np.cumprod's Python wrapper,
+            # after which tracemalloc saw 3-8 kB more, varying by run
+            np.copyto(a11[1:], mxx)
+            np.multiply.accumulate(a11, out=a11)
+            np.copyto(a22[1:], myy)
+            np.multiply.accumulate(a22, out=a22)
+            np.multiply(myx, a11[:-1], out=a21[1:])
+            _fold(carry[1], a21[1:], decay, stiff.tolist(),
+                  myy[stiff].tolist())
 
             # a22 needs no test: its factors are RK4 decay maps, in (0, 1]
-            ok, col = tmp[0].view(bool)[:end], tmp[1].view(bool)[:end]
-            np.isfinite(a11[lo + 1:hi + 1], out=ok)
-            np.isfinite(a21[lo + 1:hi + 1], out=col)
+            ok, col = (r.view(bool)[:end] for r in spare)
+            np.isfinite(a11[1:], out=ok)
+            np.isfinite(a21[1:], out=col)
             np.logical_and(ok, col, out=ok)
             if not ok.all():
                 raise IntegrationError("non-finite transfer coefficient",
                                        lo + int(np.argmin(ok)))
             if too_stiff.size:
-                raise IntegrationError("profile too stiff to substep", hi)
+                raise IntegrationError("profile too stiff to substep",
+                                       lo + end)
 
             if track:
-                at = slice(lo + 1, hi + 1)
+                d1, d2 = nodes[3:, 1:]
                 sums = _moment_sums((mxx, myx, myy), bxx, bxy, byy, sums,
-                                    d1[at], d2[at])
-                deficits(at, bxx[:end], tmp[:2, :end])
+                                    d1, d2)
+                deficits(nodes[:, 1:], bxx[:end], spare[:, :end])
+        carry = nodes[:, end].tolist()
+        yield nodes if lo == 0 else nodes[:, 1:]
 
+
+def integrate_transfer(c: CouplingProfile, p: SystemParams,
+                       cfg: IntegratorConfig) -> TransferState:
+    """The whole run of :func:`integrate_blocks`, collected into arrays.
+
+    Returns the transfer coefficients on the grid; ``a21(T)`` is the
+    achieved transfer amplitude.  Enable ``cfg.kernel_tracking`` to also
+    get the commutator sum rules' deficits on the grid, as
+    ``state.deficits``.
+
+    Memory: 24 B per node for a11, a21 and a22, 16 B more per node with
+    kernel tracking for d1 and d2, besides the blocks' fixed workspace.
+    """
+    grid = TimeGrid(p.transfer_time, cfg.n_steps)
+    # allocated at the first block, after the run's checks
+    coeffs, at = None, 0
+    for block in integrate_blocks(c, p, cfg):
+        if coeffs is None:
+            coeffs = np.empty((len(block), grid.n_nodes))
+        coeffs[:, at:at + block.shape[1]] = block
+        at += block.shape[1]
+    a11, a21, a22, *deficits = coeffs
     return TransferState(params=p, grid=grid, a11=a11, a21=a21, a22=a22,
-                         deficits=(d1, d2) if track else None)
-
+                         deficits=tuple(deficits) or None)

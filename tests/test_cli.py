@@ -16,6 +16,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,12 @@ from hypothesis import strategies as st
 
 from oscxfer import cli, optimize
 from oscxfer.oracles import fidelity_lossy, reference_curve
-from oscxfer.simulate import STABILITY_EDGE, IntegrationError
+from oscxfer.simulate import (
+    STABILITY_EDGE,
+    IntegrationError,
+    IntegratorConfig,
+    integrate_transfer,
+)
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
 
 
@@ -85,6 +91,49 @@ _TAKES = {
     "budget": _EVERY_COMMAND | {"--target-fidelity", "--sender-rlc",
                                 "--receiver-rlc", "--topology"},
 }
+
+
+def _collected_artifacts(out, p, n, kernels):
+    """What ``simulate`` wrote into ``out`` for the default optimal profile
+    on n steps, written instead from :func:`integrate_transfer`'s whole
+    arrays in one piece, as before the run streamed, into a directory
+    beside it: the oracle of the block-by-block writer.  Keyed by file
+    name, as bytes."""
+    streamed_report = _read_json(out / "report.json")
+    out = out.with_name(out.name + "-collected")
+    out.mkdir()
+    grid = TimeGrid(p.transfer_time, n)
+    profile = CouplingProfile.optimal(truncation=grid.dt)
+    state = integrate_transfer(profile, p, IntegratorConfig(
+        n_steps=n, kernel_tracking=kernels))
+    times, curve = grid.nodes(), state.a21
+    oracle = reference_curve(p, profile, times)
+    cli._write_csv(out / "fidelity_curve.csv",
+                   ["t", "F_sim", "F_oracle", "abs_err"],
+                   (times, curve, oracle, np.abs(curve - oracle)))
+    # the fields that stream; params, n_steps and budget do not
+    report = {**streamed_report,
+              "fidelity": state.fidelity,
+              "peak_fidelity": float(np.max(curve)),
+              "peak_time": float(times[int(np.argmax(curve))])}
+    if kernels:
+        d1, d2 = state.deficits
+        report["commutator_max"] = [float(np.max(np.abs(d1))),
+                                    float(np.max(np.abs(d2)))]
+        cli._write_csv(out / "commutator.csv",
+                       ["t", "deficit_osc1", "deficit_osc2"], (times, d1, d2))
+    cli._write_json(out / "report.json", report)
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def _traced_peak(run):
+    """Peak bytes traced by tracemalloc while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _kill_own_worker(job):
@@ -197,6 +246,57 @@ class TestSimulate:
               "--steps", "100", "--format", "csv", "--out", str(out)])
         assert (out / "fidelity_curve.csv").exists()
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("kernels", [[], ["--kernels"]],
+                             ids=["plain", "kernels"])
+    @pytest.mark.parametrize("loss", [[], ["--eta", "0.81",
+                                           "--gamma-loss", "0.05"]],
+                             ids=["lossless", "lossy"])
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 16385])
+    def test_blocks_write_the_collectors_bytes(self, tmp_path, n, loss,
+                                               kernels):
+        # the run streams blocks of 8192 steps: one block short of an edge,
+        # on it, one step past it and one step into a third block, the
+        # stiff tail in the last block, write what the whole arrays write
+        out = tmp_path / "run"
+        assert main(["simulate", "--T", "3", *loss, "--steps", str(n),
+                     *kernels, "--out", str(out)]) == 0
+        streamed = {path.name: path.read_bytes() for path in out.iterdir()
+                    if path.name != "config.json"}
+        assert sorted(streamed) == sorted(
+            ["fidelity_curve.csv", "report.json"]
+            + (["commutator.csv"] if kernels else []))
+        p = SystemParams(gamma=1.0, transfer_time=3.0,
+                         **({"eta": 0.81, "gamma_loss": 0.05} if loss else {}))
+        assert _collected_artifacts(out, p, n, bool(kernels)) == streamed
+
+    @pytest.mark.parametrize("fmt", ["both", "csv"])
+    @pytest.mark.parametrize("kernels", [[], ["--kernels"]],
+                             ids=["plain", "kernels"])
+    def test_failure_in_a_later_block_leaves_no_table(self, tmp_path, capsys,
+                                                      fmt, kernels):
+        # the cap 1e308 is held on the last step, 9999, in the second block:
+        # a table written block by block would be left with its first block
+        out = tmp_path / "run"
+        assert main(["simulate", "--gamma", "1", "--T", "1", "--gamma1-max",
+                     "1e308", "--steps", "10000", "--format", fmt, *kernels,
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: profile too stiff to substep (at step 9999)"]
+        assert [p.name for p in out.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("kernels", [[], ["--kernels"]],
+                             ids=["plain", "kernels"])
+    def test_memory_is_flat_in_the_step_count(self, tmp_path, kernels):
+        # before the run streamed, 1e6 steps traced 65 MB here, 1e4 steps
+        # 1.3 MB
+        def peak(n):
+            argv = ["simulate", "--format", "json", "--T", "3", "--steps",
+                    str(n), *kernels, "--out", str(tmp_path / str(n))]
+            return _traced_peak(lambda: main(argv))
+
+        peak(1000)  # fills numpy's per-process caches, which stay
+        assert peak(1_000_000) - peak(10_000) <= 1e6
 
 
 class TestOptimize:
@@ -399,6 +499,28 @@ class TestSweep:
         last = _read_csv(tmp_path / "sim" / "fidelity_curve.csv")[-1]
         assert float(row["F_sim"]) == rep["fidelity"]
         assert float(row["F_oracle"]) == float(last["F_oracle"])
+
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 16385])
+    def test_point_keeps_the_collectors_fidelity(self, n):
+        # a point keeps only the last block's a21(T), bit for bit
+        grid = TimeGrid(3.0, n)
+        state = integrate_transfer(
+            CouplingProfile.optimal(truncation=grid.dt),
+            SystemParams(gamma=1.0, transfer_time=3.0),
+            IntegratorConfig(n_steps=n))
+        _, f_sim = cli._sweep_point((cli.RunConfig(n_steps=n), "T", 3.0))
+        assert f_sim.hex() == state.fidelity.hex()
+
+    def test_point_memory_is_flat_in_the_step_count(self):
+        # a point held a11, a21 and a22 whole, 12 MB at 5e5 steps, to read
+        # a21(T); now it holds the blocks' workspace alone, 1.05 MB
+        def peak(n):
+            return _traced_peak(lambda: cli._sweep_point(
+                (cli.RunConfig(n_steps=n), "T", 3.0)))
+
+        peak(1000)  # fills numpy's per-process caches, which stay
+        small, large = peak(50_000), peak(500_000)
+        assert abs(large - small) <= 8e3
 
     def test_pool_fits_the_affinity_mask(self, tmp_path, monkeypatch):
         # a process limited to one CPU gets one worker, however many CPUs
@@ -1224,7 +1346,7 @@ class TestConfigHandling:
         def fail(*args):
             raise error
 
-        monkeypatch.setattr(cli, "integrate_transfer", fail)
+        monkeypatch.setattr(cli, "integrate_blocks", fail)
         assert main(["simulate", "--steps", "10",
                      "--out", str(tmp_path / "x")]) == code
         assert capsys.readouterr().err.splitlines() == [line]
@@ -1245,7 +1367,7 @@ class TestConfigHandling:
             pytest.fail("ran before the hold window was checked")
 
         monkeypatch.setattr(cli, "optimize_profile", never)
-        monkeypatch.setattr(cli, "integrate_transfer", never)
+        monkeypatch.setattr(cli, "integrate_blocks", never)
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [line]

@@ -58,6 +58,14 @@ class TestGradient:
         assert grad.shape == (31,)
         assert grad[-1] == 0.0
 
+    def test_zero_cell_is_refused(self):
+        # d sqrt(g1) / d g1 is singular at g1 = 0
+        grid = TimeGrid(1.0, 4)
+        c = CouplingProfile.sampled(grid, np.array([1.0, 0.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            functional_gradient(c, SystemParams(gamma=1.0, transfer_time=1.0),
+                                grid)
+
     def test_vanishes_at_truncated_closed_form(self):
         # the closed-form profile is the stationary point; on its smooth
         # interior the discrete gradient must be small and shrink with dt

@@ -334,6 +334,10 @@ class TestBudget:
         assert rep["infidelity_total"] == pytest.approx(
             1.0226999648812424e-03, abs=1e-17)
 
+    def test_negative_cut_is_refused(self):
+        with pytest.raises(ValueError, match="dt_cut must be >= 0"):
+            budget_report(SystemParams(1.0, 5.0), dt_cut=-1)
+
     def test_warning_on_coarse_cut(self):
         rep = budget_report(SystemParams(1.0, 5.0), 0.2)
         assert any("truncation" in w for w in rep["warnings"])

@@ -18,6 +18,7 @@ from oscxfer.simulate import (
     IntegrationError,
     STABILITY_EDGE,
     IntegratorConfig,
+    integrate_blocks,
     integrate_transfer,
 )
 from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
@@ -260,22 +261,23 @@ def test_receiver_rate_beyond_any_grid():
 
 def _integration_peak(n, p=SystemParams(gamma=1.0, transfer_time=3.0),
                       c=None, track=False):
-    """Peak traced bytes of an n-step run, less its output arrays; a
-    lossless run of the optimal profile by default."""
+    """Peak traced bytes of an n-step run of the blocks, each dropped as
+    the next comes; a lossless run of the optimal profile by default."""
     c = c or CouplingProfile.optimal(truncation=3.0 / n)
     tracemalloc.start()
     try:
-        integrate_transfer(c, p, IntegratorConfig(n_steps=n,
-                                                  kernel_tracking=track))
+        for _ in integrate_blocks(c, p, IntegratorConfig(
+                n_steps=n, kernel_tracking=track)):
+            pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak - (5 if track else 3) * 8 * (n + 1)
+    return peak
 
 
 def test_integrator_memory_is_fixed():
-    # besides a11, a21 and a22 (24 B per node) a run holds one workspace,
-    # fixed before it starts: 1.04 MB at both sizes (x86-64, numpy 2.4)
+    # a run holds one workspace, fixed before it starts, and its blocks
+    # are views of it: 1.05 MB at both sizes (x86-64, numpy 2.4)
     small, large = _integration_peak(100_000), _integration_peak(1_000_000)
     assert small < 1.15e6
     assert abs(large - small) <= 0.05 * small
@@ -283,9 +285,9 @@ def test_integrator_memory_is_fixed():
 
 @pytest.mark.parametrize("n", [100_000, 1_000_000])
 def test_tracked_memory_is_two_rows_more(n):
-    # kernel tracking adds d1 and d2 (16 B per node) and two workspace rows
-    # for a block's births (0.131 MB), with a few kB of interpreter frames;
-    # its deficits use the block's rows, so no block allocates
+    # kernel tracking adds two rows for a block's births (0.131 MB), with a
+    # few kB of interpreter frames; its d1, d2 and deficits use the block's
+    # rows, so no block allocates
     p = SystemParams(gamma=1.0, transfer_time=3.0, eta=0.81, gamma_loss=0.05)
     c = CouplingProfile.optimal(truncation=0.25, gamma1_max=1.54)
     # a first run fills numpy's per-process caches, which stay

@@ -165,6 +165,21 @@ class TestCouplingProfile:
         assert c.values.flags.c_contiguous
         assert c.values.tobytes() == data[:, 1].tobytes()
 
+    @pytest.mark.parametrize("fields", [{"values": np.ones(5)},
+                                        {"grid": TimeGrid(1.0, 4)}],
+                             ids=["no-grid", "no-values"])
+    def test_sampled_needs_grid_and_values(self, fields):
+        with pytest.raises(ValueError, match="needs a grid and node values"):
+            CouplingProfile(ProfileKind.SAMPLED_GRID, **fields)
+
+    def test_values_refuse_a_strided_out(self):
+        # a strided out would be filled through a copy, never seen again
+        p = SystemParams(gamma=1.0, transfer_time=1.0)
+        out = np.empty((3, 2))[:, 0]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            profile_values(CouplingProfile.constant(1.0), p, np.zeros(3),
+                           out=out)
+
     def test_sampled_length_mismatch(self):
         grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
