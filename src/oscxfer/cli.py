@@ -4,8 +4,8 @@ Each subcommand takes only the options it reads (``_OPTIONS``), from flags
 and/or a JSON config file (flags override file values override defaults),
 echoes the effective configuration into the output directory for
 reproducibility, and writes plot-ready CSV plus JSON reports.  ``simulate``
-and every ``sweep`` point run the same code and compare against the same
-closed form, :func:`oscxfer.oracles.reference_curve`.  Exit codes: 0
+and every ``sweep`` point run the same step maps and compare against the
+same closed form, :func:`oscxfer.oracles.reference_curve`.  Exit codes: 0
 success, 2 invalid configuration, 3 numerical failure.
 """
 
@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,7 +29,12 @@ import numpy as np
 from .circuit import CircuitSpec, Topology, carrier_frequency, circuit_to_rates
 from .oracles import budget_report, reference_curve
 from .optimize import functional_value, optimize_profile
-from .simulate import IntegrationError, IntegratorConfig, integrate_blocks
+from .simulate import (
+    IntegrationError,
+    IntegratorConfig,
+    integrate_blocks,
+    transfer_amplitude,
+)
 from .types import (
     CouplingProfile,
     ProfileKind,
@@ -448,14 +454,22 @@ def _build_profile(cfg: RunConfig, grid: TimeGrid) -> CouplingProfile:
 
 
 def _profile_from_file(path: str, grid: TimeGrid) -> CouplingProfile:
+    """The profile in columns t and gamma1 of a CSV file with a header
+    line; later columns are not parsed."""
+    read = partial(np.loadtxt, path, delimiter=",", skiprows=1, ndmin=2)
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = read(usecols=(0, 1))
     except OSError as exc:
         raise ConfigError(f"cannot read profile file: {exc}") from exc
     except ValueError as exc:
+        try:  # a one-column file fails the usecols
+            narrow = read(max_rows=1).shape[1] < 2
+        except ValueError:
+            narrow = False
+        if narrow:
+            raise ConfigError(
+                "profile file needs columns: t, gamma1") from None
         raise ConfigError(f"cannot parse profile file {path!r}: {exc}") from exc
-    if data.shape[1] < 2:
-        raise ConfigError("profile file needs columns: t, gamma1")
     if data.shape[0] != grid.n_nodes:
         raise ConfigError(
             f"profile file has {data.shape[0]} rows; the grid has "
@@ -467,21 +481,21 @@ def _profile_from_file(path: str, grid: TimeGrid) -> CouplingProfile:
     return CouplingProfile.sampled(grid, data[:, 1])
 
 
-def _simulate(cfg: RunConfig):
-    """Build the run's params, grid and profile; returns ``(params,
-    profile, grid, blocks)``, with the blocks of
-    :func:`~oscxfer.simulate.integrate_blocks` still to run."""
+def _simulate(cfg: RunConfig, integrate):
+    """Build the run's params, grid and profile and hand them to
+    ``integrate``; returns ``(params, profile, grid, result)``, the result
+    being :func:`~oscxfer.simulate.integrate_blocks`' blocks, still to run,
+    or :func:`~oscxfer.simulate.transfer_amplitude`'s a21(T)."""
     p = _build_params(cfg)
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     profile = _build_profile(cfg, grid)
-    blocks = integrate_blocks(profile, p, IntegratorConfig(
+    return p, profile, grid, integrate(profile, p, IntegratorConfig(
         n_steps=cfg.n_steps, kernel_tracking=cfg.kernels))
-    return p, profile, grid, blocks
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     """Integrate the transfer and compare to closed forms."""
-    p, profile, grid, blocks = _simulate(cfg)
+    p, profile, grid, blocks = _simulate(cfg, integrate_blocks)
 
     tables = {}
     if cfg.format in ("csv", "both"):
@@ -602,9 +616,7 @@ def _sweep_point(job: tuple) -> tuple[float, float]:
     cfg, name, value = job
     cfg = dataclasses.replace(cfg, **{_SWEEPABLE[name]: value})
     try:
-        p, profile, grid, blocks = _simulate(cfg)
-        for block in blocks:  # of which only the last a21 is kept
-            pass
+        p, profile, grid, a21 = _simulate(cfg, transfer_amplitude)
     except ValueError as exc:  # ConfigError among them
         raise ConfigError(f"{name}={value:g}: {exc}") from None
     except IntegrationError as exc:
@@ -612,7 +624,7 @@ def _sweep_point(job: tuple) -> tuple[float, float]:
                                exc.step) from None
     # where simulate's curve ends: its last node, n_steps * dt
     t_end = grid.n_steps * grid.dt
-    return reference_curve(p, profile, t_end), float(block[1, -1])
+    return reference_curve(p, profile, t_end), a21
 
 
 def _attempt(job: tuple) -> tuple:

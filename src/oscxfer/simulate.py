@@ -30,14 +30,24 @@ at once, and the stage formulas run elementwise in the order a single step
 would use, so the arrays hold the bits of a step-by-step loop.  Then A11
 and A22 are running products (``np.multiply.accumulate``, which
 multiplies in step order), and A21, the first-order recurrence
-A21 <- myx*A11 + myy*A21, is folded in step order by a scalar list
-comprehension, 1024 steps at a time, whose floats ``struct.pack_into``
-writes into the row at once (a quarter faster than storing each float as
-it comes); an associative scan would regroup the products and change the
-last bits.  myy does not depend on g1:
-it is RK4's decay map of the constant beta = g + gl, one float for every
-step of width dt, so the fold multiplies by that float between the stiff
-steps, which have their own.
+A21 <- myx*A11 + myy*A21, is folded in step order by scalar Python code;
+an associative scan would regroup the products and change the last bits.
+Each consumer folds it its own way, by the same operations in the same
+order, so all give the same bits:
+
+- a plain run of :func:`integrate_blocks`, by a list comprehension, 1024
+  steps at a time, whose floats ``struct.pack_into`` writes into the row
+  at once (a quarter faster than storing each float as it comes);
+- a run with kernel tracking, inside the moment loop, which visits every
+  step with its myy anyway;
+- :func:`transfer_amplitude`, a sweep point's a21(T), by a plain ``for``
+  that stores nothing (and no A22 is taken); a block that ends non-finite
+  is folded again by the first, to name its failing step.
+
+Both functions take their maps and A11 from one block pipeline.  myy does
+not depend on g1: it is RK4's decay map of the constant beta = g + gl,
+one float for every step of width dt, so the fold multiplies by that
+float between the stiff steps, which have their own.
 
 The run streams: :func:`integrate_blocks` yields each block's nodes,
 a11, a21 and a22 (and d1, d2 with tracking), and keeps of it only the
@@ -114,6 +124,7 @@ __all__ = [
     "STABILITY_EDGE",
     "integrate_blocks",
     "integrate_transfer",
+    "transfer_amplitude",
 ]
 
 _MAX_HALVINGS = 26
@@ -235,20 +246,24 @@ def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h,
 
 
 def _moment_sums(maps, bxx, bxy, byy: float, s: tuple[float, float, float],
-                 norm_x: np.ndarray, norm_y: np.ndarray):
+                 rows):
     """Summed second moments (xx, xy, yy) of the kernel columns, from ``s``
     on: each step moves them by its map and adds its end node's births
-    (``bxx`` and ``bxy`` per step, ``byy`` constant).  Writes the xx and yy
-    sums after each step into ``norm_x`` and ``norm_y``; returns the last
-    (xx, xy, yy)."""
+    (``bxx`` and ``bxy`` per step, ``byy`` constant).  The same loop folds
+    A21 <- myx*A11 + myy*A21, whose recurrence is independent of theirs.
+    ``rows`` are a block's a21, d1 and d2 over its nodes, the first carried
+    and a21 holding myx*A11 at the others; each step's A21 and xx and yy
+    sums go to its end node.  Returns the last (xx, xy, yy)."""
     sxx, sxy, syy = s
     # memoryviews hand out and take one float at a time, with no list built
-    nx, ny, *views = map(memoryview, (norm_x, norm_y, *maps, bxx, bxy))
-    for j, a, b, c, pxx, pxy in zip(range(len(nx)), *views):
+    fy, nx, ny, *views = map(memoryview, (*rows, *maps, bxx, bxy))
+    y = fy[0]
+    for j, a, b, c, pxx, pxy, bj in zip(range(1, len(fy)), *views, fy[1:]):
+        y = bj + c * y
         sxx, sxy, syy = (a * a * sxx + pxx,
                          a * (b * sxx + c * sxy) + pxy,
                          b * b * sxx + 2.0 * b * c * sxy + c * c * syy + byy)
-        nx[j], ny[j] = sxx, syy
+        fy[j], nx[j], ny[j] = y, sxx, syy
     return sxx, sxy, syy
 
 
@@ -284,31 +299,55 @@ def _fold(y: float, b: np.ndarray, decay: float, stiff: list,
         at = s + 1
 
 
-def integrate_blocks(c: CouplingProfile, p: SystemParams,
-                     cfg: IntegratorConfig) -> Iterator[np.ndarray]:
-    """Integrate the cascade with line transmission ``p.eta`` and parasitic
-    damping ``p.gamma_loss``, one block of up to 8192 steps at a time.
+def _fold_last(y: float, b: np.ndarray, decay: float, stiff: list,
+               own: list) -> float:
+    """:func:`_fold`'s last y, by the same operations, storing none."""
+    fold = memoryview(b)
+    at = 0
+    for s, c in zip(stiff, own):
+        for bj in fold[at:s]:
+            y = bj + decay * y
+        y = fold[s] + c * y
+        at = s + 1
+    for bj in fold[at:]:
+        y = bj + decay * y
+    return y
 
-    There is one path for every run: the lossless cascade is the case
-    eta = 1, gamma_loss = 0, whose loss births are all zero.
 
-    Yields, per block, the rows (a11, a21, a22) of its nodes as one
-    (3, k) array, with kernel tracking (a11, a21, a22, d1, d2), the
-    commutator sum rules' deficits, as a (5, k) array.  The first block
-    holds nodes 0 to min(n, 8192), each later one the next 8192 nodes at
-    most, so the blocks give every node 0..n once, in order; the last a21
-    is the achieved transfer amplitude a21(T).  A yielded array is a view
-    of the run's workspace and stays valid only until the next block is
-    asked for: copy what must outlive it.  A failing step raises once the
-    blocks before it are yielded.
+def _check(lo: int, nodes: np.ndarray, spare: np.ndarray, cut: bool) -> None:
+    """Raises the failure of the block from macro step ``lo``, if any: its
+    first node past the carried one whose a11 or a21 is not finite, else
+    the step too stiff to substep that ``cut`` the block short.  a22 needs
+    no test: its factors are RK4 decay maps, in (0, 1]."""
+    a11, a21 = nodes[:2, 1:]
+    ok, col = (r.view(bool)[:a11.size] for r in spare)
+    np.isfinite(a11, out=ok)
+    np.isfinite(a21, out=col)
+    np.logical_and(ok, col, out=ok)
+    if not ok.all():
+        raise IntegrationError("non-finite transfer coefficient",
+                               lo + int(np.argmin(ok)))
+    if cut:
+        raise IntegrationError("profile too stiff to substep", lo + a11.size)
 
-    Memory: the workspace, fixed before the run starts and whatever its
-    length: (3 min(n, 8192) + 11 * 8192) doubles and 8192 offsets, 0.98 MB
-    from 8192 steps on.  The rows a block yields lie in it, over the
-    block's dead stage rows.  A lossless run peaks at 1.05 MB from 1e5 to
-    1e6 steps (tracemalloc, x86-64, numpy 2.4).  Kernel tracking adds two
-    rows of min(n, 8192) doubles for a block's births, 0.13 MB, and no
-    block allocates either way.
+
+def _map_blocks(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
+                rows: int, rates: np.ndarray | None = None):
+    """The block pipeline of :func:`integrate_blocks` and
+    :func:`transfer_amplitude`.  Checks the run, then returns its dt, the
+    myy of its steps that are not stiff, and an iterator over its blocks.
+
+    Each block is ``(lo, nodes, maps, stiff, spare, cut)``.  ``maps`` holds
+    the (mxx, myx, myy) rows of the block's steps from macro step ``lo``,
+    ``stiff`` the indices of those that were substepped, and ``cut``
+    whether the block stops short, before a step too stiff to substep.
+    ``nodes`` is ``rows`` rows over the block's nodes, the first carried
+    from the block before: row 0 holds A11, the running product of mxx,
+    and row 1 holds myx*A11 past the first node, the b of the A21 fold.
+    ``spare`` is two scratch rows of the block's width.  With ``rates``, a
+    row of min(n, 8192) floats, each block first writes into it g1 at its
+    nodes past the first.  Every array is a view of the run's workspace,
+    valid until the next block is asked for.
     """
     grid = TimeGrid(p.transfer_time, cfg.n_steps)
     if c.kind is ProfileKind.OPTIMAL_CLOSED_FORM and c.truncation is None:
@@ -420,19 +459,126 @@ def integrate_blocks(c: CouplingProfile, p: SystemParams,
                 if (s + a + per) % m == 0:
                     maps[:, at[(s + a) // m]] = x, y, z
 
-    # the node a block starts from: the last one of the block before
-    carry = [1.0, 0.0, 1.0]  # a11, a21, a22 at t = 0
+    # every step's myy but a stiff one's
+    decay = _decay(beta, dt)
 
+    def blocks():
+        a11 = 1.0  # the node a block starts from: the last one before
+        substeps, first_stiff = 0, None
+        for lo in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - lo)
+            maps = work[:3 * m].reshape(3, m)
+            block = work[3 * m:(3 + _STEP_ROWS) * m].reshape(_STEP_ROWS, m)
+            g, tmp = block[:3], block[3:]
+            # errstate is entered and left within each block, never across
+            # a yield, where the consumer's code runs
+            with np.errstate(all="ignore"):
+                i = tmp[3]
+                np.add(offsets[:m], lo, out=i)
+                np.multiply(i, dt, out=tmp[0])
+                g0, gm, g1 = stages(i, (dt, 0.5 * dt), tmp, g)
+                if rates is not None:
+                    # node j's rate is step j's start stage g0, read before
+                    # blocks of substeps reuse its row; the block's last
+                    # node starts the next block, so it is looked up here
+                    rates[:m - 1] = g0[1:]
+                    rates[m - 1] = profile_values(c, p, (lo + m) * dt)
+
+                # the stiffest stage sets the substep
+                rate, flag = tmp[0], tmp[1].view(bool)[:m]
+                np.maximum(g0, gm, out=rate)
+                np.maximum(rate, g1, out=rate)
+                np.add(rate, gl, out=rate)
+                np.multiply(rate, dt, out=tmp[2])
+                np.greater(tmp[2], DAMPING_CAP_FACTOR, out=flag)
+                stiff = np.flatnonzero(flag)
+                k = _halvings(rate[stiff], dt)
+                too_stiff = np.flatnonzero(k > _MAX_HALVINGS)
+                end = m
+                if too_stiff.size:
+                    cut = too_stiff[0]
+                    end, stiff, k = int(stiff[cut]), stiff[:cut], k[:cut]
+
+                mxx, myx, myy = maps[:, :end]
+                _rk4_maps(g0[:end], gm[:end], g1[:end], beta, root, gl,
+                          (dt, 0.5 * dt, dt / 6.0), (mxx, myx), tmp[:, :end])
+                myy.fill(decay)
+                if stiff.size:
+                    substeps += int(np.sum(2 ** k))
+                    if first_stiff is None:
+                        first_stiff = lo + int(stiff[0])
+                    if substeps > _MAX_SUBSTEPS:
+                        raise ValueError(
+                            f"profile needs {substeps} substeps, more than "
+                            f"the bound {_MAX_SUBSTEPS} (2**22); its first "
+                            f"stiff step is {first_stiff}")
+                    # np.unique loads numpy.ma
+                    for kk in sorted(set(k.tolist())):
+                        halved_maps(stiff[k == kk], lo, kk, maps[:, :end],
+                                    work[3 * m:])
+
+                # the maps are built, so the stage rows are dead: the
+                # block's nodes lo..lo+end go over them, and two scratch
+                # rows after them
+                size = rows * (m + 1)
+                nodes = work[3 * m:3 * m + size].reshape(rows, m + 1)
+                nodes = nodes[:, :end + 1]
+                spare = work[3 * m + size:][:2 * m].reshape(2, m)
+                # A11 is a running product, and the A21 fold builds on it.
+                # The ufunc's own accumulate, not np.cumprod's Python
+                # wrapper, after which tracemalloc saw 3-8 kB more,
+                # varying by run
+                nodes[0, 0] = a11
+                np.copyto(nodes[0, 1:], mxx)
+                np.multiply.accumulate(nodes[0], out=nodes[0])
+                np.multiply(myx, nodes[0, :-1], out=nodes[1, 1:])
+            a11 = float(nodes[0, end])
+            yield lo, nodes, maps[:, :end], stiff, spare, end < m
+
+    return dt, decay, blocks()
+
+
+def integrate_blocks(c: CouplingProfile, p: SystemParams,
+                     cfg: IntegratorConfig) -> Iterator[np.ndarray]:
+    """Integrate the cascade with line transmission ``p.eta`` and parasitic
+    damping ``p.gamma_loss``, one block of up to 8192 steps at a time.
+
+    There is one path for every run: the lossless cascade is the case
+    eta = 1, gamma_loss = 0, whose loss births are all zero.
+
+    Yields, per block, the rows (a11, a21, a22) of its nodes as one
+    (3, k) array, with kernel tracking (a11, a21, a22, d1, d2), the
+    commutator sum rules' deficits, as a (5, k) array.  The first block
+    holds nodes 0 to min(n, 8192), each later one the next 8192 nodes at
+    most, so the blocks give every node 0..n once, in order; the last a21
+    is the achieved transfer amplitude a21(T), which
+    :func:`transfer_amplitude` gives alone.  A yielded array is a view
+    of the run's workspace and stays valid only until the next block is
+    asked for: copy what must outlive it.  A failing step raises once the
+    blocks before it are yielded.
+
+    Memory: the workspace, fixed before the run starts and whatever its
+    length: (3 min(n, 8192) + 11 * 8192) doubles and 8192 offsets, 0.98 MB
+    from 8192 steps on.  The rows a block yields lie in it, over the
+    block's dead stage rows.  A lossless run peaks at 1.05 MB from 1e5 to
+    1e6 steps (tracemalloc, x86-64, numpy 2.4).  Kernel tracking adds two
+    rows of min(n, 8192) doubles for a block's births, 0.13 MB, and no
+    block allocates either way.
+    """
     track = cfg.kernel_tracking
+    carry = [1.0, 0.0, 1.0]  # a11, a21, a22 at t = 0
+    # with tracking, each block's births lie beside the workspace: blocks
+    # of substeps reuse its stage rows before the births are read
+    born = np.empty((2, min(cfg.n_steps, _BLOCK))) if track else None
+    dt, decay, blocks = _map_blocks(c, p, cfg, 5 if track else 3,
+                                    born[0] if track else None)
     if track:
+        g, gl, eta = p.gamma, p.gamma_loss, p.eta
         # constant births of k2, of the loss ports and of the beam-splitter
         # port; only the k1 birth sqrt(2 g1) varies in time
         b2, bl = -math.sqrt(2.0 * g * eta), math.sqrt(2.0 * gl)
         bv = math.sqrt(2.0 * g * (1.0 - eta))
         byy = b2 * b2 + bl * bl + bv * bv
-        # each block's births, beside the workspace: blocks of substeps
-        # reuse its stage rows before the births are read
-        born = np.empty((2, width))
 
         def births(bxx: np.ndarray, bxy: np.ndarray) -> None:
             """The rates g1 in ``bxx`` become the births' (xx, xy), summed
@@ -470,106 +616,57 @@ def integrate_blocks(c: CouplingProfile, p: SystemParams,
         profile_values(c, p, np.zeros(1), out=bxx)
         births(bxx, bxy)
         sums = 0.5 * float(bxx[0]), 0.5 * float(bxy[0]), 0.5 * byy
-        node = work[:5, None]
-        node[:, 0] = *carry, sums[0], sums[2]
+        node = np.array([*carry, sums[0], sums[2]])[:, None]
         deficits(node, bxx, born[:, 1:2])
         carry = node[:, 0].tolist()
 
-    # every step's myy but a stiff one's
-    decay = _decay(beta, dt)
-    substeps, first_stiff = 0, None
-    for lo in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - lo)
-        maps = work[:3 * m].reshape(3, m)
-        rows = work[3 * m:(3 + _STEP_ROWS) * m].reshape(_STEP_ROWS, m)
-        g, tmp = rows[:3], rows[3:]
+    for lo, nodes, maps, stiff, spare, cut in blocks:
+        end = maps.shape[1]
+        nodes[1:, 0] = carry[1:]
+        a22 = nodes[2]
         # errstate is entered and left within each block, never across a
         # yield, where the consumer's code runs
         with np.errstate(all="ignore"):
-            i = tmp[3]
-            np.add(offsets[:m], lo, out=i)
-            np.multiply(i, dt, out=tmp[0])
-            g0, gm, g1 = stages(i, (dt, 0.5 * dt), tmp, g)
-            if track:
-                # node j's rate is step j's start stage g0, read before
-                # blocks of substeps reuse its row; the block's last node
-                # starts the next block, so it is looked up here
-                bxx, bxy = born[:, :m]
-                bxx[:-1] = g0[1:]
-                bxx[-1] = profile_values(c, p, (lo + m) * dt)
-                births(bxx, bxy)
-
-            # the stiffest stage sets the substep
-            rate, flag = tmp[0], tmp[1].view(bool)[:m]
-            np.maximum(g0, gm, out=rate)
-            np.maximum(rate, g1, out=rate)
-            np.add(rate, gl, out=rate)
-            np.multiply(rate, dt, out=tmp[2])
-            np.greater(tmp[2], DAMPING_CAP_FACTOR, out=flag)
-            stiff = np.flatnonzero(flag)
-            k = _halvings(rate[stiff], dt)
-            too_stiff = np.flatnonzero(k > _MAX_HALVINGS)
-            end = m
-            if too_stiff.size:
-                cut = too_stiff[0]
-                end, stiff, k = int(stiff[cut]), stiff[:cut], k[:cut]
-
-            mxx, myx, myy = maps[:, :end]
-            _rk4_maps(g0[:end], gm[:end], g1[:end], beta, root, gl,
-                      (dt, 0.5 * dt, dt / 6.0), (mxx, myx), tmp[:, :end])
-            myy.fill(decay)
-            if stiff.size:
-                substeps += int(np.sum(2 ** k))
-                if first_stiff is None:
-                    first_stiff = lo + int(stiff[0])
-                if substeps > _MAX_SUBSTEPS:
-                    raise ValueError(
-                        f"profile needs {substeps} substeps, more than the "
-                        f"bound {_MAX_SUBSTEPS} (2**22); its first stiff "
-                        f"step is {first_stiff}")
-                for kk in sorted(set(k.tolist())):  # np.unique loads numpy.ma
-                    halved_maps(stiff[k == kk], lo, kk, maps[:, :end],
-                                work[3 * m:])
-
-            # the maps are built, so the stage rows are dead: the block's
-            # nodes lo..lo+end go over them, each row starting from the
-            # carried node, and two scratch rows after them
-            size = len(carry) * (m + 1)
-            nodes = work[3 * m:3 * m + size].reshape(-1, m + 1)[:, :end + 1]
-            spare = work[3 * m + size:][:2 * m].reshape(2, m)
-            nodes[:, 0] = carry
-            a11, a21, a22 = nodes[:3]
-            # A11 and A22 are running products and A21 = myx*A11 + myy*A21
-            # is folded in step order, as the products it builds on.  The
-            # ufunc's own accumulate, not np.cumprod's Python wrapper,
-            # after which tracemalloc saw 3-8 kB more, varying by run
-            np.copyto(a11[1:], mxx)
-            np.multiply.accumulate(a11, out=a11)
-            np.copyto(a22[1:], myy)
+            # A22 is a running product too, and A21 = myx*A11 + myy*A21 is
+            # folded in step order, as the products it builds on
+            np.copyto(a22[1:], maps[2])
             np.multiply.accumulate(a22, out=a22)
-            np.multiply(myx, a11[:-1], out=a21[1:])
-            _fold(carry[1], a21[1:], decay, stiff.tolist(),
-                  myy[stiff].tolist())
-
-            # a22 needs no test: its factors are RK4 decay maps, in (0, 1]
-            ok, col = (r.view(bool)[:end] for r in spare)
-            np.isfinite(a11[1:], out=ok)
-            np.isfinite(a21[1:], out=col)
-            np.logical_and(ok, col, out=ok)
-            if not ok.all():
-                raise IntegrationError("non-finite transfer coefficient",
-                                       lo + int(np.argmin(ok)))
-            if too_stiff.size:
-                raise IntegrationError("profile too stiff to substep",
-                                       lo + end)
-
             if track:
-                d1, d2 = nodes[3:, 1:]
-                sums = _moment_sums((mxx, myx, myy), bxx, bxy, byy, sums,
-                                    d1, d2)
-                deficits(nodes[:, 1:], bxx[:end], spare[:, :end])
+                # the fold runs in the moment loop
+                bxx, bxy = born[:, :end]
+                births(bxx, bxy)
+                sums = _moment_sums(maps, bxx, bxy, byy, sums,
+                                    (nodes[1], nodes[3], nodes[4]))
+            else:
+                _fold(carry[1], nodes[1, 1:], decay, stiff.tolist(),
+                      maps[2, stiff].tolist())
+            _check(lo, nodes, spare, cut)
+            if track:
+                deficits(nodes[:, 1:], bxx, spare[:, :end])
         carry = nodes[:, end].tolist()
         yield nodes if lo == 0 else nodes[:, 1:]
+
+
+def transfer_amplitude(c: CouplingProfile, p: SystemParams,
+                       cfg: IntegratorConfig) -> float:
+    """The achieved transfer amplitude a21(T): the last a21 of
+    :func:`integrate_blocks`, bit for bit and with the same errors, but no
+    curve kept.  It takes the same maps and A11 product, skips A22, and
+    folds A21 keeping only the running value.  Non-finite values persist
+    through both recurrences, so a block that ends finite held none; one
+    that does not is folded again, storing, to name its first failing
+    step.  ``cfg.kernel_tracking`` is ignored."""
+    _, decay, blocks = _map_blocks(c, p, cfg, 2)
+    y = 0.0
+    for lo, nodes, maps, stiff, spare, cut in blocks:
+        a11, b = nodes[0], nodes[1, 1:]
+        stiff, own = stiff.tolist(), maps[2, stiff].tolist()
+        last = _fold_last(y, b, decay, stiff, own)
+        if cut or not (math.isfinite(last) and math.isfinite(a11[-1])):
+            _fold(y, b, decay, stiff, own)
+            _check(lo, nodes, spare, cut)
+        y = last
+    return y
 
 
 def integrate_transfer(c: CouplingProfile, p: SystemParams,

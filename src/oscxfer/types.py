@@ -174,7 +174,7 @@ class CouplingProfile:
 
         if self.kind is ProfileKind.CONSTANT:
             if self.gamma1 is None or self.gamma1 < 0 or not math.isfinite(self.gamma1):
-                raise ValueError("constant profile needs gamma1 >= 0")
+                raise ValueError("constant profile needs a finite gamma1 >= 0")
         elif self.kind is ProfileKind.SAMPLED_GRID:
             if self.grid is None or self.values is None:
                 raise ValueError("sampled profile needs a grid and node values")

@@ -888,6 +888,12 @@ class TestConfigHandling:
         (["simulate", "--profile", "file:{tmp}/stretched.csv", "--T", "1",
           "--steps", "10"],
          "error: profile file times do not match the run grid", True),
+        (["simulate", "--profile", "constant:inf", "--steps", "100"],
+         "error: bad profile 'constant:inf': constant profile needs a "
+         "finite gamma1 >= 0", True),
+        (["simulate", "--profile", "constant:nan", "--steps", "100"],
+         "error: bad profile 'constant:nan': constant profile needs a "
+         "finite gamma1 >= 0", True),
         (["sweep"], "error: sweep subcommand needs --sweep param:lo:hi:n",
          True),
         (["sweep", "--sweep", "omega0:1:2:2"],
@@ -909,7 +915,8 @@ class TestConfigHandling:
          True),
     ], ids=["config-missing", "config-array", "config-format",
             "config-topology", "profile-rows", "profile-one-column",
-            "profile-times", "sweep-without-spec", "sweep-unknown-param",
+            "profile-times", "constant-inf", "constant-nan",
+            "sweep-without-spec", "sweep-unknown-param",
             "rlc-two-parts",
             "rlc-words", "rlc-negative", "budget-negative-cut",
             "circuits-without-cap"])
@@ -939,6 +946,14 @@ class TestConfigHandling:
         assert all(w.startswith("warning: ") for w in warnings)
         assert last == line if exact else last.startswith(line)
         assert {p.name for p in out.glob("*")} <= {"config.json"}
+
+    def test_profile_file_columns_past_the_second_are_not_parsed(
+            self, tmp_path):
+        profile = tmp_path / "p.csv"
+        profile.write_text("t,gamma1,note\n" + "".join(
+            f"{i / 10!r},1,word\n" for i in range(11)))
+        assert main(["simulate", "--profile", f"file:{profile}", "--T", "1",
+                     "--steps", "10", "--out", str(tmp_path / "run")]) == 0
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

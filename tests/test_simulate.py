@@ -20,8 +20,14 @@ from oscxfer.simulate import (
     IntegratorConfig,
     integrate_blocks,
     integrate_transfer,
+    transfer_amplitude,
 )
-from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
+from oscxfer.types import (
+    CouplingProfile,
+    SystemParams,
+    TimeGrid,
+    profile_values,
+)
 from test_integrator_oracle import scalar_integrate
 from test_kernels import kernel_row
 
@@ -303,6 +309,85 @@ def test_integration_error_survives_pickling():
     assert type(back) is IntegrationError
     assert back.step == 3
     assert str(back) == str(err) == "profile too stiff to substep (at step 3)"
+
+
+def _amplitude_case(case, n):
+    """(profile, params) of one transfer_amplitude parity case at n steps."""
+    p = SystemParams(gamma=1.0, transfer_time=3.0)
+    if case == "lossless":
+        return CouplingProfile.optimal(truncation=3.0 / n), p
+    if case == "lossy":
+        lossy = SystemParams(gamma=1.0, transfer_time=3.0, eta=0.81,
+                             gamma_loss=0.05)
+        return CouplingProfile.optimal(truncation=3.0 / n), lossy
+    if case == "stiff-tail":
+        return CouplingProfile.optimal(truncation=1e-4, gamma1_max=1e6), p
+    if case == "all-stiff":
+        # every step halved two or three times
+        return (CouplingProfile.constant(1e5),
+                SystemParams(gamma=1.0, transfer_time=0.02))
+    # a sampled profile whose cells the run's steps refine, 1 to 5 apiece
+    ratio = next(r for r in (2, 3, 5, 1) if n % r == 0)
+    grid = TimeGrid(3.0, n // ratio)
+    ramp = profile_values(
+        CouplingProfile.optimal(truncation=0.25, gamma1_max=1.54), p,
+        grid.nodes())
+    return CouplingProfile.sampled(grid, ramp), p
+
+
+@pytest.mark.parametrize("case", ["lossless", "lossy", "stiff-tail",
+                                  "all-stiff", "sampled"])
+@pytest.mark.parametrize("n", [8191, 8192, 8193, 16385])
+def test_transfer_amplitude_is_the_last_a21(n, case):
+    # the final-only fold gives the streamed run's last a21 bit for bit,
+    # on either side of a block edge and through stiff steps' own myy
+    c, p = _amplitude_case(case, n)
+    cfg = IntegratorConfig(n_steps=n)
+    for block in integrate_blocks(c, p, cfg):
+        last = float(block[1, -1])
+    assert transfer_amplitude(c, p, cfg).hex() == last.hex()
+
+
+def _one_cell(T, n, at, value):
+    """A sampled profile of 1 but at node ``at``, on the run's own grid."""
+    values = np.ones(n + 1)
+    values[at] = value
+    return CouplingProfile.sampled(TimeGrid(T, n), values)
+
+
+@pytest.mark.parametrize("c, p, n, text", [
+    (CouplingProfile.optimal(truncation=1e-4, gamma1_max=1e308),
+     SystemParams(gamma=1.0, transfer_time=1.0), 10_000,
+     "profile too stiff to substep (at step 9999)"),
+    (_one_cell(1.0, 8200, 8195, 0.05 * 2**23.5 * 8200),
+     SystemParams(gamma=1.0, transfer_time=1.0), 8200,
+     "profile needs 16777216 substeps, more than the bound 4194304 "
+     "(2**22); its first stiff step is 8195"),
+    (CouplingProfile.constant(1.0),
+     SystemParams(gamma=300.0, transfer_time=1.0), 100,
+     "receiver too stiff for the grid: (gamma + gamma_loss)*dt = 3 exceeds "
+     "the rk4 stability edge 2.785; the grid needs at least 108 steps "
+     "(at step 0)"),
+    (CouplingProfile.optimal(truncation=1e-300 / 86, gamma1_max=1e308),
+     SystemParams(gamma=1.0, transfer_time=1e-300), 86,
+     "profile needs 33554474 substeps, more than the bound 4194304 "
+     "(2**22); its first stiff step is 76"),
+    # the cell overflows the stage sums of its 2**9 substeps
+    (_one_cell(8.2e-304, 8200, 8195, 1.7e308),
+     SystemParams(gamma=1.0, transfer_time=8.2e-304), 8200,
+     "non-finite transfer coefficient (at step 8195)"),
+], ids=["too-stiff-in-block-2", "substep-bound-in-block-2", "stability-edge",
+        "substep-bound", "non-finite-in-block-2"])
+def test_transfer_amplitude_fails_as_the_run(c, p, n, text):
+    # the same exception, with the same text, as the streamed run
+    cfg = IntegratorConfig(n_steps=n)
+    with pytest.raises((ValueError, IntegrationError)) as run:
+        for _ in integrate_blocks(c, p, cfg):
+            pass
+    with pytest.raises((ValueError, IntegrationError)) as final:
+        transfer_amplitude(c, p, cfg)
+    assert type(final.value) is type(run.value)
+    assert str(final.value) == str(run.value) == text
 
 
 def test_config_validation():
