@@ -3,10 +3,12 @@
 Each subcommand takes only the options it reads (``_OPTIONS``), from flags
 and/or a JSON config file (flags override file values override defaults),
 echoes the effective configuration into the output directory for
-reproducibility, and writes plot-ready CSV plus JSON reports.  ``simulate``
-and every ``sweep`` point run the same step maps and compare against the
-same closed form, :func:`oscxfer.oracles.reference_curve`.  Exit codes: 0
-success, 2 invalid configuration, 3 numerical failure.
+reproducibility, and writes plot-ready CSV plus JSON reports into a staging
+directory inside it.  :func:`main` moves them to their names only when the
+command returns 0; otherwise the command's files, earlier ones included, are
+removed.  ``simulate`` and every ``sweep`` point run the same step maps and
+compare against the same closed form, :func:`oscxfer.oracles.reference_curve`.
+Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import locale  # build_parser() needs it (argparse gettext): load it at import
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -277,7 +280,7 @@ def _write_csv(path: Path, header: Sequence[str],
     significant digits, correctly rounded), so oracle comparisons keep all
     digits and profiles round-trip exactly; NaN is written as ``nan``.
     The rows are formatted by a numpy kernel, one block of rows at a time,
-    and each block is written as soon as it is done.
+    and each block is written to ``path`` as soon as it is done.
 
     The kernel takes finite values with 1e-28 <= |v| < 1e16.  With
     k = floor(log10|v|) and p = 16 - k it forms |v|*10**p as an unevaluated
@@ -306,35 +309,11 @@ def _write_csv(path: Path, header: Sequence[str],
 
 
 def _write_rows(fh, columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length float columns to ``fh`` as rows of
+    """Append equal-length float columns to the open file ``fh`` as rows of
     :func:`_write_csv`, one block of rows at a time."""
     for lo in range(0, len(columns[0]), _CSV_BLOCK):
         fh.write(_format_rows(np.column_stack(
             [col[lo:lo + _CSV_BLOCK] for col in columns])))
-
-
-@contextlib.contextmanager
-def _streamed_csv(tables: dict):
-    """Open each CSV of ``tables`` (path -> header), write its header and
-    yield the open files in that order.  Each is written under a
-    temporary name, which becomes its own name only when the ``with``
-    block exits cleanly: a run that fails part way leaves no table."""
-    parts = []
-    try:
-        for path, header in tables.items():
-            part = path.with_name(path.name + ".part")
-            fh = open(part, "wb")
-            parts.append((fh, part, path))
-            fh.write((",".join(header) + "\n").encode())
-        yield [fh for fh, _, _ in parts]
-        for fh, part, path in parts:
-            fh.close()
-            part.replace(path)
-    except BaseException:
-        for fh, part, _ in parts:
-            fh.close()
-            part.unlink(missing_ok=True)
-        raise
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -458,7 +437,9 @@ def _profile_from_file(path: str, grid: TimeGrid) -> CouplingProfile:
     line; later columns are not parsed."""
     read = partial(np.loadtxt, path, delimiter=",", skiprows=1, ndmin=2)
     try:
-        data = read(usecols=(0, 1))
+        with warnings.catch_warnings():  # numpy's on no rows: refused below
+            warnings.simplefilter("ignore", UserWarning)
+            data = read(usecols=(0, 1))
     except OSError as exc:
         raise ConfigError(f"cannot read profile file: {exc}") from exc
     except ValueError as exc:
@@ -497,18 +478,19 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     """Integrate the transfer and compare to closed forms."""
     p, profile, grid, blocks = _simulate(cfg, integrate_blocks)
 
-    tables = {}
+    tables = {}  # file name -> header
     if cfg.format in ("csv", "both"):
-        tables[out / "fidelity_curve.csv"] = ["t", "F_sim", "F_oracle",
-                                              "abs_err"]
+        tables["fidelity_curve.csv"] = b"t,F_sim,F_oracle,abs_err\n"
         if cfg.kernels:
-            tables[out / "commutator.csv"] = ["t", "deficit_osc1",
-                                              "deficit_osc2"]
+            tables["commutator.csv"] = b"t,deficit_osc1,deficit_osc2\n"
     # the curve's first maximum, and the deficits' largest magnitudes,
     # which np.maximum keeps NaN in
     peak, peak_time, deficit_max = -math.inf, math.nan, -math.inf
     node = 0  # the block's first node
-    with _streamed_csv(tables) as files:
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(out / name, "wb")) for name in tables]
+        for fh, header in zip(files, tables.values()):
+            fh.write(header)
         for block in blocks:
             _, curve, _, *deficits = block
             j = int(np.argmax(curve))
@@ -822,7 +804,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_CommandParser)
-    for name, run in _COMMANDS.items():
+    for name, (run, _) in _COMMANDS.items():
         p_command = sub.add_parser(name, help=run.__doc__)
         if command in (None, name):
             for group, flag, dest, kwargs in _OPTIONS:
@@ -831,11 +813,13 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+# each command and the names of the files it may write
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "optimize": cmd_optimize,
-    "sweep": cmd_sweep,
-    "budget": cmd_budget,
+    "simulate": (cmd_simulate, ("fidelity_curve.csv", "commutator.csv",
+                                "report.json")),
+    "optimize": (cmd_optimize, ("profile.csv", "optimize_report.json")),
+    "sweep": (cmd_sweep, ("sweep.csv", "sweep_report.json")),
+    "budget": (cmd_budget, ("budget.json",)),
 }
 
 
@@ -848,13 +832,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = None
     try:
         cfg = resolve_config(args)
+        cmd, names = _COMMANDS[args.command]
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "config.json", dataclasses.asdict(cfg))
-        # non-finite results are refused or written as nan, so numpy's
-        # floating-point warnings would only repeat them on stderr
-        with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](cfg, out)
+        # the command writes into a directory of its own; one that a killed
+        # run of the same pid left is refused, never committed
+        stage, code = out / f".run-{os.getpid()}", None
+        stage.mkdir()
+        try:
+            _write_json(out / "config.json", dataclasses.asdict(cfg))
+            # non-finite results are refused or written as nan, so numpy's
+            # floating-point warnings would only repeat them on stderr
+            with np.errstate(all="ignore"):
+                code = cmd(cfg, stage)
+            return code
+        finally:  # the commit step
+            for name in names:
+                if code == EXIT_OK and (stage / name).exists():
+                    (stage / name).replace(out / name)
+                else:
+                    (stage / name).unlink(missing_ok=True)
+                    (out / name).unlink(missing_ok=True)
+            stage.rmdir()
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -1278,6 +1278,22 @@ class TestConfigHandling:
         assert main(["simulate", "--profile", f"file:{bad}", "--T", "1",
                      "--steps", "100", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("text", ["t,gamma1\n", ""],
+                             ids=["header-only", "empty"])
+    def test_profile_file_without_rows_exits_2(self, tmp_path, capsys,
+                                               recwarn, text):
+        # numpy's "UserWarning: loadtxt: input contained no data", and the
+        # source line that raised it, came before the error line (pytest
+        # records warnings, so they do not reach capsys here)
+        profile = tmp_path / "p.csv"
+        profile.write_text(text)
+        assert main(["simulate", "--profile", f"file:{profile}", "--T", "1",
+                     "--steps", "10", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: profile file has 0 rows; the grid has 11 nodes "
+            "(t=0 .. T inclusive)"]
+        assert [str(w.message) for w in recwarn] == []
+
     def test_large_rate_gap_oracle_no_traceback(self):
         # (gamma - gamma1)*t reaches 3e5: the constant-coupling oracle used
         # to overflow in expm1 and end the run in a traceback.  No grid of
@@ -1410,6 +1426,125 @@ class TestConfigHandling:
             "error: profile needs 33554474 substeps, more than the bound "
             "4194304 (2**22); its first stiff step is 76"]
         assert not (out / "report.json").exists()
+
+
+def _names(out):
+    """The names in ``out``, sorted."""
+    return sorted(p.name for p in out.iterdir())
+
+
+class TestOutputDirectory:
+    """A run's files replace its command's earlier ones only on exit 0."""
+
+    @pytest.mark.parametrize("kernels", [[], ["--kernels"]],
+                             ids=["plain", "kernels"])
+    def test_failed_run_leaves_no_earlier_table(self, tmp_path, capsys,
+                                                kernels):
+        # the failing run used to leave the first run's fidelity_curve.csv
+        # and report.json beside its own config.json
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--T", "1", "--steps", "100", *kernels,
+                     "--out", out]) == 0
+        assert main(["simulate", "--gamma", "1", "--T", "1", "--gamma1-max",
+                     "1e308", "--steps", "10000", *kernels,
+                     "--out", out]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: profile too stiff to substep (at step 9999)"]
+        assert _names(tmp_path / "run") == ["config.json"]
+        assert _read_json(tmp_path / "run" / "config.json")[
+            "gamma1_max"] == 1e308
+
+    @pytest.mark.parametrize("first, second, left", [
+        (["--format", "csv"], ["--format", "json"], ["report.json"]),
+        (["--format", "csv", "--kernels"], ["--format", "json"],
+         ["report.json"]),
+        (["--format", "json"], ["--format", "csv"], ["fidelity_curve.csv"]),
+        (["--kernels"], [], ["fidelity_curve.csv", "report.json"]),
+    ], ids=["csv-json", "kernels-csv-json", "json-csv", "kernels-plain"])
+    def test_one_runs_tables_only(self, tmp_path, first, second, left):
+        # a T = 1 curve used to stay beside a T = 2 config.json
+        out = tmp_path / "run"
+        for T, flags in (("1", first), ("2", second)):
+            assert main(["simulate", "--T", T, "--steps", "100", *flags,
+                         "--out", str(out)]) == 0
+        assert _names(out) == ["config.json", *left]
+        fresh = tmp_path / "fresh"
+        assert main(["simulate", "--T", "2", "--steps", "100", *second,
+                     "--out", str(fresh)]) == 0
+        for name in left:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_optimize_json_removes_an_earlier_profile(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["optimize", "--steps", "100", "--out", out]) == 0
+        assert main(["optimize", "--steps", "100", "--format", "json",
+                     "--out", out]) == 0
+        assert _names(tmp_path / "run") == ["config.json",
+                                            "optimize_report.json"]
+
+    def test_forked_sweep_replaces_its_table(self, tmp_path):
+        out = tmp_path / "run"
+        for spec in ("T:1:2:2", "T:1:3:3"):
+            assert main(["sweep", "--sweep", spec, "--steps", "100",
+                         "--format", "csv", "--out", str(out)]) == 0
+        assert _names(out) == ["config.json", "sweep.csv"]
+        assert [row["T"] for row in _read_csv(out / "sweep.csv")] == [
+            "1", "2", "3"]
+
+    @pytest.mark.parametrize("error, code", [
+        (MemoryError("cannot allocate"), 2),
+        (ZeroDivisionError("float division by zero"), 3),
+    ], ids=["memory", "arithmetic"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--steps", "100", "--kernels"],
+        ["optimize", "--steps", "100"],
+        ["sweep", "--sweep", "T:1:2:2", "--steps", "100"],
+    ], ids=["simulate", "optimize", "sweep"])
+    def test_failure_mid_write_leaves_none_of_the_commands_files(
+            self, tmp_path, monkeypatch, argv, error, code):
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 0
+
+        def fail(fh, columns):
+            fh.write(b"0,")
+            raise error
+
+        monkeypatch.setattr(cli, "_write_rows", fail)
+        assert main([*argv, "--out", str(out)]) == code
+        assert _names(out) == ["config.json"]
+
+    def test_directory_of_a_killed_run_is_refused(self, tmp_path, capsys):
+        # a run of the same pid left its staging directory: nothing in it
+        # is committed, and the earlier run's files stay as they were
+        out = tmp_path / "run"
+        assert main(["simulate", "--T", "1", "--steps", "100",
+                     "--out", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in _names(out)}
+        stale = out / f".run-{os.getpid()}"
+        stale.mkdir()
+        (stale / "report.json").write_text("{}\n")
+        assert main(["simulate", "--T", "2", "--steps", "100",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot write output: [Errno 17] File exists: ")
+        assert {name: (out / name).read_bytes() for name in _names(out)
+                if name != stale.name} == before
+        assert _names(stale) == ["report.json"]
+
+    def test_optimize_then_simulate_keeps_the_profile(self, tmp_path):
+        # another command's files are left alone, so simulate can read the
+        # profile that optimize wrote into the same directory
+        flags = ["--gamma", "1", "--T", "2", "--steps", "250"]
+        out = tmp_path / "run"
+        assert main(["optimize", *flags, "--out", str(out)]) == 0
+        profile = (out / "profile.csv").read_bytes()
+        assert main(["simulate", *flags, "--profile",
+                     f"file:{out / 'profile.csv'}", "--out", str(out)]) == 0
+        assert _names(out) == ["config.json", "fidelity_curve.csv",
+                               "optimize_report.json", "profile.csv",
+                               "report.json"]
+        assert (out / "profile.csv").read_bytes() == profile
+        assert _read_json(out / "config.json")["profile"].startswith("file:")
 
 
 def test_determinism_across_runs(tmp_path):
