@@ -8,6 +8,8 @@ directory inside it.  :func:`main` moves them to their names only when the
 command returns 0; otherwise the command's files, earlier ones included, are
 removed.  ``simulate`` and every ``sweep`` point run the same step maps and
 compare against the same closed form, :func:`oscxfer.oracles.reference_curve`.
+A ``simulate`` run of more than one block formats its tables in one forked
+child while it integrates; a ``sweep`` runs its points in forked workers.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 """
 
@@ -20,6 +22,7 @@ import json
 import locale  # build_parser() needs it (argparse gettext): load it at import
 import math
 import os
+import pickle  # numpy loads it: importing it here costs nothing
 import sys
 import warnings
 from dataclasses import dataclass
@@ -474,6 +477,68 @@ def _simulate(cfg: RunConfig, integrate):
         n_steps=cfg.n_steps, kernel_tracking=cfg.kernels))
 
 
+def _write_tables(requests, files: list) -> None:
+    """Append each block that :func:`_table_writer` sends to its table in
+    ``files`` until the pipe ends, then flush the tables."""
+    buf = np.empty(0)
+    while head := requests.read(24):
+        table, cols, rows = (int.from_bytes(head[i:i + 8], "little")
+                             for i in (0, 8, 16))
+        if buf.size < cols * rows:
+            buf = np.empty(cols * rows)
+        block = buf[:cols * rows]
+        if requests.readinto(block) < block.nbytes:
+            break  # the parent stopped part way, as it failed
+        _write_rows(files[table], block.reshape(cols, rows))
+    for fh in files:
+        fh.flush()
+
+
+def _table_writer(stack: contextlib.ExitStack, tables: dict,
+                  more_blocks: bool):
+    """``write(table, columns)``, which appends rows to the ``table``-th of
+    the open files ``tables`` (by file name) as :func:`_write_rows` does.
+
+    Where ``more_blocks``, ``os.fork`` exists and the process may run on
+    more than one CPU, the rows go to one forked child, which formats them
+    while this process integrates: each block is sent as 24 bytes (table,
+    columns, rows) and the columns' raw doubles, one column after another,
+    and the pipe's backpressure holds at most about a block in flight.
+    ``stack`` reaps the child and raises what stopped it, before any
+    error of this process, since its rows came first.  Otherwise the rows
+    are written in this process.
+    """
+    files = list(tables.values())
+    if not (more_blocks and hasattr(os, "fork") and _cpus() > 1):
+        return lambda table, columns: _write_rows(files[table], columns)
+    for fh in files:
+        fh.flush()  # else the headers are written again, by both processes
+    child = _fork(lambda requests, answer: answer(
+        _attempt(_write_tables, requests, files)))
+    pipe = child[1]
+
+    def finish(exc_type, exc, tb) -> None:
+        outcome = _reap(*child)
+        if exc is None or isinstance(exc, Exception):
+            if outcome is None:
+                raise ConfigError(
+                    "the table writer ended without a result (killed by a "
+                    "signal or out of memory); no table for "
+                    + ", ".join(tables))
+            if not outcome[0]:
+                raise outcome[1]
+
+    stack.push(finish)
+
+    def write(table: int, columns) -> None:
+        pipe.write(b"".join(v.to_bytes(8, "little") for v in (
+            table, len(columns), len(columns[0]))))
+        for col in columns:
+            pipe.write(col)
+
+    return write
+
+
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     """Integrate the transfer and compare to closed forms."""
     p, profile, grid, blocks = _simulate(cfg, integrate_blocks)
@@ -487,6 +552,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     # which np.maximum keeps NaN in
     peak, peak_time, deficit_max = -math.inf, math.nan, -math.inf
     node = 0  # the block's first node
+    write = None
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(out / name, "wb")) for name in tables]
         for fh, header in zip(files, tables.values()):
@@ -501,12 +567,14 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
                 deficit_max = np.maximum(deficit_max, [
                     np.max(np.abs(d)) for d in deficits])
             if files:
+                if write is None:  # a first block short of the run's end
+                    write = _table_writer(stack, dict(zip(tables, files)),
+                                          curve.size <= cfg.n_steps)
                 times = np.arange(node, node + curve.size) * grid.dt
                 oracle = reference_curve(p, profile, times)
-                _write_rows(files[0], (times, curve, oracle,
-                                       np.abs(curve - oracle)))
+                write(0, (times, curve, oracle, np.abs(curve - oracle)))
                 if deficits:
-                    _write_rows(files[1], (times, *deficits))
+                    write(1, (times, *deficits))
             node += curve.size
 
     report = {
@@ -609,52 +677,100 @@ def _sweep_point(job: tuple) -> tuple[float, float]:
     return reference_curve(p, profile, t_end), a21
 
 
-def _attempt(job: tuple) -> tuple:
-    """``(True, row)`` of one sweep point, or ``(False, error)``."""
+def _attempt(fn, *args) -> tuple:
+    """``(True, fn(*args))``, or ``(False, error)`` if it raised one."""
     try:
-        return True, _sweep_point(job)
+        return True, fn(*args)
     except Exception as exc:
         return False, exc
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; os.cpu_count() also counts those
+    outside its affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork(serve, close: Sequence[int] = ()) -> tuple:
+    """Fork a child that runs ``serve(requests, answer)`` and exits.
+
+    ``requests`` reads what the parent writes into the returned writer;
+    ``answer(obj)`` sends an 8-byte length and the pickle of ``obj`` to the
+    returned reader, where :func:`_answer` reads it.  The child first closes
+    the descriptors ``close`` (the parent's ends of earlier children's
+    pipes), so that a child's death ends its pipes.  Returns ``(pid,
+    writer, reader)``; :func:`_reap` ends the child.
+    """
+    sys.stdout.flush()  # else a child's line-buffered stderr repeats them
+    sys.stderr.flush()
+    request_r, request_w = os.pipe()
+    answer_r, answer_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # a child leaves only through os._exit
+        try:
+            for fd in (request_w, answer_r, *close):
+                os.close(fd)
+            answers = open(answer_w, "wb")
+
+            def answer(obj) -> None:
+                data = pickle.dumps(obj)
+                answers.write(len(data).to_bytes(8, "little") + data)
+                answers.flush()
+
+            serve(open(request_r, "rb"), answer)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(request_r)
+    os.close(answer_w)
+    return pid, open(request_w, "wb"), open(answer_r, "rb")
+
+
+def _answer(reader):
+    """The next object a child answered, None if it ended without one."""
+    size = int.from_bytes(head := reader.read(8), "little")
+    if len(head) == 8 and len(data := reader.read(size)) == size:
+        return pickle.loads(data)
+    return None
+
+
+def _reap(pid: int, writer, reader):
+    """End a child of :func:`_fork`: close its requests, which it reads to
+    their end, and wait for it to exit.  Returns what it answered after
+    its last request, None if nothing."""
+    with contextlib.suppress(BrokenPipeError):  # bytes a lost child left
+        writer.close()
+    try:
+        return _answer(reader)
+    finally:
+        reader.close()
+        os.waitpid(pid, 0)
 
 
 def _sweep_rows(jobs: list, workers: int) -> list:
     """Each job's ``_sweep_point`` row, in job order, from ``workers``
     forked children, or from this process without ``os.fork``.  A child
-    answers each 8-byte point index on its pipe with an 8-byte length and
-    the pickle of :func:`_attempt`, and gets the next index as soon as its
-    answer is back.  No point starts after one fails or a child is lost;
-    the earliest point without a row decides what is raised.
+    answers each 8-byte point index on its pipe with :func:`_attempt`'s
+    outcome, and gets the next index as soon as its answer is back.  No
+    point starts after one fails or a child is lost; the earliest point
+    without a row decides what is raised.
     """
-    import pickle
     import select
 
+    def serve(indices, answer) -> None:
+        while index := indices.read(8):
+            answer(_attempt(_sweep_point,
+                            jobs[int.from_bytes(index, "little")]))
+
     outcomes, todo = [None] * len(jobs), list(range(len(jobs)))[::-1]
-    children, busy = {}, {}  # by result pipe: (pid, job pipe, reader); index
-    sys.stdout.flush()  # else a child's line-buffered stderr repeats them
-    sys.stderr.flush()
+    children, busy = {}, {}  # by answer pipe: (pid, writer, reader); index
     try:
         for _ in range(workers if hasattr(os, "fork") else 0):
-            job_r, job_w = os.pipe()
-            result_r, result_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # a child leaves only through os._exit
-                try:
-                    # the parent's ends: a child's death must end its pipes
-                    for fd in (job_w, result_r, *children,
-                               *(c[1] for c in children.values())):
-                        os.close(fd)
-                    indices, answers = open(job_r, "rb"), open(result_w, "wb")
-                    while index := indices.read(8):
-                        data = pickle.dumps(
-                            _attempt(jobs[int.from_bytes(index, "little")]))
-                        answers.write(len(data).to_bytes(8, "little") + data)
-                        answers.flush()
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(job_r)
-            os.close(result_w)
-            children[result_r] = pid, job_w, open(result_r, "rb")
+            child = _fork(serve, [pipe.fileno() for _, *pipes
+                                  in children.values() for pipe in pipes])
+            children[child[2].fileno()] = child
         poller = select.poll() if children else None  # Windows has neither
         idle = list(children)
         while todo and idle or busy:
@@ -663,28 +779,25 @@ def _sweep_rows(jobs: list, workers: int) -> list:
                 busy[fd] = todo.pop()
                 poller.register(fd, select.POLLIN)
                 try:
-                    os.write(children[fd][1], busy[fd].to_bytes(8, "little"))
+                    children[fd][1].write(busy[fd].to_bytes(8, "little"))
+                    children[fd][1].flush()
                 except BrokenPipeError:  # the child is gone: its pipe ends
                     pass
             for fd, _ in poller.poll():
                 poller.unregister(fd)
-                index, answer = busy.pop(fd), children[fd][2]
-                size = int.from_bytes(head := answer.read(8), "little")
-                if len(head) == 8 and len(data := answer.read(size)) == size:
-                    outcomes[index] = pickle.loads(data)
+                index = busy.pop(fd)
+                outcomes[index] = _answer(children[fd][2])
                 if outcomes[index] is None or not outcomes[index][0]:
                     todo.clear()
                 idle.append(fd)
         while todo:  # no os.fork: this process runs the points
             index = todo.pop()
-            outcomes[index] = _attempt(jobs[index])
+            outcomes[index] = _attempt(_sweep_point, jobs[index])
             if not outcomes[index][0]:
                 todo.clear()
     finally:
-        for pid, job_w, answer in children.values():
-            os.close(job_w)  # an idle child reads the end and exits
-            answer.close()
-            os.waitpid(pid, 0)
+        for child in children.values():
+            _reap(*child)
     for outcome in outcomes:
         if outcome is None:
             raise ConfigError(
@@ -703,12 +816,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("sweep subcommand needs --sweep param:lo:hi:n")
     name, lo, hi, n = _parse_sweep(cfg.sweep)
     points = np.linspace(lo, hi, n).tolist()
-    # os.cpu_count() also counts CPUs outside the process's affinity mask
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    rows = _sweep_rows([(cfg, name, v) for v in points], min(n, cpus))
+    rows = _sweep_rows([(cfg, name, v) for v in points], min(n, _cpus()))
 
     table = [(value, analytic, simulated, abs(simulated - analytic))
              for value, (analytic, simulated) in zip(points, rows)]
@@ -823,6 +931,19 @@ _COMMANDS = {
 }
 
 
+def _staging_directory(out: Path) -> Path:
+    """A new directory in ``out`` for the command to write into, named
+    ``.run-<pid>-<8 hex digits>``.  A name that is taken (a killed run's
+    directory, which nothing commits or removes) is passed over."""
+    while True:
+        stage = out / f".run-{os.getpid()}-{os.urandom(4).hex()}"
+        try:
+            stage.mkdir()
+            return stage
+        except FileExistsError:
+            pass
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the top-level parser takes no value, so the first command name in
@@ -835,10 +956,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cmd, names = _COMMANDS[args.command]
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        # the command writes into a directory of its own; one that a killed
-        # run of the same pid left is refused, never committed
-        stage, code = out / f".run-{os.getpid()}", None
-        stage.mkdir()
+        stage, code = _staging_directory(out), None
         try:
             _write_json(out / "config.json", dataclasses.asdict(cfg))
             # non-finite results are refused or written as nan, so numpy's

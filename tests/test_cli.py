@@ -1513,23 +1513,32 @@ class TestOutputDirectory:
         assert main([*argv, "--out", str(out)]) == code
         assert _names(out) == ["config.json"]
 
-    def test_directory_of_a_killed_run_is_refused(self, tmp_path, capsys):
-        # a run of the same pid left its staging directory: nothing in it
-        # is committed, and the earlier run's files stay as they were
+    def test_directory_of_a_killed_run_is_left_alone(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a killed run of the same pid left its staging directory, under
+        # the name this run draws first: the run takes another name and
+        # commits its own files, and nothing of the stale directory
         out = tmp_path / "run"
-        assert main(["simulate", "--T", "1", "--steps", "100",
-                     "--out", str(out)]) == 0
-        before = {name: (out / name).read_bytes() for name in _names(out)}
-        stale = out / f".run-{os.getpid()}"
-        stale.mkdir()
+        stale = out / f".run-{os.getpid()}-00000000"
+        stale.mkdir(parents=True)
         (stale / "report.json").write_text("{}\n")
+        draws = [bytes(4)]
+        urandom = os.urandom
+        monkeypatch.setattr(cli.os, "urandom",
+                            lambda n: draws.pop() if draws else urandom(n))
         assert main(["simulate", "--T", "2", "--steps", "100",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: cannot write output: [Errno 17] File exists: ")
-        assert {name: (out / name).read_bytes() for name in _names(out)
-                if name != stale.name} == before
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert draws == []
+        assert _names(out) == [stale.name, "config.json",
+                               "fidelity_curve.csv", "report.json"]
+        fresh = tmp_path / "fresh"
+        assert main(["simulate", "--T", "2", "--steps", "100",
+                     "--out", str(fresh)]) == 0
+        for name in ("fidelity_curve.csv", "report.json"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
         assert _names(stale) == ["report.json"]
+        assert (stale / "report.json").read_text() == "{}\n"
 
     def test_optimize_then_simulate_keeps_the_profile(self, tmp_path):
         # another command's files are left alone, so simulate can read the
@@ -1545,6 +1554,171 @@ class TestOutputDirectory:
                                "report.json"]
         assert (out / "profile.csv").read_bytes() == profile
         assert _read_json(out / "config.json")["profile"].startswith("file:")
+
+
+def _no_child_is_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _table_writer_as(monkeypatch, mode):
+    """Make ``simulate`` write its tables in ``mode``: through the forked
+    writer (as on two CPUs), or in process without ``os.fork`` or on one
+    CPU.  Returns the list of the forks ``cli._fork`` makes."""
+    if mode == "no-fork":
+        monkeypatch.delattr(cli.os, "fork")
+    else:
+        cpus = {0, 1} if mode == "writer" else {0}
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+    forks = []
+    fork = cli._fork
+
+    def spy(*args):
+        forks.append(args)
+        return fork(*args)
+
+    monkeypatch.setattr(cli, "_fork", spy)
+    return forks
+
+
+# a lossy --kernels run of three blocks, the last one short
+_LOSSY_KERNELS = ["simulate", "--T", "3", "--dt-cut", "0.25", "--gamma1-max",
+                  "1.54", "--eta", "0.81", "--gamma-loss", "0.05",
+                  "--steps", "20000", "--kernels"]
+
+
+class TestTableWriter:
+    """A multi-block ``simulate`` formats its tables in one forked child;
+    every run gives what the in-process writer gives, and leaves no child."""
+
+    def _runs(self, tmp_path, capsys, monkeypatch, argv, modes,
+              write_rows=None):
+        """Exit code, stderr lines, forks and the files of ``argv`` run in
+        each mode, into a directory that an earlier run filled, with
+        ``write_rows`` (if given) for ``cli._write_rows``."""
+        runs = {}
+        for mode in modes:
+            out = tmp_path / mode
+            assert main(["simulate", "--steps", "100", "--kernels",
+                         "--out", str(out)]) == 0
+            capsys.readouterr()
+            with monkeypatch.context() as patch:
+                forks = _table_writer_as(patch, mode)
+                if write_rows:
+                    patch.setattr(cli, "_write_rows", write_rows)
+                code = main([*argv, "--out", str(out)])
+            _no_child_is_left()
+            runs[mode] = (code, capsys.readouterr().err.splitlines(),
+                          len(forks), {path.name: path.read_bytes()
+                                       for path in out.iterdir()
+                                       if path.name != "config.json"})
+        return runs
+
+    @pytest.mark.parametrize("fmt", ["csv", "both"])
+    def test_writer_writes_the_in_process_bytes(self, tmp_path, capsys,
+                                                monkeypatch, fmt):
+        runs = self._runs(tmp_path, capsys, monkeypatch,
+                          [*_LOSSY_KERNELS, "--format", fmt],
+                          ["writer", "no-fork", "one-cpu"])
+        code, err, forks, files = runs.pop("writer")
+        assert (code, err, forks) == (0, [], 1)
+        assert sorted(files) == sorted(
+            ["commutator.csv", "fidelity_curve.csv"]
+            + (["report.json"] if fmt == "both" else []))
+        for mode, run in runs.items():
+            assert run == (0, [], 0, files), mode
+
+    @pytest.mark.parametrize("steps", ["8192", "8193"])
+    def test_only_a_run_of_more_than_one_block_forks(
+            self, tmp_path, capsys, monkeypatch, steps):
+        runs = self._runs(tmp_path, capsys, monkeypatch,
+                          ["simulate", "--T", "3", "--steps", steps],
+                          ["writer", "one-cpu"])
+        assert runs["writer"][2] == (steps == "8193")
+        assert runs["writer"][3] == runs["one-cpu"][3]
+
+    def test_json_run_does_not_fork(self, tmp_path, capsys, monkeypatch):
+        runs = self._runs(tmp_path, capsys, monkeypatch,
+                          [*_LOSSY_KERNELS, "--format", "json"], ["writer"])
+        assert runs["writer"][:3] == (0, [], 0)
+
+    @pytest.mark.parametrize("error, code, line", [
+        (MemoryError("cannot allocate"), 2,
+         "error: not enough memory: cannot allocate"),
+        (MemoryError(), 2,
+         "error: not enough memory: simulate --steps 20000"),
+        (ZeroDivisionError("float division by zero"), 3,
+         "numerical failure: float division by zero"),
+    ], ids=["memory", "bare-memory", "arithmetic"])
+    @pytest.mark.parametrize("call", [1, 3], ids=["first", "later"])
+    def test_failure_mid_write_is_the_in_process_failure(
+            self, tmp_path, capsys, monkeypatch, error, code, line, call):
+        # the writer fails in its first table's first block, or in the
+        # first table's second block
+        calls = []
+
+        def fail(fh, columns):
+            calls.append(1)
+            if len(calls) == call:
+                fh.write(b"0,")
+                raise error
+            return write_rows(fh, columns)
+
+        write_rows = cli._write_rows
+        runs = self._runs(tmp_path, capsys, monkeypatch, _LOSSY_KERNELS,
+                          ["writer", "one-cpu"], fail)
+        assert runs["writer"] == (code, [line], 1, {})
+        assert runs["one-cpu"] == (code, [line], 0, {})
+
+    @pytest.mark.parametrize("kernels", [[], ["--kernels"]],
+                             ids=["plain", "kernels"])
+    def test_failure_in_block_two_is_the_in_process_failure(
+            self, tmp_path, capsys, monkeypatch, kernels):
+        runs = self._runs(tmp_path, capsys, monkeypatch, [
+            "simulate", "--gamma", "1", "--T", "1", "--gamma1-max", "1e308",
+            "--steps", "10000", *kernels], ["writer", "one-cpu"])
+        line = "numerical failure: profile too stiff to substep (at step 9999)"
+        assert runs["writer"] == (3, [line], 1, {})
+        assert runs["one-cpu"] == (3, [line], 0, {})
+
+    @pytest.mark.parametrize("kernels, tables", [
+        ([], "fidelity_curve.csv"),
+        (["--kernels"], "fidelity_curve.csv, commutator.csv"),
+    ], ids=["plain", "kernels"])
+    def test_killed_writer_exits_2(self, tmp_path, capsys, monkeypatch,
+                                   kernels, tables):
+        # as the OOM killer would kill it, on its first block
+        parent = os.getpid()
+
+        def kill(fh, columns):
+            assert os.getpid() != parent, "the writer did not fork"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        runs = self._runs(tmp_path, capsys, monkeypatch, [
+            "simulate", "--T", "3", "--steps", "16385", *kernels],
+            ["writer"], kill)
+        assert runs["writer"] == (2, [
+            "error: the table writer ended without a result (killed by a "
+            f"signal or out of memory); no table for {tables}"], 1, {})
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--T", "3", "--steps", "16385", "--kernels"], 0),
+    (["simulate", "--T", "3", "--steps", "100"], 0),
+    (["simulate", "--gamma", "1", "--T", "1", "--gamma1-max", "1e308",
+      "--steps", "10000", "--kernels"], 3),
+    (["sweep", "--sweep", "T:1:2:3", "--steps", "100"], 0),
+    (["sweep", "--sweep", "eta:0.5:1.5:3", "--steps", "100"], 2),
+], ids=["simulate", "simulate-one-block", "simulate-fails", "sweep",
+        "sweep-fails"])
+def test_no_child_is_left(tmp_path, monkeypatch, argv, code):
+    # on two CPUs, where simulate's writer and the sweep's workers fork
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    _no_child_is_left()
 
 
 def test_determinism_across_runs(tmp_path):
@@ -1637,6 +1811,7 @@ import oscxfer.cli as cli
 print(sorted({"concurrent.futures.process", "multiprocessing"}
              & set(sys.modules)))
 for argv in (["simulate", "--steps", "10", "--kernels"],
+             ["simulate", "--steps", "16385", "--kernels"],
              ["optimize", "--steps", "10"], ["budget", "--dt-cut", "1e-3"],
              ["sweep", "--sweep", "T:1:2:3", "--steps", "10"]):
     before = set(sys.modules)
@@ -1647,15 +1822,15 @@ for argv in (["simulate", "--steps", "10", "--kernels"],
 
 def test_no_command_imports_a_process_pool(tmp_path):
     # in a fresh interpreter: importing the CLI loads no process pool, no
-    # simulate, optimize or budget run pays for an import, and a sweep
-    # imports only select
+    # simulate (its table writer too), optimize or budget run pays for an
+    # import, and a sweep imports only select
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]"] * 5
+    assert proc.stdout.splitlines() == ["[]"] * 6
 
 
 def test_help_exits_cleanly():
