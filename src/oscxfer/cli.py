@@ -8,8 +8,9 @@ directory inside it.  :func:`main` moves them to their names only when the
 command returns 0; otherwise the command's files, earlier ones included, are
 removed.  ``simulate`` and every ``sweep`` point run the same step maps and
 compare against the same closed form, :func:`oscxfer.oracles.reference_curve`.
-A ``simulate`` run of more than one block formats its tables in one forked
-child while it integrates; a ``sweep`` runs its points in forked workers.
+A ``simulate`` run of more than one block shares the formatting of its
+tables with one forked writer child, which writes them while the run
+integrates; a ``sweep`` runs its points in forked workers.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 """
 
@@ -29,6 +30,11 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
+
+try:
+    import fcntl  # grows the table writer's pipe
+except ImportError:  # Windows, which has no os.fork either
+    fcntl = None
 
 import numpy as np
 
@@ -477,19 +483,49 @@ def _simulate(cfg: RunConfig, integrate):
         n_steps=cfg.n_steps, kernel_tracking=cfg.kernels))
 
 
-def _write_tables(requests, files: list) -> None:
-    """Append each block that :func:`_table_writer` sends to its table in
-    ``files`` until the pipe ends, then flush the tables."""
+_PIPE_SIZE = 1 << 20  # the table writer's pipe, where the host lets it grow
+_BACKLOG = 8  # raw chunks the writer may hold: one 8192-step block's rows
+
+
+def _pipe_capacity(fd: int) -> int:
+    """Grow the pipe of ``fd`` to ``_PIPE_SIZE`` where the host lets it;
+    returns the pipe's capacity in bytes."""
+    try:
+        return fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_SIZE)
+    except OSError:  # over the host's limit: the pipe keeps its size
+        return fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+    except AttributeError:  # no F_SETPIPE_SZ: Linux's default size
+        return 1 << 16
+
+
+def _child_formats(backlog: int, limit: int) -> bool:
+    """Whether the table writer gets the next chunk raw, to format it: only
+    while fewer than ``limit`` raw chunks wait for it (``backlog``)."""
+    return backlog < limit
+
+
+def _write_tables(requests, files: list, acks: int) -> None:
+    """Append each chunk that :func:`_table_writer` sends to its table in
+    ``files`` until the pipe ends, then flush the tables.  Raw chunks go
+    through :func:`_write_rows`, each answered by one byte on the
+    descriptor ``acks``; formatted chunks are written as they come."""
     buf = np.empty(0)
     while head := requests.read(24):
         table, cols, rows = (int.from_bytes(head[i:i + 8], "little")
                              for i in (0, 8, 16))
+        if not cols:  # rows bytes of formatted rows
+            data = requests.read(rows)
+            if len(data) < rows:
+                break  # the parent stopped part way, as it failed
+            files[table].write(data)
+            continue
         if buf.size < cols * rows:
             buf = np.empty(cols * rows)
         block = buf[:cols * rows]
         if requests.readinto(block) < block.nbytes:
-            break  # the parent stopped part way, as it failed
+            break
         _write_rows(files[table], block.reshape(cols, rows))
+        os.write(acks, b"\1")
     for fh in files:
         fh.flush()
 
@@ -500,22 +536,37 @@ def _table_writer(stack: contextlib.ExitStack, tables: dict,
     the open files ``tables`` (by file name) as :func:`_write_rows` does.
 
     Where ``more_blocks``, ``os.fork`` exists and the process may run on
-    more than one CPU, the rows go to one forked child, which formats them
-    while this process integrates: each block is sent as 24 bytes (table,
-    columns, rows) and the columns' raw doubles, one column after another,
-    and the pipe's backpressure holds at most about a block in flight.
-    ``stack`` reaps the child and raises what stopped it, before any
-    error of this process, since its rows came first.  Otherwise the rows
-    are written in this process.
+    more than one CPU, the rows go to one forked child, which formats most
+    of them while this process integrates.  The columns are sent in chunks
+    of ``_CSV_BLOCK`` rows, each behind 24 bytes (table, columns, rows).
+    While fewer than a block's chunks (``_BACKLOG``, fewer if the pipe
+    cannot hold them) wait for the child, a chunk goes as its columns' raw
+    doubles, one column after another, and the child acknowledges each one
+    it formats with a byte on a second pipe; otherwise this process formats
+    the chunk itself and sends its bytes, with 0 columns and their length
+    as the rows.  The child writes every chunk in the order sent, so the
+    split follows the speed of each side and the bytes stay the same.  The
+    pipe is grown to ``_PIPE_SIZE`` so that it holds the raw backlog and
+    this process's chunks.  ``stack`` reaps the child and raises what
+    stopped it, before any error of this process, since its rows came
+    first.  Otherwise the rows are written in this process.
     """
     files = list(tables.values())
     if not (more_blocks and hasattr(os, "fork") and _cpus() > 1):
         return lambda table, columns: _write_rows(files[table], columns)
     for fh in files:
         fh.flush()  # else the headers are written again, by both processes
-    child = _fork(lambda requests, answer: answer(
-        _attempt(_write_tables, requests, files)))
+    acks, ack_w = os.pipe()
+    stack.callback(os.close, acks)  # after the reap, when no ack can come
+    try:
+        child = _fork(lambda requests, answer: answer(_attempt(
+            _write_tables, requests, files, ack_w)), [acks])
+    finally:
+        os.close(ack_w)
+    os.set_blocking(acks, False)
     pipe = child[1]
+    capacity = _pipe_capacity(pipe.fileno())
+    backlog = 0  # raw chunks sent and not yet acknowledged
 
     def finish(exc_type, exc, tb) -> None:
         outcome = _reap(*child)
@@ -531,10 +582,22 @@ def _table_writer(stack: contextlib.ExitStack, tables: dict,
     stack.push(finish)
 
     def write(table: int, columns) -> None:
-        pipe.write(b"".join(v.to_bytes(8, "little") for v in (
-            table, len(columns), len(columns[0]))))
-        for col in columns:
-            pipe.write(col)
+        nonlocal backlog
+        limit = min(_BACKLOG, capacity // (24 + 8 * len(columns) * _CSV_BLOCK))
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            chunk = [col[lo:lo + _CSV_BLOCK] for col in columns]
+            with contextlib.suppress(BlockingIOError):
+                backlog -= len(os.read(acks, 4096))
+            if _child_formats(backlog, limit):
+                backlog += 1
+                head = len(chunk), len(chunk[0])
+            else:
+                chunk = [_format_rows(np.column_stack(chunk))]
+                head = 0, len(chunk[0])
+            pipe.write(b"".join(v.to_bytes(8, "little")
+                                for v in (table, *head)))
+            for data in chunk:
+                pipe.write(data)
 
     return write
 

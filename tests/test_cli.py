@@ -1703,6 +1703,167 @@ class TestTableWriter:
             "error: the table writer ended without a result (killed by a "
             f"signal or out of memory); no table for {tables}"], 1, {})
 
+    @staticmethod
+    def _split_as(monkeypatch, split):
+        """Make the writer's parent format the chunks ``split`` picks: all
+        of them, none, or every second one.  Returns the rule's answers,
+        True for each chunk sent raw."""
+        answers = []
+
+        def rule(backlog, limit):
+            answers.append(split == "none" or split == "alternate"
+                           and len(answers) % 2 == 0)
+            return answers[-1]
+
+        monkeypatch.setattr(cli, "_child_formats", rule)
+        return answers
+
+    @staticmethod
+    def _count_own_formats(monkeypatch, answers):
+        """Count the ``_format_rows`` calls this process makes once the
+        rule has ``answers`` (not the writer's, whose list is its own)."""
+        parent, calls = os.getpid(), []
+        format_rows = cli._format_rows
+
+        def count(block):
+            if os.getpid() == parent and answers:
+                calls.append(len(block))
+            return format_rows(block)
+
+        monkeypatch.setattr(cli, "_format_rows", count)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["csv", "both"])
+    @pytest.mark.parametrize("split", ["all", "none", "alternate"])
+    def test_every_split_writes_the_in_process_bytes(
+            self, tmp_path, capsys, monkeypatch, split, fmt):
+        argv = [*_LOSSY_KERNELS, "--format", fmt]
+        want = self._runs(tmp_path, capsys, monkeypatch, argv, ["one-cpu"])
+        with monkeypatch.context() as patch:
+            answers = self._split_as(patch, split)
+            own = self._count_own_formats(patch, answers)
+            runs = self._runs(tmp_path, capsys, patch, argv, ["writer"])
+        assert runs["writer"] == (0, [], 1, want["one-cpu"][3])
+        # three blocks of 8193, 8192 and 3616 rows in 9 + 8 + 4 chunks,
+        # for each of the two tables
+        assert len(answers) == 42
+        assert len(own) == answers.count(False)
+
+    @pytest.mark.parametrize("error, code, line", [
+        (MemoryError("cannot allocate"), 2,
+         "error: not enough memory: cannot allocate"),
+        (ZeroDivisionError("float division by zero"), 3,
+         "numerical failure: float division by zero"),
+    ], ids=["memory", "arithmetic"])
+    def test_failure_in_a_parent_chunk_is_the_in_process_failure(
+            self, tmp_path, capsys, monkeypatch, error, code, line):
+        # the parent fails on its second chunk of 1024 rows (not the earlier
+        # run's 101): forked, the run's fourth chunk, with raw chunks before
+        # and after it sent to the writer; in process, the run's second
+        parent, calls = os.getpid(), []
+        format_rows = cli._format_rows
+
+        def fail(block):
+            if os.getpid() == parent and len(block) == cli._CSV_BLOCK:
+                calls.append(1)
+                if len(calls) == 2:
+                    raise error
+            return format_rows(block)
+
+        monkeypatch.setattr(cli, "_format_rows", fail)
+        self._split_as(monkeypatch, "alternate")
+        fds = _open_descriptors()
+        runs = self._runs(tmp_path, capsys, monkeypatch, _LOSSY_KERNELS,
+                          ["writer"])
+        assert fds == _open_descriptors()
+        calls.clear()
+        runs.update(self._runs(tmp_path, capsys, monkeypatch, _LOSSY_KERNELS,
+                               ["one-cpu"]))
+        assert runs["writer"] == (code, [line], 1, {})
+        assert runs["one-cpu"] == (code, [line], 0, {})
+
+    def test_writer_killed_with_parent_chunks_queued_exits_2(
+            self, tmp_path, capsys, monkeypatch):
+        # killed on its second raw chunk, after the parent has had time to
+        # queue its own formatted chunks behind it
+        parent = os.getpid()
+        calls = []
+
+        def kill(fh, columns):
+            assert os.getpid() != parent, "the writer did not fork"
+            calls.append(1)
+            if len(calls) == 2:
+                time.sleep(0.1)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return write_rows(fh, columns)
+
+        write_rows = cli._write_rows
+        self._split_as(monkeypatch, "alternate")
+        fds = _open_descriptors()
+        runs = self._runs(tmp_path, capsys, monkeypatch, [
+            "simulate", "--T", "3", "--steps", "16385", "--kernels"],
+            ["writer"], kill)
+        assert fds == _open_descriptors()
+        assert runs["writer"] == (2, [
+            "error: the table writer ended without a result (killed by a "
+            "signal or out of memory); no table for fidelity_curve.csv, "
+            "commutator.csv"], 1, {})
+
+    @pytest.mark.skipif(not hasattr(cli.fcntl, "F_SETPIPE_SZ"),
+                        reason="no pipe size to set")
+    @pytest.mark.parametrize("pipe", ["no-setpipe", "setpipe-refused"])
+    def test_pipe_that_cannot_grow_writes_the_same_bytes(
+            self, tmp_path, capsys, monkeypatch, pipe):
+        # in a fresh interpreter, so that a deadlock ends in the timeout
+        argv = ["simulate", "--profile", "optimal", "--gamma", "1", "--T",
+                "5", "--dt-cut", "1e-3", "--steps", "100000"]
+        want = self._runs(tmp_path, capsys, monkeypatch, argv, ["one-cpu"])
+        out = tmp_path / pipe
+        proc = subprocess.run(
+            [sys.executable, "-c", _PIPE_PROBE, pipe, *argv, "--out",
+             str(out)],
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        # the writer forked, on a pipe of Linux's default 64 KiB
+        assert json.loads(proc.stdout) == {"forks": 1, "capacity": [65536]}
+        assert {path.name: path.read_bytes() for path in out.iterdir()
+                if path.name != "config.json"} == want["one-cpu"][3]
+
+
+# runs argv[2:] with the table writer's pipe unable to grow: no
+# F_SETPIPE_SZ, or one that the host refuses; prints the forks made and the
+# capacities the writer found
+_PIPE_PROBE = """
+import errno, fcntl, json, sys
+from oscxfer import cli
+
+if sys.argv[1] == "no-setpipe":
+    del fcntl.F_SETPIPE_SZ
+else:
+    def refuse(fd, cmd, arg=0, fcntl_=fcntl.fcntl):
+        if cmd == fcntl.F_SETPIPE_SZ:
+            raise PermissionError(errno.EPERM, "Operation not permitted")
+        return fcntl_(fd, cmd, arg)
+    fcntl.fcntl = refuse
+cli.os.sched_getaffinity = lambda pid: {0, 1}
+forks, capacities = [], []
+fork, pipe_capacity = cli._fork, cli._pipe_capacity
+cli._fork = lambda *args: forks.append(1) or fork(*args)
+cli._pipe_capacity = lambda fd: capacities.append(pipe_capacity(fd)) or capacities[-1]
+code = cli.main(sys.argv[2:])
+print(json.dumps({"forks": len(forks), "capacity": capacities}))
+sys.exit(code)
+"""
+
+
+def _open_descriptors():
+    """The descriptors this process has open (none listed without /proc)."""
+    if not os.path.isdir("/proc/self/fd"):
+        return []
+    return sorted(os.listdir("/proc/self/fd"))
+
 
 @pytest.mark.parametrize("argv, code", [
     (["simulate", "--T", "3", "--steps", "16385", "--kernels"], 0),
@@ -1719,6 +1880,24 @@ def test_no_child_is_left(tmp_path, monkeypatch, argv, code):
                         raising=False)
     assert main([*argv, "--out", str(tmp_path)]) == code
     _no_child_is_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc to list descriptors in")
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--T", "3", "--steps", "16385", "--kernels"], 0),
+    (["simulate", "--gamma", "1", "--T", "1", "--gamma1-max", "1e308",
+      "--steps", "10000", "--kernels"], 3),
+    (["sweep", "--sweep", "T:1:2:3", "--steps", "100"], 0),
+    (["sweep", "--sweep", "eta:0.5:1.5:3", "--steps", "100"], 2),
+], ids=["simulate", "simulate-fails", "sweep", "sweep-fails"])
+def test_no_descriptor_is_left(tmp_path, monkeypatch, argv, code):
+    # on two CPUs, where simulate's writer and the sweep's workers fork
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    before = _open_descriptors()
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    assert _open_descriptors() == before
 
 
 def test_determinism_across_runs(tmp_path):
