@@ -66,22 +66,41 @@ class CircuitRates:
     scale_coordinate: str
 
 
+def _checked(name: str, num: float, den: float = 1.0) -> float:
+    """``num / den``, refused with a :class:`ValueError` that names it unless
+    it is finite and positive; a zero ``den`` makes it infinite."""
+    value = num / den if den else math.inf
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"the circuit's {name} must be positive and finite, "
+                         f"got {value!r}")
+    return value
+
+
 def circuit_to_rates(spec: CircuitSpec, hbar: float = HBAR_SI) -> CircuitRates:
-    """Damping rate, resonance frequency, zero-point scale and Q of a circuit."""
-    omega0 = 1.0 / math.sqrt(spec.inductance * spec.capacitance)
+    """Damping rate, resonance frequency, zero-point scale and Q of a circuit.
+
+    Elements far from unity can take L*C, or a derived quantity, out of the
+    float range; that is refused with a :class:`ValueError` naming it.
+    """
+    lc = _checked("L*C", spec.inductance * spec.capacitance)
+    omega0 = _checked("omega0", 1.0, math.sqrt(lc))
     if spec.topology is Topology.SERIES_LC:
-        gamma = spec.resistance / (2.0 * spec.inductance)
-        scale = math.sqrt(hbar / (2.0 * omega0 * spec.inductance))
+        gamma = _checked("gamma", spec.resistance, 2.0 * spec.inductance)
+        # the scale's square: a finite positive one has a finite positive root
+        scale2 = _checked("zero-point scale", hbar,
+                          2.0 * omega0 * spec.inductance)
         coord = "charge"
     else:
-        gamma = 1.0 / (2.0 * spec.resistance * spec.capacitance)
-        scale = math.sqrt(hbar * omega0 / (2.0 * spec.capacitance))
+        gamma = _checked("gamma", 1.0,
+                         2.0 * spec.resistance * spec.capacitance)
+        scale2 = _checked("zero-point scale", hbar * omega0,
+                          2.0 * spec.capacitance)
         coord = "voltage"
     return CircuitRates(
         gamma=gamma,
         omega0=omega0,
-        ground_state_scale=scale,
-        q_factor=omega0 / gamma,
+        ground_state_scale=math.sqrt(scale2),
+        q_factor=_checked("Q", omega0, gamma),
         scale_coordinate=coord,
     )
 

@@ -10,7 +10,8 @@ removed.  ``simulate`` and every ``sweep`` point run the same step maps and
 compare against the same closed form, :func:`oscxfer.oracles.reference_curve`.
 A ``simulate`` run of more than one block shares the formatting of its
 tables with one forked writer child, which writes them while the run
-integrates; a ``sweep`` runs its points in forked workers.
+integrates; a ``sweep`` runs its points in forked workers.  Each child talks
+to the parent over the two pipes that :func:`_fork` makes.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 """
 
@@ -22,6 +23,7 @@ import dataclasses
 import json
 import locale  # build_parser() needs it (argparse gettext): load it at import
 import math
+import mmap  # the table writer's shared count
 import os
 import pickle  # numpy loads it: importing it here costs nothing
 import sys
@@ -504,28 +506,22 @@ def _child_formats(backlog: int, limit: int) -> bool:
     return backlog < limit
 
 
-def _write_tables(requests, files: list, acks: int) -> None:
+def _write_tables(requests, files: list, done) -> None:
     """Append each chunk that :func:`_table_writer` sends to its table in
     ``files`` until the pipe ends, then flush the tables.  Raw chunks go
-    through :func:`_write_rows`, each answered by one byte on the
-    descriptor ``acks``; formatted chunks are written as they come."""
-    buf = np.empty(0)
-    while head := requests.read(24):
+    through :func:`_write_rows`, each then counted in the shared ``done[0]``;
+    formatted chunks are written as they come."""
+    while len(head := requests.read(24)) == 24:
         table, cols, rows = (int.from_bytes(head[i:i + 8], "little")
                              for i in (0, 8, 16))
-        if not cols:  # rows bytes of formatted rows
-            data = requests.read(rows)
-            if len(data) < rows:
-                break  # the parent stopped part way, as it failed
+        size = 8 * cols * rows if cols else rows  # formatted: rows bytes
+        if len(data := requests.read(size)) < size:
+            break  # the parent stopped part way, as it failed
+        if cols:
+            _write_rows(files[table], np.frombuffer(data).reshape(cols, rows))
+            done[0] += 1
+        else:
             files[table].write(data)
-            continue
-        if buf.size < cols * rows:
-            buf = np.empty(cols * rows)
-        block = buf[:cols * rows]
-        if requests.readinto(block) < block.nbytes:
-            break
-        _write_rows(files[table], block.reshape(cols, rows))
-        os.write(acks, b"\1")
     for fh in files:
         fh.flush()
 
@@ -541,32 +537,29 @@ def _table_writer(stack: contextlib.ExitStack, tables: dict,
     of ``_CSV_BLOCK`` rows, each behind 24 bytes (table, columns, rows).
     While fewer than a block's chunks (``_BACKLOG``, fewer if the pipe
     cannot hold them) wait for the child, a chunk goes as its columns' raw
-    doubles, one column after another, and the child acknowledges each one
-    it formats with a byte on a second pipe; otherwise this process formats
-    the chunk itself and sends its bytes, with 0 columns and their length
-    as the rows.  The child writes every chunk in the order sent, so the
-    split follows the speed of each side and the bytes stay the same.  The
-    pipe is grown to ``_PIPE_SIZE`` so that it holds the raw backlog and
-    this process's chunks.  ``stack`` reaps the child and raises what
-    stopped it, before any error of this process, since its rows came
-    first.  Otherwise the rows are written in this process.
+    doubles, one column after another, and the child adds each one it has
+    written to an 8-byte count in a page both processes share; otherwise
+    this process formats the chunk itself and sends its bytes, with 0
+    columns and their length as the rows.  The child writes every chunk in
+    the order sent, so the split follows the speed of each side and the
+    bytes stay the same.  The pipe is grown to ``_PIPE_SIZE`` so that it
+    holds the raw backlog and this process's chunks.  ``stack`` reaps the
+    child and raises what stopped it, before any error of this process,
+    since its rows came first.  Otherwise the rows are written here.
     """
     files = list(tables.values())
     if not (more_blocks and hasattr(os, "fork") and _cpus() > 1):
         return lambda table, columns: _write_rows(files[table], columns)
     for fh in files:
         fh.flush()  # else the headers are written again, by both processes
-    acks, ack_w = os.pipe()
-    stack.callback(os.close, acks)  # after the reap, when no ack can come
-    try:
-        child = _fork(lambda requests, answer: answer(_attempt(
-            _write_tables, requests, files, ack_w)), [acks])
-    finally:
-        os.close(ack_w)
-    os.set_blocking(acks, False)
+    # raw chunks the child has written, in a page shared across the fork
+    done = stack.enter_context(memoryview(
+        stack.enter_context(mmap.mmap(-1, 8))).cast("Q"))
+    child = _fork(lambda requests, answer: answer(_attempt(
+        _write_tables, requests, files, done)))
     pipe = child[1]
     capacity = _pipe_capacity(pipe.fileno())
-    backlog = 0  # raw chunks sent and not yet acknowledged
+    sent = 0  # raw chunks sent
 
     def finish(exc_type, exc, tb) -> None:
         outcome = _reap(*child)
@@ -582,14 +575,12 @@ def _table_writer(stack: contextlib.ExitStack, tables: dict,
     stack.push(finish)
 
     def write(table: int, columns) -> None:
-        nonlocal backlog
+        nonlocal sent
         limit = min(_BACKLOG, capacity // (24 + 8 * len(columns) * _CSV_BLOCK))
         for lo in range(0, len(columns[0]), _CSV_BLOCK):
             chunk = [col[lo:lo + _CSV_BLOCK] for col in columns]
-            with contextlib.suppress(BlockingIOError):
-                backlog -= len(os.read(acks, 4096))
-            if _child_formats(backlog, limit):
-                backlog += 1
+            if _child_formats(sent - done[0], limit):
+                sent += 1
                 head = len(chunk), len(chunk[0])
             else:
                 chunk = [_format_rows(np.column_stack(chunk))]

@@ -95,6 +95,30 @@ def test_nonpositive_elements_rejected(field):
         CircuitSpec(Topology.SERIES_LC, **kwargs)
 
 
+@pytest.mark.parametrize("elements, name, series, parallel", [
+    ((1e300, 1e300, 1e300), "L*C", "inf", "inf"),
+    ((1e-300, 1e-300, 1e-300), "L*C", "0.0", "0.0"),
+    ((1e300, 1e-10, 1e10), "gamma", "inf", "0.0"),
+    ((1e-300, 1e300, 1e-300), "gamma", "0.0", "inf"),
+], ids=["lc-overflows", "lc-underflows", "gamma-big-r", "gamma-small-r"])
+@pytest.mark.parametrize("topology", list(Topology))
+def test_rates_out_of_float_range_refused(topology, elements, name, series,
+                                          parallel):
+    # each element passes CircuitSpec, but L*C or gamma leaves the floats:
+    # refused by name, where a division once raised ZeroDivisionError
+    value = series if topology is Topology.SERIES_LC else parallel
+    with pytest.raises(ValueError) as exc:
+        circuit_to_rates(CircuitSpec(topology, *elements))
+    assert str(exc.value) == (
+        f"the circuit's {name} must be positive and finite, got {value}")
+
+
+def test_zero_point_scale_that_underflows_refused():
+    # L*C = 1, but hbar / (2 omega0 L) is below the smallest subnormal
+    with pytest.raises(ValueError, match="zero-point scale must be positive"):
+        circuit_to_rates(CircuitSpec(Topology.SERIES_LC, 1e300, 1e300, 1e-300))
+
+
 def _windows(sender, receiver):
     # the budget command's circuit path: the receiver's damping is the drain
     # rate, the sender's coupling is tunable up to 1e8

@@ -841,6 +841,21 @@ class TestBudget:
                      "--T", "5e-10", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("topology", ["series", "parallel"])
+    @pytest.mark.parametrize("element, value", [("1e300", "inf"),
+                                                ("1e-300", "0.0")])
+    def test_circuit_out_of_float_range_exits_2(self, tmp_path, capsys,
+                                                topology, element, value):
+        # every element is positive and finite, but L*C is not
+        rlc = ":".join([element] * 3)
+        out = tmp_path / "x"
+        assert main(["budget", "--sender-rlc", rlc, "--receiver-rlc", rlc,
+                     "--dt-cut", "0.1", "--topology", topology,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the circuit's L*C must be positive and finite, got {value}"]
+        assert _names(out) == ["config.json"]
+
 
 class TestConfigHandling:
     def test_echo_roundtrip_is_byte_identical(self, tmp_path):
@@ -1809,6 +1824,29 @@ class TestTableWriter:
             "signal or out of memory); no table for fidelity_curve.csv, "
             "commutator.csv"], 1, {})
 
+    @pytest.mark.parametrize("argv", [
+        _LOSSY_KERNELS,
+        ["simulate", "--profile", "optimal", "--gamma", "1", "--T", "5",
+         "--dt-cut", "1e-3", "--steps", "100000"],
+    ], ids=["lossy-kernels", "plain"])
+    def test_parent_reads_the_writers_progress(self, tmp_path, capsys,
+                                               monkeypatch, argv):
+        # with 5 ms before each decision the writer keeps up, so the
+        # backlog the parent reads stays below the limit; a count that the
+        # writer's writes never reach would climb to it
+        seen = []
+
+        def rule(backlog, limit):
+            seen.append((backlog, limit))
+            time.sleep(0.005)
+            return child_formats(backlog, limit)
+
+        child_formats = cli._child_formats
+        monkeypatch.setattr(cli, "_child_formats", rule)
+        runs = self._runs(tmp_path, capsys, monkeypatch, argv, ["writer"])
+        assert runs["writer"][:3] == (0, [], 1)
+        assert seen and all(0 <= backlog < limit for backlog, limit in seen)
+
     @pytest.mark.skipif(not hasattr(cli.fcntl, "F_SETPIPE_SZ"),
                         reason="no pipe size to set")
     @pytest.mark.parametrize("pipe", ["no-setpipe", "setpipe-refused"])
@@ -1898,6 +1936,35 @@ def test_no_descriptor_is_left(tmp_path, monkeypatch, argv, code):
     before = _open_descriptors()
     assert main([*argv, "--out", str(tmp_path)]) == code
     assert _open_descriptors() == before
+
+
+def _shared_mappings():
+    """How many anonymous shared mappings this process has: the lines of
+    /proc/self/maps that name ``/dev/zero (deleted)``."""
+    with open("/proc/self/maps") as fh:
+        return sum("/dev/zero (deleted)" in line for line in fh)
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/maps"),
+                    reason="no /proc to list mappings in")
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--T", "3", "--steps", "16385", "--kernels"], 0),
+    (["simulate", "--gamma", "1", "--T", "1", "--gamma1-max", "1e308",
+      "--steps", "10000", "--kernels"], 3),
+], ids=["simulate", "simulate-fails"])
+def test_no_shared_mapping_is_left(tmp_path, monkeypatch, argv, code):
+    # the table writer's count is mapped once, before the fork, and unmapped
+    # when the run ends
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    forks = []
+    fork = cli._fork
+    monkeypatch.setattr(cli, "_fork", lambda *args: forks.append(
+        _shared_mappings()) or fork(*args))
+    before = _shared_mappings()
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    assert forks == [before + 1]
+    assert _shared_mappings() == before
 
 
 def test_determinism_across_runs(tmp_path):

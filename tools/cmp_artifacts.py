@@ -1,8 +1,9 @@
-"""Compare the CLI's results under two source trees, or under two SIMD
-settings, byte for byte.
+"""Compare the CLI's results under two source trees, under two SIMD
+settings, or on all CPUs and on one, byte for byte.
 
     python tools/cmp_artifacts.py PARENT_SRC CHANGE_SRC
     python tools/cmp_artifacts.py --simd SRC
+    python tools/cmp_artifacts.py --one-cpu SRC
 
 PARENT_SRC, CHANGE_SRC and SRC hold the ``oscxfer`` package (a checkout's
 ``src``).  Each line of ``cmp_argv.txt`` beside this script (``#`` starts a
@@ -10,6 +11,9 @@ comment line) is a CLI argv without ``--out``.  The first form runs it
 under both trees.  The second runs it twice under SRC: once plainly, and
 once with ``NPY_DISABLE_CPU_FEATURES`` naming every CPU feature that numpy
 dispatches to on this CPU, so that numpy runs its baseline kernels.  The
+third (Linux, more than one CPU) runs it twice under SRC: once plainly,
+and once pinned to one CPU, where ``simulate`` writes its tables in process
+rather than in its forked writer, so the two writers are compared.  The
 runs' exit codes, stdout, stderr and science artifacts are compared: ``*.csv``,
 ``*report.json``, ``budget.json``, and ``config.json`` without ``out_dir``.
 Prints a ``#`` line naming the platform first (the bytes hold only across
@@ -62,6 +66,12 @@ def simd_off() -> dict:
     return {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatched_features())}
 
 
+def pin_one_cpu() -> None:
+    """Pin the calling process to the first CPU it may run on; a
+    ``preexec_fn``, so it acts on the child only."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def artifacts(out: Path) -> dict:
     """The science artifacts under ``out``, keyed by their relative path:
     bytes, and ``config.json`` as a dict without ``out_dir``."""
@@ -76,14 +86,15 @@ def artifacts(out: Path) -> dict:
     return got
 
 
-def run(src, argv: list, out: Path, env=None) -> dict:
+def run(src, argv: list, out: Path, env=None, preexec=None) -> dict:
     """Exit code, stdout, stderr and artifacts of one run under ``src``,
-    keyed by name, with ``env`` added to this process's environment."""
+    keyed by name, with ``env`` added to this process's environment and
+    ``preexec`` run in the child before it starts."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
                PYTHONDONTWRITEBYTECODE="1", **(env or {}))
     proc = subprocess.run(
         [sys.executable, "-m", "oscxfer.cli", *argv, "--out", str(out)],
-        env=env, capture_output=True, text=True)
+        env=env, capture_output=True, text=True, preexec_fn=preexec)
     return {"exit code": proc.returncode,
             "stdout": proc.stdout.replace(str(out), "OUT"),
             "stderr": proc.stderr.replace(str(out), "OUT"), **artifacts(out)}
@@ -93,18 +104,22 @@ def main(args: list) -> int:
     if len(args) != 2:
         sys.exit(__doc__)
     if args[0] == "--simd":
-        sides = [(args[1], {"NPY_DISABLE_CPU_FEATURES": ""}),
-                 (args[1], simd_off())]
+        sides = [(args[1], {"NPY_DISABLE_CPU_FEATURES": ""}, None),
+                 (args[1], simd_off(), None)]
+    elif args[0] == "--one-cpu":
+        if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+            sys.exit("--one-cpu needs Linux and more than one CPU")
+        sides = [(args[1], None, None), (args[1], None, pin_one_cpu)]
     else:
-        sides = [(src, None) for src in args]
+        sides = [(src, None, None) for src in args]
     lines = Path(__file__).with_name("cmp_argv.txt").read_text().splitlines()
     differ = False
     print(platform_line(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for k, line in enumerate(s for s in map(str.strip, lines)
                                  if s and s[0] != "#"):
-            a, b = (run(src, shlex.split(line), Path(tmp, f"{k}{side}"), env)
-                    for side, (src, env) in zip("ab", sides))
+            a, b = (run(src, shlex.split(line), Path(tmp, f"{k}{side}"), *how)
+                    for side, (src, *how) in zip("ab", sides))
             bad = sorted(key for key in a.keys() | b.keys()
                          if a.get(key) != b.get(key))
             differ |= bool(bad)
