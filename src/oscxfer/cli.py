@@ -26,6 +26,7 @@ import math
 import mmap  # the table writer's shared count
 import os
 import pickle  # numpy loads it: importing it here costs nothing
+import signal
 import sys
 import warnings
 from dataclasses import dataclass
@@ -555,11 +556,6 @@ def _table_writer(stack: contextlib.ExitStack, tables: dict,
     # raw chunks the child has written, in a page shared across the fork
     done = stack.enter_context(memoryview(
         stack.enter_context(mmap.mmap(-1, 8))).cast("Q"))
-    child = _fork(lambda requests, answer: answer(_attempt(
-        _write_tables, requests, files, done)))
-    pipe = child[1]
-    capacity = _pipe_capacity(pipe.fileno())
-    sent = 0  # raw chunks sent
 
     def finish(exc_type, exc, tb) -> None:
         outcome = _reap(*child)
@@ -572,7 +568,12 @@ def _table_writer(stack: contextlib.ExitStack, tables: dict,
             if not outcome[0]:
                 raise outcome[1]
 
-    stack.push(finish)
+    child = _fork(lambda requests, answer: answer(_attempt(
+        _write_tables, requests, files, done)))
+    stack.push(finish)  # at once: a stopped run reaps the child too
+    pipe = child[1]
+    capacity = _pipe_capacity(pipe.fileno())
+    sent = 0  # raw chunks sent
 
     def write(table: int, columns) -> None:
         nonlocal sent
@@ -998,6 +999,31 @@ def _staging_directory(out: Path) -> Path:
             pass
 
 
+def _stop(signum: int, frame) -> None:
+    """SIGTERM's handler while a command runs: it stops the run as SIGINT
+    does, naming the signal."""
+    raise KeyboardInterrupt(signum)
+
+
+@contextlib.contextmanager
+def _sigterm_stops():
+    """SIGTERM raises ``KeyboardInterrupt(SIGTERM)`` in the block, so that a
+    stopped run unwinds, and its staging directory goes, as on SIGINT; the
+    previous handler comes back after.  Off the main thread, where no
+    handler can be set, SIGTERM keeps its handler."""
+    try:
+        previous = signal.signal(signal.SIGTERM, _stop)
+    except ValueError:  # not the main thread
+        yield
+        return
+    try:
+        yield
+    finally:
+        # None: a handler not set from Python, which cannot be set again
+        signal.signal(signal.SIGTERM,
+                      signal.SIG_DFL if previous is None else previous)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the top-level parser takes no value, so the first command name in
@@ -1006,26 +1032,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser(command).parse_args(argv)
     cfg = None
     try:
-        cfg = resolve_config(args)
-        cmd, names = _COMMANDS[args.command]
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        stage, code = _staging_directory(out), None
-        try:
-            _write_json(out / "config.json", dataclasses.asdict(cfg))
-            # non-finite results are refused or written as nan, so numpy's
-            # floating-point warnings would only repeat them on stderr
-            with np.errstate(all="ignore"):
-                code = cmd(cfg, stage)
-            return code
-        finally:  # the commit step
-            for name in names:
-                if code == EXIT_OK and (stage / name).exists():
-                    (stage / name).replace(out / name)
-                else:
-                    (stage / name).unlink(missing_ok=True)
-                    (out / name).unlink(missing_ok=True)
-            stage.rmdir()
+        with _sigterm_stops():
+            cfg = resolve_config(args)
+            cmd, names = _COMMANDS[args.command]
+            out = Path(cfg.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            stage, code = _staging_directory(out), None
+            try:
+                _write_json(out / "config.json", dataclasses.asdict(cfg))
+                # non-finite results are refused or written as nan, so
+                # numpy's floating-point warnings would only repeat them on
+                # stderr
+                with np.errstate(all="ignore"):
+                    code = cmd(cfg, stage)
+                return code
+            finally:  # the commit step
+                for name in names:
+                    if code == EXIT_OK and (stage / name).exists():
+                        (stage / name).replace(out / name)
+                    else:
+                        (stage / name).unlink(missing_ok=True)
+                        (out / name).unlink(missing_ok=True)
+                stage.rmdir()
+    except KeyboardInterrupt as exc:  # SIGINT, or SIGTERM by _stop
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        print(f"interrupted: {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

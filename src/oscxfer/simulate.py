@@ -42,7 +42,10 @@ order, so all give the same bits:
   step with its myy anyway;
 - :func:`transfer_amplitude`, a sweep point's a21(T), by a plain ``for``
   that stores nothing (and no A22 is taken); a block that ends non-finite
-  is folded again by the first, to name its failing step.
+  is folded again by the first, to name its failing step;
+- a stiff step, which folds its substeps' maps into its own by the same
+  recurrence: its x is their running product, its b = myx*x one array
+  multiply, and its y the sweep point's plain ``for``, one call per step.
 
 Both functions take their maps and A11 from one block pipeline.  myy does
 not depend on g1: it is RK4's decay map of the constant beta = g + gl,
@@ -55,16 +58,17 @@ last node, which starts the next block.  Every per-block array is a view
 of one workspace, allocated once per run and sized for the largest block:
 the block's three map rows, then its stage times and stage values (one
 (3, m) array each) and the scratch rows of the RK4 formulas, all written
-by ufuncs with ``out=``.  Blocks of substeps reuse the stage and scratch
-rows, never the map rows they fold into; their width is a scalar, not a
-row.  Once a block's maps exist its stage rows are dead, so the rows it
-yields are written over them: the running products are taken there, and
-the fold writes each A21 over its myx*A11.  A block that allocated its ~50
-temporaries afresh let glibc trim the heap once they were freed, so the
-next block faulted the same pages in again (about 1000 minor faults per
-50k-step run); with the workspace the memory of a run is fixed before it
-starts, whatever its length.  :func:`integrate_transfer` collects the
-blocks into whole arrays, for callers that want the curve at once.
+by ufuncs with ``out=``.  Chunks of substeps reuse the stage and scratch
+rows, never the map rows they fold into; their width is a scalar, or a
+row where they mix widths.  Once a block's maps exist its stage rows are
+dead, so the rows it yields are written over them: the running products
+are taken there, and the fold writes each A21 over its myx*A11.  A block
+that allocated its ~50 temporaries afresh let glibc trim the heap once
+they were freed, so the next block faulted the same pages in again (about
+1000 minor faults per 50k-step run); with the workspace the memory of a
+run is fixed before it starts, whatever its length.
+:func:`integrate_transfer` collects the blocks into whole arrays, for
+callers that want the curve at once.
 
 The receiver's rate is constant, so halving steps on it would only be a
 larger grid done badly: a grid whose (g + gl) * dt exceeds RK4's real-axis
@@ -73,15 +77,17 @@ at step 0, before any work, with the smallest step count that resolves it.
 
 Steps are halved adaptively whenever ``(g1 + gl) * h`` exceeds
 :data:`~oscxfer.types.DAMPING_CAP_FACTOR`, which keeps the integrator
-accurate through the near-singular tail of truncated optimal profiles.  The
-few stiff steps run in groups that share a halving count k, so one width
-dt/2**k and one decay map: their substeps are evaluated in bounded blocks
-and each step's 2**k are folded, in substep order, into its map.  A failure
-is reported at the earliest failing step: a step that 26 halvings cannot
-make stable, or the first non-finite coefficient.  A run whose stiff steps
-would need more than 2**22 substeps in all is refused (``ValueError``)
-before their substeps run; steps past 26 halvings, which fail anyway, are
-not counted.
+accurate through the near-singular tail of truncated optimal profiles.
+The substeps of all of a block's stiff steps, whatever their halving
+counts k, run as one sequence, widest steps first, evaluated 4096 at a
+time; as every step's 2**k and the chunk are powers of two, a chunk holds
+whole steps or a part of one.  Each step's substeps are folded, in substep
+order, into its map, and its myy is the decay map of the width dt/2**k
+multiplied in 2**k times, taken once per count.  A failure is reported at
+the earliest failing step: a step that 26 halvings cannot make stable, or
+the first non-finite coefficient.  A run whose stiff steps would need
+more than 2**22 substeps in all is refused (``ValueError``) before their
+substeps run; steps past 26 halvings, which fail anyway, are not counted.
 
 A column born at t_j reaches t_i through the maps of steps j..i-1, and
 every channel's column moves by the same maps, so the commutator sum rules
@@ -101,6 +107,7 @@ finite at any gamma*T.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -128,17 +135,21 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 26
-# substeps a run's stiff steps may take in all, about 3 s of work on a
+# substeps a run's stiff steps may take in all, about 0.3 s of work on a
 # 2-vCPU x86-64 VM; past it the run is refused before their substeps run
 _MAX_SUBSTEPS = 2**22
-_BLOCK = 8192  # macro steps, or substeps, evaluated as one array
+_BLOCK = 8192  # macro steps evaluated as one array
+_CHUNK = _BLOCK // 2  # substeps evaluated as one array
 _FOLD = 1024  # steps folded into one list of floats, then packed at once
 # workspace rows of a block of macro steps (three stage values and six
-# scratch rows, after its three map rows) and of a block of substeps of one
-# width (three stage values, two map rows and six scratch rows); the rows a
-# block yields, five at most, and two scratch rows go over the same 11
+# scratch rows, after its three map rows) and of a chunk of substeps (three
+# stage values, two map rows, six scratch rows and three rows of widths);
+# the rows a block yields, five at most, and two scratch rows go over them
 _STEP_ROWS = 9
-_SUBSTEP_ROWS = 11
+_SUBSTEP_ROWS = 14
+# doubles past a block's map rows: at least 11 rows of _BLOCK, of which a
+# chunk of substeps takes 7
+_REGION = 11 * _BLOCK
 
 
 class IntegrationError(RuntimeError):
@@ -189,7 +200,8 @@ def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h,
     """RK4 steps of x' = -(g1+gl) x, y' = -beta y + root*sqrt(g1) x.
 
     ``a0``, ``am`` and ``a1`` hold g1 at each step's start, middle and end
-    stage; ``h`` is the scalars ``(h, h/2, h/6)`` for step width h.  Writes
+    stage; ``h`` is ``(h, h/2, h/6)`` for step width h, three scalars or,
+    for steps of several widths, three rows.  Writes
     the maps' mxx and myx into the rows ``out``, with x_new = mxx*x and
     y_new = myx*x + myy*y; myy is :func:`_decay`, the same for every step
     of one width.  ``root`` carries the constant factor 2*sqrt(eta*g), so
@@ -211,10 +223,10 @@ def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h,
     np.multiply(root, sum_y, out=sum_y)             # ky1 = s0
     np.sqrt(am, out=sm)
     np.multiply(root, sm, out=sm)
-    np.add(a0, gl, out=sum_x)
-    np.negative(sum_x, out=sum_x)                   # kx1
-    np.add(am, gl, out=nam)
-    np.negative(nam, out=nam)
+    # -(g1 + gl) as -gl - g1: the same but for the sign of a zero, which
+    # 1.0 + h6*sum_x drops
+    np.subtract(-gl, a0, out=sum_x)                 # kx1
+    np.subtract(-gl, am, out=nam)
     np.multiply(hh, sum_x, out=x)
     np.add(1.0, x, out=x)                           # x2
     np.multiply(hh, sum_y, out=y)                   # y2
@@ -230,8 +242,7 @@ def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h,
         np.add(sum_x, kx, out=sum_x)
         np.multiply(2.0, ky, out=ky)
         np.add(sum_y, ky, out=sum_y)
-    np.add(a1, gl, out=kx)
-    np.negative(kx, out=kx)
+    np.subtract(-gl, a1, out=kx)
     np.multiply(kx, x, out=kx)                      # kx4
     np.multiply(nb, y, out=y)
     np.sqrt(a1, out=ky)
@@ -279,6 +290,31 @@ def _halvings(rate: np.ndarray, dt: float) -> np.ndarray:
         todo &= ((rate * (dt / 2.0 ** k) > DAMPING_CAP_FACTOR)
                  & (k <= _MAX_HALVINGS))
     return k
+
+
+def _chunks(k: list, chunk: int) -> Iterator[list]:
+    """The substeps of steps halved ``k[0] >= k[1] >= ...`` times, in step
+    order, cut into chunks of ``chunk``, a power of two.  Each step starts
+    at a multiple of its own substep count, so a chunk holds whole steps or
+    a part of one.  Yields each chunk's pieces ``(k, j, c, first, size)``:
+    steps j..j+c-1, each halved k times, from their substep ``first`` on,
+    ``size`` substeps in all."""
+    pieces, room, j, first = [], chunk, 0, 0
+    for kk, run in itertools.groupby(k):
+        n, m = sum(1 for _ in run), 2**kk
+        while n:
+            c = min(n, max(room // m, 1))
+            size = min(c * m, room)
+            pieces.append((kk, j, c, first, size))
+            first = (first + size) % m
+            if not first:
+                j, n = j + c, n - c
+            room -= size
+            if not room:
+                yield pieces
+                pieces, room = [], chunk
+    if pieces:
+        yield pieces
 
 
 def _fold(y: float, b: np.ndarray, decay: float, stiff: list,
@@ -390,19 +426,18 @@ def _map_blocks(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
             cells, ratio = c.values, n // pg.n_steps
 
     # one workspace for the run: each block's arrays are views of it, so no
-    # block allocates; rows of a block of substeps reuse the stage rows of
+    # block allocates; rows of a chunk of substeps reuse the stage rows of
     # the macro block being substepped, never its map rows
     width = min(n, _BLOCK)
-    work = np.empty(3 * width
-                    + max(_STEP_ROWS * width, _SUBSTEP_ROWS * _BLOCK))
+    work = np.empty(3 * width + max(_STEP_ROWS * width, _REGION))
     offsets = np.arange(float(_BLOCK))
 
     def stages(i: np.ndarray, h, tmp: np.ndarray, out: np.ndarray):
         """g1 at the start, middle and end stage of (sub)steps of macro
         steps ``i`` (a float row) that start at times ``tmp[0]`` and are
-        ``h = (h, h/2)`` wide (scalars), written into the rows ``out``; the
-        six rows ``tmp`` are scratch, and ``i`` may be one of the last
-        three."""
+        ``h = (h, h/2)`` wide (scalars, or rows), written into the rows
+        ``out``; the six rows ``tmp`` are scratch, and ``i`` may be one of
+        the last three."""
         times = tmp[:3]
         if cells is not None:
             np.floor_divide(i, ratio, out=times[0])
@@ -415,49 +450,81 @@ def _map_blocks(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
         # ending exactly on a sampled-profile cell boundary must not read
         # the next cell's value
         np.add(times[0], half, out=times[1])
-        np.multiply(h, 1.0 - 1e-8, out=times[2])
-        np.add(times[0], times[2], out=times[2])
+        end = (h * (1.0 - 1e-8) if isinstance(h, float)
+               else np.multiply(h, 1.0 - 1e-8, out=times[2]))
+        np.add(times[0], end, out=times[2])
         profile_values(c, p, times, out=out, work=tmp[3:])
         return out[0], out[1], out[2]
 
-    def halved_maps(at: np.ndarray, lo: int, k: int, maps,
+    def halved_maps(at: np.ndarray, k: np.ndarray, lo: int, maps,
                     region: np.ndarray) -> None:
         """Maps of the steps ``at`` of the block from macro step ``lo``,
-        each halved ``k`` times: the in-order fold of its 2**k substeps,
-        written into the block's ``maps`` rows.  The substeps run _BLOCK at
-        a time in the workspace ``region``; both counts are powers of two,
-        so a chunk holds whole steps or a part of one."""
-        m = 2 ** k
-        h = dt / m
-        pyy = _decay(beta, h)
+        step ``at[j]`` halved ``k[j]`` times: the in-order fold of its
+        2**k[j] substeps, written into the block's ``maps`` rows.  The
+        substeps run in the chunks of :func:`_chunks`, in the workspace
+        ``region``; a chunk of one width takes (h, h/2, h/6) as scalars,
+        one of several as rows."""
+        order = np.argsort(-k, kind="stable")
+        at, k = at[order], k[order].tolist()
         steps = at + float(lo)
-        total = steps.size * m
-        for s in range(0, total, _BLOCK):
-            q = min(_BLOCK, total - s)
-            per = min(m, q)  # substeps of one step in the chunk
+        # per halving count: the substep width, its decay map pyy, and myy
+        count = {}
+        for kk in set(k):
+            h = dt / 2**kk
+            pyy = _decay(beta, h)
+            count[kk] = h, pyy, math.prod(itertools.repeat(pyy, 2**kk))
+        carry = None  # (x, y) of a step that goes on in the next chunk
+        for pieces in _chunks(k, _CHUNK):
+            q = sum(piece[-1] for piece in pieces)
             rows = region[:_SUBSTEP_ROWS * q].reshape(_SUBSTEP_ROWS, q)
-            g, sub, tmp = rows[:3], rows[3:5], rows[5:]
-            # substep s + r is substep (s + r) % m of step (s + r) // m and
-            # starts at i*dt + ((s + r) % m)*h
-            i, t = tmp[4].reshape(-1, per), tmp[0].reshape(-1, per)
-            part = tmp[5, :per]
-            np.copyto(i, steps[s // m:s // m + q // per, None])
-            np.add(offsets[:per], s % m, out=part)
-            np.multiply(part, h, out=part)
-            np.multiply(i, dt, out=t)
-            np.add(t, part, out=t)
-            _rk4_maps(*stages(tmp[4], (h, 0.5 * h), tmp, g), beta, root, gl,
-                      (h, 0.5 * h, h / 6.0), sub, tmp)
-            pxx, pyx = (memoryview(r) for r in sub)
-            for a in range(0, q, per):
-                if (s + a) % m == 0:
-                    x, y, z = 1.0, 0.0, 1.0
-                for ax, ay in zip(pxx[a:a + per], pyx[a:a + per]):
-                    y = ay * x + pyy * y
-                    x = ax * x
-                    z = pyy * z
-                if (s + a + per) % m == 0:
-                    maps[:, at[(s + a) // m]] = x, y, z
+            g, sub, tmp, hs = rows[:3], rows[3:5], rows[5:11], rows[11:]
+            i, t, part = tmp[4], tmp[0], tmp[5]
+            a = 0
+            for kk, j, c, first, size in pieces:
+                # substep r of macro step i starts at i*dt + r*h
+                per, h = size // c, count[kk][0]
+                at_i = steps[j:j + c, None]
+                if cells is not None:  # the only reader of i
+                    np.copyto(i[a:a + size].reshape(c, per), at_i)
+                tt = t[a:a + size].reshape(c, per)
+                np.multiply(at_i, dt, out=tt)
+                np.add(offsets[:per], first, out=part[:per])
+                np.multiply(part[:per], h, out=part[:per])
+                np.add(tt, part[:per], out=tt)
+                if len(pieces) > 1:
+                    hs[0, a:a + size] = h
+                a += size
+            if len(pieces) == 1:
+                hs = h, 0.5 * h, h / 6.0
+            else:
+                np.multiply(hs[0], 0.5, out=hs[1])
+                np.divide(hs[0], 6.0, out=hs[2])
+            _rk4_maps(*stages(i, hs[:2], tmp, g), beta, root, gl, hs, sub,
+                      tmp)
+            pyx = sub[1]
+            a = 0
+            for kk, j, c, first, size in pieces:
+                per, (_, pyy, z) = size // c, count[kk]
+                x = sub[0, a:a + size].reshape(c, per)
+                b = pyx[a:a + size].reshape(c, per)
+                if first:  # a step begun in the chunk before
+                    x[0, 0] *= carry[0]
+                    b[0, 0] *= carry[0]
+                np.multiply.accumulate(x, axis=1, out=x)
+                np.multiply(b[:, 1:], x[:, :-1], out=b[:, 1:])
+                # each step's y goes over its last b
+                y = carry[1] if first else 0.0
+                for s in range(a, a + size, per):
+                    pyx[s + per - 1] = _fold_last(y, pyx[s:s + per], pyy, (),
+                                                  ())
+                if first + per < 2**kk:  # the step goes on
+                    carry = float(x[0, -1]), float(pyx[a + per - 1])
+                else:
+                    cols = at[j:j + c]
+                    maps[0, cols] = x[:, -1]
+                    maps[1, cols] = pyx[a + per - 1:a + size:per]
+                    maps[2, cols] = z
+                a += size
 
     # every step's myy but a stiff one's
     decay = _decay(beta, dt)
@@ -488,7 +555,8 @@ def _map_blocks(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
                 rate, flag = tmp[0], tmp[1].view(bool)[:m]
                 np.maximum(g0, gm, out=rate)
                 np.maximum(rate, g1, out=rate)
-                np.add(rate, gl, out=rate)
+                if gl:
+                    np.add(rate, gl, out=rate)
                 np.multiply(rate, dt, out=tmp[2])
                 np.greater(tmp[2], DAMPING_CAP_FACTOR, out=flag)
                 stiff = np.flatnonzero(flag)
@@ -512,10 +580,7 @@ def _map_blocks(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
                             f"profile needs {substeps} substeps, more than "
                             f"the bound {_MAX_SUBSTEPS} (2**22); its first "
                             f"stiff step is {first_stiff}")
-                    # np.unique loads numpy.ma
-                    for kk in sorted(set(k.tolist())):
-                        halved_maps(stiff[k == kk], lo, kk, maps[:, :end],
-                                    work[3 * m:])
+                    halved_maps(stiff, k, lo, maps[:, :end], work[3 * m:])
 
                 # the maps are built, so the stage rows are dead: the
                 # block's nodes lo..lo+end go over them, and two scratch

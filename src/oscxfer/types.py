@@ -262,18 +262,23 @@ def _elementwise(fn, x: np.ndarray, buf: Optional[np.ndarray] = None
     raises ``OverflowError``.
     """
     x = np.ascontiguousarray(x, dtype=float).ravel()
-    if buf is None:
-        buf = np.empty(x.size)
+    out = _unscanned(fn, x, np.empty(x.size) if buf is None else buf)
+    inf = out == math.inf
+    if inf.any() and np.isfinite(x[inf]).any():
+        raise OverflowError("math range error")
+    return out
+
+
+def _unscanned(fn, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """:func:`_elementwise` of the contiguous float row ``x`` without its
+    scan for overflow: where numpy's loop runs, a result that overflows is
+    inf, so a caller must know that none can."""
     ufunc = _libm_ufunc(fn) if x.size > 1 else None
     if ufunc is None:
         out = buf[::-1]
         out[...] = np.fromiter(map(fn, memoryview(x)), float, x.size)
         return out
-    out = _strided_loop(ufunc, x, buf)
-    inf = out == math.inf
-    if inf.any() and np.isfinite(x[inf]).any():
-        raise OverflowError("math range error")
-    return out
+    return _strided_loop(ufunc, x, buf)
 
 
 def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,21 +315,27 @@ def _optimal_closed_form(gamma: float, x: np.ndarray,
                          held: Optional[np.ndarray], work: np.ndarray) -> None:
     """gamma / (exp(2*gamma*r) - 1), safe against overflow, in place on
     the contiguous remaining times r in ``x``, with ``work`` as scratch;
-    entries where ``held`` is set are left undefined."""
+    entries at the indices ``held`` are left undefined."""
     np.multiply(2.0 * gamma, x, out=x)
     if held is not None:
         # their times may lie anywhere past T - truncation
-        np.copyto(x, 1.0, where=held)
-    if np.any(x <= 0.0):
+        x[held] = 1.0
+    # one pass each, and both pass over NaN, as comparisons do
+    if np.fmin.reduce(x, initial=math.inf) <= 0.0:
         raise ProfileSingularityError(
             "closed-form coupling profile diverges at t = T; apply a truncation"
         )
-    # beyond x = 700 expm1 would overflow; the value has long underflowed
-    big = np.flatnonzero(x > 700.0)
-    tail = gamma * _elementwise(math.exp, -x[big])
-    np.minimum(x, 700.0, out=x)
-    np.divide(gamma, _elementwise(math.expm1, x, work), out=x)
-    x[big] = tail
+    big = None
+    if np.fmax.reduce(x, initial=-math.inf) > 700.0:
+        # beyond x = 700 expm1 would overflow; the value has long underflowed
+        big = np.flatnonzero(x > 700.0)
+        tail = gamma * _elementwise(math.exp, -x[big])
+        np.minimum(x, 700.0, out=x)
+    # no x is above 700, where expm1 would overflow, so its results need no
+    # scan for inf
+    np.divide(gamma, _unscanned(math.expm1, x, work), out=x)
+    if big is not None:
+        x[big] = tail
 
 
 def profile_values(c: CouplingProfile, p: SystemParams, ts: Times,
@@ -361,10 +372,11 @@ def profile_values(c: CouplingProfile, p: SystemParams, ts: Times,
         np.subtract(T, t, out=o)
         held = None
         if c.truncation is not None:
-            held = t >= T - c.truncation  # NaN times are not held
+            # NaN times are not held
+            held = np.flatnonzero(t >= T - c.truncation)
         _optimal_closed_form(p.gamma, o, held, w)
         if held is not None:
-            np.copyto(o, c.gamma1_max, where=held)
+            o[held] = c.gamma1_max
     else:
         # SAMPLED_GRID: left-endpoint lookup with node snapping
         grid = c.grid

@@ -1571,6 +1571,79 @@ class TestOutputDirectory:
         assert _read_json(out / "config.json")["profile"].startswith("file:")
 
 
+# runs argv[1:] with simulate's table writer forked, as on two CPUs; prints
+# whether this process then has a child left, running or unreaped
+_STOP_PROBE = """
+import os, sys
+from oscxfer import cli
+
+cli.os.sched_getaffinity = lambda pid: {0, 1}
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    print("no child is left")
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks")
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                         ids=["SIGINT", "SIGTERM"])
+def test_stopped_run_exits_with_one_line(tmp_path, signum):
+    # stopped once the writer child has written table rows (the header
+    # comes before the fork), while the run integrates
+    out = tmp_path / "run"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _STOP_PROBE, "simulate", "--profile",
+         "optimal", "--T", "5", "--steps", "3000000", "--out", str(out)],
+        env={**os.environ,
+             "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(path.stat().st_size > 1 << 16 for path
+                      in out.glob(".run-*/fidelity_curve.csv")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signum)
+        printed = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 128 + signum
+    assert printed == ("no child is left\n",
+                       f"interrupted: {signal.Signals(signum).name}\n")
+    assert _names(out) == ["config.json"]
+
+
+def test_sigterm_handler_is_restored(tmp_path):
+    def handler(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        assert main(["simulate", "--T", "1", "--steps", "100",
+                     "--out", str(tmp_path)]) == 0
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def test_run_off_the_main_thread(tmp_path):
+    # where no signal handler can be set, the command still runs
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main([
+        "simulate", "--T", "1", "--steps", "100", "--out", str(tmp_path)])))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert codes == [0]
+    assert _names(tmp_path) == ["config.json", "fidelity_curve.csv",
+                                "report.json"]
+
+
 def _no_child_is_left():
     """This process has no child process, running or unreaped."""
     with pytest.raises(ChildProcessError):

@@ -20,12 +20,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oscxfer import simulate
 from oscxfer.optimize import functional_value
 from oscxfer.simulate import (
     _BLOCK,
     IntegrationError,
     IntegratorConfig,
     integrate_transfer,
+    transfer_amplitude,
 )
 from oscxfer.types import (
     DAMPING_CAP_FACTOR,
@@ -315,6 +317,33 @@ def test_array_integrator_is_the_scalar_loop(name):
     d1, d2 = commutator_oracle(gen)
     assert got.deficits[0].tobytes() == d1.tobytes()
     assert got.deficits[1].tobytes() == d2.tobytes()
+
+
+def test_stiff_substeps_are_evaluated_at_once(monkeypatch):
+    # the block's stiff steps halve one to four times, and all their
+    # substeps, of four widths, are evaluated in one call after the macro
+    # steps' one
+    c, p, n = CASES["optimal-cut-dt"]
+    dt = p.transfer_time / n
+    counts = []
+    for i in range(n):
+        rate = max(scalar_profile_value(c, p, t) for t in (
+            i * dt, i * dt + 0.5 * dt, i * dt + dt * (1.0 - 1e-8)))
+        k = 0
+        while rate * (dt / 2**k) > DAMPING_CAP_FACTOR:
+            k += 1
+        counts.append(k)
+    assert set(counts) == {0, 1, 2, 3, 4}
+    sizes = []
+
+    def counting(c, p, ts, **kwargs):
+        sizes.append(np.size(ts))
+        return profile_values(c, p, ts, **kwargs)
+
+    monkeypatch.setattr(simulate, "profile_values", counting)
+    transfer_amplitude(c, p, IntegratorConfig(n_steps=n))
+    substeps = sum(2**k for k in counts if k)
+    assert sizes == [3 * n, 3 * substeps]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -346,6 +346,17 @@ class TestBudget:
         rep = budget_report(SystemParams(1.0, 1.0), 1e-4)
         assert any("short" in w for w in rep["warnings"])
 
+    @pytest.mark.parametrize("T, cut, warned", [
+        (5.0, 0.1, []),
+        (5.0, math.nextafter(0.1, 1.0), ["gamma*dt_cut > 0.1"]),
+        (2.0, 1e-4, []),
+        (math.nextafter(2.0, 0.0), 1e-4, ["gamma*T < 2"]),
+    ], ids=["cut-at-0.1", "cut-past-0.1", "T-at-2", "T-below-2"])
+    def test_warning_thresholds_are_strict(self, T, cut, warned):
+        # each warning starts just past its threshold, not at it
+        rep = budget_report(SystemParams(1.0, T), cut)
+        assert [w.split(":")[0] for w in rep["warnings"]] == warned
+
     def test_budget_report_loss_terms(self):
         p = SystemParams(gamma=1.0, transfer_time=5.0, eta=0.81,
                          gamma_loss=0.01)

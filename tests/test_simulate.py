@@ -289,6 +289,13 @@ def test_integrator_memory_is_fixed():
     assert abs(large - small) <= 0.05 * small
 
 
+def test_substepped_memory_is_fixed():
+    # 2**21 substeps, two steps to a chunk, run in the same workspace
+    peak = _integration_peak(1000, SystemParams(gamma=1.0, transfer_time=1.0),
+                             CouplingProfile.constant(1e5))
+    assert peak < 1.15e6
+
+
 @pytest.mark.parametrize("n", [100_000, 1_000_000])
 def test_tracked_memory_is_two_rows_more(n):
     # kernel tracking adds two rows for a block's births (0.131 MB), with a
