@@ -558,7 +558,8 @@ def _table_writer(stack: contextlib.ExitStack, tables: dict,
         stack.enter_context(mmap.mmap(-1, 8))).cast("Q"))
 
     def finish(exc_type, exc, tb) -> None:
-        outcome = _reap(*child)
+        with _stops_wait():
+            outcome = _reap(*child)
         if exc is None or isinstance(exc, Exception):
             if outcome is None:
                 raise ConfigError(
@@ -568,9 +569,10 @@ def _table_writer(stack: contextlib.ExitStack, tables: dict,
             if not outcome[0]:
                 raise outcome[1]
 
-    child = _fork(lambda requests, answer: answer(_attempt(
-        _write_tables, requests, files, done)))
-    stack.push(finish)  # at once: a stopped run reaps the child too
+    with _stops_wait():  # a stopped run reaps the child too
+        child = _fork(lambda requests, answer: answer(_attempt(
+            _write_tables, requests, files, done)))
+        stack.push(finish)
     pipe = child[1]
     capacity = _pipe_capacity(pipe.fileno())
     sent = 0  # raw chunks sent
@@ -765,6 +767,9 @@ def _fork(serve, close: Sequence[int] = ()) -> tuple:
     pid = os.fork()
     if pid == 0:  # a child leaves only through os._exit
         try:
+            # stops end it at once, whatever its parent holds back
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
             for fd in (request_w, answer_r, *close):
                 os.close(fd)
             answers = open(answer_w, "wb")
@@ -823,9 +828,10 @@ def _sweep_rows(jobs: list, workers: int) -> list:
     children, busy = {}, {}  # by answer pipe: (pid, writer, reader); index
     try:
         for _ in range(workers if hasattr(os, "fork") else 0):
-            child = _fork(serve, [pipe.fileno() for _, *pipes
-                                  in children.values() for pipe in pipes])
-            children[child[2].fileno()] = child
+            with _stops_wait():  # a stopped run reaps the child too
+                child = _fork(serve, [pipe.fileno() for _, *pipes
+                                      in children.values() for pipe in pipes])
+                children[child[2].fileno()] = child
         poller = select.poll() if children else None  # Windows has neither
         idle = list(children)
         while todo and idle or busy:
@@ -851,8 +857,9 @@ def _sweep_rows(jobs: list, workers: int) -> list:
             if not outcomes[index][0]:
                 todo.clear()
     finally:
-        for child in children.values():
-            _reap(*child)
+        with _stops_wait():
+            for child in children.values():
+                _reap(*child)
     for outcome in outcomes:
         if outcome is None:
             raise ConfigError(
@@ -999,6 +1006,9 @@ def _staging_directory(out: Path) -> Path:
             pass
 
 
+_STOPS = (signal.SIGINT, signal.SIGTERM)
+
+
 def _stop(signum: int, frame) -> None:
     """SIGTERM's handler while a command runs: it stops the run as SIGINT
     does, naming the signal."""
@@ -1006,33 +1016,50 @@ def _stop(signum: int, frame) -> None:
 
 
 @contextlib.contextmanager
-def _sigterm_stops():
-    """SIGTERM raises ``KeyboardInterrupt(SIGTERM)`` in the block, so that a
-    stopped run unwinds, and its staging directory goes, as on SIGINT; the
-    previous handler comes back after.  Off the main thread, where no
-    handler can be set, SIGTERM keeps its handler."""
+def _handling(handler, signums: Sequence[int]):
+    """``handler`` handles the signals ``signums`` in the block, and the
+    previous handlers come back after.  Off the main thread, where no
+    handler can be set, nothing changes."""
     try:
-        previous = signal.signal(signal.SIGTERM, _stop)
+        previous = [signal.signal(signum, handler) for signum in signums]
     except ValueError:  # not the main thread
         yield
         return
     try:
         yield
     finally:
-        # None: a handler not set from Python, which cannot be set again
-        signal.signal(signal.SIGTERM,
-                      signal.SIG_DFL if previous is None else previous)
+        for signum, old in zip(signums, previous):
+            # None: a handler not set from Python, which cannot be set again
+            signal.signal(signum, signal.SIG_DFL if old is None else old)
+
+
+@contextlib.contextmanager
+def _stops_wait():
+    """SIGINT and SIGTERM wait for the end of the block, which is never cut
+    short, and then raise ``KeyboardInterrupt(signum)`` for the first of
+    them: around a fork and the reap it registers, and the commit step.
+    The handlers are Python's, not a signal mask, which would not hold
+    the signal back from the process's other threads (numpy's BLAS
+    starts some)."""
+    caught = []
+    try:
+        with _handling(lambda signum, frame: caught.append(signum), _STOPS):
+            yield
+    finally:
+        if caught:
+            raise KeyboardInterrupt(caught[0])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    console = argv is None  # the command line's own run
+    argv = sys.argv[1:] if console else argv
     # the top-level parser takes no value, so the first command name in
     # argv is the command parsed
     command = next((word for word in argv if word in _COMMANDS), None)
     args = build_parser(command).parse_args(argv)
     cfg = None
     try:
-        with _sigterm_stops():
+        with _handling(_stop, (signal.SIGTERM,)):
             cfg = resolve_config(args)
             cmd, names = _COMMANDS[args.command]
             out = Path(cfg.out_dir)
@@ -1046,17 +1073,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 with np.errstate(all="ignore"):
                     code = cmd(cfg, stage)
                 return code
-            finally:  # the commit step
-                for name in names:
-                    if code == EXIT_OK and (stage / name).exists():
-                        (stage / name).replace(out / name)
-                    else:
-                        (stage / name).unlink(missing_ok=True)
-                        (out / name).unlink(missing_ok=True)
-                stage.rmdir()
+            finally:  # the commit step, which moves all or none
+                with _stops_wait():
+                    for name in names:
+                        if code == EXIT_OK and (stage / name).exists():
+                            (stage / name).replace(out / name)
+                        else:
+                            (stage / name).unlink(missing_ok=True)
+                            (out / name).unlink(missing_ok=True)
+                    stage.rmdir()
     except KeyboardInterrupt as exc:  # SIGINT, or SIGTERM by _stop
         signum = exc.args[0] if exc.args else signal.SIGINT
         print(f"interrupted: {signal.Signals(signum).name}", file=sys.stderr)
+        if console:
+            # the command line ends by the signal, as on a KeyboardInterrupt
+            # that Python does not catch, so that a calling shell stops too
+            sys.stdout.flush()
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
         return 128 + signum
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

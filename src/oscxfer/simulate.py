@@ -59,16 +59,15 @@ of one workspace, allocated once per run and sized for the largest block:
 the block's three map rows, then its stage times and stage values (one
 (3, m) array each) and the scratch rows of the RK4 formulas, all written
 by ufuncs with ``out=``.  Chunks of substeps reuse the stage and scratch
-rows, never the map rows they fold into; their width is a scalar, or a
-row where they mix widths.  Once a block's maps exist its stage rows are
-dead, so the rows it yields are written over them: the running products
-are taken there, and the fold writes each A21 over its myx*A11.  A block
-that allocated its ~50 temporaries afresh let glibc trim the heap once
-they were freed, so the next block faulted the same pages in again (about
-1000 minor faults per 50k-step run); with the workspace the memory of a
-run is fixed before it starts, whatever its length.
-:func:`integrate_transfer` collects the blocks into whole arrays, for
-callers that want the curve at once.
+rows, never the map rows they fold into; their widths are rows.  Once a
+block's maps exist its stage rows are dead, so the rows it yields are
+written over them: the running products are taken there, and the fold
+writes each A21 over its myx*A11.  A block that allocated its ~50
+temporaries afresh let glibc trim the heap once they were freed, so the
+next block faulted the same pages in again (about 1000 minor faults per
+50k-step run); with the workspace the memory of a run is fixed before it
+starts, whatever its length.  :func:`integrate_transfer` collects the
+blocks into whole arrays, for callers that want the curve at once.
 
 The receiver's rate is constant, so halving steps on it would only be a
 larger grid done badly: a grid whose (g + gl) * dt exceeds RK4's real-axis
@@ -201,11 +200,11 @@ def _rk4_maps(a0, am, a1, beta: float, root: float, gl: float, h,
 
     ``a0``, ``am`` and ``a1`` hold g1 at each step's start, middle and end
     stage; ``h`` is ``(h, h/2, h/6)`` for step width h, three scalars or,
-    for steps of several widths, three rows.  Writes
-    the maps' mxx and myx into the rows ``out``, with x_new = mxx*x and
-    y_new = myx*x + myy*y; myy is :func:`_decay`, the same for every step
-    of one width.  ``root`` carries the constant factor 2*sqrt(eta*g), so
-    the cross term is root*sqrt(g1(t)).
+    for substeps, three rows.  Writes the maps' mxx and myx into the rows
+    ``out``, with x_new = mxx*x and y_new = myx*x + myy*y; myy is
+    :func:`_decay`, the same for every step of one width.  ``root`` carries
+    the constant factor 2*sqrt(eta*g), so the cross term is
+    root*sqrt(g1(t)).
 
     Every stage formula runs as one ufunc per operation, in the order a
     single step would use, so the rows hold a scalar step's bits.  The
@@ -432,12 +431,16 @@ def _map_blocks(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
     work = np.empty(3 * width + max(_STEP_ROWS * width, _REGION))
     offsets = np.arange(float(_BLOCK))
 
-    def stages(i: np.ndarray, h, tmp: np.ndarray, out: np.ndarray):
+    def stages(i: np.ndarray, half, end, tmp: np.ndarray, out: np.ndarray):
         """g1 at the start, middle and end stage of (sub)steps of macro
-        steps ``i`` (a float row) that start at times ``tmp[0]`` and are
-        ``h = (h, h/2)`` wide (scalars, or rows), written into the rows
-        ``out``; the six rows ``tmp`` are scratch, and ``i`` may be one of
-        the last three."""
+        steps ``i`` (a float row) that start at times ``tmp[0]``, written
+        into the rows ``out``: for steps h wide, the middle stage lies
+        ``half`` = h/2 past the start and the end stage ``end`` =
+        h*(1 - 1e-8) past it (scalars or rows).  The end stage stays
+        inside the cell being integrated: a step ending exactly on a
+        sampled-profile cell boundary must not read the next cell's value.
+        The six rows ``tmp`` are scratch, and ``i`` may be one of the last
+        three."""
         times = tmp[:3]
         if cells is not None:
             np.floor_divide(i, ratio, out=times[0])
@@ -445,13 +448,7 @@ def _map_blocks(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
             np.copyto(cell, times[0], casting="unsafe")
             np.take(cells, cell, out=out[0], mode="clip")
             return out[0], out[0], out[0]
-        h, half = h
-        # the end stage stays inside the cell being integrated: a step
-        # ending exactly on a sampled-profile cell boundary must not read
-        # the next cell's value
         np.add(times[0], half, out=times[1])
-        end = (h * (1.0 - 1e-8) if isinstance(h, float)
-               else np.multiply(h, 1.0 - 1e-8, out=times[2]))
         np.add(times[0], end, out=times[2])
         profile_values(c, p, times, out=out, work=tmp[3:])
         return out[0], out[1], out[2]
@@ -462,8 +459,7 @@ def _map_blocks(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
         step ``at[j]`` halved ``k[j]`` times: the in-order fold of its
         2**k[j] substeps, written into the block's ``maps`` rows.  The
         substeps run in the chunks of :func:`_chunks`, in the workspace
-        ``region``; a chunk of one width takes (h, h/2, h/6) as scalars,
-        one of several as rows."""
+        ``region``; each chunk takes (h, h/2, h/6) as rows."""
         order = np.argsort(-k, kind="stable")
         at, k = at[order], k[order].tolist()
         steps = at + float(lo)
@@ -491,16 +487,13 @@ def _map_blocks(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
                 np.add(offsets[:per], first, out=part[:per])
                 np.multiply(part[:per], h, out=part[:per])
                 np.add(tt, part[:per], out=tt)
-                if len(pieces) > 1:
-                    hs[0, a:a + size] = h
+                hs[0, a:a + size] = h
                 a += size
-            if len(pieces) == 1:
-                hs = h, 0.5 * h, h / 6.0
-            else:
-                np.multiply(hs[0], 0.5, out=hs[1])
-                np.divide(hs[0], 6.0, out=hs[2])
-            _rk4_maps(*stages(i, hs[:2], tmp, g), beta, root, gl, hs, sub,
-                      tmp)
+            np.multiply(hs[0], 0.5, out=hs[1])
+            np.multiply(hs[0], 1.0 - 1e-8, out=hs[2])
+            g0, gm, g1 = stages(i, hs[1], hs[2], tmp, g)
+            np.divide(hs[0], 6.0, out=hs[2])
+            _rk4_maps(g0, gm, g1, beta, root, gl, hs, sub, tmp)
             pyx = sub[1]
             a = 0
             for kk, j, c, first, size in pieces:
@@ -543,7 +536,7 @@ def _map_blocks(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
                 i = tmp[3]
                 np.add(offsets[:m], lo, out=i)
                 np.multiply(i, dt, out=tmp[0])
-                g0, gm, g1 = stages(i, (dt, 0.5 * dt), tmp, g)
+                g0, gm, g1 = stages(i, 0.5 * dt, dt * (1.0 - 1e-8), tmp, g)
                 if rates is not None:
                     # node j's rate is step j's start stage g0, read before
                     # blocks of substeps reuse its row; the block's last

@@ -1578,7 +1578,8 @@ import os, sys
 from oscxfer import cli
 
 cli.os.sched_getaffinity = lambda pid: {0, 1}
-code = cli.main(sys.argv[1:])
+# as the console script calls it, or with argv, as a caller in Python does
+code = cli.main() if sys.argv.pop(1) == "console" else cli.main(sys.argv[1:])
 try:
     os.waitpid(-1, os.WNOHANG)
     print("a child is left")
@@ -1591,12 +1592,13 @@ sys.exit(code)
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks")
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
                          ids=["SIGINT", "SIGTERM"])
-def test_stopped_run_exits_with_one_line(tmp_path, signum):
+@pytest.mark.parametrize("caller", ["argv", "console"])
+def test_stopped_run_exits_with_one_line(tmp_path, signum, caller):
     # stopped once the writer child has written table rows (the header
     # comes before the fork), while the run integrates
     out = tmp_path / "run"
     proc = subprocess.Popen(
-        [sys.executable, "-c", _STOP_PROBE, "simulate", "--profile",
+        [sys.executable, "-c", _STOP_PROBE, caller, "simulate", "--profile",
          "optimal", "--T", "5", "--steps", "3000000", "--out", str(out)],
         env={**os.environ,
              "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
@@ -1612,10 +1614,57 @@ def test_stopped_run_exits_with_one_line(tmp_path, signum):
     finally:
         proc.kill()
         proc.wait()
-    assert proc.returncode == 128 + signum
-    assert printed == ("no child is left\n",
-                       f"interrupted: {signal.Signals(signum).name}\n")
+    line = f"interrupted: {signal.Signals(signum).name}\n"
+    if caller == "console":
+        # it ends by the signal, so that a calling shell stops too
+        assert proc.returncode == -signum
+        assert printed == ("", line)
+    else:
+        assert proc.returncode == 128 + signum
+        assert printed == ("no child is left\n", line)
     assert _names(out) == ["config.json"]
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                         ids=["SIGINT", "SIGTERM"])
+def test_stop_in_the_commit_step_waits_for_it(tmp_path, monkeypatch,
+                                              signum):
+    # the stop comes as the first artifact is moved in: all of them are,
+    # and the staging directory goes, before the run stops
+    replace = Path.replace
+
+    def stopped(self, target):
+        os.kill(os.getpid(), signum)
+        monkeypatch.setattr(Path, "replace", replace)
+        return replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", stopped)
+    assert main(["simulate", "--T", "1", "--steps", "100",
+                 "--out", str(tmp_path)]) == 128 + signum
+    assert _names(tmp_path) == ["config.json", "fidelity_curve.csv",
+                                "report.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the run forks")
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--T", "1", "--steps", "20000"],
+    ["sweep", "--sweep", "T:1:2:2", "--steps", "100"],
+], ids=["writer", "sweep"])
+def test_stop_at_a_fork_reaps_the_child(tmp_path, monkeypatch, argv):
+    # SIGTERM comes as the fork returns, before the child is registered
+    forks = _table_writer_as(monkeypatch, "writer")
+    fork = cli._fork
+
+    def stopped(*args):
+        child = fork(*args)
+        os.kill(os.getpid(), signal.SIGTERM)
+        return child
+
+    monkeypatch.setattr(cli, "_fork", stopped)
+    assert main([*argv, "--out", str(tmp_path)]) == 128 + signal.SIGTERM
+    assert forks
+    _no_child_is_left()
+    assert _names(tmp_path) == ["config.json"]
 
 
 def test_sigterm_handler_is_restored(tmp_path):
