@@ -10,8 +10,14 @@ removed.  ``simulate`` and every ``sweep`` point run the same step maps and
 compare against the same closed form, :func:`oscxfer.oracles.reference_curve`.
 A ``simulate`` run of more than one block shares the formatting of its
 tables with one forked writer child, which writes them while the run
-integrates; a ``sweep`` runs its points in forked workers.  Each child talks
-to the parent over the two pipes that :func:`_fork` makes.
+integrates.  An ``optimize`` run of more than one 1024-cell block forks one
+profile writer before its backward sweep and hands it each block of
+maximizers as the sweep finishes it, the last block first; the child
+formats each block at once and holds its rows, at most ``_HELD_BLOCKS``
+blocks (about 5 MB), until the rows before them are written.  A ``sweep``
+runs its points in forked workers.  Each writer needs ``os.fork`` and a
+second CPU, and otherwise writes in process.  Each child talks to the
+parent over the two pipes that :func:`_fork` makes.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 """
 
@@ -20,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import io  # the profile writer's held rows
 import json
 import locale  # build_parser() needs it (argparse gettext): load it at import
 import math
@@ -507,6 +514,45 @@ def _child_formats(backlog: int, limit: int) -> bool:
     return backlog < limit
 
 
+def _can_fork() -> bool:
+    """Whether a writer child may format rows while this process computes:
+    ``os.fork`` exists and the process may run on more than one CPU."""
+    return hasattr(os, "fork") and _cpus() > 1
+
+
+def _writer_child(stack: contextlib.ExitStack, name: str, tables: dict,
+                  first: bool, serve):
+    """Fork a child that runs ``serve(requests)`` on the tables ``tables``
+    (open files by name, flushed here, else their headers are written
+    again, by both processes); returns the writer of its requests.
+
+    ``stack`` reaps the child and raises what stopped it: an error of the
+    child's own, or a ``ConfigError`` naming the tables if it ended without
+    an answer.  Where ``first``, the child's rows come before anything
+    this process does, so its error also replaces one of this process;
+    otherwise it is raised only when this process has none.
+    """
+    for fh in tables.values():
+        fh.flush()
+
+    def finish(exc_type, exc, tb) -> None:
+        with _stops_wait():
+            outcome = _reap(*child)
+        if exc is None or first and isinstance(exc, Exception):
+            if outcome is None:
+                raise ConfigError(
+                    f"the {name} ended without a result (killed by a signal "
+                    "or out of memory); no table for " + ", ".join(tables))
+            if not outcome[0]:
+                raise outcome[1]
+
+    with _stops_wait():  # a stopped run reaps the child too
+        child = _fork(lambda requests, answer: answer(_attempt(serve,
+                                                               requests)))
+        stack.push(finish)
+    return child[1]
+
+
 def _write_tables(requests, files: list, done) -> None:
     """Append each chunk that :func:`_table_writer` sends to its table in
     ``files`` until the pipe ends, then flush the tables.  Raw chunks go
@@ -549,31 +595,13 @@ def _table_writer(stack: contextlib.ExitStack, tables: dict,
     since its rows came first.  Otherwise the rows are written here.
     """
     files = list(tables.values())
-    if not (more_blocks and hasattr(os, "fork") and _cpus() > 1):
+    if not (more_blocks and _can_fork()):
         return lambda table, columns: _write_rows(files[table], columns)
-    for fh in files:
-        fh.flush()  # else the headers are written again, by both processes
     # raw chunks the child has written, in a page shared across the fork
     done = stack.enter_context(memoryview(
         stack.enter_context(mmap.mmap(-1, 8))).cast("Q"))
-
-    def finish(exc_type, exc, tb) -> None:
-        with _stops_wait():
-            outcome = _reap(*child)
-        if exc is None or isinstance(exc, Exception):
-            if outcome is None:
-                raise ConfigError(
-                    "the table writer ended without a result (killed by a "
-                    "signal or out of memory); no table for "
-                    + ", ".join(tables))
-            if not outcome[0]:
-                raise outcome[1]
-
-    with _stops_wait():  # a stopped run reaps the child too
-        child = _fork(lambda requests, answer: answer(_attempt(
-            _write_tables, requests, files, done)))
-        stack.push(finish)
-    pipe = child[1]
+    pipe = _writer_child(stack, "table writer", tables, True,
+                         partial(_write_tables, files=files, done=done))
     capacity = _pipe_capacity(pipe.fileno())
     sent = 0  # raw chunks sent
 
@@ -594,6 +622,102 @@ def _table_writer(stack: contextlib.ExitStack, tables: dict,
                 pipe.write(data)
 
     return write
+
+
+# formatted blocks of profile.csv that the profile writer may hold: about
+# 5 MB, as a row takes at most 100 bytes (four fields of 24 characters and
+# a separator) and a block at most _CSV_BLOCK + 1 rows
+_HELD_BLOCKS = (5 << 20) // (100 * (_CSV_BLOCK + 1))
+
+
+def _profile_rows(reference: CouplingProfile, p: SystemParams,
+                  grid: TimeGrid, start: int, u: np.ndarray) -> tuple:
+    """The ``profile.csv`` columns of the cells from ``start`` whose
+    maximizers are ``u``, element by element as the whole grid's: t =
+    j dt, gamma1 = u^2, the closed form ``reference`` and the relative
+    error.  The block with the last cell also has the last node, which
+    copies that cell's gamma1."""
+    opt = u * u
+    if start + opt.size == grid.n_steps:
+        opt = np.append(opt, opt[-1])
+    times = np.arange(start, start + opt.size) * grid.dt
+    closed = profile_values(reference, p, times)
+    rel = np.where(closed > 0, np.abs(opt - closed) / closed, math.nan)
+    return times, opt, closed, rel
+
+
+def _write_profile(requests, fh, rows, n: int) -> None:
+    """Write the blocks of maximizers that :func:`_profile_writer` sends
+    to ``fh`` as ``rows`` gives them, in row order, then flush it.  A block
+    is its first cell, 8 bytes, then its cells' doubles; a block ahead of
+    the rows written so far is held, formatted, until the rows before it
+    are written.  Returns once the n cells' rows are written, so the child
+    exits while the parent finishes its run, or when the pipe ends."""
+    held, row = {}, 0  # formatted blocks by first cell; the next to write
+    while row < n and len(head := requests.read(8)) == 8:
+        start = int.from_bytes(head, "little")
+        size = 8 * min(_CSV_BLOCK, n - start)
+        if len(data := requests.read(size)) < size:
+            break  # the parent stopped part way, as it failed
+        columns = rows(start, np.frombuffer(data))
+        if start != row:
+            _write_rows(buf := io.BytesIO(), columns)
+            held[start] = buf.getvalue()
+            continue
+        _write_rows(fh, columns)
+        row += _CSV_BLOCK
+        while row in held:
+            fh.write(held.pop(row))
+            row += _CSV_BLOCK
+    fh.flush()
+
+
+def _profile_writer(stack: contextlib.ExitStack, fh, rows, n: int):
+    """``(hand_over, finish)`` for an n-cell sweep whose ``profile.csv``
+    rows go to the open file ``fh`` as ``rows(start, u)`` gives them.
+
+    The sweep calls ``hand_over(start, u)`` with each block of maximizers
+    it finishes, the last block first, and ``finish()`` writes what is
+    left once the run has its results.  Where the sweep has more than one
+    block and a writer child may run (:func:`_can_fork`), the first
+    ``_HELD_BLOCKS`` blocks go to one forked child as they come, and it
+    formats each one while the sweep goes on, holding the formatted rows
+    until the rows before them are written; ``finish`` sends the later
+    blocks in row order, which the child writes before the held ones.
+    ``stack`` reaps the child, which raises its error only where this
+    process has none, as in process the rows are written after the run.
+    Otherwise ``finish`` writes every block here, in row order.
+    """
+    if n <= _CSV_BLOCK or not _can_fork():
+        limit, pipe = 0, None
+    else:
+        limit = _HELD_BLOCKS
+        pipe = _writer_child(stack, "profile writer", {"profile.csv": fh},
+                             False, partial(_write_profile, fh=fh, rows=rows,
+                                            n=n))
+    later = []  # the blocks not sent yet, last first
+
+    def send(start: int, u: np.ndarray) -> None:
+        if pipe is None:
+            _write_rows(fh, rows(start, u))
+            return
+        with contextlib.suppress(BrokenPipeError):  # the child failed
+            pipe.write(start.to_bytes(8, "little") + u.tobytes())
+            pipe.flush()
+
+    def hand_over(start: int, u: np.ndarray) -> None:
+        nonlocal limit
+        if limit:
+            limit -= 1
+            send(start, u)
+        else:
+            later.append((start, u))
+
+    def finish() -> None:
+        for start, u in reversed(later):
+            send(start, u)
+
+    return hand_over, finish
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
@@ -666,21 +790,24 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     trunc = _resolved_dt_cut(cfg, grid)
     # refuses a bad --dt-cut before the optimizer runs
     reference = CouplingProfile.optimal(truncation=trunc)
-    profile, result = optimize_profile(p, grid, gamma1_max=cfg.gamma1_max)
-    functional = functional_value(profile, p, grid)
-    for name, value in (("functional", functional),
-                        ("kkt_residual", result.kkt_residual)):
-        if not math.isfinite(value):
-            raise FloatingPointError(f"optimizer {name} is {value!r}")
-
-    times = grid.nodes()
-    closed = profile_values(reference, p, times)
-    opt_vals = np.asarray(profile.values, dtype=float)
-    rel = np.where(closed > 0, np.abs(opt_vals - closed) / closed, math.nan)
-    if cfg.format in ("csv", "both"):
-        _write_csv(out / "profile.csv",
-                   ["t", "gamma1_opt", "gamma1_closed_form", "rel_err"],
-                   (times, opt_vals, closed, rel))
+    with contextlib.ExitStack() as stack:
+        blocks, finish = None, None
+        if cfg.format in ("csv", "both"):
+            fh = stack.enter_context(open(out / "profile.csv", "wb"))
+            fh.write(b"t,gamma1_opt,gamma1_closed_form,rel_err\n")
+            hand_over, finish = _profile_writer(
+                stack, fh, partial(_profile_rows, reference, p, grid),
+                grid.n_steps)
+            blocks = _CSV_BLOCK, hand_over
+        profile, result = optimize_profile(p, grid, gamma1_max=cfg.gamma1_max,
+                                           blocks=blocks)
+        functional = functional_value(profile, p, grid)
+        for name, value in (("functional", functional),
+                            ("kkt_residual", result.kkt_residual)):
+            if not math.isfinite(value):
+                raise FloatingPointError(f"optimizer {name} is {value!r}")
+        if finish:
+            finish()
 
     report = {
         "functional": functional,
@@ -857,7 +984,11 @@ def _sweep_rows(jobs: list, workers: int) -> list:
             if not outcomes[index][0]:
                 todo.clear()
     finally:
+        # every request pipe ends first, so that the workers exit together
         with _stops_wait():
+            for _, writer, _ in children.values():
+                with contextlib.suppress(BrokenPipeError):
+                    writer.close()
             for child in children.values():
                 _reap(*child)
     for outcome in outcomes:

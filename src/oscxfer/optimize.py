@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -174,6 +174,7 @@ def optimize_profile(
     p: SystemParams,
     grid: TimeGrid,
     gamma1_max: Optional[float] = None,
+    blocks: Optional[tuple[int, Callable[[int, np.ndarray], None]]] = None,
 ) -> tuple[CouplingProfile, OptimizerResult]:
     """Exact maximizer of the discrete transfer functional over the box
     ``0 <= gamma1 <= gamma1_max`` on the grid's cells.
@@ -231,6 +232,16 @@ def optimize_profile(
     started at the next cell's maximizer) up to round-off.  At gamma = 1,
     T = 3 on 10 000 cells it spends 1.27 slope evaluations per cell.
 
+    The cells run in blocks of ``size`` from cell 0, the last block first,
+    where ``blocks = (size, hand_over)``; otherwise in one block.  As soon
+    as the sweep finishes a block, starting at cell ``start``, it calls
+    ``hand_over(start, u)`` with the block's maximizers u = sqrt(gamma1),
+    a view of the sweep's own array, which no later cell writes.  So a
+    caller can use the maximizers of the late cells while the sweep goes
+    on: ``cmd_optimize`` has them formatted into ``profile.csv`` by a
+    forked child.  Each cell runs the same operations, in the same order,
+    either way.
+
     Returns the optimal sampled profile and an :class:`OptimizerResult`.
     Raises ``FloatingPointError`` naming the cell whose stage value is not
     finite.
@@ -265,83 +276,89 @@ def optimize_profile(
     # and only the cells below n - 4 have four real ones
     u1, u2, u3, u4 = top, 0.0, 0.0, 0.0
     n4 = n - 4
-    for j in range(n - 1, -1, -1):
-        evals = 0
-        try:
-            if s == 0.0:
-                uj, best = 0.0, best0
-            else:
-                sdt = s * dt
-                x, lo, hi = u1, 0.0, top
-                if (j < n4 and u1 > 0.0 and u2 > 0.0 and u3 > 0.0
-                        and u4 > 0.0):
-                    # cubic extrapolation of log u: u1 (r1/r2)^3 r3 with
-                    # r_k = u_k / u_(k+1)
-                    r = (u1 / u2) / (u2 / u3)
-                    y = u1 * (r * r * r) * (u3 / u4)
-                    if 0.0 < y < top:
-                        x = y
-                while True:
-                    # the two slopes at x
-                    q = dt * x * x
-                    z = a - q
-                    az = abs(z)
-                    zz = z * z
-                    m = expm1(z)
-                    f = 1.0 + z / 2.0 + zz / 6.0 if az < 1e-5 else m / z
-                    if az < 1e-4:
-                        f1 = 0.5 + z / 3.0 + zz / 8.0
-                    else:
-                        f1 = 1.0 / z + m * ((z - 1.0) / zz)
-                    if az < 1e-2:
-                        f2 = 1.0 / 3.0 + z * (0.25 + z * (0.1 + z / 36.0))
-                    else:
-                        f2 = ((z - 2.0) / zz
-                              + m * (((z - 2.0) * z + 2.0) / (zz * z)))
-                    e = c * exp(-q)
-                    q2 = 2.0 * q
-                    d1 = s * (f - q2 * f1) - dt2 * x * e
-                    d2 = (sdt * x * (4.0 * q * f2 - 6.0 * f1)
-                          + dt2 * e * (q2 - 1.0))
-                    evals += 1
-                    step = -d1 / d2 if d2 < 0.0 else math.inf
-                    # converged steps may land on a bracket end, and a start
-                    # near the root needs no probe: test them first.  The
-                    # stage value is flat to second order here, so x's
-                    # value stands for the maximizer's.
-                    if abs(step) <= _ROOT_RTOL * x:
-                        uj = x + step  # clipped into [0, top]
-                        uj = 0.0 if uj < 0.0 else top if top < uj else uj
-                        best = s * x * f + e
-                        break
-                    if d1 > 0.0:
-                        if evals == 1:
-                            # the slope's sign at the box end, counted as a
-                            # probe unless x is top, where it has d1's bits
-                            evals += x != top
-                            if s * k1 - c * k2 > 0.0:
-                                uj, best = top, s * top * ft + c * et
-                                break
-                        lo = x
-                    else:
-                        hi = x
-                    if evals >= _MAX_ROOT_EVALS:
-                        uj = best = math.nan
-                        break
-                    x += step
-                    if not lo < x < hi:
-                        x = 0.5 * (lo + hi)
-        except OverflowError:
-            best = math.inf
-        if not 0.0 < best < math.inf:
-            raise FloatingPointError(
-                f"stage value {best!r} is not finite and positive in cell {j}")
-        u[j] = uj
-        u4, u3, u2, u1 = u3, u2, u1, uj
-        iterations += evals
-        s, c = decay * s / best, 1.0
-
     root = np.frombuffer(u)
+    size, hand_over = blocks or (n, None)
+    for start in range((n - 1) // size * size, -1, -size):
+        for j in range(min(start + size, n) - 1, start - 1, -1):
+            evals = 0
+            try:
+                if s == 0.0:
+                    uj, best = 0.0, best0
+                else:
+                    sdt = s * dt
+                    x, lo, hi = u1, 0.0, top
+                    if (j < n4 and u1 > 0.0 and u2 > 0.0 and u3 > 0.0
+                            and u4 > 0.0):
+                        # cubic extrapolation of log u: u1 (r1/r2)^3 r3
+                        # with r_k = u_k / u_(k+1)
+                        r = (u1 / u2) / (u2 / u3)
+                        y = u1 * (r * r * r) * (u3 / u4)
+                        if 0.0 < y < top:
+                            x = y
+                    while True:
+                        # the two slopes at x
+                        q = dt * x * x
+                        z = a - q
+                        az = abs(z)
+                        zz = z * z
+                        m = expm1(z)
+                        f = 1.0 + z / 2.0 + zz / 6.0 if az < 1e-5 else m / z
+                        if az < 1e-4:
+                            f1 = 0.5 + z / 3.0 + zz / 8.0
+                        else:
+                            f1 = 1.0 / z + m * ((z - 1.0) / zz)
+                        if az < 1e-2:
+                            f2 = 1.0 / 3.0 + z * (0.25 + z * (0.1 + z / 36.0))
+                        else:
+                            f2 = ((z - 2.0) / zz
+                                  + m * (((z - 2.0) * z + 2.0) / (zz * z)))
+                        e = c * exp(-q)
+                        q2 = 2.0 * q
+                        d1 = s * (f - q2 * f1) - dt2 * x * e
+                        d2 = (sdt * x * (4.0 * q * f2 - 6.0 * f1)
+                              + dt2 * e * (q2 - 1.0))
+                        evals += 1
+                        step = -d1 / d2 if d2 < 0.0 else math.inf
+                        # converged steps may land on a bracket end, and a
+                        # start near the root needs no probe: test them
+                        # first.  The stage value is flat to second order
+                        # here, so x's value stands for the maximizer's.
+                        if abs(step) <= _ROOT_RTOL * x:
+                            uj = x + step  # clipped into [0, top]
+                            uj = 0.0 if uj < 0.0 else top if top < uj else uj
+                            best = s * x * f + e
+                            break
+                        if d1 > 0.0:
+                            if evals == 1:
+                                # the slope's sign at the box end, counted as
+                                # a probe unless x is top, where it has d1's
+                                # bits
+                                evals += x != top
+                                if s * k1 - c * k2 > 0.0:
+                                    uj, best = top, s * top * ft + c * et
+                                    break
+                            lo = x
+                        else:
+                            hi = x
+                        if evals >= _MAX_ROOT_EVALS:
+                            uj = best = math.nan
+                            break
+                        x += step
+                        if not lo < x < hi:
+                            x = 0.5 * (lo + hi)
+            except OverflowError:
+                best = math.inf
+            if not 0.0 < best < math.inf:
+                raise FloatingPointError(f"stage value {best!r} is not "
+                                         f"finite and positive in cell {j}")
+            u[j] = uj
+            u4, u3, u2, u1 = u3, u2, u1, uj
+            iterations += evals
+            s, c = decay * s / best, 1.0
+
+        if hand_over is not None:
+            hand_over(start, root[start:start + size])
+
     kkt = _projected_gradient_norm(root, _u_gradient(root, p, grid), 0.0,
                                    math.sqrt(cap))
     cells = root * root

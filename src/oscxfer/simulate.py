@@ -146,9 +146,6 @@ _FOLD = 1024  # steps folded into one list of floats, then packed at once
 # the rows a block yields, five at most, and two scratch rows go over them
 _STEP_ROWS = 9
 _SUBSTEP_ROWS = 14
-# doubles past a block's map rows: at least 11 rows of _BLOCK, of which a
-# chunk of substeps takes 7
-_REGION = 11 * _BLOCK
 
 
 class IntegrationError(RuntimeError):
@@ -428,7 +425,8 @@ def _map_blocks(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
     # block allocates; rows of a chunk of substeps reuse the stage rows of
     # the macro block being substepped, never its map rows
     width = min(n, _BLOCK)
-    work = np.empty(3 * width + max(_STEP_ROWS * width, _REGION))
+    work = np.empty(3 * width + max(_STEP_ROWS * width,
+                                    _SUBSTEP_ROWS * _CHUNK))
     offsets = np.arange(float(_BLOCK))
 
     def stages(i: np.ndarray, half, end, tmp: np.ndarray, out: np.ndarray):
@@ -616,12 +614,12 @@ def integrate_blocks(c: CouplingProfile, p: SystemParams,
     blocks before it are yielded.
 
     Memory: the workspace, fixed before the run starts and whatever its
-    length: (3 min(n, 8192) + 11 * 8192) doubles and 8192 offsets, 0.98 MB
-    from 8192 steps on.  The rows a block yields lie in it, over the
-    block's dead stage rows.  A lossless run peaks at 1.05 MB from 1e5 to
-    1e6 steps (tracemalloc, x86-64, numpy 2.4).  Kernel tracking adds two
-    rows of min(n, 8192) doubles for a block's births, 0.13 MB, and no
-    block allocates either way.
+    length: 3 w + max(9 w, 14 * 4096) doubles with w = min(n, 8192), and
+    8192 offsets, 0.85 MB from 8192 steps on.  The rows a block yields lie
+    in it, over the block's dead stage rows.  A lossless run peaks at 0.90
+    to 0.91 MB from 1e5 to 1e6 steps (tracemalloc, x86-64, numpy 2.4).
+    Kernel tracking adds two rows of min(n, 8192) doubles for a block's
+    births, 0.13 MB, and no block allocates either way.
     """
     track = cfg.kernel_tracking
     carry = [1.0, 0.0, 1.0]  # a11, a21, a22 at t = 0

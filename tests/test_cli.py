@@ -4,8 +4,10 @@ import argparse
 import ast
 import csv
 import dataclasses
+import errno
 import importlib.util
 import inspect
+import io
 import json
 import math
 import os
@@ -32,7 +34,8 @@ from oscxfer.simulate import (
     IntegratorConfig,
     integrate_transfer,
 )
-from oscxfer.types import CouplingProfile, SystemParams, TimeGrid
+from oscxfer.types import (CouplingProfile, SystemParams, TimeGrid,
+                           profile_values)
 
 
 def _reject(token):
@@ -513,7 +516,7 @@ class TestSweep:
 
     def test_point_memory_is_flat_in_the_step_count(self):
         # a point held a11, a21 and a22 whole, 12 MB at 5e5 steps, to read
-        # a21(T); now it holds the blocks' workspace alone, 1.05 MB
+        # a21(T); now it holds the blocks' workspace alone, 0.88 MB
         def peak(n):
             return _traced_peak(lambda: cli._sweep_point(
                 (cli.RunConfig(n_steps=n), "T", 3.0)))
@@ -1649,7 +1652,8 @@ def test_stop_in_the_commit_step_waits_for_it(tmp_path, monkeypatch,
 @pytest.mark.parametrize("argv", [
     ["simulate", "--T", "1", "--steps", "20000"],
     ["sweep", "--sweep", "T:1:2:2", "--steps", "100"],
-], ids=["writer", "sweep"])
+    ["optimize", "--T", "3", "--steps", "10000"],
+], ids=["writer", "sweep", "profile-writer"])
 def test_stop_at_a_fork_reaps_the_child(tmp_path, monkeypatch, argv):
     # SIGTERM comes as the fork returns, before the child is registered
     forks = _table_writer_as(monkeypatch, "writer")
@@ -1700,9 +1704,10 @@ def _no_child_is_left():
 
 
 def _table_writer_as(monkeypatch, mode):
-    """Make ``simulate`` write its tables in ``mode``: through the forked
-    writer (as on two CPUs), or in process without ``os.fork`` or on one
-    CPU.  Returns the list of the forks ``cli._fork`` makes."""
+    """Make ``simulate`` and ``optimize`` write their tables in ``mode``:
+    through their forked writer (as on two CPUs), or in process without
+    ``os.fork`` or on one CPU.  Returns the list of the forks ``cli._fork``
+    makes."""
     if mode == "no-fork":
         monkeypatch.delattr(cli.os, "fork")
     else:
@@ -1720,6 +1725,30 @@ def _table_writer_as(monkeypatch, mode):
     return forks
 
 
+def _runs_by_mode(tmp_path, capsys, monkeypatch, fill, argv, modes,
+                  **patches):
+    """Exit code, stderr lines, forks and the files of ``argv`` run in each
+    mode of :func:`_table_writer_as`, into a directory that the argv
+    ``fill`` filled first, with the ``cli`` attributes that ``patches``
+    names set to its values (``_write_rows`` for one) for the run."""
+    runs = {}
+    for mode in modes:
+        out = tmp_path / mode
+        assert main([*fill, "--out", str(out)]) == 0
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            forks = _table_writer_as(patch, mode)
+            for name, value in patches.items():
+                patch.setattr(cli, name, value)
+            code = main([*argv, "--out", str(out)])
+        _no_child_is_left()
+        runs[mode] = (code, capsys.readouterr().err.splitlines(),
+                      len(forks), {path.name: path.read_bytes()
+                                   for path in out.iterdir()
+                                   if path.name != "config.json"})
+    return runs
+
+
 # a lossy --kernels run of three blocks, the last one short
 _LOSSY_KERNELS = ["simulate", "--T", "3", "--dt-cut", "0.25", "--gamma1-max",
                   "1.54", "--eta", "0.81", "--gamma-loss", "0.05",
@@ -1732,26 +1761,13 @@ class TestTableWriter:
 
     def _runs(self, tmp_path, capsys, monkeypatch, argv, modes,
               write_rows=None):
-        """Exit code, stderr lines, forks and the files of ``argv`` run in
-        each mode, into a directory that an earlier run filled, with
-        ``write_rows`` (if given) for ``cli._write_rows``."""
-        runs = {}
-        for mode in modes:
-            out = tmp_path / mode
-            assert main(["simulate", "--steps", "100", "--kernels",
-                         "--out", str(out)]) == 0
-            capsys.readouterr()
-            with monkeypatch.context() as patch:
-                forks = _table_writer_as(patch, mode)
-                if write_rows:
-                    patch.setattr(cli, "_write_rows", write_rows)
-                code = main([*argv, "--out", str(out)])
-            _no_child_is_left()
-            runs[mode] = (code, capsys.readouterr().err.splitlines(),
-                          len(forks), {path.name: path.read_bytes()
-                                       for path in out.iterdir()
-                                       if path.name != "config.json"})
-        return runs
+        """:func:`_runs_by_mode` into directories that a short ``--kernels``
+        simulate filled."""
+        return _runs_by_mode(tmp_path, capsys, monkeypatch,
+                             ["simulate", "--steps", "100", "--kernels"],
+                             argv, modes, **(
+                                 {"_write_rows": write_rows} if write_rows
+                                 else {}))
 
     @pytest.mark.parametrize("fmt", ["csv", "both"])
     def test_writer_writes_the_in_process_bytes(self, tmp_path, capsys,
@@ -1992,6 +2008,210 @@ class TestTableWriter:
                 if path.name != "config.json"} == want["one-cpu"][3]
 
 
+# exit 3 in cell 2047 of 2049, once the block of cell 2048 has gone to the
+# profile writer: the zero-coupling stage value overflows
+_OPTIMIZE_FAILS = ["optimize", "--gamma", "1454790", "--T", "1",
+                   "--gamma1-max", "1e308", "--omega0", "1e9",
+                   "--steps", "2049"]
+_FAILS_LINE = ("numerical failure: stage value inf is not finite and "
+               "positive in cell 2047")
+
+
+class TestProfileWriter:
+    """An ``optimize`` run of more than one 1024-cell block hands each block
+    of its sweep to one forked writer child as the sweep finishes it; every
+    run gives what the in-process writer gives, and leaves no child."""
+
+    def _runs(self, tmp_path, capsys, monkeypatch, argv, modes, **patches):
+        """:func:`_runs_by_mode` into directories that a short optimize
+        filled, each leaving no descriptor."""
+        fds = _open_descriptors()
+        runs = _runs_by_mode(tmp_path, capsys, monkeypatch,
+                             ["optimize", "--steps", "100"], argv, modes,
+                             **patches)
+        assert _open_descriptors() == fds
+        return runs
+
+    @staticmethod
+    def _logged(log):
+        """A ``_write_rows`` that appends to the file ``log`` where each
+        call's rows go: "held" (formatted to be held) or "file"."""
+        write_rows = cli._write_rows
+
+        def logged(fh, columns):
+            with open(log, "a") as out:
+                out.write("held\n" if isinstance(fh, io.BytesIO)
+                          else "file\n")
+            return write_rows(fh, columns)
+
+        return logged
+
+    @pytest.mark.parametrize("steps", ["1023", "1024", "2047", "2048",
+                                       "10000"])
+    def test_writer_writes_the_in_process_bytes(self, tmp_path, capsys,
+                                                monkeypatch, steps):
+        # 1024, 1025, 2048 and 2049 rows: the last node alone past a block
+        # edge, and a grid of one block, which does not fork
+        runs = self._runs(tmp_path, capsys, monkeypatch,
+                          ["optimize", "--gamma", "1", "--T", "3",
+                           "--steps", steps],
+                          ["writer", "no-fork", "one-cpu"])
+        code, err, forks, files = runs.pop("writer")
+        assert (code, err, forks) == (0, [], int(steps) > 1024)
+        assert sorted(files) == ["optimize_report.json", "profile.csv"]
+        for mode, run in runs.items():
+            assert run == (0, [], 0, files), mode
+
+    def test_rows_are_the_whole_grids(self, tmp_path):
+        # each block's rows have the bits of the columns built whole
+        p, grid = SystemParams(gamma=1.0, transfer_time=3.0), TimeGrid(3.0,
+                                                                       2049)
+        profile, _ = optimize.optimize_profile(p, grid)
+        times = grid.nodes()
+        closed = profile_values(CouplingProfile.optimal(truncation=grid.dt),
+                                p, times)
+        rel = np.where(closed > 0,
+                       np.abs(profile.values - closed) / closed, math.nan)
+        cli._write_csv(tmp_path / "whole.csv",
+                       ["t", "gamma1_opt", "gamma1_closed_form", "rel_err"],
+                       (times, profile.values, closed, rel))
+        out = tmp_path / "run"
+        assert main(["optimize", "--gamma", "1", "--T", "3", "--steps",
+                     "2049", "--out", str(out)]) == 0
+        assert ((out / "profile.csv").read_bytes()
+                == (tmp_path / "whole.csv").read_bytes())
+
+    @pytest.mark.parametrize("held", [0, 3, 51])
+    def test_child_holds_at_most_the_held_blocks(self, tmp_path, capsys,
+                                                 monkeypatch, held):
+        # ten blocks: the first `held` that the sweep finishes are held,
+        # formatted; the rest come after the sweep, in row order, and go
+        # straight to the file, as does the first block once it comes
+        log = tmp_path / "log"
+        want = self._runs(tmp_path, capsys, monkeypatch,
+                          ["optimize", "--steps", "10000"], ["one-cpu"])
+        monkeypatch.setattr(cli, "_HELD_BLOCKS", held)
+        runs = self._runs(tmp_path, capsys, monkeypatch,
+                          ["optimize", "--steps", "10000"], ["writer"],
+                          _write_rows=self._logged(log))
+        assert runs["writer"] == (0, [], 1, want["one-cpu"][3])
+        kept = min(held, 9)
+        assert log.read_text().split() == ["held"] * kept + ["file"] * (
+            10 - kept)
+
+    def test_sweep_failure_is_the_in_process_failure(self, tmp_path, capsys,
+                                                     monkeypatch):
+        log = tmp_path / "log"
+        runs = self._runs(tmp_path, capsys, monkeypatch, _OPTIMIZE_FAILS,
+                          ["writer", "one-cpu"],
+                          _write_rows=self._logged(log))
+        assert runs["writer"] == (3, [_FAILS_LINE], 1, {})
+        assert runs["one-cpu"] == (3, [_FAILS_LINE], 0, {})
+        # the child formatted the block of cell 2048 before the pipe ended
+        assert log.read_text().split() == ["held"]
+
+    @pytest.mark.parametrize("error, code, line", [
+        (MemoryError("cannot allocate"), 2,
+         "error: not enough memory: cannot allocate"),
+        (MemoryError(), 2,
+         "error: not enough memory: optimize --steps 10000"),
+        (OSError(errno.ENOSPC, "No space left on device"), 2,
+         "error: cannot write output: [Errno 28] No space left on device"),
+    ], ids=["memory", "bare-memory", "no-space"])
+    @pytest.mark.parametrize("call", [1, 10], ids=["first", "last"])
+    def test_failure_in_the_writer_is_the_in_process_failure(
+            self, tmp_path, capsys, monkeypatch, error, code, line, call):
+        # forked, the child fails on the first block it is sent (held) or
+        # on the last one, which it writes; in process, on the first or
+        # the last block that finish() writes
+        calls = []
+
+        def fail(fh, columns):
+            calls.append(1)
+            if len(calls) == call:
+                fh.write(b"0,")
+                raise error
+            return write_rows(fh, columns)
+
+        write_rows = cli._write_rows
+        runs = self._runs(tmp_path, capsys, monkeypatch,
+                          ["optimize", "--steps", "10000"],
+                          ["writer", "one-cpu"], _write_rows=fail)
+        assert runs["writer"] == (code, [line], 1, {})
+        assert runs["one-cpu"] == (code, [line], 0, {})
+
+    def test_error_of_the_run_comes_before_the_writers(
+            self, tmp_path, capsys, monkeypatch):
+        # in process the rows are written after the run's checks, so a
+        # check that fails is the error, whatever the child then did
+        real = cli.optimize_profile
+
+        def nan_residual(*args, **kwargs):
+            profile, result = real(*args, **kwargs)
+            return profile, dataclasses.replace(result, kkt_residual=math.nan)
+
+        def fail(fh, columns):
+            raise MemoryError("cannot allocate")
+
+        line = "numerical failure: optimizer kkt_residual is nan"
+        runs = self._runs(tmp_path, capsys, monkeypatch,
+                          ["optimize", "--steps", "10000"],
+                          ["writer", "one-cpu"], _write_rows=fail,
+                          optimize_profile=nan_residual)
+        assert runs["writer"] == (3, [line], 1, {})
+        assert runs["one-cpu"] == (3, [line], 0, {})
+
+    def test_killed_writer_exits_2(self, tmp_path, capsys, monkeypatch):
+        # as the OOM killer would kill it, on its first block
+        parent = os.getpid()
+
+        def kill(fh, columns):
+            assert os.getpid() != parent, "the writer did not fork"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        runs = self._runs(tmp_path, capsys, monkeypatch,
+                          ["optimize", "--steps", "10000"], ["writer"],
+                          _write_rows=kill)
+        assert runs["writer"] == (2, [
+            "error: the profile writer ended without a result (killed by a "
+            "signal or out of memory); no table for profile.csv"], 1, {})
+
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="no waitid")
+    def test_child_exits_before_the_run_ends(self, tmp_path, monkeypatch):
+        # once it has written every row the child exits, while this process
+        # still computes the functional, so the reap need not wait for it
+        children, exited = [], []
+        fork, functional_value = cli._fork, cli.functional_value
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(cli, "_fork", lambda *args: children.append(
+            fork(*args)) or children[-1])
+
+        def waiting(*args):
+            # WNOWAIT leaves the child to the reap
+            flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                if os.waitid(os.P_PID, children[0][0], flags):
+                    exited.append(1)
+                    break
+                time.sleep(0.001)
+            return functional_value(*args)
+
+        monkeypatch.setattr(cli, "functional_value", waiting)
+        assert main(["optimize", "--steps", "10000", "--out",
+                     str(tmp_path)]) == 0
+        assert (len(children), exited) == (1, [1])
+        _no_child_is_left()
+
+    def test_json_run_does_not_fork(self, tmp_path, capsys, monkeypatch):
+        runs = self._runs(tmp_path, capsys, monkeypatch,
+                          ["optimize", "--steps", "10000", "--format",
+                           "json"], ["writer"])
+        assert runs["writer"][:3] == (0, [], 0)
+        assert sorted(runs["writer"][3]) == ["optimize_report.json"]
+
+
 # runs argv[2:] with the table writer's pipe unable to grow: no
 # F_SETPIPE_SZ, or one that the host refuses; prints the forks made and the
 # capacities the writer found
@@ -2032,10 +2252,12 @@ def _open_descriptors():
       "--steps", "10000", "--kernels"], 3),
     (["sweep", "--sweep", "T:1:2:3", "--steps", "100"], 0),
     (["sweep", "--sweep", "eta:0.5:1.5:3", "--steps", "100"], 2),
+    (["optimize", "--T", "3", "--steps", "10000"], 0),
+    (_OPTIMIZE_FAILS, 3),
 ], ids=["simulate", "simulate-one-block", "simulate-fails", "sweep",
-        "sweep-fails"])
+        "sweep-fails", "optimize", "optimize-fails"])
 def test_no_child_is_left(tmp_path, monkeypatch, argv, code):
-    # on two CPUs, where simulate's writer and the sweep's workers fork
+    # on two CPUs, where the writers and the sweep's workers fork
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     assert main([*argv, "--out", str(tmp_path)]) == code
@@ -2050,9 +2272,12 @@ def test_no_child_is_left(tmp_path, monkeypatch, argv, code):
       "--steps", "10000", "--kernels"], 3),
     (["sweep", "--sweep", "T:1:2:3", "--steps", "100"], 0),
     (["sweep", "--sweep", "eta:0.5:1.5:3", "--steps", "100"], 2),
-], ids=["simulate", "simulate-fails", "sweep", "sweep-fails"])
+    (["optimize", "--T", "3", "--steps", "10000"], 0),
+    (_OPTIMIZE_FAILS, 3),
+], ids=["simulate", "simulate-fails", "sweep", "sweep-fails", "optimize",
+        "optimize-fails"])
 def test_no_descriptor_is_left(tmp_path, monkeypatch, argv, code):
-    # on two CPUs, where simulate's writer and the sweep's workers fork
+    # on two CPUs, where the writers and the sweep's workers fork
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     before = _open_descriptors()

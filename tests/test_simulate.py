@@ -283,7 +283,7 @@ def _integration_peak(n, p=SystemParams(gamma=1.0, transfer_time=3.0),
 
 def test_integrator_memory_is_fixed():
     # a run holds one workspace, fixed before it starts, and its blocks
-    # are views of it: 1.05 MB at both sizes (x86-64, numpy 2.4)
+    # are views of it: 0.91 MB at both sizes (x86-64, numpy 2.4)
     small, large = _integration_peak(100_000), _integration_peak(1_000_000)
     assert small < 1.15e6
     assert abs(large - small) <= 0.05 * small

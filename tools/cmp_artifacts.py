@@ -12,8 +12,9 @@ under both trees.  The second runs it twice under SRC: once plainly, and
 once with ``NPY_DISABLE_CPU_FEATURES`` naming every CPU feature that numpy
 dispatches to on this CPU, so that numpy runs its baseline kernels.  The
 third (Linux, more than one CPU) runs it twice under SRC: once plainly,
-and once pinned to one CPU, where ``simulate`` writes its tables in process
-rather than in its forked writer, so the two writers are compared.  The
+and once pinned to one CPU, where both forked writers stay in process:
+``simulate``'s table writer and ``optimize``'s profile writer.  So each
+forked writer is compared with the in-process one.  The
 runs' exit codes, stdout, stderr and science artifacts are compared: ``*.csv``,
 ``*report.json``, ``budget.json``, and ``config.json`` without ``out_dir``.
 Prints a ``#`` line naming the platform first (the bytes hold only across
