@@ -10,8 +10,9 @@ removed.  ``simulate`` and every ``sweep`` point run the same step maps and
 compare against the same closed form, :func:`oscxfer.oracles.reference_curve`.
 A ``simulate`` run of more than one block shares the formatting of its
 tables with one forked writer child, which writes them while the run
-integrates.  An ``optimize`` run of more than one 1024-cell block forks one
-profile writer before its backward sweep and hands it each block of
+integrates.  An ``optimize`` run of more than one block of its backward
+sweep (``optimize.SWEEP_BLOCK``, 1024 cells) forks one profile writer
+before the sweep and hands it each block of
 maximizers as the sweep finishes it, the last block first; the child
 formats each block at once and holds its rows, at most ``_HELD_BLOCKS``
 blocks (about 5 MB), until the rows before them are written.  A ``sweep``
@@ -50,7 +51,7 @@ import numpy as np
 
 from .circuit import CircuitSpec, Topology, carrier_frequency, circuit_to_rates
 from .oracles import budget_report, reference_curve
-from .optimize import functional_value, optimize_profile
+from .optimize import SWEEP_BLOCK, functional_value, optimize_profile
 from .simulate import (
     IntegrationError,
     IntegratorConfig,
@@ -626,8 +627,8 @@ def _table_writer(stack: contextlib.ExitStack, tables: dict,
 
 # formatted blocks of profile.csv that the profile writer may hold: about
 # 5 MB, as a row takes at most 100 bytes (four fields of 24 characters and
-# a separator) and a block at most _CSV_BLOCK + 1 rows
-_HELD_BLOCKS = (5 << 20) // (100 * (_CSV_BLOCK + 1))
+# a separator) and a block of the sweep at most SWEEP_BLOCK + 1 rows
+_HELD_BLOCKS = (5 << 20) // (100 * (SWEEP_BLOCK + 1))
 
 
 def _profile_rows(reference: CouplingProfile, p: SystemParams,
@@ -656,7 +657,7 @@ def _write_profile(requests, fh, rows, n: int) -> None:
     held, row = {}, 0  # formatted blocks by first cell; the next to write
     while row < n and len(head := requests.read(8)) == 8:
         start = int.from_bytes(head, "little")
-        size = 8 * min(_CSV_BLOCK, n - start)
+        size = 8 * min(SWEEP_BLOCK, n - start)
         if len(data := requests.read(size)) < size:
             break  # the parent stopped part way, as it failed
         columns = rows(start, np.frombuffer(data))
@@ -665,10 +666,10 @@ def _write_profile(requests, fh, rows, n: int) -> None:
             held[start] = buf.getvalue()
             continue
         _write_rows(fh, columns)
-        row += _CSV_BLOCK
+        row += SWEEP_BLOCK
         while row in held:
             fh.write(held.pop(row))
-            row += _CSV_BLOCK
+            row += SWEEP_BLOCK
     fh.flush()
 
 
@@ -688,7 +689,7 @@ def _profile_writer(stack: contextlib.ExitStack, fh, rows, n: int):
     process has none, as in process the rows are written after the run.
     Otherwise ``finish`` writes every block here, in row order.
     """
-    if n <= _CSV_BLOCK or not _can_fork():
+    if n <= SWEEP_BLOCK or not _can_fork():
         limit, pipe = 0, None
     else:
         limit = _HELD_BLOCKS
@@ -791,16 +792,15 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     # refuses a bad --dt-cut before the optimizer runs
     reference = CouplingProfile.optimal(truncation=trunc)
     with contextlib.ExitStack() as stack:
-        blocks, finish = None, None
+        hand_over = finish = None
         if cfg.format in ("csv", "both"):
             fh = stack.enter_context(open(out / "profile.csv", "wb"))
             fh.write(b"t,gamma1_opt,gamma1_closed_form,rel_err\n")
             hand_over, finish = _profile_writer(
                 stack, fh, partial(_profile_rows, reference, p, grid),
                 grid.n_steps)
-            blocks = _CSV_BLOCK, hand_over
         profile, result = optimize_profile(p, grid, gamma1_max=cfg.gamma1_max,
-                                           blocks=blocks)
+                                           hand_over=hand_over)
         functional = functional_value(profile, p, grid)
         for name, value in (("functional", functional),
                             ("kkt_residual", result.kkt_residual)):

@@ -46,7 +46,12 @@ __all__ = [
     "functional_value",
     "functional_gradient",
     "optimize_profile",
+    "SWEEP_BLOCK",
 ]
+
+# Cells per block of the backward sweep, aligned from cell 0: a caller's
+# hand_over gets each block's maximizers as soon as the sweep finishes it.
+SWEEP_BLOCK = 1024
 
 # A cell's root solve stops once the Newton step is below this fraction of u;
 # the stage value is flat to second order there, so the last step's error
@@ -174,7 +179,7 @@ def optimize_profile(
     p: SystemParams,
     grid: TimeGrid,
     gamma1_max: Optional[float] = None,
-    blocks: Optional[tuple[int, Callable[[int, np.ndarray], None]]] = None,
+    hand_over: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> tuple[CouplingProfile, OptimizerResult]:
     """Exact maximizer of the discrete transfer functional over the box
     ``0 <= gamma1 <= gamma1_max`` on the grid's cells.
@@ -232,15 +237,14 @@ def optimize_profile(
     started at the next cell's maximizer) up to round-off.  At gamma = 1,
     T = 3 on 10 000 cells it spends 1.27 slope evaluations per cell.
 
-    The cells run in blocks of ``size`` from cell 0, the last block first,
-    where ``blocks = (size, hand_over)``; otherwise in one block.  As soon
-    as the sweep finishes a block, starting at cell ``start``, it calls
-    ``hand_over(start, u)`` with the block's maximizers u = sqrt(gamma1),
-    a view of the sweep's own array, which no later cell writes.  So a
-    caller can use the maximizers of the late cells while the sweep goes
-    on: ``cmd_optimize`` has them formatted into ``profile.csv`` by a
-    forked child.  Each cell runs the same operations, in the same order,
-    either way.
+    The cells run in blocks of ``SWEEP_BLOCK`` from cell 0, the last block
+    first.  As soon as the sweep finishes a block, starting at cell
+    ``start``, it calls ``hand_over(start, u)``, if given, with the block's
+    maximizers u = sqrt(gamma1), a view of the sweep's own array, which no
+    later cell writes.  So a caller can use the maximizers of the late
+    cells while the sweep goes on: ``cmd_optimize`` has them formatted
+    into ``profile.csv`` by a forked child.  Each cell runs the same
+    operations, in the same order, with or without ``hand_over``.
 
     Returns the optimal sampled profile and an :class:`OptimizerResult`.
     Raises ``FloatingPointError`` naming the cell whose stage value is not
@@ -277,9 +281,9 @@ def optimize_profile(
     u1, u2, u3, u4 = top, 0.0, 0.0, 0.0
     n4 = n - 4
     root = np.frombuffer(u)
-    size, hand_over = blocks or (n, None)
-    for start in range((n - 1) // size * size, -1, -size):
-        for j in range(min(start + size, n) - 1, start - 1, -1):
+    for start in range((n - 1) // SWEEP_BLOCK * SWEEP_BLOCK, -1,
+                       -SWEEP_BLOCK):
+        for j in range(min(start + SWEEP_BLOCK, n) - 1, start - 1, -1):
             evals = 0
             try:
                 if s == 0.0:
@@ -357,7 +361,7 @@ def optimize_profile(
             s, c = decay * s / best, 1.0
 
         if hand_over is not None:
-            hand_over(start, root[start:start + size])
+            hand_over(start, root[start:start + SWEEP_BLOCK])
 
     kkt = _projected_gradient_norm(root, _u_gradient(root, p, grid), 0.0,
                                    math.sqrt(cap))

@@ -2099,6 +2099,22 @@ class TestProfileWriter:
         assert log.read_text().split() == ["held"] * kept + ["file"] * (
             10 - kept)
 
+    @pytest.mark.parametrize("size, blocks", [(512, 20), (3000, 4)])
+    def test_child_takes_the_sweeps_block_edges(self, tmp_path, capsys,
+                                                monkeypatch, size, blocks):
+        # the sweep's block size has one owner, optimize.SWEEP_BLOCK: with
+        # another size the child reads each block whole and writes the
+        # same bytes
+        log = tmp_path / "log"
+        want = self._runs(tmp_path, capsys, monkeypatch,
+                          ["optimize", "--steps", "10000"], ["one-cpu"])
+        monkeypatch.setattr(optimize, "SWEEP_BLOCK", size)
+        runs = self._runs(tmp_path, capsys, monkeypatch,
+                          ["optimize", "--steps", "10000"], ["writer"],
+                          SWEEP_BLOCK=size, _write_rows=self._logged(log))
+        assert runs["writer"] == (0, [], 1, want["one-cpu"][3])
+        assert log.read_text().split() == ["held"] * (blocks - 1) + ["file"]
+
     def test_sweep_failure_is_the_in_process_failure(self, tmp_path, capsys,
                                                      monkeypatch):
         log = tmp_path / "log"
