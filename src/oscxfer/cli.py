@@ -7,18 +7,18 @@ reproducibility, and writes plot-ready CSV plus JSON reports into a staging
 directory inside it.  :func:`main` moves them to their names only when the
 command returns 0; otherwise the command's files, earlier ones included, are
 removed.  ``simulate`` and every ``sweep`` point run the same step maps and
-compare against the same closed form, :func:`oscxfer.oracles.reference_curve`.
-A ``simulate`` run of more than one block shares the formatting of its
-tables with one forked writer child, which writes them while the run
-integrates.  An ``optimize`` run of more than one block of its backward
-sweep (``optimize.SWEEP_BLOCK``, 1024 cells) forks one profile writer
-before the sweep and hands it each block of
-maximizers as the sweep finishes it, the last block first; the child
-formats each block at once and holds its rows, at most ``_HELD_BLOCKS``
-blocks (about 5 MB), until the rows before them are written.  A ``sweep``
-runs its points in forked workers.  Each writer needs ``os.fork`` and a
-second CPU, and otherwise writes in process.  Each child talks to the
-parent over the two pipes that :func:`_fork` makes.
+compare against the same closed form, :func:`oscxfer.oracles.reference_curve`,
+and a curve that leaves the physical range [0, 1] fails the run.
+``simulate`` tables of more than one block, and an ``optimize`` profile of
+more than one block of its backward sweep (``optimize.SWEEP_BLOCK``, 1024
+cells), go to one forked writer child, :func:`_write_tables`, which formats
+their rows while the run computes and writes each table in row order.
+``optimize`` hands it the first ``_HELD_BLOCKS`` blocks of maximizers as
+the sweep finishes them, the last block first, and the child holds their
+rows (about 5 MB at most) until the rows before them are written.  A
+``sweep`` runs its points in forked workers.  The writer needs ``os.fork``
+and a second CPU, and otherwise the rows are written in process.  Each
+child talks to the parent over the two pipes that :func:`_fork` makes.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 """
 
@@ -27,14 +27,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import io  # the profile writer's held rows
+import io  # the writer child's held rows
 import json
 import locale  # build_parser() needs it (argparse gettext): load it at import
 import math
-import mmap  # the table writer's shared count
+import mmap  # the writer child's shared count
 import os
 import pickle  # numpy loads it: importing it here costs nothing
 import signal
+import struct  # numpy loads it: importing it here costs nothing
 import sys
 import warnings
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 try:
-    import fcntl  # grows the table writer's pipe
+    import fcntl  # grows the writer child's pipe
 except ImportError:  # Windows, which has no os.fork either
     fcntl = None
 
@@ -494,7 +495,28 @@ def _simulate(cfg: RunConfig, integrate):
         n_steps=cfg.n_steps, kernel_tracking=cfg.kernels))
 
 
-_PIPE_SIZE = 1 << 20  # the table writer's pipe, where the host lets it grow
+# The exact a21 lies in [0, 1]: |a21| <= 1 by the sum rule, and a21 >= 0
+# as an integral of non-negative terms.  A value past either end by more
+# than this slack, the accuracy a run is held to, is wrong by more than
+# it.  Measured on optimal-profile runs (gamma 1 and 7, T 10 to 80, 10 to
+# 1e5 steps, each hold): every curve within 1e-5 of its closed form stayed
+# within 1.5e-6 of the range, and values below 0 came only at the
+# stability edge, by 0.048 or more.
+_RANGE_SLACK = 1e-5
+
+
+def _check_range(a21: np.ndarray, node: int) -> None:
+    """Raise the failure of the first of the values ``a21``, of the nodes
+    from ``node`` on, that leaves [0, 1] by more than ``_RANGE_SLACK``."""
+    out = (a21 < -_RANGE_SLACK) | (a21 > 1.0 + _RANGE_SLACK)
+    if out.any():
+        k = int(np.argmax(out))
+        raise IntegrationError(
+            f"a21 = {float(a21[k])!r} leaves the physical range [0, 1] by "
+            f"more than {_RANGE_SLACK:g}", node + k - 1)
+
+
+_PIPE_SIZE = 1 << 20  # the writer child's pipe, where the host lets it grow
 _BACKLOG = 8  # raw chunks the writer may hold: one 8192-step block's rows
 
 
@@ -510,7 +532,7 @@ def _pipe_capacity(fd: int) -> int:
 
 
 def _child_formats(backlog: int, limit: int) -> bool:
-    """Whether the table writer gets the next chunk raw, to format it: only
+    """Whether the writer child gets the next chunk raw, to format it: only
     while fewer than ``limit`` raw chunks wait for it (``backlog``)."""
     return backlog < limit
 
@@ -521,20 +543,84 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and _cpus() > 1
 
 
-def _writer_child(stack: contextlib.ExitStack, name: str, tables: dict,
-                  first: bool, serve):
-    """Fork a child that runs ``serve(requests)`` on the tables ``tables``
-    (open files by name, flushed here, else their headers are written
-    again, by both processes); returns the writer of its requests.
+# a chunk's header: its table, first row, rows, columns (0 if formatted) and
+# bytes
+_CHUNK_HEAD = struct.Struct("<5Q")
 
-    ``stack`` reaps the child and raises what stopped it: an error of the
-    child's own, or a ``ConfigError`` naming the tables if it ended without
-    an answer.  Where ``first``, the child's rows come before anything
-    this process does, so its error also replaces one of this process;
-    otherwise it is raised only when this process has none.
-    """
-    for fh in tables.values():
+
+def _write_tables(requests, files: list, done, n_rows: int, build) -> None:
+    """Write the chunks that :func:`_table_writer` sends to the tables
+    ``files``, each in row order, then flush them.  A raw chunk's columns
+    are ``build(at, *payload)``, written through :func:`_write_rows` and
+    then counted in the shared ``done[0]``; a formatted chunk is written as
+    it comes.  A chunk ahead of its table's next row is held, formatted,
+    until the rows before it are written.  Returns once every table has
+    ``n_rows`` rows, so the child exits while the parent finishes its run,
+    or when the pipe ends."""
+    rows = [0] * len(files)  # each table's next row
+    held = {}  # (table, first row) -> (rows, bytes) of the chunks ahead
+    while min(rows) < n_rows and len(
+            head := requests.read(_CHUNK_HEAD.size)) == _CHUNK_HEAD.size:
+        table, at, count, cols, size = _CHUNK_HEAD.unpack(head)
+        if len(data := requests.read(size)) < size:
+            break  # the parent stopped part way, as it failed
+        ahead = at != rows[table]
+        fh = io.BytesIO() if ahead else files[table]
+        if cols:
+            _write_rows(fh, build(at, *np.frombuffer(data).reshape(cols, -1)))
+            done[0] += 1
+        else:
+            fh.write(data)
+        if ahead:
+            held[table, at] = count, fh.getvalue()
+            continue
+        rows[table] += count
+        while (table, rows[table]) in held:
+            count, data = held.pop((table, rows[table]))
+            files[table].write(data)
+            rows[table] += count
+    for fh in files:
         fh.flush()
+
+
+def _table_writer(stack: contextlib.ExitStack, name: str, tables: dict,
+                  n_rows: int, fork: bool, first: bool, build) -> tuple:
+    """``(write, forked)``: ``write(table, at, *payload)`` appends the rows
+    ``build(at, *payload)`` from row ``at`` to the ``table``-th of the open
+    files ``tables`` (by file name), as :func:`_write_rows` does, and
+    ``forked`` tells whether a child writes them.  Each table is to have
+    ``n_rows`` rows.
+
+    Where ``fork`` holds and :func:`_can_fork`, one forked child (the
+    ``name`` of its messages) formats most rows while this process
+    computes.  The payload goes in chunks of ``_CSV_BLOCK`` rows, each
+    behind a header (table, first row, rows, columns, bytes).  While fewer
+    than ``_BACKLOG`` chunks (fewer if the pipe cannot hold them) wait for
+    the child, a chunk goes as its payload's raw doubles, one column after
+    another, and the child adds each one it has formatted to an 8-byte
+    count in a page both processes share; otherwise this process builds
+    and formats the chunk and sends its bytes, with 0 columns.  The child
+    writes each table in row order, holding a chunk that comes ahead, so
+    the split follows the speed of each side and the bytes stay the same.
+    The pipe is grown to ``_PIPE_SIZE`` to hold the raw backlog and this
+    process's chunks.  ``stack`` reaps the child and raises what stopped
+    it: its own error, or a ``ConfigError`` naming the tables if it ended
+    without an answer.  Where ``first``, the child's rows come before
+    anything this process does, so its error also replaces one of this
+    process; otherwise it is raised only when this process has none.
+    Otherwise the rows are written here, as they come.
+    """
+    files = list(tables.values())
+    if not (fork and _can_fork()):
+        return (lambda table, at, *payload: _write_rows(
+            files[table], build(at, *payload))), False
+    for fh in files:  # else the headers are written again, by both processes
+        fh.flush()
+    # raw chunks the child has formatted, in a page shared across the fork
+    done = stack.enter_context(memoryview(
+        stack.enter_context(mmap.mmap(-1, 8))).cast("Q"))
+    serve = partial(_write_tables, files=files, done=done, n_rows=n_rows,
+                    build=build)
 
     def finish(exc_type, exc, tb) -> None:
         with _stops_wait():
@@ -551,81 +637,32 @@ def _writer_child(stack: contextlib.ExitStack, name: str, tables: dict,
         child = _fork(lambda requests, answer: answer(_attempt(serve,
                                                                requests)))
         stack.push(finish)
-    return child[1]
-
-
-def _write_tables(requests, files: list, done) -> None:
-    """Append each chunk that :func:`_table_writer` sends to its table in
-    ``files`` until the pipe ends, then flush the tables.  Raw chunks go
-    through :func:`_write_rows`, each then counted in the shared ``done[0]``;
-    formatted chunks are written as they come."""
-    while len(head := requests.read(24)) == 24:
-        table, cols, rows = (int.from_bytes(head[i:i + 8], "little")
-                             for i in (0, 8, 16))
-        size = 8 * cols * rows if cols else rows  # formatted: rows bytes
-        if len(data := requests.read(size)) < size:
-            break  # the parent stopped part way, as it failed
-        if cols:
-            _write_rows(files[table], np.frombuffer(data).reshape(cols, rows))
-            done[0] += 1
-        else:
-            files[table].write(data)
-    for fh in files:
-        fh.flush()
-
-
-def _table_writer(stack: contextlib.ExitStack, tables: dict,
-                  more_blocks: bool):
-    """``write(table, columns)``, which appends rows to the ``table``-th of
-    the open files ``tables`` (by file name) as :func:`_write_rows` does.
-
-    Where ``more_blocks``, ``os.fork`` exists and the process may run on
-    more than one CPU, the rows go to one forked child, which formats most
-    of them while this process integrates.  The columns are sent in chunks
-    of ``_CSV_BLOCK`` rows, each behind 24 bytes (table, columns, rows).
-    While fewer than a block's chunks (``_BACKLOG``, fewer if the pipe
-    cannot hold them) wait for the child, a chunk goes as its columns' raw
-    doubles, one column after another, and the child adds each one it has
-    written to an 8-byte count in a page both processes share; otherwise
-    this process formats the chunk itself and sends its bytes, with 0
-    columns and their length as the rows.  The child writes every chunk in
-    the order sent, so the split follows the speed of each side and the
-    bytes stay the same.  The pipe is grown to ``_PIPE_SIZE`` so that it
-    holds the raw backlog and this process's chunks.  ``stack`` reaps the
-    child and raises what stopped it, before any error of this process,
-    since its rows came first.  Otherwise the rows are written here.
-    """
-    files = list(tables.values())
-    if not (more_blocks and _can_fork()):
-        return lambda table, columns: _write_rows(files[table], columns)
-    # raw chunks the child has written, in a page shared across the fork
-    done = stack.enter_context(memoryview(
-        stack.enter_context(mmap.mmap(-1, 8))).cast("Q"))
-    pipe = _writer_child(stack, "table writer", tables, True,
-                         partial(_write_tables, files=files, done=done))
+    pipe = child[1]
     capacity = _pipe_capacity(pipe.fileno())
     sent = 0  # raw chunks sent
 
-    def write(table: int, columns) -> None:
+    def write(table: int, at: int, *payload) -> None:
         nonlocal sent
-        limit = min(_BACKLOG, capacity // (24 + 8 * len(columns) * _CSV_BLOCK))
-        for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            chunk = [col[lo:lo + _CSV_BLOCK] for col in columns]
+        limit = min(_BACKLOG, capacity // (_CHUNK_HEAD.size
+                                           + 8 * len(payload) * _CSV_BLOCK))
+        for lo in range(0, len(payload[0]), _CSV_BLOCK):
+            chunk = [col[lo:lo + _CSV_BLOCK] for col in payload]
+            head = table, at + lo, len(chunk[0])
             if _child_formats(sent - done[0], limit):
                 sent += 1
-                head = len(chunk), len(chunk[0])
+                head += len(chunk), 8 * len(chunk) * len(chunk[0])
             else:
-                chunk = [_format_rows(np.column_stack(chunk))]
-                head = 0, len(chunk[0])
-            pipe.write(b"".join(v.to_bytes(8, "little")
-                                for v in (table, *head)))
+                chunk = [_format_rows(np.column_stack(build(at + lo, *chunk)))]
+                head += 0, len(chunk[0])
+            pipe.write(_CHUNK_HEAD.pack(*head))
             for data in chunk:
                 pipe.write(data)
+        pipe.flush()
 
-    return write
+    return write, True
 
 
-# formatted blocks of profile.csv that the profile writer may hold: about
+# formatted blocks of profile.csv that its writer child may hold: about
 # 5 MB, as a row takes at most 100 bytes (four fields of 24 characters and
 # a separator) and a block of the sweep at most SWEEP_BLOCK + 1 rows
 _HELD_BLOCKS = (5 << 20) // (100 * (SWEEP_BLOCK + 1))
@@ -633,92 +670,15 @@ _HELD_BLOCKS = (5 << 20) // (100 * (SWEEP_BLOCK + 1))
 
 def _profile_rows(reference: CouplingProfile, p: SystemParams,
                   grid: TimeGrid, start: int, u: np.ndarray) -> tuple:
-    """The ``profile.csv`` columns of the cells from ``start`` whose
+    """The ``profile.csv`` columns of the nodes from ``start`` whose
     maximizers are ``u``, element by element as the whole grid's: t =
     j dt, gamma1 = u^2, the closed form ``reference`` and the relative
-    error.  The block with the last cell also has the last node, which
-    copies that cell's gamma1."""
+    error."""
     opt = u * u
-    if start + opt.size == grid.n_steps:
-        opt = np.append(opt, opt[-1])
     times = np.arange(start, start + opt.size) * grid.dt
     closed = profile_values(reference, p, times)
     rel = np.where(closed > 0, np.abs(opt - closed) / closed, math.nan)
     return times, opt, closed, rel
-
-
-def _write_profile(requests, fh, rows, n: int) -> None:
-    """Write the blocks of maximizers that :func:`_profile_writer` sends
-    to ``fh`` as ``rows`` gives them, in row order, then flush it.  A block
-    is its first cell, 8 bytes, then its cells' doubles; a block ahead of
-    the rows written so far is held, formatted, until the rows before it
-    are written.  Returns once the n cells' rows are written, so the child
-    exits while the parent finishes its run, or when the pipe ends."""
-    held, row = {}, 0  # formatted blocks by first cell; the next to write
-    while row < n and len(head := requests.read(8)) == 8:
-        start = int.from_bytes(head, "little")
-        size = 8 * min(SWEEP_BLOCK, n - start)
-        if len(data := requests.read(size)) < size:
-            break  # the parent stopped part way, as it failed
-        columns = rows(start, np.frombuffer(data))
-        if start != row:
-            _write_rows(buf := io.BytesIO(), columns)
-            held[start] = buf.getvalue()
-            continue
-        _write_rows(fh, columns)
-        row += SWEEP_BLOCK
-        while row in held:
-            fh.write(held.pop(row))
-            row += SWEEP_BLOCK
-    fh.flush()
-
-
-def _profile_writer(stack: contextlib.ExitStack, fh, rows, n: int):
-    """``(hand_over, finish)`` for an n-cell sweep whose ``profile.csv``
-    rows go to the open file ``fh`` as ``rows(start, u)`` gives them.
-
-    The sweep calls ``hand_over(start, u)`` with each block of maximizers
-    it finishes, the last block first, and ``finish()`` writes what is
-    left once the run has its results.  Where the sweep has more than one
-    block and a writer child may run (:func:`_can_fork`), the first
-    ``_HELD_BLOCKS`` blocks go to one forked child as they come, and it
-    formats each one while the sweep goes on, holding the formatted rows
-    until the rows before them are written; ``finish`` sends the later
-    blocks in row order, which the child writes before the held ones.
-    ``stack`` reaps the child, which raises its error only where this
-    process has none, as in process the rows are written after the run.
-    Otherwise ``finish`` writes every block here, in row order.
-    """
-    if n <= SWEEP_BLOCK or not _can_fork():
-        limit, pipe = 0, None
-    else:
-        limit = _HELD_BLOCKS
-        pipe = _writer_child(stack, "profile writer", {"profile.csv": fh},
-                             False, partial(_write_profile, fh=fh, rows=rows,
-                                            n=n))
-    later = []  # the blocks not sent yet, last first
-
-    def send(start: int, u: np.ndarray) -> None:
-        if pipe is None:
-            _write_rows(fh, rows(start, u))
-            return
-        with contextlib.suppress(BrokenPipeError):  # the child failed
-            pipe.write(start.to_bytes(8, "little") + u.tobytes())
-            pipe.flush()
-
-    def hand_over(start: int, u: np.ndarray) -> None:
-        nonlocal limit
-        if limit:
-            limit -= 1
-            send(start, u)
-        else:
-            later.append((start, u))
-
-    def finish() -> None:
-        for start, u in reversed(later):
-            send(start, u)
-
-    return hand_over, finish
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
@@ -741,6 +701,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             fh.write(header)
         for block in blocks:
             _, curve, _, *deficits = block
+            _check_range(curve, node)
             j = int(np.argmax(curve))
             if curve[j] > peak:
                 # node * dt, as grid.nodes() has it
@@ -749,14 +710,16 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
                 deficit_max = np.maximum(deficit_max, [
                     np.max(np.abs(d)) for d in deficits])
             if files:
-                if write is None:  # a first block short of the run's end
-                    write = _table_writer(stack, dict(zip(tables, files)),
-                                          curve.size <= cfg.n_steps)
+                if write is None:  # forks where a first block is short
+                    write, _ = _table_writer(
+                        stack, "table writer", dict(zip(tables, files)),
+                        grid.n_nodes, curve.size <= cfg.n_steps, True,
+                        lambda at, *columns: columns)
                 times = np.arange(node, node + curve.size) * grid.dt
                 oracle = reference_curve(p, profile, times)
-                write(0, (times, curve, oracle, np.abs(curve - oracle)))
+                write(0, node, times, curve, oracle, np.abs(curve - oracle))
                 if deficits:
-                    write(1, (times, *deficits))
+                    write(1, node, times, *deficits)
             node += curve.size
 
     report = {
@@ -791,14 +754,33 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     trunc = _resolved_dt_cut(cfg, grid)
     # refuses a bad --dt-cut before the optimizer runs
     reference = CouplingProfile.optimal(truncation=trunc)
+    later = []  # the blocks to write after the run's checks, last first
     with contextlib.ExitStack() as stack:
-        hand_over = finish = None
+        hand_over = None
         if cfg.format in ("csv", "both"):
             fh = stack.enter_context(open(out / "profile.csv", "wb"))
             fh.write(b"t,gamma1_opt,gamma1_closed_form,rel_err\n")
-            hand_over, finish = _profile_writer(
-                stack, fh, partial(_profile_rows, reference, p, grid),
-                grid.n_steps)
+            write, forked = _table_writer(
+                stack, "profile writer", {"profile.csv": fh}, grid.n_nodes,
+                grid.n_steps > SWEEP_BLOCK, False,
+                partial(_profile_rows, reference, p, grid))
+            room = _HELD_BLOCKS if forked else 0  # blocks the child may hold
+
+            def send(start: int, u: np.ndarray) -> None:
+                with contextlib.suppress(BrokenPipeError):  # the child failed
+                    write(0, start, u)
+
+            def hand_over(start: int, u: np.ndarray) -> None:
+                # the sweep's blocks come last first; the last node copies
+                # the last cell's maximizer
+                nonlocal room
+                if start + u.size == grid.n_steps:
+                    u = np.append(u, u[-1])
+                if room:
+                    room -= 1
+                    send(start, u)
+                else:
+                    later.append((start, u))
         profile, result = optimize_profile(p, grid, gamma1_max=cfg.gamma1_max,
                                            hand_over=hand_over)
         functional = functional_value(profile, p, grid)
@@ -806,8 +788,8 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
                             ("kkt_residual", result.kkt_residual)):
             if not math.isfinite(value):
                 raise FloatingPointError(f"optimizer {name} is {value!r}")
-        if finish:
-            finish()
+        for start, u in reversed(later):
+            send(start, u)
 
     report = {
         "functional": functional,
@@ -851,6 +833,7 @@ def _sweep_point(job: tuple) -> tuple[float, float]:
     cfg = dataclasses.replace(cfg, **{_SWEEPABLE[name]: value})
     try:
         p, profile, grid, a21 = _simulate(cfg, transfer_amplitude)
+        _check_range(np.array([a21]), grid.n_steps)
     except ValueError as exc:  # ConfigError among them
         raise ConfigError(f"{name}={value:g}: {exc}") from None
     except IntegrationError as exc:
@@ -1204,7 +1187,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 with np.errstate(all="ignore"):
                     code = cmd(cfg, stage)
                 return code
-            finally:  # the commit step, which moves all or none
+            # the commit step, which moves all or none; only a SIGKILL
+            # inside it can leave some of the files moved in
+            finally:
                 with _stops_wait():
                     for name in names:
                         if code == EXIT_OK and (stage / name).exists():

@@ -288,6 +288,38 @@ class TestSimulate:
             "numerical failure: profile too stiff to substep (at step 9999)"]
         assert [p.name for p in out.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("argv, line", [
+        # at the stability edge, beta*dt = 2.785, RK4 is stable but its
+        # curve goes negative: a21(T) = -0.170 against the closed form's
+        # 0.100
+        (["simulate", "--profile", "constant:1", "--gamma", "55.7", "--T",
+          "1", "--steps", "20"],
+         "numerical failure: a21 = -0.01318771799095207 leaves the physical "
+         "range [0, 1] by more than 1e-05 (at step 0)"),
+        (["sweep", "--profile", "constant:1", "--sweep", "gamma:55.7:55.7:1",
+          "--T", "1", "--steps", "20"],
+         "numerical failure: gamma=55.7: a21 = -0.1700875697506956 leaves "
+         "the physical range [0, 1] by more than 1e-05 (at step 19)"),
+        # ten steps of 2 under a hold of 1e3: a21 overshoots 1 by 1.6e-3
+        (["simulate", "--gamma", "1", "--T", "20", "--dt-cut", "1e-6",
+          "--gamma1-max", "1000", "--steps", "10"],
+         "numerical failure: a21 = 1.0016166508833517 leaves the physical "
+         "range [0, 1] by more than 1e-05 (at step 9)"),
+    ], ids=["simulate", "sweep", "above-1"])
+    def test_curve_outside_the_physical_range_exits_3(self, tmp_path, capsys,
+                                                      argv, line):
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert _names(tmp_path) == ["config.json"]
+
+    def test_curve_within_the_range_slack_exits_0(self, tmp_path):
+        # 300 steps to T = 40: a21 passes 1 by 4.9e-7, inside the slack,
+        # while the curve stays within 4.1e-6 of its closed form
+        assert main(["simulate", "--gamma", "1", "--T", "40", "--dt-cut",
+                     "1e-6", "--steps", "300", "--out", str(tmp_path)]) == 0
+        peak = _read_json(tmp_path / "report.json")["peak_fidelity"]
+        assert 1.0 < peak < 1.0 + 1e-6
+
     @pytest.mark.parametrize("kernels", [[], ["--kernels"]],
                              ids=["plain", "kernels"])
     def test_memory_is_flat_in_the_step_count(self, tmp_path, kernels):
@@ -1985,6 +2017,48 @@ class TestTableWriter:
         assert runs["writer"][:3] == (0, [], 1)
         assert seen and all(0 <= backlog < limit for backlog, limit in seen)
 
+    def test_child_writes_each_table_in_row_order(self):
+        # the writer child's loop, fed in process: two tables of 2500 rows
+        # in three chunks each, sent in reverse row order, raw and
+        # formatted; the raw ones go through the row builder, which gets
+        # each chunk's first row
+        n, block = 2500, cli._CSV_BLOCK
+        x = [np.linspace(0.0, 1.0, n) ** 3, np.sqrt(np.arange(n) / 7.0)]
+
+        def build(at, col):
+            return np.arange(at, at + col.size) * 0.25, col
+
+        want = []
+        for col in x:
+            cli._write_rows(whole := io.BytesIO(), build(0, col))
+            want.append(whole.getvalue())
+        stream, raw = io.BytesIO(), 0
+        for k, at in enumerate([2048, 1024, 0]):
+            for table in (1, 0):
+                col = x[table][at:at + block]
+                if (k + table) % 2:  # raw
+                    raw += 1
+                    stream.write(cli._CHUNK_HEAD.pack(table, at, col.size, 1,
+                                                      8 * col.size))
+                    stream.write(col.tobytes())
+                else:
+                    data = cli._format_rows(np.column_stack(build(at, col)))
+                    stream.write(cli._CHUNK_HEAD.pack(table, at, col.size, 0,
+                                                      len(data)))
+                    stream.write(data)
+        end = stream.tell()
+        stream.write(b"past the tables' last rows")
+        stream.seek(0)
+        files, done = [io.BytesIO(), io.BytesIO()], [0]
+        cli._write_tables(stream, files, done, n, build)
+        assert [fh.getvalue() for fh in files] == want
+        assert (stream.tell(), done) == (end, [raw])
+
+    def test_child_formats_while_fewer_than_the_limit_wait(self):
+        # the comparison is strict: at the limit, the parent formats
+        assert cli._child_formats(0, 1)
+        assert not cli._child_formats(1, 1)
+
     @pytest.mark.skipif(not hasattr(cli.fcntl, "F_SETPIPE_SZ"),
                         reason="no pipe size to set")
     @pytest.mark.parametrize("pipe", ["no-setpipe", "setpipe-refused"])
@@ -2033,15 +2107,18 @@ class TestProfileWriter:
         return runs
 
     @staticmethod
-    def _logged(log):
+    def _logged(log, dt=None):
         """A ``_write_rows`` that appends to the file ``log`` where each
-        call's rows go: "held" (formatted to be held) or "file"."""
+        call's rows go: "held" (formatted to be held) or "file", and, given
+        the grid step ``dt``, the row of their first node."""
         write_rows = cli._write_rows
 
         def logged(fh, columns):
             with open(log, "a") as out:
-                out.write("held\n" if isinstance(fh, io.BytesIO)
-                          else "file\n")
+                out.write("held" if isinstance(fh, io.BytesIO) else "file")
+                if dt is not None:
+                    out.write(f" {round(columns[0][0] / dt)}")
+                out.write("\n")
             return write_rows(fh, columns)
 
         return logged
@@ -2086,34 +2163,45 @@ class TestProfileWriter:
                                                  monkeypatch, held):
         # ten blocks: the first `held` that the sweep finishes are held,
         # formatted; the rest come after the sweep, in row order, and go
-        # straight to the file, as does the first block once it comes
+        # straight to the file, as does the first block once it comes.
+        # Every chunk goes raw, so the child formats each one, and each
+        # block of 1024 cells (785 rows for the last) is one chunk
         log = tmp_path / "log"
         want = self._runs(tmp_path, capsys, monkeypatch,
                           ["optimize", "--steps", "10000"], ["one-cpu"])
         monkeypatch.setattr(cli, "_HELD_BLOCKS", held)
         runs = self._runs(tmp_path, capsys, monkeypatch,
                           ["optimize", "--steps", "10000"], ["writer"],
-                          _write_rows=self._logged(log))
+                          _write_rows=self._logged(log, 5 / 10000),
+                          _child_formats=lambda backlog, limit: True)
         assert runs["writer"] == (0, [], 1, want["one-cpu"][3])
         kept = min(held, 9)
-        assert log.read_text().split() == ["held"] * kept + ["file"] * (
-            10 - kept)
+        assert log.read_text().splitlines() == [
+            f"held {1024 * block}" for block in range(9, 9 - kept, -1)] + [
+            f"file {1024 * block}" for block in range(10 - kept)]
 
     @pytest.mark.parametrize("size, blocks", [(512, 20), (3000, 4)])
     def test_child_takes_the_sweeps_block_edges(self, tmp_path, capsys,
                                                 monkeypatch, size, blocks):
         # the sweep's block size has one owner, optimize.SWEEP_BLOCK: with
-        # another size the child reads each block whole and writes the
-        # same bytes
+        # another size the child takes each block's 1024-row chunks and
+        # writes the same bytes, holding every block but the first.  Every
+        # chunk goes raw, so the child formats each one
         log = tmp_path / "log"
         want = self._runs(tmp_path, capsys, monkeypatch,
                           ["optimize", "--steps", "10000"], ["one-cpu"])
         monkeypatch.setattr(optimize, "SWEEP_BLOCK", size)
         runs = self._runs(tmp_path, capsys, monkeypatch,
                           ["optimize", "--steps", "10000"], ["writer"],
-                          SWEEP_BLOCK=size, _write_rows=self._logged(log))
+                          SWEEP_BLOCK=size,
+                          _write_rows=self._logged(log, 5 / 10000),
+                          _child_formats=lambda backlog, limit: True)
         assert runs["writer"] == (0, [], 1, want["one-cpu"][3])
-        assert log.read_text().split() == ["held"] * (blocks - 1) + ["file"]
+        # each block's chunks in row order, the last block first
+        starts = range((blocks - 1) * size, -1, -size)
+        assert log.read_text().splitlines() == [
+            f"{'file' if start == 0 else 'held'} {row}" for start in starts
+            for row in range(start, min(start + size, 10000), 1024)]
 
     def test_sweep_failure_is_the_in_process_failure(self, tmp_path, capsys,
                                                      monkeypatch):

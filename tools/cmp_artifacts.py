@@ -12,10 +12,10 @@ under both trees.  The second runs it twice under SRC: once plainly, and
 once with ``NPY_DISABLE_CPU_FEATURES`` naming every CPU feature that numpy
 dispatches to on this CPU, so that numpy runs its baseline kernels.  The
 third (Linux, more than one CPU) runs it twice under SRC: once plainly,
-and once pinned to one CPU, where both forked writers stay in process:
-``simulate``'s table writer and ``optimize``'s profile writer.  So each
-forked writer is compared with the in-process one.  The
-runs' exit codes, stdout, stderr and science artifacts are compared: ``*.csv``,
+and once pinned to one CPU, where the forked writer child of
+``simulate``'s tables and ``optimize``'s ``profile.csv`` stays in process.
+So the forked writer is compared with the in-process one.  The runs' exit
+codes, stdout, stderr and science artifacts are compared: ``*.csv``,
 ``*report.json``, ``budget.json``, and ``config.json`` without ``out_dir``.
 Prints a ``#`` line naming the platform first (the bytes hold only across
 hosts that match it), then SAME or DIFF per line, with what differs; exits
