@@ -84,7 +84,10 @@ whole steps or a part of one.  Each step's substeps are folded, in substep
 order, into its map, and its myy is the decay map of the width dt/2**k
 multiplied in 2**k times, taken once per count.  A failure is reported at
 the earliest failing step: a step that 26 halvings cannot make stable, or
-the first non-finite coefficient.  A run whose stiff steps would need
+the first non-finite coefficient.  The exact a21 lies in [0, 1], so a
+block whose a21 leaves that range by more than 1e-5, as it does at the
+stability edge, fails at its first such node; :func:`transfer_amplitude`
+checks a21(T) alone.  A run whose stiff steps would need
 more than 2**22 substeps in all is refused (``ValueError``) before their
 substeps run; steps past 26 halvings, which fail anyway, are not counted.
 
@@ -363,6 +366,32 @@ def _check(lo: int, nodes: np.ndarray, spare: np.ndarray, cut: bool) -> None:
         raise IntegrationError("profile too stiff to substep", lo + a11.size)
 
 
+# The exact a21 lies in [0, 1]: |a21| <= 1 by the sum rule, and a21 >= 0
+# as an integral of non-negative terms.  A value past either end by more
+# than this slack, the accuracy a run is held to, is wrong by more than
+# it.  Measured on optimal-profile runs (gamma 1 and 7, T 10 to 80, 10 to
+# 1e5 steps, each hold): every curve within 1e-5 of its closed form stayed
+# within 1.5e-6 of the range, and values below 0 came only at the
+# stability edge, by 0.048 or more.
+_RANGE_SLACK = 1e-5
+
+
+def _out_of_range(a21: float, step: int) -> IntegrationError:
+    return IntegrationError(
+        f"a21 = {a21!r} leaves the physical range [0, 1] by more than "
+        f"{_RANGE_SLACK:g}", step)
+
+
+def _check_range(lo: int, a21: np.ndarray) -> None:
+    """Raises the failure of the first of the values ``a21``, of the nodes
+    past the carried one of the block from macro step ``lo``, that leaves
+    [0, 1] by more than ``_RANGE_SLACK``."""
+    low, high = -_RANGE_SLACK, 1.0 + _RANGE_SLACK
+    if a21.min() < low or a21.max() > high:
+        k = int(np.argmax((a21 < low) | (a21 > high)))
+        raise _out_of_range(float(a21[k]), lo + k)
+
+
 def _map_blocks(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
                 rows: int, rates: np.ndarray | None = None):
     """The block pipeline of :func:`integrate_blocks` and
@@ -610,8 +639,9 @@ def integrate_blocks(c: CouplingProfile, p: SystemParams,
     is the achieved transfer amplitude a21(T), which
     :func:`transfer_amplitude` gives alone.  A yielded array is a view
     of the run's workspace and stays valid only until the next block is
-    asked for: copy what must outlive it.  A failing step raises once the
-    blocks before it are yielded.
+    asked for: copy what must outlive it.  A failing step, or an a21
+    outside [0, 1] by more than 1e-5, raises once the blocks before it
+    are yielded.
 
     Memory: the workspace, fixed before the run starts and whatever its
     length: 3 w + max(9 w, 14 * 4096) doubles with w = min(n, 8192), and
@@ -697,6 +727,7 @@ def integrate_blocks(c: CouplingProfile, p: SystemParams,
                 _fold(carry[1], nodes[1, 1:], decay, stiff.tolist(),
                       maps[2, stiff].tolist())
             _check(lo, nodes, spare, cut)
+            _check_range(lo, nodes[1, 1:])
             if track:
                 deficits(nodes[:, 1:], bxx, spare[:, :end])
         carry = nodes[:, end].tolist()
@@ -707,11 +738,12 @@ def transfer_amplitude(c: CouplingProfile, p: SystemParams,
                        cfg: IntegratorConfig) -> float:
     """The achieved transfer amplitude a21(T): the last a21 of
     :func:`integrate_blocks`, bit for bit and with the same errors, but no
-    curve kept.  It takes the same maps and A11 product, skips A22, and
-    folds A21 keeping only the running value.  Non-finite values persist
-    through both recurrences, so a block that ends finite held none; one
-    that does not is folded again, storing, to name its first failing
-    step.  ``cfg.kernel_tracking`` is ignored."""
+    curve kept, so only a21(T) is held to [0, 1].  It takes the same maps
+    and A11 product, skips A22, and folds A21 keeping only the running
+    value.  Non-finite values persist through both recurrences, so a
+    block that ends finite held none; one that does not is folded again,
+    storing, to name its first failing step.  ``cfg.kernel_tracking`` is
+    ignored."""
     _, decay, blocks = _map_blocks(c, p, cfg, 2)
     y = 0.0
     for lo, nodes, maps, stiff, spare, cut in blocks:
@@ -722,6 +754,8 @@ def transfer_amplitude(c: CouplingProfile, p: SystemParams,
             _fold(y, b, decay, stiff, own)
             _check(lo, nodes, spare, cut)
         y = last
+    if not -_RANGE_SLACK <= y <= 1.0 + _RANGE_SLACK:
+        raise _out_of_range(y, cfg.n_steps - 1)
     return y
 
 

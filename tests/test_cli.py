@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oscxfer import cli, optimize
+from oscxfer import artifacts, cli, optimize, workers
 from oscxfer.oracles import fidelity_lossy, reference_curve
 from oscxfer.simulate import (
     STABILITY_EDGE,
@@ -111,9 +111,9 @@ def _collected_artifacts(out, p, n, kernels):
         n_steps=n, kernel_tracking=kernels))
     times, curve = grid.nodes(), state.a21
     oracle = reference_curve(p, profile, times)
-    cli._write_csv(out / "fidelity_curve.csv",
-                   ["t", "F_sim", "F_oracle", "abs_err"],
-                   (times, curve, oracle, np.abs(curve - oracle)))
+    artifacts._write_csv(out / "fidelity_curve.csv",
+                         ["t", "F_sim", "F_oracle", "abs_err"],
+                         (times, curve, oracle, np.abs(curve - oracle)))
     # the fields that stream; params, n_steps and budget do not
     report = {**streamed_report,
               "fidelity": state.fidelity,
@@ -123,9 +123,10 @@ def _collected_artifacts(out, p, n, kernels):
         d1, d2 = state.deficits
         report["commutator_max"] = [float(np.max(np.abs(d1))),
                                     float(np.max(np.abs(d2)))]
-        cli._write_csv(out / "commutator.csv",
-                       ["t", "deficit_osc1", "deficit_osc2"], (times, d1, d2))
-    cli._write_json(out / "report.json", report)
+        artifacts._write_csv(out / "commutator.csv",
+                             ["t", "deficit_osc1", "deficit_osc2"],
+                             (times, d1, d2))
+    artifacts._write_json(out / "report.json", report)
     return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
@@ -562,13 +563,13 @@ class TestSweep:
         # the machine has
         seen = []
 
-        def rows(jobs, workers):
-            seen.append(workers)
-            return [cli._sweep_point(job) for job in jobs]
+        def rows(point, jobs, n):
+            seen.append(n)
+            return [point(job) for job in jobs]
 
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-        monkeypatch.setattr(cli, "_sweep_rows", rows)
+        monkeypatch.setattr(workers, "_sweep_rows", rows)
         argv = ["sweep", "--sweep", "T:1:3:4", "--steps", "100",
                 "--out", str(tmp_path)]
         assert main(argv) == 0
@@ -594,17 +595,17 @@ class TestSweep:
         # 7 points on 3 workers: each row is the point's own run, bit for bit
         cfg = cli.RunConfig(n_steps=100)
         jobs = [(cfg, "T", T) for T in np.linspace(1, 2, 7).tolist()]
-        assert cli._sweep_rows(jobs, 3) == [cli._sweep_point(j) for j in jobs]
+        assert workers._sweep_rows(cli._sweep_point, jobs, 3) == [
+            cli._sweep_point(j) for j in jobs]
 
-    def test_a_slow_point_holds_up_only_itself(self, monkeypatch):
+    def test_a_slow_point_holds_up_only_itself(self):
         # point 0 sleeps; the other worker runs every other point
         def point(job):
             if job == 0:
                 time.sleep(1.0)
             return os.getpid(), job
 
-        monkeypatch.setattr(cli, "_sweep_point", point)
-        rows = cli._sweep_rows(list(range(5)), 2)
+        rows = workers._sweep_rows(point, list(range(5)), 2)
         assert [job for _, job in rows] == list(range(5))
         pids = [pid for pid, _ in rows]
         assert pids[0] != pids[1] == pids[2] == pids[3] == pids[4]
@@ -627,9 +628,8 @@ class TestSweep:
                 raise cli.ConfigError("point 0")
             raise IntegrationError("point 1", 0)
 
-        monkeypatch.setattr(cli, "_sweep_point", point)
         with pytest.raises(cli.ConfigError, match="^point 0$"):
-            cli._sweep_rows([0, 1, 2], 2)
+            workers._sweep_rows(point, [0, 1, 2], 2)
         assert (tmp_path / "1").exists() and not (tmp_path / "2").exists()
 
     def test_no_worker_or_thread_is_left(self, tmp_path, monkeypatch):
@@ -1242,7 +1242,7 @@ class TestConfigHandling:
     def test_json_writer_refuses_nan(self, tmp_path):
         path = tmp_path / "r.json"
         with pytest.raises(ValueError):
-            cli._write_json(path, {"ok": 1.0, "bad": [math.nan]})
+            artifacts._write_json(path, {"ok": 1.0, "bad": [math.nan]})
         assert not path.exists()
 
     def test_malformed_config_exits_2(self, tmp_path):
@@ -1559,7 +1559,7 @@ class TestOutputDirectory:
             fh.write(b"0,")
             raise error
 
-        monkeypatch.setattr(cli, "_write_rows", fail)
+        monkeypatch.setattr(artifacts, "_write_rows", fail)
         assert main([*argv, "--out", str(out)]) == code
         assert _names(out) == ["config.json"]
 
@@ -1680,6 +1680,89 @@ def test_stop_in_the_commit_step_waits_for_it(tmp_path, monkeypatch,
                                 "report.json"]
 
 
+_SRC_ENV = {**os.environ,
+            "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+# runs argv[1:] on one CPU, so that no writer child outlives a SIGKILL
+_ONE_CPU_PROBE = """
+import sys
+from oscxfer import cli
+
+cli.os.sched_getaffinity = lambda pid: {0}
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _simulate_into(out):
+    """A short ``simulate`` into ``out``, run in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscxfer.cli", "simulate", "--T", "1",
+         "--steps", "100", "--out", str(out)],
+        env=_SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.skipif(cli.fcntl is None, reason="no flock")
+def test_next_run_removes_a_killed_runs_directory(tmp_path):
+    # killed by SIGKILL once its first block is written, while it
+    # integrates the next: its staging directory holds a partial table
+    out = tmp_path / "run"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_PROBE, "simulate", "--T", "5",
+         "--steps", "3000000", "--format", "csv", "--out", str(out)],
+        env=_SRC_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(path.stat().st_size > 100 for path
+                      in out.glob(".run-*/fidelity_curve.csv")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        proc.kill()
+        proc.communicate()
+    stage, = out.glob(".run-*")
+    assert _names(stage) == ["fidelity_curve.csv", "lock"]
+    _simulate_into(out)
+    assert _names(out) == ["config.json", "fidelity_curve.csv",
+                           "report.json"]
+
+
+@pytest.mark.skipif(cli.fcntl is None, reason="no flock")
+@pytest.mark.parametrize("lock", ["held", "none"])
+def test_next_run_keeps_a_directory_it_cannot_tell_dead(tmp_path, lock):
+    # one whose lock a live process holds, and one without a lock file
+    out = tmp_path / "run"
+    stage = out / ".run-1-00000000"
+    stage.mkdir(parents=True)
+    (stage / "fidelity_curve.csv").write_bytes(b"t,F_sim,F_oracle,abs_err\n")
+    holder = None
+    if lock == "held":
+        (stage / "lock").touch()
+        holder = subprocess.Popen(
+            [sys.executable, "-c", "import fcntl, sys\n"
+             "fh = open(sys.argv[1], 'rb')\n"
+             "fcntl.flock(fh, fcntl.LOCK_EX)\n"
+             "print('held', flush=True)\n"
+             "sys.stdin.read()", str(stage / "lock")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        if holder:
+            assert holder.stdout.readline() == "held\n"
+        _simulate_into(out)
+        assert _names(out) == [stage.name, "config.json",
+                               "fidelity_curve.csv", "report.json"]
+        assert _names(stage) == (["fidelity_curve.csv"]
+                                 + (["lock"] if holder else []))
+    finally:
+        if holder:
+            holder.communicate()
+    if holder:
+        # once the holder is gone, the lock is free and the next run
+        # removes the directory
+        _simulate_into(out)
+        assert not stage.exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the run forks")
 @pytest.mark.parametrize("argv", [
     ["simulate", "--T", "1", "--steps", "20000"],
@@ -1689,14 +1772,14 @@ def test_stop_in_the_commit_step_waits_for_it(tmp_path, monkeypatch,
 def test_stop_at_a_fork_reaps_the_child(tmp_path, monkeypatch, argv):
     # SIGTERM comes as the fork returns, before the child is registered
     forks = _table_writer_as(monkeypatch, "writer")
-    fork = cli._fork
+    fork = workers._fork
 
     def stopped(*args):
         child = fork(*args)
         os.kill(os.getpid(), signal.SIGTERM)
         return child
 
-    monkeypatch.setattr(cli, "_fork", stopped)
+    monkeypatch.setattr(workers, "_fork", stopped)
     assert main([*argv, "--out", str(tmp_path)]) == 128 + signal.SIGTERM
     assert forks
     _no_child_is_left()
@@ -1738,7 +1821,8 @@ def _no_child_is_left():
 def _table_writer_as(monkeypatch, mode):
     """Make ``simulate`` and ``optimize`` write their tables in ``mode``:
     through their forked writer (as on two CPUs), or in process without
-    ``os.fork`` or on one CPU.  Returns the list of the forks ``cli._fork``
+    ``os.fork`` or on one CPU.  Returns the list of the forks
+    ``workers._fork``
     makes."""
     if mode == "no-fork":
         monkeypatch.delattr(cli.os, "fork")
@@ -1747,13 +1831,13 @@ def _table_writer_as(monkeypatch, mode):
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus,
                             raising=False)
     forks = []
-    fork = cli._fork
+    fork = workers._fork
 
     def spy(*args):
         forks.append(args)
         return fork(*args)
 
-    monkeypatch.setattr(cli, "_fork", spy)
+    monkeypatch.setattr(workers, "_fork", spy)
     return forks
 
 
@@ -1761,8 +1845,10 @@ def _runs_by_mode(tmp_path, capsys, monkeypatch, fill, argv, modes,
                   **patches):
     """Exit code, stderr lines, forks and the files of ``argv`` run in each
     mode of :func:`_table_writer_as`, into a directory that the argv
-    ``fill`` filled first, with the ``cli`` attributes that ``patches``
-    names set to its values (``_write_rows`` for one) for the run."""
+    ``fill`` filled first, with the attributes that ``patches`` names set
+    to its values for the run, each in the module that looks it up:
+    ``artifacts`` or ``workers`` where it is defined (``_write_rows``,
+    ``_child_formats``), else ``cli``."""
     runs = {}
     for mode in modes:
         out = tmp_path / mode
@@ -1771,7 +1857,9 @@ def _runs_by_mode(tmp_path, capsys, monkeypatch, fill, argv, modes,
         with monkeypatch.context() as patch:
             forks = _table_writer_as(patch, mode)
             for name, value in patches.items():
-                patch.setattr(cli, name, value)
+                home = next(module for module in (artifacts, workers, cli)
+                            if name in vars(module))
+                patch.setattr(home, name, value)
             code = main([*argv, "--out", str(out)])
         _no_child_is_left()
         runs[mode] = (code, capsys.readouterr().err.splitlines(),
@@ -1851,7 +1939,7 @@ class TestTableWriter:
                 raise error
             return write_rows(fh, columns)
 
-        write_rows = cli._write_rows
+        write_rows = artifacts._write_rows
         runs = self._runs(tmp_path, capsys, monkeypatch, _LOSSY_KERNELS,
                           ["writer", "one-cpu"], fail)
         assert runs["writer"] == (code, [line], 1, {})
@@ -1900,7 +1988,7 @@ class TestTableWriter:
                            and len(answers) % 2 == 0)
             return answers[-1]
 
-        monkeypatch.setattr(cli, "_child_formats", rule)
+        monkeypatch.setattr(workers, "_child_formats", rule)
         return answers
 
     @staticmethod
@@ -1908,14 +1996,14 @@ class TestTableWriter:
         """Count the ``_format_rows`` calls this process makes once the
         rule has ``answers`` (not the writer's, whose list is its own)."""
         parent, calls = os.getpid(), []
-        format_rows = cli._format_rows
+        format_rows = artifacts._format_rows
 
         def count(block):
             if os.getpid() == parent and answers:
                 calls.append(len(block))
             return format_rows(block)
 
-        monkeypatch.setattr(cli, "_format_rows", count)
+        monkeypatch.setattr(artifacts, "_format_rows", count)
         return calls
 
     @pytest.mark.parametrize("fmt", ["csv", "both"])
@@ -1946,16 +2034,16 @@ class TestTableWriter:
         # run's 101): forked, the run's fourth chunk, with raw chunks before
         # and after it sent to the writer; in process, the run's second
         parent, calls = os.getpid(), []
-        format_rows = cli._format_rows
+        format_rows = artifacts._format_rows
 
         def fail(block):
-            if os.getpid() == parent and len(block) == cli._CSV_BLOCK:
+            if os.getpid() == parent and len(block) == artifacts._CSV_BLOCK:
                 calls.append(1)
                 if len(calls) == 2:
                     raise error
             return format_rows(block)
 
-        monkeypatch.setattr(cli, "_format_rows", fail)
+        monkeypatch.setattr(artifacts, "_format_rows", fail)
         self._split_as(monkeypatch, "alternate")
         fds = _open_descriptors()
         runs = self._runs(tmp_path, capsys, monkeypatch, _LOSSY_KERNELS,
@@ -1982,7 +2070,7 @@ class TestTableWriter:
                 os.kill(os.getpid(), signal.SIGKILL)
             return write_rows(fh, columns)
 
-        write_rows = cli._write_rows
+        write_rows = artifacts._write_rows
         self._split_as(monkeypatch, "alternate")
         fds = _open_descriptors()
         runs = self._runs(tmp_path, capsys, monkeypatch, [
@@ -2011,8 +2099,8 @@ class TestTableWriter:
             time.sleep(0.005)
             return child_formats(backlog, limit)
 
-        child_formats = cli._child_formats
-        monkeypatch.setattr(cli, "_child_formats", rule)
+        child_formats = workers._child_formats
+        monkeypatch.setattr(workers, "_child_formats", rule)
         runs = self._runs(tmp_path, capsys, monkeypatch, argv, ["writer"])
         assert runs["writer"][:3] == (0, [], 1)
         assert seen and all(0 <= backlog < limit for backlog, limit in seen)
@@ -2022,7 +2110,7 @@ class TestTableWriter:
         # in three chunks each, sent in reverse row order, raw and
         # formatted; the raw ones go through the row builder, which gets
         # each chunk's first row
-        n, block = 2500, cli._CSV_BLOCK
+        n, block = 2500, artifacts._CSV_BLOCK
         x = [np.linspace(0.0, 1.0, n) ** 3, np.sqrt(np.arange(n) / 7.0)]
 
         def build(at, col):
@@ -2030,7 +2118,7 @@ class TestTableWriter:
 
         want = []
         for col in x:
-            cli._write_rows(whole := io.BytesIO(), build(0, col))
+            artifacts._write_rows(whole := io.BytesIO(), build(0, col))
             want.append(whole.getvalue())
         stream, raw = io.BytesIO(), 0
         for k, at in enumerate([2048, 1024, 0]):
@@ -2038,28 +2126,29 @@ class TestTableWriter:
                 col = x[table][at:at + block]
                 if (k + table) % 2:  # raw
                     raw += 1
-                    stream.write(cli._CHUNK_HEAD.pack(table, at, col.size, 1,
-                                                      8 * col.size))
+                    stream.write(workers._CHUNK_HEAD.pack(
+                        table, at, col.size, 1, 8 * col.size))
                     stream.write(col.tobytes())
                 else:
-                    data = cli._format_rows(np.column_stack(build(at, col)))
-                    stream.write(cli._CHUNK_HEAD.pack(table, at, col.size, 0,
-                                                      len(data)))
+                    data = artifacts._format_rows(
+                        np.column_stack(build(at, col)))
+                    stream.write(workers._CHUNK_HEAD.pack(
+                        table, at, col.size, 0, len(data)))
                     stream.write(data)
         end = stream.tell()
         stream.write(b"past the tables' last rows")
         stream.seek(0)
         files, done = [io.BytesIO(), io.BytesIO()], [0]
-        cli._write_tables(stream, files, done, n, build)
+        workers._write_tables(stream, files, done, n, build)
         assert [fh.getvalue() for fh in files] == want
         assert (stream.tell(), done) == (end, [raw])
 
     def test_child_formats_while_fewer_than_the_limit_wait(self):
         # the comparison is strict: at the limit, the parent formats
-        assert cli._child_formats(0, 1)
-        assert not cli._child_formats(1, 1)
+        assert workers._child_formats(0, 1)
+        assert not workers._child_formats(1, 1)
 
-    @pytest.mark.skipif(not hasattr(cli.fcntl, "F_SETPIPE_SZ"),
+    @pytest.mark.skipif(not hasattr(workers.fcntl, "F_SETPIPE_SZ"),
                         reason="no pipe size to set")
     @pytest.mark.parametrize("pipe", ["no-setpipe", "setpipe-refused"])
     def test_pipe_that_cannot_grow_writes_the_same_bytes(
@@ -2111,7 +2200,7 @@ class TestProfileWriter:
         """A ``_write_rows`` that appends to the file ``log`` where each
         call's rows go: "held" (formatted to be held) or "file", and, given
         the grid step ``dt``, the row of their first node."""
-        write_rows = cli._write_rows
+        write_rows = artifacts._write_rows
 
         def logged(fh, columns):
             with open(log, "a") as out:
@@ -2149,9 +2238,10 @@ class TestProfileWriter:
                                 p, times)
         rel = np.where(closed > 0,
                        np.abs(profile.values - closed) / closed, math.nan)
-        cli._write_csv(tmp_path / "whole.csv",
-                       ["t", "gamma1_opt", "gamma1_closed_form", "rel_err"],
-                       (times, profile.values, closed, rel))
+        artifacts._write_csv(
+            tmp_path / "whole.csv",
+            ["t", "gamma1_opt", "gamma1_closed_form", "rel_err"],
+            (times, profile.values, closed, rel))
         out = tmp_path / "run"
         assert main(["optimize", "--gamma", "1", "--T", "3", "--steps",
                      "2049", "--out", str(out)]) == 0
@@ -2237,7 +2327,7 @@ class TestProfileWriter:
                 raise error
             return write_rows(fh, columns)
 
-        write_rows = cli._write_rows
+        write_rows = artifacts._write_rows
         runs = self._runs(tmp_path, capsys, monkeypatch,
                           ["optimize", "--steps", "10000"],
                           ["writer", "one-cpu"], _write_rows=fail)
@@ -2285,10 +2375,10 @@ class TestProfileWriter:
         # once it has written every row the child exits, while this process
         # still computes the functional, so the reap need not wait for it
         children, exited = [], []
-        fork, functional_value = cli._fork, cli.functional_value
+        fork, functional_value = workers._fork, cli.functional_value
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
-        monkeypatch.setattr(cli, "_fork", lambda *args: children.append(
+        monkeypatch.setattr(workers, "_fork", lambda *args: children.append(
             fork(*args)) or children[-1])
 
         def waiting(*args):
@@ -2321,7 +2411,7 @@ class TestProfileWriter:
 # capacities the writer found
 _PIPE_PROBE = """
 import errno, fcntl, json, sys
-from oscxfer import cli
+from oscxfer import cli, workers
 
 if sys.argv[1] == "no-setpipe":
     del fcntl.F_SETPIPE_SZ
@@ -2333,9 +2423,9 @@ else:
     fcntl.fcntl = refuse
 cli.os.sched_getaffinity = lambda pid: {0, 1}
 forks, capacities = [], []
-fork, pipe_capacity = cli._fork, cli._pipe_capacity
-cli._fork = lambda *args: forks.append(1) or fork(*args)
-cli._pipe_capacity = lambda fd: capacities.append(pipe_capacity(fd)) or capacities[-1]
+fork, pipe_capacity = workers._fork, workers._pipe_capacity
+workers._fork = lambda *args: forks.append(1) or fork(*args)
+workers._pipe_capacity = lambda fd: capacities.append(pipe_capacity(fd)) or capacities[-1]
 code = cli.main(sys.argv[2:])
 print(json.dumps({"forks": len(forks), "capacity": capacities}))
 sys.exit(code)
@@ -2409,8 +2499,8 @@ def test_no_shared_mapping_is_left(tmp_path, monkeypatch, argv, code):
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     forks = []
-    fork = cli._fork
-    monkeypatch.setattr(cli, "_fork", lambda *args: forks.append(
+    fork = workers._fork
+    monkeypatch.setattr(workers, "_fork", lambda *args: forks.append(
         _shared_mappings()) or fork(*args))
     before = _shared_mappings()
     assert main([*argv, "--out", str(tmp_path)]) == code
@@ -2477,6 +2567,30 @@ def _cmp_tool():
     return module
 
 
+def test_one_rule_decides_the_science_artifacts(tmp_path):
+    # every file a command may write is one, config.json is one without
+    # its out_dir, and no other name is
+    names = [name for _, files in cli._COMMANDS.values() for name in files]
+    for name in [*names, "telemetry.json", "notes.txt", "report.json.tmp"]:
+        (tmp_path / name).write_bytes(name.encode())
+    (tmp_path / "config.json").write_text('{"gamma": 2.0, "out_dir": "x"}')
+    assert artifacts.science_artifacts(tmp_path) == {
+        **{name: name.encode() for name in names},
+        "config.json": {"gamma": 2.0, "out_dir": None}}
+    # tools/cmp_artifacts.py calls the rule and reads no artifact itself
+    tree = ast.parse(inspect.getsource(_cmp_tool()))
+    nodes = list(ast.walk(tree))
+    assert ("oscxfer.artifacts", "science_artifacts") in {
+        (node.module, alias.name) for node in nodes
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "science_artifacts" in {
+        node.func.id for node in nodes
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not {"rglob", "glob", "iterdir", "read_bytes", "suffix",
+                "endswith"} & {node.attr for node in nodes
+                               if isinstance(node, ast.Attribute)}
+
+
 def test_science_artifacts_do_not_depend_on_simd(tmp_path, capsys):
     # every exp and expm1 takes libm's bits, so numpy's SIMD kernels, which
     # round some arguments differently, must never reach an artifact: run
@@ -2496,7 +2610,7 @@ def test_science_artifacts_do_not_depend_on_simd(tmp_path, capsys):
         want = {"exit code": code,
                 "stdout": printed.out.replace(str(here), "OUT"),
                 "stderr": printed.err.replace(str(here), "OUT"),
-                **tool.artifacts(here)}
+                **artifacts.science_artifacts(here)}
         assert tool.run(src, argv, tmp_path / f"{k}-off",
                         tool.simd_off()) == want, line
 

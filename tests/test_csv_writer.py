@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscxfer.cli import _CSV_BLOCK, _write_csv
+from oscxfer.artifacts import _CSV_BLOCK, _write_csv
 
 
 ORACLE_BLOCK = 4096  # rows formatted by one %-operation

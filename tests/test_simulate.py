@@ -226,13 +226,16 @@ def test_stiff_profile_raises_with_step_info():
 ])
 def test_receiver_rate_past_stability_edge_refused(edge):
     # gamma*dt just past the edge is refused before any work, and the step
-    # count the message names runs; at the edge itself the run goes ahead
+    # count the message names runs; at the edge itself the run goes ahead,
+    # and its a21 leaves [0, 1] at once, which the range guard refuses
     assert edge == 2.785
     T, n = 1.0, 40
     c = CouplingProfile.constant(1.0)
     at_edge = SystemParams(gamma=edge * n / T, transfer_time=T)
     assert at_edge.gamma * (T / n) <= edge
-    integrate_transfer(c, at_edge, IntegratorConfig(n_steps=n))
+    with pytest.raises(IntegrationError,
+                       match=r"^a21 = -0\.0046\d* leaves the physical range"):
+        integrate_transfer(c, at_edge, IntegratorConfig(n_steps=n))
 
     past = SystemParams(gamma=math.nextafter(at_edge.gamma, math.inf),
                         transfer_time=T)
@@ -395,6 +398,40 @@ def test_transfer_amplitude_fails_as_the_run(c, p, n, text):
         transfer_amplitude(c, p, cfg)
     assert type(final.value) is type(run.value)
     assert str(final.value) == str(run.value) == text
+
+
+def _switched_on(n, at, value):
+    """A sampled profile, on the run's grid over T = 1, of 0 before node
+    ``at`` and ``value`` from it on."""
+    return CouplingProfile.sampled(
+        TimeGrid(1.0, n), np.where(np.arange(n + 1) >= at, value, 0.0))
+
+
+@pytest.mark.parametrize("c, n, run_fails, final_fails", [
+    # at the stability edge, gamma*dt = 2.785, the curve goes negative at
+    # once: a21(T) = -0.170 against the closed form's 0.100
+    (CouplingProfile.constant(1.0), 20,
+     "a21 = -0.01318771799095207 (at step 0)",
+     "a21 = -0.1700875697506956 (at step 19)"),
+    # the same edge, with the coupling switched on in the second block
+    (_switched_on(10_000, 8300, 100.0), 10_000,
+     "a21 = -0.0011435444790931192 (at step 8300)",
+     "a21 = -0.05667631008498522 (at step 9999)"),
+], ids=["edge", "edge-in-block-2"])
+def test_a21_outside_the_physical_range_is_refused(c, n, run_fails,
+                                                   final_fails):
+    # the library refuses it as the commands do: the streamed run, and so
+    # integrate_transfer, at the first node past the slack, and
+    # transfer_amplitude at a21(T)
+    p = SystemParams(gamma=STABILITY_EDGE * n, transfer_time=1.0)
+    cfg = IntegratorConfig(n_steps=n)
+    for run, text in ((integrate_transfer, run_fails),
+                      (transfer_amplitude, final_fails)):
+        with pytest.raises(IntegrationError) as exc:
+            run(c, p, cfg)
+        value, step = text.split(" (")
+        assert str(exc.value) == (f"{value} leaves the physical range [0, 1] "
+                                  f"by more than 1e-05 ({step}")
 
 
 def test_config_validation():

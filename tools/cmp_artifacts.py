@@ -15,14 +15,14 @@ third (Linux, more than one CPU) runs it twice under SRC: once plainly,
 and once pinned to one CPU, where the forked writer child of
 ``simulate``'s tables and ``optimize``'s ``profile.csv`` stays in process.
 So the forked writer is compared with the in-process one.  The runs' exit
-codes, stdout, stderr and science artifacts are compared: ``*.csv``,
-``*report.json``, ``budget.json``, and ``config.json`` without ``out_dir``.
+codes, stdout, stderr and science artifacts are compared, the files that
+``oscxfer.artifacts.science_artifacts`` of this script's own checkout
+takes, whatever package the two trees hold.
 Prints a ``#`` line naming the platform first (the bytes hold only across
 hosts that match it), then SAME or DIFF per line, with what differs; exits
 1 on any DIFF.
 """
 
-import json
 import os
 import platform
 import shlex
@@ -30,6 +30,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from oscxfer.artifacts import science_artifacts  # noqa: E402
 
 
 def _umath():
@@ -73,20 +76,6 @@ def pin_one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-def artifacts(out: Path) -> dict:
-    """The science artifacts under ``out``, keyed by their relative path:
-    bytes, and ``config.json`` as a dict without ``out_dir``."""
-    got = {}
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        name = str(path.relative_to(out))
-        if path.name == "config.json":
-            got[name] = {**json.loads(path.read_text()), "out_dir": None}
-        elif (path.suffix == ".csv" or path.name.endswith("report.json")
-              or path.name == "budget.json"):
-            got[name] = path.read_bytes()
-    return got
-
-
 def run(src, argv: list, out: Path, env=None, preexec=None) -> dict:
     """Exit code, stdout, stderr and artifacts of one run under ``src``,
     keyed by name, with ``env`` added to this process's environment and
@@ -98,7 +87,8 @@ def run(src, argv: list, out: Path, env=None, preexec=None) -> dict:
         env=env, capture_output=True, text=True, preexec_fn=preexec)
     return {"exit code": proc.returncode,
             "stdout": proc.stdout.replace(str(out), "OUT"),
-            "stderr": proc.stderr.replace(str(out), "OUT"), **artifacts(out)}
+            "stderr": proc.stderr.replace(str(out), "OUT"),
+            **science_artifacts(out)}
 
 
 def main(args: list) -> int:
