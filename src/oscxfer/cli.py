@@ -251,10 +251,10 @@ def _simulate(cfg: RunConfig, integrate):
         n_steps=cfg.n_steps, kernel_tracking=cfg.kernels))
 
 
-# formatted blocks of profile.csv that its writer child may hold: about
+# formatted rows of profile.csv that its writer child may hold: about
 # 5 MB, as a row takes at most 100 bytes (four fields of 24 characters and
-# a separator) and a block of the sweep at most SWEEP_BLOCK + 1 rows
-_HELD_BLOCKS = (5 << 20) // (100 * (SWEEP_BLOCK + 1))
+# a separator)
+_HELD_ROWS = (5 << 20) // 100
 
 
 def _profile_rows(reference: CouplingProfile, p: SystemParams,
@@ -342,20 +342,15 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
                 {"profile.csv": b"t,gamma1_opt,gamma1_closed_form,rel_err\n"},
                 grid.n_nodes, grid.n_steps > SWEEP_BLOCK, False,
                 partial(_profile_rows, reference, p, grid))
-            room = _HELD_BLOCKS if forked else 0  # blocks the child may hold
 
             def send(start: int, u: np.ndarray) -> None:
                 with contextlib.suppress(BrokenPipeError):  # the child failed
                     write(0, start, u)
 
             def hand_over(start: int, u: np.ndarray) -> None:
-                # the sweep's blocks come last first; the last node copies
-                # the last cell's maximizer
-                nonlocal room
-                if start + u.size == grid.n_steps:
-                    u = np.append(u, u[-1])
-                if room:
-                    room -= 1
+                # the sweep's blocks of node rows come last first, so the
+                # child holds the last _HELD_ROWS rows at most
+                if forked and start >= grid.n_nodes - _HELD_ROWS:
                     send(start, u)
                 else:
                     later.append((start, u))

@@ -240,10 +240,12 @@ def optimize_profile(
     The cells run in blocks of ``SWEEP_BLOCK`` from cell 0, the last block
     first.  As soon as the sweep finishes a block, starting at cell
     ``start``, it calls ``hand_over(start, u)``, if given, with the block's
-    maximizers u = sqrt(gamma1), a view of the sweep's own array, which no
-    later cell writes.  So a caller can use the maximizers of the late
-    cells while the sweep goes on: ``cmd_optimize`` has them formatted
-    into ``profile.csv`` by a forked child.  Each cell runs the same
+    node values u = sqrt(gamma1), a view of the sweep's own array, which no
+    later cell writes: the maximizers of its cells, and for the last block
+    the last node too, which copies the last cell's.  So a caller can use
+    the node values of the late cells while the sweep goes on:
+    ``cmd_optimize`` has them formatted into ``profile.csv``, as table
+    rows, by a forked child.  Each cell runs the same
     operations, in the same order, with or without ``hand_over``.
 
     Returns the optimal sampled profile and an :class:`OptimizerResult`.
@@ -274,7 +276,7 @@ def optimize_profile(
         pass
     k1, k2 = ft - 2.0 * qt * f1t, dt2 * top * et
 
-    u = array("d", [0.0]) * n  # 8 B per cell
+    u = array("d", [0.0]) * (n + 1)  # 8 B per node
     s, c, iterations = 1.0, 0.0, 0
     # the maximizers of cells j+1..j+4; u1 is top before the last cell,
     # and only the cells below n - 4 have four real ones
@@ -360,14 +362,16 @@ def optimize_profile(
             iterations += evals
             s, c = decay * s / best, 1.0
 
+        stop = start + SWEEP_BLOCK
+        if stop >= n:  # the last node copies the last cell's maximizer
+            u[n], stop = u[n - 1], n + 1
         if hand_over is not None:
-            hand_over(start, root[start:start + SWEEP_BLOCK])
+            hand_over(start, root[start:stop])
 
-    kkt = _projected_gradient_norm(root, _u_gradient(root, p, grid), 0.0,
+    cells = root[:n]
+    kkt = _projected_gradient_norm(cells, _u_gradient(cells, p, grid), 0.0,
                                    math.sqrt(cap))
-    cells = root * root
-    node_values = np.concatenate((cells, [cells[-1]]))
-    profile = CouplingProfile.sampled(grid, node_values)
+    profile = CouplingProfile.sampled(grid, root * root)
     return profile, OptimizerResult(
         iterations, kkt / (2.0 * math.sqrt(p.gamma) * dt), cap)
 

@@ -83,11 +83,12 @@ time; as every step's 2**k and the chunk are powers of two, a chunk holds
 whole steps or a part of one.  Each step's substeps are folded, in substep
 order, into its map, and its myy is the decay map of the width dt/2**k
 multiplied in 2**k times, taken once per count.  A failure is reported at
-the earliest failing step: a step that 26 halvings cannot make stable, or
-the first non-finite coefficient.  The exact a21 lies in [0, 1], so a
-block whose a21 leaves that range by more than 1e-5, as it does at the
-stability edge, fails at its first such node; :func:`transfer_amplitude`
-checks a21(T) alone.  A run whose stiff steps would need
+the earliest failing step, by one check per block: the exact a21 lies in
+[0, 1], so a block fails at its first node whose a11 is not finite or
+whose a21 leaves [0, 1] by more than 1e-5, as it does at the stability
+edge, and only then at the step that 26 halvings cannot make stable,
+which cut it short.  :func:`transfer_amplitude` holds a21(T) alone to
+the range.  A run whose stiff steps would need
 more than 2**22 substeps in all is refused (``ValueError``) before their
 substeps run; steps past 26 halvings, which fail anyway, are not counted.
 
@@ -349,23 +350,6 @@ def _fold_last(y: float, b: np.ndarray, decay: float, stiff: list,
     return y
 
 
-def _check(lo: int, nodes: np.ndarray, spare: np.ndarray, cut: bool) -> None:
-    """Raises the failure of the block from macro step ``lo``, if any: its
-    first node past the carried one whose a11 or a21 is not finite, else
-    the step too stiff to substep that ``cut`` the block short.  a22 needs
-    no test: its factors are RK4 decay maps, in (0, 1]."""
-    a11, a21 = nodes[:2, 1:]
-    ok, col = (r.view(bool)[:a11.size] for r in spare)
-    np.isfinite(a11, out=ok)
-    np.isfinite(a21, out=col)
-    np.logical_and(ok, col, out=ok)
-    if not ok.all():
-        raise IntegrationError("non-finite transfer coefficient",
-                               lo + int(np.argmin(ok)))
-    if cut:
-        raise IntegrationError("profile too stiff to substep", lo + a11.size)
-
-
 # The exact a21 lies in [0, 1]: |a21| <= 1 by the sum rule, and a21 >= 0
 # as an integral of non-negative terms.  A value past either end by more
 # than this slack, the accuracy a run is held to, is wrong by more than
@@ -382,14 +366,27 @@ def _out_of_range(a21: float, step: int) -> IntegrationError:
         f"{_RANGE_SLACK:g}", step)
 
 
-def _check_range(lo: int, a21: np.ndarray) -> None:
-    """Raises the failure of the first of the values ``a21``, of the nodes
-    past the carried one of the block from macro step ``lo``, that leaves
-    [0, 1] by more than ``_RANGE_SLACK``."""
-    low, high = -_RANGE_SLACK, 1.0 + _RANGE_SLACK
-    if a21.min() < low or a21.max() > high:
-        k = int(np.argmax((a21 < low) | (a21 > high)))
-        raise _out_of_range(float(a21[k]), lo + k)
+def _check(lo: int, nodes: np.ndarray, spare: np.ndarray, cut: bool) -> None:
+    """Raises the failure of the block from macro step ``lo``, if any: its
+    first node past the carried one whose a11 is not finite or whose a21
+    leaves [0, 1] by more than ``_RANGE_SLACK`` (NaN and inf fail the
+    comparisons), as out of range where both are finite and as non-finite
+    otherwise; else the step too stiff to substep that ``cut`` the block
+    short.  a22 needs no test: its factors are RK4 decay maps, in (0, 1]."""
+    a11, a21 = nodes[:2, 1:]
+    ok, col = (r.view(bool)[:a11.size] for r in spare)
+    np.isfinite(a11, out=ok)
+    np.greater_equal(a21, -_RANGE_SLACK, out=col)
+    np.logical_and(ok, col, out=ok)
+    np.less_equal(a21, 1.0 + _RANGE_SLACK, out=col)
+    np.logical_and(ok, col, out=ok)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        if math.isfinite(a11[k]) and math.isfinite(a21[k]):
+            raise _out_of_range(float(a21[k]), lo + k)
+        raise IntegrationError("non-finite transfer coefficient", lo + k)
+    if cut:
+        raise IntegrationError("profile too stiff to substep", lo + a11.size)
 
 
 def _map_blocks(c: CouplingProfile, p: SystemParams, cfg: IntegratorConfig,
@@ -639,9 +636,10 @@ def integrate_blocks(c: CouplingProfile, p: SystemParams,
     is the achieved transfer amplitude a21(T), which
     :func:`transfer_amplitude` gives alone.  A yielded array is a view
     of the run's workspace and stays valid only until the next block is
-    asked for: copy what must outlive it.  A failing step, or an a21
-    outside [0, 1] by more than 1e-5, raises once the blocks before it
-    are yielded.
+    asked for: copy what must outlive it.  A block fails, once the blocks
+    before it are yielded, at its first node whose a11 is not finite or
+    whose a21 leaves [0, 1] by more than 1e-5, and only then at the step
+    too stiff to substep that cut it short.
 
     Memory: the workspace, fixed before the run starts and whatever its
     length: 3 w + max(9 w, 14 * 4096) doubles with w = min(n, 8192), and
@@ -727,7 +725,6 @@ def integrate_blocks(c: CouplingProfile, p: SystemParams,
                 _fold(carry[1], nodes[1, 1:], decay, stiff.tolist(),
                       maps[2, stiff].tolist())
             _check(lo, nodes, spare, cut)
-            _check_range(lo, nodes[1, 1:])
             if track:
                 deficits(nodes[:, 1:], bxx, spare[:, :end])
         carry = nodes[:, end].tolist()
@@ -738,9 +735,10 @@ def transfer_amplitude(c: CouplingProfile, p: SystemParams,
                        cfg: IntegratorConfig) -> float:
     """The achieved transfer amplitude a21(T): the last a21 of
     :func:`integrate_blocks`, bit for bit and with the same errors, but no
-    curve kept, so only a21(T) is held to [0, 1].  It takes the same maps
-    and A11 product, skips A22, and folds A21 keeping only the running
-    value.  Non-finite values persist through both recurrences, so a
+    curve kept, so a21 is held to [0, 1] only at T and in a block that
+    fails.  It takes the same maps and A11 product, skips A22, and folds
+    A21 keeping only the running value.  Non-finite values persist
+    through both recurrences, so a
     block that ends finite held none; one that does not is folded again,
     storing, to name its first failing step.  ``cfg.kernel_tracking`` is
     ignored."""

@@ -221,23 +221,16 @@ def _shaped(t: Times, out: np.ndarray) -> Times:
 _UFUNCS = {math.exp: np.exp, math.expm1: np.expm1}
 
 
-def _strided_loop(ufunc, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """``ufunc`` of the contiguous ``x``, written through a reversed view of
-    ``buf`` (as long as ``x``), with overflow to inf left silent; returns
-    that view."""
-    with np.errstate(over="ignore"):
-        ufunc(x, out=buf[::-1])
-    return buf[::-1]
-
-
 @functools.cache
 def _libm_ufunc(fn):
-    """numpy's ufunc for ``fn`` if its strided loop gives ``fn``'s bits on
-    509 points of [-40, 40], else None.  Probed once per process."""
+    """numpy's ufunc for ``fn`` if its strided loop, writing through a
+    reversed view, gives ``fn``'s bits on 509 points of [-40, 40], else
+    None.  Probed once per process."""
     ufunc = _UFUNCS[fn]
     probe = np.linspace(-40.0, 40.0, 509)
     want = np.fromiter(map(fn, memoryview(probe)), float, probe.size)
-    got = _strided_loop(ufunc, probe, np.empty(probe.size))
+    got = np.empty(probe.size)[::-1]
+    ufunc(probe, out=got)
     return ufunc if got.tobytes() == want.tobytes() else None
 
 
@@ -259,26 +252,25 @@ def _elementwise(fn, x: np.ndarray, buf: Optional[np.ndarray] = None
     length-1 axis's stride and runs SIMD; and a process in which the
     one-time probe of :func:`_libm_ufunc` finds the loop's bits differ from
     ``fn``'s.  As ``fn`` does, a finite argument whose result overflows
-    raises ``OverflowError``.
+    raises ``OverflowError``: where the loop ran, one NaN-ignoring
+    reduction over ``buf`` looks for an inf, which allocates nothing, and
+    only an inf found sends the elements to be tested.
     """
     x = np.ascontiguousarray(x, dtype=float).ravel()
-    out = _unscanned(fn, x, np.empty(x.size) if buf is None else buf)
-    inf = out == math.inf
-    if inf.any() and np.isfinite(x[inf]).any():
-        raise OverflowError("math range error")
-    return out
-
-
-def _unscanned(fn, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """:func:`_elementwise` of the contiguous float row ``x`` without its
-    scan for overflow: where numpy's loop runs, a result that overflows is
-    inf, so a caller must know that none can."""
+    if buf is None:
+        buf = np.empty(x.size)
+    out = buf[::-1]
     ufunc = _libm_ufunc(fn) if x.size > 1 else None
     if ufunc is None:
-        out = buf[::-1]
         out[...] = np.fromiter(map(fn, memoryview(x)), float, x.size)
         return out
-    return _strided_loop(ufunc, x, buf)
+    with np.errstate(over="ignore"):
+        ufunc(x, out=out)
+    # a NaN would hide an inf from np.max; the forward buffer reduces faster
+    if np.fmax.reduce(buf, initial=-math.inf) == math.inf:
+        if np.isfinite(x[out == math.inf]).any():
+            raise OverflowError("math range error")
+    return out
 
 
 def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,9 +323,7 @@ def _optimal_closed_form(gamma: float, x: np.ndarray,
         big = np.flatnonzero(x > 700.0)
         tail = gamma * _elementwise(math.exp, -x[big])
         np.minimum(x, 700.0, out=x)
-    # no x is above 700, where expm1 would overflow, so its results need no
-    # scan for inf
-    np.divide(gamma, _unscanned(math.expm1, x, work), out=x)
+    np.divide(gamma, _elementwise(math.expm1, x, work), out=x)
     if big is not None:
         x[big] = tail
 

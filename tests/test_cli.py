@@ -313,6 +313,22 @@ class TestSimulate:
         assert capsys.readouterr().err.splitlines() == [line]
         assert _names(tmp_path) == ["config.json"]
 
+    def test_first_bad_node_comes_before_the_cut(self, tmp_path, capsys):
+        # at the stability edge, with a coupling of 1e300 from node 10: the
+        # curve leaves the range at step 0, before the step too stiff to
+        # substep cuts the block short at step 10
+        path = tmp_path / "profile.csv"
+        rates = np.where(np.arange(21) < 10, 1.0, 1e300)
+        np.savetxt(path, np.column_stack((np.arange(21) / 20, rates)),
+                   delimiter=",", header="t,gamma1", comments="")
+        out = tmp_path / "run"
+        assert main(["simulate", "--profile", f"file:{path}", "--gamma",
+                     "55.7", "--T", "1", "--steps", "20", "--out",
+                     str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: a21 = -0.01318771799095207 leaves the "
+            "physical range [0, 1] by more than 1e-05 (at step 0)"]
+
     def test_curve_within_the_range_slack_exits_0(self, tmp_path):
         # 300 steps to T = 40: a21 passes 1 by 4.9e-7, inside the slack,
         # while the curve stays within 4.1e-6 of its closed form
@@ -2259,7 +2275,7 @@ class TestProfileWriter:
         log = tmp_path / "log"
         want = self._runs(tmp_path, capsys, monkeypatch,
                           ["optimize", "--steps", "10000"], ["one-cpu"])
-        monkeypatch.setattr(cli, "_HELD_BLOCKS", held)
+        monkeypatch.setattr(cli, "_HELD_ROWS", 1024 * held)
         runs = self._runs(tmp_path, capsys, monkeypatch,
                           ["optimize", "--steps", "10000"], ["writer"],
                           _write_rows=self._logged(log, 5 / 10000),

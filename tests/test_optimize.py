@@ -204,6 +204,22 @@ def _breaks_unimodality(v: np.ndarray, rtol: float = 1e-12) -> bool:
     return bool(np.any(step[:k] < -tol) or np.any(step[k:] > tol))
 
 
+def test_hand_over_blocks_are_node_rows():
+    # the sweep hands over its blocks last first, the top one with the last
+    # node, which copies the last cell's maximizer: together they hold the
+    # profile's node values
+    p, grid = SystemParams(gamma=1.0, transfer_time=3.0), TimeGrid(3.0, 2048)
+    blocks = []
+    profile, _ = optimize_profile(
+        p, grid, hand_over=lambda start, u: blocks.append((start, u.copy())))
+    assert [(start, u.size) for start, u in blocks] == [(1024, 1025),
+                                                        (0, 1024)]
+    top = blocks[0][1]
+    assert top[-1] == top[-2]
+    u = np.concatenate([u for _, u in reversed(blocks)])
+    assert (u * u).tobytes() == profile.values.tobytes()
+
+
 def test_stage_value_is_unimodal():
     # optimize_profile maximizes each cell's stage value s u phi(a - dt u^2)
     # + c exp(-dt u^2) by one root of its slope, which is exact only if the

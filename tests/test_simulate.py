@@ -417,7 +417,13 @@ def _switched_on(n, at, value):
     (_switched_on(10_000, 8300, 100.0), 10_000,
      "a21 = -0.0011435444790931192 (at step 8300)",
      "a21 = -0.05667631008498522 (at step 9999)"),
-], ids=["edge", "edge-in-block-2"])
+    # the same edge, with a coupling too stiff to substep from node 10:
+    # both routes name the first node out of range, not the cut at step 10
+    (CouplingProfile.sampled(TimeGrid(1.0, 20),
+                             np.where(np.arange(21) < 10, 1.0, 1e300)), 20,
+     "a21 = -0.01318771799095207 (at step 0)",
+     "a21 = -0.01318771799095207 (at step 0)"),
+], ids=["edge", "edge-in-block-2", "edge-before-a-cut"])
 def test_a21_outside_the_physical_range_is_refused(c, n, run_fails,
                                                    final_fails):
     # the library refuses it as the commands do: the streamed run, and so
@@ -432,6 +438,17 @@ def test_a21_outside_the_physical_range_is_refused(c, n, run_fails,
         value, step = text.split(" (")
         assert str(exc.value) == (f"{value} leaves the physical range [0, 1] "
                                   f"by more than 1e-05 ({step}")
+
+
+def test_a21_below_0_within_the_slack_is_kept():
+    # just short of the stability edge (gamma*dt = 2.752) the whole curve
+    # lies within 1.9e-6 below 0: inside the slack, so both routes keep it
+    c = CouplingProfile.constant(1.0)
+    p = SystemParams(gamma=55.04385, transfer_time=1.0)
+    cfg = IntegratorConfig(n_steps=20)
+    a21 = integrate_transfer(c, p, cfg).a21
+    assert -2e-6 < a21.min() < 0.0
+    assert transfer_amplitude(c, p, cfg) == a21[-1]
 
 
 def test_config_validation():

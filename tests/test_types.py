@@ -1,6 +1,7 @@
 """Core data types: grids, profiles, parameter validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,30 @@ class TestElementwise:
             _elementwise(math.exp, np.array([0.0, 1000.0]))
         with pytest.raises(OverflowError):
             _elementwise(math.expm1, np.array([1000.0]))
+        # a NaN beside the overflow must not hide it from the scan
+        with pytest.raises(OverflowError):
+            _elementwise(math.exp, np.array([math.nan, 1000.0]))
+        # inf itself does not overflow
+        assert _elementwise(math.exp, np.array([math.inf, 1.0])).tolist() == [
+            math.inf, math.e]
+
+    @pytest.mark.parametrize("fn", [math.exp, math.expm1])
+    def test_writes_into_the_buffer(self, fn):
+        # the result is buf's reversed view, and neither the loop nor the
+        # overflow scan allocates an array of its size (an 8192-byte bool
+        # mask did, before the scan was one reduction)
+        x = np.random.default_rng(5).uniform(-40.0, 40.0, 8192)
+        buf = np.empty(x.size)
+        _elementwise(fn, x, buf)  # the probe allocates once per process
+        tracemalloc.start()
+        try:
+            out = _elementwise(fn, x, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.size
+        assert out.base is buf and out.strides == (-8,)
+        assert out.tobytes() == _list_map(fn, x).tobytes()
 
     @pytest.mark.parametrize("fn", [math.exp, math.expm1])
     def test_single_values(self, fn, path):
