@@ -10,9 +10,12 @@ otherwise the command's files, earlier ones included, are removed.  A run
 first removes the staging directories of dead runs.  ``simulate`` and
 every ``sweep`` point run the same step maps, which refuse an a21 outside
 [0, 1], and compare against the same closed form,
-:func:`oscxfer.oracles.reference_curve`.  Forked children
-(:mod:`oscxfer.workers`) write the tables of ``simulate`` and
-``optimize`` and run a ``sweep``'s points.
+:func:`oscxfer.oracles.reference_curve`.  A ``sweep`` builds every
+point's params, grid and profile here, in point order, before any point
+runs, and a profile once per grid, so its first invalid point is refused
+first and a ``file:`` profile is read once for an ``eta``, ``gamma`` or
+``gamma_loss`` sweep.  Forked children (:mod:`oscxfer.workers`) write the
+tables of ``simulate`` and ``optimize`` and integrate a ``sweep``'s points.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure."""
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ class RunConfig:
 
 
 # (group, flag, dest, argparse kwargs) of every option; a command takes the
-# groups _READS gives it, as flags and as config keys (RunConfig fields).
+# groups its _COMMANDS row gives it, as flags and as config keys (RunConfig
+# fields).
 _OPTIONS = (
     ("run", "--config", "config", dict(help="JSON config file (flags override it)")),
     ("run", "--out", "out_dir", dict(help="output directory")),
@@ -121,13 +125,6 @@ _OPTIONS = (
     ("circuit", "--receiver-rlc", "receiver_rlc", dict(help="receiver R:L:C (SI units)")),
     ("circuit", "--topology", "topology", dict(choices=("series", "parallel"))),
 )
-_READS = {
-    "simulate": ("run", "physics", "hold", "grid", "output", "profile",
-                 "validity", "kernels"),
-    "optimize": ("run", "physics", "hold", "grid", "output"),
-    "sweep": ("run", "physics", "hold", "grid", "output", "profile", "sweep"),
-    "budget": ("run", "physics", "hold", "validity", "circuit"),
-}
 
 
 def load_config(path: str, command: str) -> dict:
@@ -154,7 +151,8 @@ def load_config(path: str, command: str) -> dict:
             raise ConfigError(
                 f"config key {f.name!r} must be {f.type}, not {value!r}")
     # an unread key may hold its default, as in the command's own config.json
-    reads = {dest for group, _, dest, _ in _OPTIONS if group in _READS[command]}
+    _, _, groups = _COMMANDS[command]
+    reads = {dest for group, _, dest, _ in _OPTIONS if group in groups}
     defaults = dataclasses.asdict(RunConfig())
     unread = sorted(key for key in set(raw) - reads if raw[key] != defaults[key])
     if unread:
@@ -194,18 +192,24 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _build_params(cfg: RunConfig) -> SystemParams:
-    """The run's params; warns on stderr where the damping is not weak."""
+def _build_params(cfg: RunConfig, warn: bool = True) -> SystemParams:
+    """The run's params; where ``warn``, :func:`_warn_weak_damping` on them."""
     try:
         p = SystemParams(gamma=cfg.gamma, transfer_time=cfg.transfer_time,
                          gamma_loss=cfg.gamma_loss, eta=cfg.eta,
                          omega0=cfg.omega0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if p.gamma * cfg.margin > p.omega0:
+    if warn:
+        _warn_weak_damping(cfg, [p])
+    return p
+
+
+def _warn_weak_damping(cfg: RunConfig, params: Sequence[SystemParams]) -> None:
+    """One warning on stderr if the damping of any of ``params`` is not weak."""
+    if any(p.gamma * cfg.margin > p.omega0 for p in params):
         print(f"warning: weak damping violated: gamma*{cfg.margin:g} exceeds "
               "omega0 (rotating-frame treatment marginal)", file=sys.stderr)
-    return p
 
 
 def _resolved_dt_cut(cfg: RunConfig, grid: TimeGrid) -> float:
@@ -239,18 +243,6 @@ def _build_profile(cfg: RunConfig, grid: TimeGrid) -> CouplingProfile:
         raise ConfigError(f"bad profile {spec!r}: {exc}") from exc
 
 
-def _simulate(cfg: RunConfig, integrate):
-    """Build the run's params, grid and profile and hand them to
-    ``integrate``; returns ``(params, profile, grid, result)``, the result
-    being :func:`~oscxfer.simulate.integrate_blocks`' blocks, still to run,
-    or :func:`~oscxfer.simulate.transfer_amplitude`'s a21(T)."""
-    p = _build_params(cfg)
-    grid = TimeGrid(p.transfer_time, cfg.n_steps)
-    profile = _build_profile(cfg, grid)
-    return p, profile, grid, integrate(profile, p, IntegratorConfig(
-        n_steps=cfg.n_steps, kernel_tracking=cfg.kernels))
-
-
 # formatted rows of profile.csv that its writer child may hold: about
 # 5 MB, as a row takes at most 100 bytes (four fields of 24 characters and
 # a separator)
@@ -272,7 +264,11 @@ def _profile_rows(reference: CouplingProfile, p: SystemParams,
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     """Integrate the transfer and compare to closed forms."""
-    p, profile, grid, blocks = _simulate(cfg, integrate_blocks)
+    p = _build_params(cfg)
+    grid = TimeGrid(p.transfer_time, cfg.n_steps)
+    profile = _build_profile(cfg, grid)
+    blocks = integrate_blocks(profile, p, IntegratorConfig(
+        n_steps=cfg.n_steps, kernel_tracking=cfg.kernels))
 
     tables = {}  # file name -> header
     if cfg.format in ("csv", "both"):
@@ -396,17 +392,37 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
     return name, lo, hi, n
 
 
+def _sweep_jobs(cfg: RunConfig, name: str, points: list) -> list:
+    """Each point's job ``(label, params, grid, profile)``, in point order,
+    with a profile built once per grid; the first invalid point is refused,
+    named by its label ``name=value``.  Warns once on weak damping."""
+    jobs, profiles = [], {}
+    for value in points:
+        label = f"{name}={value:g}"
+        point = dataclasses.replace(cfg, **{_SWEEPABLE[name]: value})
+        try:
+            p = _build_params(point, warn=False)
+            grid = TimeGrid(p.transfer_time, point.n_steps)
+            if grid not in profiles:
+                profiles[grid] = _build_profile(point, grid)
+        except ValueError as exc:  # ConfigError among them
+            raise ConfigError(f"{label}: {exc}") from None
+        jobs.append((label, p, grid, profiles[grid]))
+    _warn_weak_damping(cfg, [p for _, p, _, _ in jobs])
+    return jobs
+
+
 def _sweep_point(job: tuple) -> tuple[float, float]:
-    """One sweep evaluation, ``(F_oracle, F_sim)``; runs in a worker process."""
-    cfg, name, value = job
-    cfg = dataclasses.replace(cfg, **{_SWEEPABLE[name]: value})
+    """One sweep evaluation of a job of :func:`_sweep_jobs`, ``(F_oracle,
+    F_sim)``; runs in a worker process."""
+    label, p, grid, profile = job
     try:
-        p, profile, grid, a21 = _simulate(cfg, transfer_amplitude)
-    except ValueError as exc:  # ConfigError among them
-        raise ConfigError(f"{name}={value:g}: {exc}") from None
+        a21 = transfer_amplitude(profile, p, IntegratorConfig(
+            n_steps=grid.n_steps))
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
     except IntegrationError as exc:
-        raise IntegrationError(f"{name}={value:g}: {exc.reason}",
-                               exc.step) from None
+        raise IntegrationError(f"{label}: {exc.reason}", exc.step) from None
     # at the last node of simulate's curve, n_steps * dt
     return reference_curve(p, profile, grid.n_steps * grid.dt), a21
 
@@ -417,7 +433,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("sweep subcommand needs --sweep param:lo:hi:n")
     name, lo, hi, n = _parse_sweep(cfg.sweep)
     points = np.linspace(lo, hi, n).tolist()
-    rows = workers._sweep_rows(_sweep_point, [(cfg, name, v) for v in points],
+    rows = workers._sweep_rows(_sweep_point, _sweep_jobs(cfg, name, points),
                                min(n, workers._cpus()))
 
     table = [(value, analytic, simulated, abs(simulated - analytic))
@@ -513,22 +529,29 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="cascaded-oscillator state-transfer toolkit")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_CommandParser)
-    for name, (run, _) in _COMMANDS.items():
+    for name, (run, _, groups) in _COMMANDS.items():
         p_command = sub.add_parser(name, help=run.__doc__)
         if command in (None, name):
             for group, flag, dest, kwargs in _OPTIONS:
-                if group in _READS[name]:
+                if group in groups:
                     p_command.add_argument(flag, dest=dest, **kwargs)
     return parser
 
 
-# each command and the names of the files it may write
+# each command, the names of the files it may write and the groups of
+# _OPTIONS it reads
 _COMMANDS = {
     "simulate": (cmd_simulate, ("fidelity_curve.csv", "commutator.csv",
-                                "report.json")),
-    "optimize": (cmd_optimize, ("profile.csv", "optimize_report.json")),
-    "sweep": (cmd_sweep, ("sweep.csv", "sweep_report.json")),
-    "budget": (cmd_budget, ("budget.json",)),
+                                "report.json"),
+                 ("run", "physics", "hold", "grid", "output", "profile",
+                  "validity", "kernels")),
+    "optimize": (cmd_optimize, ("profile.csv", "optimize_report.json"),
+                 ("run", "physics", "hold", "grid", "output")),
+    "sweep": (cmd_sweep, ("sweep.csv", "sweep_report.json"),
+              ("run", "physics", "hold", "grid", "output", "profile",
+               "sweep")),
+    "budget": (cmd_budget, ("budget.json",),
+               ("run", "physics", "hold", "validity", "circuit")),
 }
 
 
@@ -598,7 +621,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with workers._handling(_stop, (signal.SIGTERM,)):
             cfg = resolve_config(args)
-            cmd, names = _COMMANDS[args.command]
+            cmd, names, _ = _COMMANDS[args.command]
             out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             _remove_dead_runs(out)

@@ -285,7 +285,9 @@ def _sweep_rows(point, jobs: list, workers: int) -> list:
     each 8-byte point index on its pipe with :func:`_attempt`'s outcome,
     and gets the next index as soon as its answer is back.  No point
     starts after one fails or a child is lost; the earliest point without
-    a row decides what is raised.  A job is ``(cfg, name, value)``.
+    a row decides what is raised.  A job's first item names its point in
+    the error of a lost point.  The children inherit the jobs across the
+    fork, so only indices and rows cross the pipes.
     """
     import select
 
@@ -330,8 +332,7 @@ def _sweep_rows(point, jobs: list, workers: int) -> list:
     for outcome in outcomes:
         if outcome is None:
             raise _lost("a sweep worker", "result", (
-                f"{name}={value:g}" for (_, name, value), o
-                in zip(jobs, outcomes) if o is None))
+                job[0] for job, o in zip(jobs, outcomes) if o is None))
         if not outcome[0]:
             raise outcome[1]
     return [row for _, row in outcomes]

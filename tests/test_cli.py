@@ -560,7 +560,8 @@ class TestSweep:
             CouplingProfile.optimal(truncation=grid.dt),
             SystemParams(gamma=1.0, transfer_time=3.0),
             IntegratorConfig(n_steps=n))
-        _, f_sim = cli._sweep_point((cli.RunConfig(n_steps=n), "T", 3.0))
+        (job,) = cli._sweep_jobs(cli.RunConfig(n_steps=n), "T", [3.0])
+        _, f_sim = cli._sweep_point(job)
         assert f_sim.hex() == state.fidelity.hex()
 
     def test_point_memory_is_flat_in_the_step_count(self):
@@ -568,7 +569,7 @@ class TestSweep:
         # a21(T); now it holds the blocks' workspace alone, 0.88 MB
         def peak(n):
             return _traced_peak(lambda: cli._sweep_point(
-                (cli.RunConfig(n_steps=n), "T", 3.0)))
+                *cli._sweep_jobs(cli.RunConfig(n_steps=n), "T", [3.0])))
 
         peak(1000)  # fills numpy's per-process caches, which stay
         small, large = peak(50_000), peak(500_000)
@@ -609,8 +610,8 @@ class TestSweep:
 
     def test_rows_come_in_point_order(self):
         # 7 points on 3 workers: each row is the point's own run, bit for bit
-        cfg = cli.RunConfig(n_steps=100)
-        jobs = [(cfg, "T", T) for T in np.linspace(1, 2, 7).tolist()]
+        jobs = cli._sweep_jobs(cli.RunConfig(n_steps=100), "T",
+                               np.linspace(1, 2, 7).tolist())
         assert workers._sweep_rows(cli._sweep_point, jobs, 3) == [
             cli._sweep_point(j) for j in jobs]
 
@@ -677,7 +678,7 @@ class TestSweep:
         point = cli._sweep_point
 
         def record(job):
-            started.append(job[2])
+            started.append(job[1].gamma)
             return point(job)
 
         monkeypatch.delattr(cli.os, "fork")
@@ -687,6 +688,94 @@ class TestSweep:
         assert capsys.readouterr().err.startswith(
             "numerical failure: gamma=300.5: receiver too stiff for the grid")
         assert started == [1.0, 300.5]
+
+    def test_file_profile_is_read_once(self, tmp_path, monkeypatch):
+        # every point of an eta sweep shares the grid, so the file is read
+        # once, in this process, before any point runs; each point used to
+        # read it again
+        opt = tmp_path / "opt"
+        assert main(["optimize", "--gamma", "1", "--T", "1", "--steps", "10",
+                     "--out", str(opt)]) == 0
+        reads = []
+        read = artifacts._profile_from_file
+
+        def record(path, grid):
+            reads.append(path)
+            return read(path, grid)
+
+        monkeypatch.delattr(cli.os, "fork")
+        monkeypatch.setattr(artifacts, "_profile_from_file", record)
+        assert main(["sweep", "--profile", f"file:{opt / 'profile.csv'}",
+                     "--sweep", "eta:0.25:1:4", "--T", "1", "--steps", "10",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        assert reads == [str(opt / "profile.csv")]
+        rows = _read_csv(tmp_path / "sweep" / "sweep.csv")
+        assert [r["eta"] for r in rows] == ["0.25", "0.5", "0.75", "1"]
+
+    def test_a_bad_profile_file_names_the_first_point(self, tmp_path,
+                                                      capsys):
+        # the file is read once, for the first point, which the error names
+        missing = tmp_path / "missing.csv"
+        assert main(["sweep", "--profile", f"file:{missing}", "--sweep",
+                     "eta:0.5:1:2", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: eta=0.5: cannot read profile file: {missing} not found."]
+
+    @pytest.mark.parametrize("spec, built", [
+        ("T:1:2:3", 3), ("eta:0.5:1:4", 1), ("gamma:1:2:3", 1),
+        ("gamma_loss:0:0.5:2", 1), ("T:2:2:3", 1)])
+    def test_a_profile_is_built_once_per_grid(self, spec, built,
+                                              monkeypatch):
+        # only a T sweep moves the grid, and with it the optimal profile's
+        # default cut dt
+        grids = []
+        build = cli._build_profile
+
+        def record(cfg, grid):
+            grids.append(grid)
+            return build(cfg, grid)
+
+        monkeypatch.setattr(cli, "_build_profile", record)
+        name, lo, hi, n = cli._parse_sweep(spec)
+        jobs = cli._sweep_jobs(cli.RunConfig(n_steps=100), name,
+                               np.linspace(lo, hi, n).tolist())
+        assert len(grids) == len(set(grids)) == built
+        assert [grid for _, _, grid, _ in jobs] == [
+            grids[min(k, built - 1)] for k in range(n)]
+        assert len({id(profile) for *_, profile in jobs}) == built
+
+    def test_an_invalid_point_is_refused_before_any_runs(
+            self, tmp_path, capsys, monkeypatch):
+        # eta = 1.5 is invalid; gamma = 300 makes the valid eta = 0.5 fail
+        # to integrate, which used to decide the exit (3), as it ran first
+        def fork():
+            raise AssertionError("a worker was forked")
+
+        monkeypatch.setattr(workers.os, "fork", fork)
+        out = tmp_path / "x"
+        assert main(["sweep", "--sweep", "eta:0.5:1.5:3", "--gamma", "300",
+                     "--T", "1", "--steps", "20", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: eta=1.5: eta must lie in (0, 1]"]
+        assert [p.name for p in out.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+    @pytest.mark.parametrize("spec, flags, lines", [
+        ("eta:0.5:1:4", ["--gamma", "2e5", "--T", "0.001"], 1),
+        ("gamma:1:2:2", ["--omega0", "15"], 1),
+        ("gamma:1:1.4:2", ["--omega0", "15"], 0),
+    ], ids=["every-point", "last-point", "no-point"])
+    def test_weak_damping_warning_comes_once(self, tmp_path, capsys,
+                                             monkeypatch, fork, spec, flags,
+                                             lines):
+        # each point's worker printed it: four lines for four points
+        if not fork:
+            monkeypatch.delattr(cli.os, "fork")
+        assert main(["sweep", "--sweep", spec, *flags, "--steps", "100",
+                     "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err.splitlines() == lines * [
+            "warning: weak damping violated: gamma*10 exceeds omega0 "
+            "(rotating-frame treatment marginal)"]
 
     def test_grid_overrunning_T_by_one_ulp(self, tmp_path):
         # 100 * (T / 100) lands one ulp past T: the reference curve must
@@ -2586,7 +2675,7 @@ def _cmp_tool():
 def test_one_rule_decides_the_science_artifacts(tmp_path):
     # every file a command may write is one, config.json is one without
     # its out_dir, and no other name is
-    names = [name for _, files in cli._COMMANDS.values() for name in files]
+    names = [name for _, files, _ in cli._COMMANDS.values() for name in files]
     for name in [*names, "telemetry.json", "notes.txt", "report.json.tmp"]:
         (tmp_path / name).write_bytes(name.encode())
     (tmp_path / "config.json").write_text('{"gamma": 2.0, "out_dir": "x"}')
